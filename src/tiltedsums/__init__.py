@@ -22,13 +22,10 @@ from .checks import (
 )
 from .conditional import (
     EdgeworthSumDensity,
-    GammaSumDensity,
-    NormalSumDensity,
     NormalizedCoords,
     RatioContext,
     conditional_density,
     density_ratio,
-    exact_sum_density,
     gibbs_density,
     normalized_coords,
     normalized_exact_density,
@@ -50,22 +47,14 @@ from .errors import (
     ConditioningError,
     ConfigError,
     DegenerateCovarianceError,
+    NonConvergenceError,
     OutOfDomainError,
     QuadratureError,
     TiltedSumsError,
     UndefinedConditionalError,
     UnsupportedFamilyError,
 )
-from .families import (
-    AllSpace,
-    GammaMember,
-    HalfLine,
-    Member,
-    NormalMember,
-    gamma_family,
-    normal_family,
-    validate_members,
-)
+from .families import AllSpace, Family, GammaFamily, HalfLine, NormalFamily, gamma_family, normal_family
 from .sweep import ScalingFit, SweepRow, emit_report, fit_scaling, run_sweep
 from .tilting import TiltingSolution, mean_cgf, solve_tilt, theta_bounds_1d, tilt_oracle
 from .tv import TVEstimate, df_gamma_constant, tv_joint_mc, tv_scheffe, tv_sum_mc
@@ -82,13 +71,12 @@ __all__ = [
     "EdgeworthModel",
     "EdgeworthSumDensity",
     "ExperimentConfig",
+    "Family",
     "FamilySpec",
-    "GammaMember",
-    "GammaSumDensity",
+    "GammaFamily",
     "HalfLine",
-    "Member",
-    "NormalMember",
-    "NormalSumDensity",
+    "NonConvergenceError",
+    "NormalFamily",
     "NormalizedCoords",
     "OutOfDomainError",
     "QuadratureError",
@@ -113,7 +101,6 @@ __all__ = [
     "df_gamma_constant",
     "edgeworth_density",
     "emit_report",
-    "exact_sum_density",
     "fit_scaling",
     "gamma_family",
     "gibbs_density",
@@ -139,6 +126,5 @@ __all__ = [
     "tv_joint_mc",
     "tv_scheffe",
     "tv_sum_mc",
-    "validate_members",
     "weighted_sup_error",
 ]

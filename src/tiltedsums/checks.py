@@ -8,7 +8,7 @@ the cgf domain and reports a pass flag plus witness numbers:
   am4       fourth absolute central moments stay below a configured ceiling;
   cf_decay  the characteristic function obeys |cf(t)| <= C_K / ||t||, with
             C_K the largest L1 norm of a density partial derivative
-            (computed by quadrature);
+            (in closed form);
   cf3       sup over ||t|| > beta of |cf(t)| stays strictly below 1
             (grid scan plus the analytic C_K / t_max tail bound);
   uf        one-dimensional gamma means are squeezed between the envelope
@@ -16,8 +16,10 @@ the cgf domain and reports a pass flag plus witness numbers:
 
 Common support and positivity of the member densities hold by construction
 (homogeneous kinds, open supports), so the report carries a structural
-"supp" entry rather than a numeric one.  All evaluations are pure grid
-computations: identical inputs give identical witnesses.
+"supp" entry rather than a numeric one.  Every sup and inf runs over the
+family's distinct member laws, so repeated members cost nothing.  All
+evaluations are pure grid computations: identical inputs give identical
+witnesses.
 """
 
 import math
@@ -26,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import UnsupportedFamilyError
-from .families import GammaMember, HalfLine, validate_members
+from .families import GammaFamily, HalfLine
 
 
 @dataclass(frozen=True)
@@ -60,7 +62,7 @@ class ThetaBox:
         return np.array([(l + h) / 2.0 for l, h in zip(self.lo, self.hi)])
 
 
-def theta_box_from_solutions(thetas, members, inflate=0.2, boundary_margin=1e-3):
+def theta_box_from_solutions(thetas, family, inflate=0.2, boundary_margin=1e-3):
     """Bounding box of observed tilt parameters, inflated and clipped
     strictly inside the domain (margin from a half-line boundary)."""
     arr = np.atleast_2d(np.asarray(thetas, dtype=float))
@@ -69,7 +71,7 @@ def theta_box_from_solutions(thetas, members, inflate=0.2, boundary_margin=1e-3)
     pad = inflate * np.maximum(hi - lo, 1.0)
     lo = lo - pad
     hi = hi + pad
-    dom = members[0].domain
+    dom = family.domain
     if isinstance(dom, HalfLine):
         hi = np.minimum(hi, dom.upper - boundary_margin)
         lo = np.minimum(lo, hi - 1e-9)
@@ -110,133 +112,117 @@ class AssumptionReport:
         return all(e.passed for e in self.entries)
 
 
-def _theta_grid(members, box, points_per_axis):
-    if box.dim != members[0].dim:
+def _theta_grid(family, box, points_per_axis):
+    if box.dim != family.dim:
         raise ValueError("box dimension does not match the members")
     grid = box.grid(points_per_axis)
     for theta in grid:
-        if not members[0].domain.contains(theta):
+        if not family.domain.contains(theta):
             raise ValueError(f"grid point {theta} is outside the cgf domain")
     return grid
 
 
-def check_cv(members, box, points_per_axis=33, eig_floor=1e-8, eig_ceiling=1e12):
+def check_cv(family, box, points_per_axis=33, eig_floor=1e-8, eig_ceiling=1e12):
     """Covariance eigenvalues of tilted members over K."""
-    grid = _theta_grid(members, box, points_per_axis)
-    lam_min = math.inf
-    lam_max = -math.inf
-    for member in members:
-        for theta in grid:
-            w = np.linalg.eigvalsh(member.cgf_hess(theta))
-            lam_min = min(lam_min, float(w[0]))
-            lam_max = max(lam_max, float(w[-1]))
+    laws = family.distinct()
+    grid = _theta_grid(laws, box, points_per_axis)
+    eigs = np.array([np.linalg.eigvalsh(laws.member_hess(theta)) for theta in grid])
+    lam_min = float(np.min(eigs[..., 0]))
+    lam_max = float(np.max(eigs[..., -1]))
     passed = eig_floor < lam_min <= lam_max < eig_ceiling
     return CheckResult("cv", passed, {"lambda_min": lam_min, "lambda_max": lam_max})
 
 
-def check_am4(members, box, points_per_axis=33, ceiling=1e6):
+def check_am4(family, box, points_per_axis=33, ceiling=1e6):
     """Fourth absolute central moments of tilted members over K."""
-    grid = _theta_grid(members, box, points_per_axis)
-    worst = -math.inf
-    for member in members:
-        for theta in grid:
-            worst = max(worst, float(member.fourth_central_moment(theta)))
+    laws = family.distinct()
+    grid = _theta_grid(laws, box, points_per_axis)
+    worst = max(float(np.max(laws.fourth_central_moment(theta))) for theta in grid)
     passed = math.isfinite(worst) and worst < ceiling
     return CheckResult("am4", passed, {"max_fourth_moment": worst, "ceiling": ceiling})
 
 
-def _theta_list_for_cf(members, box, points_per_axis):
+def _theta_list_for_cf(laws, box, points_per_axis):
     """Tilting a normal member shifts its mean only, so its cf modulus and
     density-derivative norms do not depend on theta; one evaluation point
     suffices.  Other kinds are scanned over the full grid."""
-    if all(m.kind == "normal" for m in members):
+    if laws.kind == "normal":
         return [box.center]
-    return list(_theta_grid(members, box, points_per_axis))
+    return list(_theta_grid(laws, box, points_per_axis))
 
 
-def _sup_partial_l1(members, box, points_per_axis):
-    thetas = _theta_list_for_cf(members, box, points_per_axis)
-    worst = -math.inf
-    for member in members:
-        for theta in thetas:
-            for axis in range(member.dim):
-                worst = max(worst, float(member.density_partial_l1(theta, axis)))
-    return worst
+def _sup_partial_l1(laws, thetas):
+    return max(
+        float(np.max(laws.density_partial_l1(theta, axis)))
+        for theta in thetas
+        for axis in range(laws.dim)
+    )
 
 
-def check_cf_decay(members, box, points_per_axis=33, r_min=1.0, r_max=100.0, r_points=512):
+def check_cf_decay(family, box, points_per_axis=33, r_min=1.0, r_max=100.0, r_points=512):
     """Characteristic-function decay |cf(t)| <= C_K / ||t|| on ||t|| in
     [r_min, r_max], with C_K = sup of L1 norms of density partials."""
-    c_k = _sup_partial_l1(members, box, points_per_axis)
+    laws = family.distinct()
+    thetas = _theta_list_for_cf(laws, box, points_per_axis)
+    c_k = _sup_partial_l1(laws, thetas)
     radii = np.geomspace(r_min, r_max, r_points)
-    worst_ratio = -math.inf
-    for member in members:
-        for theta in _theta_list_for_cf(members, box, points_per_axis):
-            modulus = np.asarray(member.char_fn_modulus_sup(theta, radii), dtype=float)
-            worst_ratio = max(worst_ratio, float(np.max(modulus * radii / c_k)))
+    worst_ratio = max(
+        float(np.max(laws.char_fn_modulus_sup(theta, radii) * radii / c_k)) for theta in thetas
+    )
     passed = worst_ratio <= 1.0 + 1e-9
     return CheckResult("cf_decay", passed, {"c_k": c_k, "max_bound_ratio": worst_ratio})
 
 
-def check_cf3(members, box, beta=0.5, points_per_axis=33, r_max=100.0, r_points=512):
+def check_cf3(family, box, beta=0.5, points_per_axis=33, r_max=100.0, r_points=512):
     """Strict cf separation from 1: epsilon = sup over ||t|| > beta of
     |cf(t)|, combining a grid scan on [beta, r_max] with the analytic
     C_K / r_max bound beyond."""
     if beta <= 0.0:
         raise ValueError("beta must be positive")
+    laws = family.distinct()
+    thetas = _theta_list_for_cf(laws, box, points_per_axis)
     radii = np.linspace(beta, r_max, r_points)
-    eps = -math.inf
-    for member in members:
-        for theta in _theta_list_for_cf(members, box, points_per_axis):
-            modulus = np.asarray(member.char_fn_modulus_sup(theta, radii), dtype=float)
-            eps = max(eps, float(np.max(modulus)))
-    tail = _sup_partial_l1(members, box, points_per_axis) / r_max
-    eps = max(eps, tail)
+    eps = max(float(np.max(laws.char_fn_modulus_sup(theta, radii))) for theta in thetas)
+    eps = max(eps, _sup_partial_l1(laws, thetas) / r_max)
     return CheckResult("cf3", eps < 1.0, {"epsilon": eps, "beta": beta})
 
 
-def check_uf(members, box=None, shape_lo=None, shape_hi=None, points_per_axis=33):
+def check_uf(family, box=None, shape_lo=None, shape_hi=None, points_per_axis=33):
     """Envelope squeeze for one-dimensional gamma means.
 
     With f_lo(theta) = shape_lo t/(1-theta t) and f_hi the same with
     shape_hi, verifies f_lo <= m_j <= f_hi on a theta grid; the witness is
     the worst margin (nonnegative means the squeeze holds).
     """
-    validate_members(members)
-    if not isinstance(members[0], GammaMember):
+    if not isinstance(family, GammaFamily):
         raise UnsupportedFamilyError("envelope check is defined for gamma members only")
-    t = members[0].scale
+    t = family.scale
     if box is None:
         box = ThetaBox((-2.0 / t,), (1.0 / t - 1e-3,))
-    grid = _theta_grid(members, box, points_per_axis)
-    k_lo = min(m.shape for m in members) if shape_lo is None else float(shape_lo)
-    k_hi = max(m.shape for m in members) if shape_hi is None else float(shape_hi)
+    laws = family.distinct()
+    grid = _theta_grid(laws, box, points_per_axis)
+    k_lo = float(laws.shapes.min()) if shape_lo is None else float(shape_lo)
+    k_hi = float(laws.shapes.max()) if shape_hi is None else float(shape_hi)
 
-    worst = math.inf
-    for member in members:
-        for theta in grid:
-            m_val = float(member.cgf_grad(theta)[0])
-            # Same operation order as the member gradient, so equal shapes
-            # give an exactly zero margin.
-            denom = 1.0 - float(theta[0]) * t
-            f_lo = k_lo * t / denom
-            f_hi = k_hi * t / denom
-            worst = min(worst, m_val - f_lo, f_hi - m_val)
+    # Same operation order as the member gradient, so equal shapes give an
+    # exactly zero margin.
+    denom = 1.0 - grid[:, :1] * t
+    means = laws.shapes * t / denom
+    worst = float(np.min(np.minimum(means - k_lo * t / denom, k_hi * t / denom - means)))
     return CheckResult("uf", worst >= 0.0, {"worst_margin": worst, "shape_lo": k_lo, "shape_hi": k_hi})
 
 
-def run_assumption_checks(members, box, beta=0.5, points_per_axis=33, am4_ceiling=1e6,
+def run_assumption_checks(family, box, beta=0.5, points_per_axis=33, am4_ceiling=1e6,
                           r_max=100.0, r_points=512):
-    """Full report over a family sequence: structural support entry plus the
-    numeric battery (and the envelope check for gamma sequences)."""
-    validate_members(members)
+    """Full report over a family: structural support entry plus the numeric
+    battery (and the envelope check for gamma families)."""
     entries = [CheckResult("supp", True, {})]
-    entries.append(check_cv(members, box, points_per_axis))
-    entries.append(check_am4(members, box, points_per_axis, ceiling=am4_ceiling))
-    entries.append(check_cf_decay(members, box, points_per_axis, r_max=r_max, r_points=r_points))
+    entries.append(check_cv(family, box, points_per_axis))
+    entries.append(check_am4(family, box, points_per_axis, ceiling=am4_ceiling))
+    entries.append(check_cf_decay(family, box, points_per_axis, r_max=r_max, r_points=r_points))
     entries.append(
-        check_cf3(members, box, beta=beta, points_per_axis=points_per_axis, r_max=r_max, r_points=r_points)
+        check_cf3(family, box, beta=beta, points_per_axis=points_per_axis, r_max=r_max, r_points=r_points)
     )
-    if isinstance(members[0], GammaMember):
-        entries.append(check_uf(members, box=None, points_per_axis=points_per_axis))
+    if isinstance(family, GammaFamily):
+        entries.append(check_uf(family, box=None, points_per_axis=points_per_axis))
     return AssumptionReport(entries, box)

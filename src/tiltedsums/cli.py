@@ -2,7 +2,8 @@
 
 Subcommands: tilt, edgeworth, ratio, tv, check, sweep.  Results go to
 standard output or files; logging goes to standard error.  Exit codes:
-0 success, 1 any sweep row failed, 2 configuration error.
+0 success, 1 any sweep row failed (or a computation raised a toolkit
+error, such as non-convergence), 2 configuration or argument error.
 """
 
 import argparse
@@ -28,7 +29,17 @@ THREADS_ENV = "TILTEDSUMS_THREADS"
 
 
 def _vector_arg(text):
-    return np.array([float(p) for p in text.split(";")])
+    v = np.array([float(p) for p in text.split(";")])
+    if not np.all(np.isfinite(v)):
+        raise argparse.ArgumentTypeError(f"non-finite vector {text!r}")
+    return v
+
+
+def _seed_arg(text):
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be nonnegative, got {seed}")
+    return seed
 
 
 def _grid_arg(text):
@@ -46,7 +57,7 @@ def _default_threads():
 
 def _add_common(parser, need_config=True):
     parser.add_argument("--config", required=need_config, help="experiment config file")
-    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
+    parser.add_argument("--seed", type=_seed_arg, default=None, help="override the config seed")
     parser.add_argument("--threads", type=int, default=None,
                         help=f"worker threads (default ${THREADS_ENV} or 1)")
     parser.add_argument("--out", default=None, help="output file or directory")
@@ -105,9 +116,17 @@ def _load(args):
     return cfg.with_overrides(seed=args.seed, out=args.out)
 
 
-def _members_for(cfg, n):
+def _family_for(cfg, n):
     count = n if n is not None else max(cfg.n_values)
     return cfg.family.build(count)
+
+
+def _check_args(parser, args):
+    """Reject argument combinations the estimators cannot take (exit code 2)."""
+    if args.command in ("tv", "ratio"):
+        lowest = 0 if args.command == "tv" else 1
+        if not lowest <= args.k < args.n:
+            parser.error(f"argument --k: {args.k} must satisfy {lowest} <= k < n = {args.n}")
 
 
 def _emit(text, out_path):
@@ -120,9 +139,9 @@ def _emit(text, out_path):
 
 def cmd_tilt(args):
     cfg = _load(args)
-    members = _members_for(cfg, args.n)
+    family = _family_for(cfg, args.n)
     a = args.a if args.a is not None else np.array(cfg.a_values[0])
-    sol = solve_tilt(members, a)
+    sol = solve_tilt(family, a)
     theta = ";".join(f"{v:.17g}" for v in sol.theta)
     sys.stdout.write(
         f"theta={theta} residual_norm={sol.residual_norm:.6e} "
@@ -133,18 +152,18 @@ def cmd_tilt(args):
 
 def cmd_edgeworth(args):
     cfg = _load(args)
-    members = _members_for(cfg, args.count)
-    if members[0].dim != 1:
+    family = _family_for(cfg, args.count)
+    if family.dim != 1:
         raise ConfigError("the edgeworth subcommand handles one-dimensional members")
     if args.theta is not None:
         theta = args.theta
     elif args.a is not None:
-        theta = solve_tilt(members, args.a).theta
+        theta = solve_tilt(family, args.a).theta
     else:
         theta = np.zeros(1)
-    model1 = build_model(members, theta, order=1)
-    model0 = build_model(members, theta, order=0)
-    exact = normalized_exact_density(members, theta, model=model1)
+    model1 = build_model(family, theta, order=1)
+    model0 = build_model(family, theta, order=0)
+    exact = normalized_exact_density(family, theta, model=model1)
     lo, hi, pts = args.grid
     xs = np.linspace(lo, hi, pts)
     exact_vals = exact(xs.reshape(-1, 1))
@@ -159,10 +178,10 @@ def cmd_edgeworth(args):
 
 def cmd_ratio(args):
     cfg = _load(args)
-    members = cfg.family.build(args.n)
-    if members[0].dim != 1:
+    family = cfg.family.build(args.n)
+    if family.dim != 1:
         raise ConfigError("the ratio subcommand handles one-dimensional members")
-    ctx = RatioContext(members, args.k, args.a)
+    ctx = RatioContext(family, args.k, args.a)
     lo, hi, pts = args.t_grid
     t_tilde_targets = np.linspace(lo, hi, pts)
     block_sd = 1.0 / float(ctx.block_B[0, 0])
@@ -179,16 +198,18 @@ def cmd_ratio(args):
 
 def cmd_tv(args):
     cfg = _load(args)
-    members = cfg.family.build(args.n)
+    family = cfg.family.build(args.n)
     a = args.a
     samples = args.samples if args.samples is not None else cfg.samples
+    if args.method != "scheffe" and samples < 2:
+        raise ConfigError(f"method {args.method} needs at least 2 samples, got {samples}")
     start = time.perf_counter()
     if args.method == "scheffe":
-        est = tv_scheffe(members, args.k, a)
+        est = tv_scheffe(family, args.k, a)
     elif args.method == "sum_mc":
-        est = tv_sum_mc(members, args.k, a, samples=samples, rng=cfg.seed)
+        est = tv_sum_mc(family, args.k, a, samples=samples, rng=cfg.seed)
     else:
-        est = tv_joint_mc(members, args.k, a, samples=samples, rng=cfg.seed)
+        est = tv_joint_mc(family, args.k, a, samples=samples, rng=cfg.seed)
     seconds = time.perf_counter() - start
     a_txt = ";".join(f"{v:.17g}" for v in np.atleast_1d(a))
     lines = [
@@ -201,7 +222,7 @@ def cmd_tv(args):
 
 def cmd_check(args):
     cfg = _load(args)
-    members = _members_for(cfg, args.n)
+    family = _family_for(cfg, args.n)
     if args.box is not None:
         lo, hi = (float(v) for v in args.box.split(":"))
         box = checks_mod.ThetaBox((lo,), (hi,))
@@ -211,8 +232,8 @@ def cmd_check(args):
             seq = cfg.family.build(n)
             for a in cfg.a_values:
                 thetas.append(solve_tilt(seq, np.array(a)).theta)
-        box = checks_mod.theta_box_from_solutions(thetas, members)
-    report = checks_mod.run_assumption_checks(members, box, beta=args.beta)
+        box = checks_mod.theta_box_from_solutions(thetas, family)
+    report = checks_mod.run_assumption_checks(family, box, beta=args.beta)
     sys.stdout.write(report.to_text() + "\n")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -255,6 +276,7 @@ def main(argv=None):
     logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(levelname)s %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
+    _check_args(parser, args)
     try:
         return _COMMANDS[args.command](args)
     except ConfigError as exc:

@@ -15,10 +15,11 @@ object is the ratio
 
     rho(t) = f_{k+1,n}(n a - t) / f_{1,n}(n a)
 
-of tilted sum densities, evaluated either exactly (closed-form Normal and
-Gamma convolutions) or through order-1 Edgeworth approximations of both
-normalized densities together with the exact determinant ratio.  The
-normalized coordinates
+of tilted sum densities, evaluated either exactly (the closed-form
+convolutions family[k:].tilt(theta).convolve() and
+family.tilt(theta).convolve()) or through order-1 Edgeworth approximations
+of both normalized densities together with the exact determinant ratio.
+The normalized coordinates
 
     t_tilde = k^{-1/2} B_{1,k} (t - sum_{j<=k} m_j(theta))
     t_sharp = (n-k)^{-1/2} B_{k+1,n} (sum_{j<=k} m_j(theta) - t)
@@ -31,116 +32,24 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc, gammaincc, ndtr
 
 from .edgeworth import build_model, edgeworth_density
-from .errors import UndefinedConditionalError, UnsupportedFamilyError
-from .families import GammaMember, NormalMember, validate_members
-from .numerics import LOG_2PI, as_vector, sym_inv, sym_inv_sqrt, sym_logdet
+from .errors import NonConvergenceError, UndefinedConditionalError
+from .numerics import as_vector, sym_inv, sym_inv_sqrt, sym_logdet
 from .tilting import solve_tilt
 
 
 # ---------------------------------------------------------------------------
-# Exact closed-form sum densities (the oracles for every Edgeworth claim)
+# Sum densities: closed-form convolutions and the Edgeworth surrogate
 # ---------------------------------------------------------------------------
-
-class GammaSumDensity:
-    """Sum of gamma members sharing a scale: Gamma(sum of shapes, scale)."""
-
-    dim = 1
-    support = (0.0, math.inf)
-
-    def __init__(self, total_shape, scale):
-        self.total_shape = float(total_shape)
-        self.scale = float(scale)
-        self.mean = np.array([self.total_shape * self.scale])
-        self.cov = np.array([[self.total_shape * self.scale**2]])
-        self._log_norm = math.lgamma(self.total_shape) + self.total_shape * math.log(self.scale)
-
-    def log_density(self, x):
-        v = np.atleast_1d(np.asarray(x, dtype=float)).reshape(-1)
-        out = np.full(v.shape, -np.inf)
-        pos = v > 0.0
-        out[pos] = (self.total_shape - 1.0) * np.log(v[pos]) - v[pos] / self.scale - self._log_norm
-        return float(out[0]) if np.ndim(x) == 0 else out
-
-    def density(self, x):
-        return np.exp(self.log_density(x))
-
-    def cdf(self, x):
-        return gammainc(self.total_shape, np.maximum(np.asarray(x, dtype=float), 0.0) / self.scale)
-
-    def sf(self, x):
-        return gammaincc(self.total_shape, np.maximum(np.asarray(x, dtype=float), 0.0) / self.scale)
-
-    @property
-    def sd(self):
-        return math.sqrt(self.cov[0, 0])
-
-
-class NormalSumDensity:
-    """Sum of normal members: Normal(sum of means, sum of covariances)."""
-
-    support = (-math.inf, math.inf)
-
-    def __init__(self, mean, cov):
-        self.mean = as_vector(mean)
-        self.cov = np.asarray(cov, dtype=float)
-        self._inv = sym_inv(self.cov)
-        self._logdet = sym_logdet(self.cov)
-
-    @property
-    def dim(self):
-        return self.mean.shape[0]
-
-    def log_density(self, x):
-        pts = np.asarray(x, dtype=float).reshape(-1, self.dim)
-        diff = pts - self.mean
-        quad = np.einsum("ni,ij,nj->n", diff, self._inv, diff)
-        out = -0.5 * (self.dim * LOG_2PI + self._logdet + quad)
-        single = np.ndim(x) == 0 or (np.ndim(x) == 1 and self.dim > 1)
-        return float(out[0]) if single else out
-
-    def density(self, x):
-        return np.exp(self.log_density(x))
-
-    @property
-    def sd(self):
-        if self.dim != 1:
-            raise ValueError("sd is defined for one-dimensional sums only")
-        return math.sqrt(self.cov[0, 0])
-
-    def cdf(self, x):
-        return ndtr((np.asarray(x, dtype=float) - self.mean[0]) / self.sd)
-
-    def sf(self, x):
-        return ndtr((self.mean[0] - np.asarray(x, dtype=float)) / self.sd)
-
-
-def exact_sum_density(members, theta=None):
-    """Closed-form density of the (tilted) sum of a homogeneous block."""
-    validate_members(members)
-    d = members[0].dim
-    theta = np.zeros(d) if theta is None else as_vector(theta, d)
-    first = members[0]
-    if isinstance(first, GammaMember):
-        tilted_scale = first.tilt(theta).scale
-        total = sum(m.shape for m in members)
-        return GammaSumDensity(total, tilted_scale)
-    if isinstance(first, NormalMember):
-        mean = sum((m.tilt(theta).mean for m in members), np.zeros(d))
-        cov = sum((m.cov for m in members), np.zeros((d, d)))
-        return NormalSumDensity(mean, cov)
-    raise UnsupportedFamilyError(f"no closed-form sum density for kind {first.kind!r}")
-
 
 class EdgeworthSumDensity:
     """Sum density reconstructed from the order-1 expansion of the normalized
     sum; an approximation (may dip below zero far in the tails), used where
     no closed form exists."""
 
-    def __init__(self, members, theta, order=1):
-        self.model = build_model(members, theta, order=order)
+    def __init__(self, family, theta, order=1):
+        self.model = build_model(family, theta, order=order)
         # f_S(s) = det(m^{-1/2} B) q(m^{-1/2} B (s - mean_sum))
         self._log_jac = -0.5 * self.model.dim * math.log(self.model.count) + 0.5 * sym_logdet(
             self.model.B @ self.model.B
@@ -159,14 +68,18 @@ class EdgeworthSumDensity:
         return float(vals[0]) if single else vals
 
 
-def sum_density(members, theta=None, kind="exact", order=1):
-    """Dispatch between the exact closed form and the Edgeworth surrogate."""
+def _tilted(family, theta):
+    return family if theta is None else family.tilt(theta)
+
+
+def sum_density(family, theta=None, kind="exact", order=1):
+    """Density of the (tilted) sum of the family: the closed-form convolution
+    (kind "exact") or its Edgeworth surrogate (kind "edgeworth")."""
     if kind == "exact":
-        return exact_sum_density(members, theta)
+        return _tilted(family, theta).convolve()
     if kind == "edgeworth":
-        d = members[0].dim
-        theta = np.zeros(d) if theta is None else theta
-        return EdgeworthSumDensity(members, theta, order=order)
+        theta = np.zeros(family.dim) if theta is None else theta
+        return EdgeworthSumDensity(family, theta, order=order)
     raise ValueError(f"unknown sum density kind {kind!r}")
 
 
@@ -174,71 +87,69 @@ def sum_density(members, theta=None, kind="exact", order=1):
 # Conditional density given the total sum
 # ---------------------------------------------------------------------------
 
-def _check_block(members, k):
-    n = len(members)
+def _check_block(family, k):
+    n = len(family)
     if not (1 <= k < n):
         raise ValueError(f"block size k={k} must satisfy 1 <= k < n={n}")
     return n
 
 
 def _scalar_log(density, point):
-    p = np.asarray(point, dtype=float).reshape(1, -1)
-    return float(np.asarray(density.log_density(p if p.shape[1] > 1 else p[0, 0])).reshape(-1)[0])
+    return float(density.log_density(np.reshape(np.asarray(point, dtype=float), (1, -1)))[0])
 
 
-def conditional_density(members, k, x_block, s):
+def _solved_theta(family, a):
+    sol = solve_tilt(family, a)
+    if not sol.converged:
+        raise NonConvergenceError(
+            f"tilting equation did not converge (residual {sol.residual_norm:.3e})"
+        )
+    return sol.theta
+
+
+def conditional_density(family, k, x_block, s):
     """Density of (X_1..X_k) given {S_1n = s}, evaluated at x_block.
 
     Raises UndefinedConditionalError when s carries zero density under the
     full sum.
     """
-    validate_members(members)
     k = int(k)
-    _check_block(members, k)
-    d = members[0].dim
+    _check_block(family, k)
+    d = family.dim
     s = as_vector(s, d)
     x = np.asarray(x_block, dtype=float).reshape(k, d)
 
-    full = exact_sum_density(members)
-    log_den = _scalar_log(full, s)
+    log_den = _scalar_log(family.convolve(), s)
     if not np.isfinite(log_den):
         raise UndefinedConditionalError(f"conditioning point s={s} has zero sum density")
 
-    comp = exact_sum_density(members[k:])
-    log_num = _scalar_log(comp, s - x.sum(axis=0))
-    for j in range(k):
-        log_num += float(members[j].log_density(x[j] if d > 1 else x[j, 0]))
+    log_num = _scalar_log(family[k:].convolve(), s - x.sum(axis=0))
+    log_num += float(np.sum(family[:k].log_density(x)))
     if not np.isfinite(log_num):
         return 0.0
     return math.exp(log_num - log_den)
 
 
-def tilting_invariance_check(members, k, a, t):
+def tilting_invariance_check(family, k, a, t):
     """Evaluate the conditional density of the block sum at t twice: from the
     original members and from the members tilted to mean a.  The two numbers
     agree identically in exact arithmetic; both are returned for comparison."""
-    validate_members(members)
-    n = _check_block(members, k)
-    d = members[0].dim
+    n = _check_block(family, k)
+    d = family.dim
     a = as_vector(a, d)
     t = as_vector(t, d)
     na = n * a
-
-    sol = solve_tilt(members, a)
-    if not sol.converged:
-        raise RuntimeError("tilting equation did not converge")
+    theta = _solved_theta(family, a)
 
     def cond_at(theta):
-        block = exact_sum_density(members[:k], theta)
-        comp = exact_sum_density(members[k:], theta)
-        full = exact_sum_density(members, theta)
-        log_den = _scalar_log(full, na)
+        tilted = _tilted(family, theta)
+        log_den = _scalar_log(tilted.convolve(), na)
         if not np.isfinite(log_den):
             raise UndefinedConditionalError(f"zero sum density at s={na}")
-        log_num = _scalar_log(block, t) + _scalar_log(comp, na - t)
+        log_num = _scalar_log(tilted[:k].convolve(), t) + _scalar_log(tilted[k:].convolve(), na - t)
         return math.exp(log_num - log_den) if np.isfinite(log_num) else 0.0
 
-    return cond_at(None), cond_at(sol.theta)
+    return cond_at(None), cond_at(theta)
 
 
 # ---------------------------------------------------------------------------
@@ -253,33 +164,26 @@ class NormalizedCoords:
 
 class RatioContext:
     """Precomputed data for repeated ratio evaluations with fixed
-    (members, k, a): the solved tilt, exact sum densities, normalization
+    (family, k, a): the solved tilt, exact sum densities, normalization
     matrices, and the Edgeworth models of block complement and full sum."""
 
-    def __init__(self, members, k, a, theta=None):
-        validate_members(members)
-        self.n = _check_block(members, k)
+    def __init__(self, family, k, a, theta=None):
+        self.n = _check_block(family, k)
         self.k = int(k)
-        self.d = members[0].dim
+        self.d = family.dim
         self.a = as_vector(a, self.d)
         self.na = self.n * self.a
         if theta is None:
-            sol = solve_tilt(members, self.a)
-            if not sol.converged:
-                raise RuntimeError("tilting equation did not converge")
-            theta = sol.theta
+            theta = _solved_theta(family, self.a)
         self.theta = as_vector(theta, self.d)
-        self.members = members
+        self.family = family
 
-        self.block_mean = sum((m.cgf_grad(self.theta) for m in members[: self.k]), np.zeros(self.d))
-        block_avg_cov = (
-            sum((m.cgf_hess(self.theta) for m in members[: self.k]), np.zeros((self.d, self.d)))
-            / self.k
-        )
-        self.block_B = sym_inv_sqrt(block_avg_cov)
+        block = family[: self.k]
+        self.block_mean = self.k * block.cgf_grad(self.theta)
+        self.block_B = sym_inv_sqrt(block.cgf_hess(self.theta))
 
-        self.comp_model = build_model(members[self.k :], self.theta, order=1)
-        self.full_model = build_model(members, self.theta, order=1)
+        self.comp_model = build_model(family[self.k :], self.theta, order=1)
+        self.full_model = build_model(family, self.theta, order=1)
         # det(Cov S_full)^(1/2) / det(Cov S_comp)^(1/2), Cov = count * V
         self.log_det_ratio = 0.5 * (
             self.d * math.log(self.n / (self.n - self.k))
@@ -287,9 +191,9 @@ class RatioContext:
             - sym_logdet(self.comp_model.avg_cov)
         )
 
-        self._comp_exact = exact_sum_density(members[self.k :], self.theta)
-        full_exact = exact_sum_density(members, self.theta)
-        self._log_full_at_na = _scalar_log(full_exact, self.na)
+        tilted = family.tilt(self.theta)
+        self._comp_exact = tilted[self.k :].convolve()
+        self._log_full_at_na = _scalar_log(tilted.convolve(), self.na)
         if not np.isfinite(self._log_full_at_na):
             raise UndefinedConditionalError(f"zero sum density at s={self.na}")
 
@@ -302,9 +206,7 @@ class RatioContext:
 
     def log_ratio_exact(self, t):
         t = np.asarray(t, dtype=float).reshape(-1, self.d)
-        rest = self.na - t
-        log_num = self._comp_exact.log_density(rest if self.d > 1 else rest[:, 0])
-        return np.asarray(log_num).reshape(-1) - self._log_full_at_na
+        return self._comp_exact.log_density(self.na - t) - self._log_full_at_na
 
     def exact(self, t):
         return np.exp(self.log_ratio_exact(t))
@@ -317,21 +219,21 @@ class RatioContext:
         return math.exp(self.log_det_ratio) * g_comp / g_full0
 
 
-def normalized_coords(members, k, a, t, theta=None):
+def normalized_coords(family, k, a, t, theta=None):
     """The pair (t_tilde, t_sharp) for a single block-sum value t."""
-    ctx = RatioContext(members, k, a, theta=theta)
+    ctx = RatioContext(family, k, a, theta=theta)
     t_tilde, t_sharp = ctx.coords(as_vector(t, ctx.d))
     return NormalizedCoords(t_tilde.reshape(-1), t_sharp.reshape(-1))
 
 
-def density_ratio(members, k, a, t, method="exact", theta=None):
+def density_ratio(family, k, a, t, method="exact", theta=None):
     """rho(t) = f_comp(n a - t) / f_full(n a) for tilted sums.
 
     method "exact" uses the closed-form convolutions; "edgeworth" evaluates
     the exact determinant ratio times the ratio of order-1 approximations of
     the two normalized densities.
     """
-    ctx = RatioContext(members, k, a, theta=theta)
+    ctx = RatioContext(family, k, a, theta=theta)
     t = as_vector(t, ctx.d)
     if method == "exact":
         return float(ctx.exact(t)[0])
@@ -340,7 +242,7 @@ def density_ratio(members, k, a, t, method="exact", theta=None):
     raise ValueError(f"unknown ratio method {method!r}")
 
 
-def gibbs_density(members, k, theta, x):
+def gibbs_density(family, k, theta, x):
     """Gibbs-form density of the block sum:
 
         p_{S_1k}(x) exp(<theta, x>) / Phi_1k(theta),
@@ -348,31 +250,28 @@ def gibbs_density(members, k, theta, x):
     computed from the untilted block-sum density and the explicit
     reweighting; coincides with the exact tilted block-sum density.
     """
-    validate_members(members)
-    if not (1 <= k <= len(members)):
+    if not (1 <= k <= len(family)):
         raise ValueError(f"block size k={k} must be in [1, n]")
-    d = members[0].dim
+    d = family.dim
     theta = as_vector(theta, d)
     x = as_vector(x, d)
-    block = exact_sum_density(members[:k])
-    log_phi = sum(m.cgf(theta) for m in members[:k])
-    log_val = _scalar_log(block, x) + float(theta @ x) - log_phi
+    block = family[:k]
+    log_phi = k * block.cgf(theta)
+    log_val = _scalar_log(block.convolve(), x) + float(theta @ x) - log_phi
     return math.exp(log_val) if np.isfinite(log_val) else 0.0
 
 
-def normalized_exact_density(members, theta, model=None):
+def normalized_exact_density(family, theta, model=None):
     """Exact density of the normalized (tilted) sum in the coordinates of the
     Edgeworth model; the oracle for weighted sup error tests."""
     if model is None:
-        model = build_model(members, theta, order=1)
-    exact = exact_sum_density(members, theta)
+        model = build_model(family, theta, order=1)
+    exact = family.tilt(theta).convolve()
     back = sym_inv(model.B) * math.sqrt(model.count)
     log_jac = 0.5 * model.dim * math.log(model.count) - 0.5 * sym_logdet(model.B @ model.B)
 
     def density(z):
         pts = np.asarray(z, dtype=float).reshape(-1, model.dim)
-        s = model.mean_sum + pts @ back.T
-        logs = exact.log_density(s if model.dim > 1 else s[:, 0])
-        return np.exp(np.asarray(logs).reshape(-1) + log_jac)
+        return np.exp(exact.log_density(model.mean_sum + pts @ back.T) + log_jac)
 
     return density

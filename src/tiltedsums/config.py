@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigError
-from .families import GammaMember, NormalMember
+from .families import gamma_family, normal_family
 
 _LINSPACE_RE = re.compile(r"^linspace\(\s*([^,()]+)\s*,\s*([^,()]+)\s*,\s*(\d+)\s*\)$")
 
@@ -62,22 +62,14 @@ class FamilySpec:
         return 1 if self.kind == "gamma" else len(self.means[0])
 
     def build(self, n):
+        """The family of n members, parameters cycled in declaration order."""
         if n < 1:
             raise ConfigError(f"family length must be at least 1, got {n}")
         if self.kind == "gamma":
-            return [
-                GammaMember(self.shapes[j % len(self.shapes)], self.scale, index=j)
-                for j in range(n)
-            ]
-        covs = self.covs if len(self.covs) > 1 else self.covs * len(self.means)
-        return [
-            NormalMember(
-                np.array(self.means[j % len(self.means)]),
-                np.array(covs[j % len(self.means)]),
-                index=j,
-            )
-            for j in range(n)
-        ]
+            return gamma_family(np.resize(self.shapes, n), self.scale)
+        d = self.dim
+        covs = self.covs if len(self.covs) == 1 else np.resize(self.covs, (n, d, d))
+        return normal_family(np.resize(self.means, (n, d)), covs)
 
 
 @dataclass(frozen=True)
@@ -100,6 +92,10 @@ class ExperimentConfig:
             raise ConfigError("sweep needs at least one a")
         if self.samples < 1:
             raise ConfigError("samples must be positive")
+        if self.method != "scheffe" and self.samples < 2:
+            raise ConfigError(f"method {self.method} needs samples >= 2 for a standard error")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         for a in self.a_values:
             if len(a) != self.family.dim:
                 raise ConfigError(f"a={a} does not match family dimension {self.family.dim}")

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .families import validate_members
 from .numerics import LOG_2PI, as_vector, sym_inv_sqrt
 
 _HERMITE = (
@@ -67,16 +66,16 @@ def hermite3(nu, x):
     return float(val[0]) if single else val
 
 
-def third_cumulant(member, theta, B):
-    """Map nu -> E[(B (X_tilted - mean))^nu] for |nu| = 3.
+def third_cumulant(family, theta, B):
+    """Map nu -> average over the family of E[(B (X_tilted - mean))^nu], |nu| = 3.
 
     Third cumulants of a centered vector equal its third moments, so the
-    member's central third-moment tensor contracted with rows of B gives
+    averaged central third-moment tensor contracted with rows of B gives
     every entry.
     """
-    d = member.dim
+    d = family.dim
     B = np.asarray(B, dtype=float).reshape(d, d)
-    tensor = member.third_central_moment_tensor(theta)
+    tensor = family.third_central_moment_tensor(theta)
     moments = np.einsum("ia,jb,kc,abc->ijk", B, B, B, tensor)
     out = {}
     for nu in multi_indices(d):
@@ -96,28 +95,17 @@ class EdgeworthModel:
     order: int
 
 
-def build_model(members, theta, order=1):
+def build_model(family, theta, order=1):
     """Assemble the normalization and cumulant data for a member block."""
-    validate_members(members)
     if order not in (0, 1):
         raise ValueError("order must be 0 or 1")
-    theta = as_vector(theta, members[0].dim)
-    m = len(members)
-    d = members[0].dim
-
-    mean_sum = np.zeros(d)
-    avg_cov = np.zeros((d, d))
-    for mem in members:
-        mean_sum += mem.cgf_grad(theta)
-        avg_cov += mem.cgf_hess(theta)
-    avg_cov /= m
+    theta = as_vector(theta, family.dim)
+    m = len(family)
+    mean_sum = m * family.cgf_grad(theta)
+    avg_cov = family.cgf_hess(theta)
     B = sym_inv_sqrt(avg_cov)
-
-    chi = {nu: 0.0 for nu in multi_indices(d)}
-    for mem in members:
-        for nu, val in third_cumulant(mem, theta, B).items():
-            chi[nu] += val / m
-    return EdgeworthModel(d, m, mean_sum, avg_cov, B, chi, order)
+    chi = third_cumulant(family, theta, B)
+    return EdgeworthModel(family.dim, m, mean_sum, avg_cov, B, chi, order)
 
 
 def skew_correction(model, x):

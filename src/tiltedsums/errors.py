@@ -33,3 +33,7 @@ class QuadratureError(TiltedSumsError, RuntimeError):
 
 class ConfigError(TiltedSumsError, ValueError):
     """An experiment configuration is malformed or inconsistent."""
+
+
+class NonConvergenceError(TiltedSumsError, RuntimeError):
+    """The damped Newton iteration for the tilting equation did not converge."""

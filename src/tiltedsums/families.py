@@ -1,36 +1,46 @@
-"""Distribution members and exponential tilting.
+"""Columnar member families and exponential tilting.
 
-A *member* is one coordinate law X_j of an independent (not necessarily
-identically distributed) sequence.  Each member knows its cumulant
-generating function
+A *family* holds the laws of an independent (not necessarily identically
+distributed) sequence X_1..X_n as parameter arrays with one row per member.
+It knows the average cumulant generating function
 
-    kappa(theta) = log Phi(theta),    Phi(theta) = E[exp(<theta, X>)],
+    kbar(theta) = (1/n) sum_j kappa_j(theta),    kappa_j = log E[exp(<theta, X_j>)],
 
-its gradient and Hessian (mean and covariance of the tilted variable), its
-Lebesgue density, and how to tilt itself: the tilted density is
+with its gradient and Hessian (the average mean and covariance of the tilted
+members), and how to tilt itself: the tilted density
 
-    p_theta(x) = exp(<theta, x>) p(x) / Phi(theta),
+    p_theta(x) = exp(<theta, x>) p(x) / Phi(theta)
 
-which stays inside the family for both concrete kinds shipped here:
+stays inside the family for both concrete kinds shipped here, and so does the
+sum of the members:
 
-    Normal(mu, Gamma)  ->  Normal(mu + Gamma theta, Gamma),   Theta = R^d
-    Gamma(k, t)        ->  Gamma(k, t / (1 - theta t)),       Theta = (-inf, 1/t)
+    Normal(mu_j, Gamma_j) -> Normal(mu_j + Gamma_j theta, Gamma_j),   Theta = R^d
+                             sum: Normal(sum_j mu_j, sum_j Gamma_j)
+    Gamma(k_j, t)         -> Gamma(k_j, t / (1 - theta t)),           Theta = (-inf, 1/t)
+                             sum: Gamma(sum_j k_j, t)
 
-Gamma members require shape > 2 so densities are C^1 and fourth moments
-stay uniformly controlled under tilting; sequences share a single scale t.
+Slicing gives the family of a block (family[:k], family[k:]), a single member
+is a family of length 1, and convolve() returns the law of the sum as a
+family of length 1.  Densities, cdf/sf and samplers are those of a single law;
+log_density also evaluates member j at point j when given one point per
+member.  The per-member hooks of the assumption checks return one row per
+member.
 
-Members are immutable value objects; every operation is a pure function of
-its inputs, and random number generators are always passed explicitly.
+Gamma members require shape > 2 so densities are C^1 and fourth moments stay
+uniformly controlled under tilting; a gamma family shares a single scale t.
+Families are immutable; random number generators are always passed
+explicitly.
 """
 
 import math
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+from scipy.special import gammainc, gammaincc, gammaln, ndtr
 
-from .errors import OutOfDomainError, UnsupportedFamilyError
-from .numerics import LOG_2PI, as_matrix, as_vector, check_symmetric, sym_inv, sym_logdet, sym_sqrt
+from .errors import OutOfDomainError
+from .numerics import LOG_2PI, as_vector, check_symmetric, sym_inv, sym_logdet, sym_sqrt
 
 
 # ---------------------------------------------------------------------------
@@ -67,68 +77,29 @@ class HalfLine:
 
 
 # ---------------------------------------------------------------------------
-# Member interface
+# Shared plumbing
 # ---------------------------------------------------------------------------
 
-class Member(ABC):
-    """One distribution X_j: cgf with derivatives, density, sampler, tilt."""
+class Family:
+    """Base of the array-backed families.
 
-    kind = "abstract"
+    Subclasses provide kind, dim, domain, __len__, _take(slice), the average
+    cgf calculus (cgf, cgf_grad, cgf_hess), tilt, convolve, distinct, the
+    single-law operations (log_density, cdf, sf, sample) and the per-member
+    hooks of the assumption checks (member_hess, fourth_central_moment,
+    char_fn_modulus_sup, density_partial_l1), plus third_central_moment_tensor
+    averaged over the family for the Edgeworth expansion.
+    """
 
-    @property
-    @abstractmethod
-    def dim(self):
-        ...
-
-    @property
-    @abstractmethod
-    def domain(self):
-        ...
-
-    @abstractmethod
-    def cgf(self, theta):
-        """kappa(theta) = log Phi(theta); strictly convex on int(Theta)."""
-
-    @abstractmethod
-    def cgf_grad(self, theta):
-        """Gradient of kappa; equals the mean of the tilted variable."""
-
-    @abstractmethod
-    def cgf_hess(self, theta):
-        """Hessian of kappa; equals the covariance of the tilted variable."""
-
-    @abstractmethod
-    def log_density(self, x):
-        """Log density w.r.t. Lebesgue measure (-inf outside the support)."""
-
-    @abstractmethod
-    def tilt(self, theta):
-        """The member with density exp(<theta, x>) p(x) / Phi(theta)."""
-
-    @abstractmethod
-    def sample(self, rng, count):
-        """i.i.d. draws, shape (count, dim). count = 0 gives an empty array."""
-
-    # -- numeric hooks used by the assumption validators --------------------
-
-    @abstractmethod
-    def char_fn_modulus_sup(self, theta, radii):
-        """sup over ||t|| = r of |E[exp(i <t, X_tilted>)]|, vectorized in r."""
-
-    @abstractmethod
-    def density_partial_l1(self, theta, axis):
-        """L1 norm of the axis-th partial derivative of the tilted density,
-        computed by adaptive quadrature."""
-
-    @abstractmethod
-    def fourth_central_moment(self, theta):
-        """E[||X_tilted - mean||^4]."""
-
-    @abstractmethod
-    def third_central_moment_tensor(self, theta):
-        """Tensor T[a,b,c] = E[(X-m)_a (X-m)_b (X-m)_c] of the tilted member."""
-
-    # -- shared plumbing -----------------------------------------------------
+    def __getitem__(self, index):
+        """The family of a block of members; an integer gives one member."""
+        if isinstance(index, (int, np.integer)):
+            if not -len(self) <= index < len(self):
+                raise IndexError(f"member {index} out of range for {len(self)} members")
+            index = slice(index, index + 1 or None)
+        if not isinstance(index, slice):
+            raise TypeError("families are indexed by an integer or a slice")
+        return self._take(index)
 
     def density(self, x):
         out = np.exp(self.log_density(x))
@@ -142,12 +113,16 @@ class Member(ABC):
             )
         return t
 
+    def _single(self, what):
+        if len(self) != 1:
+            raise ValueError(f"{what} needs a single law; index or convolve the family first")
+
     def _points(self, x):
         """Normalize x to an (N, d) array; report whether input was a single point."""
         a = np.asarray(x, dtype=float)
         if a.ndim == 0:
             if self.dim != 1:
-                raise ValueError("scalar input for a multivariate member")
+                raise ValueError("scalar input for a multivariate family")
             return a.reshape(1, 1), True
         if a.ndim == 1:
             if self.dim == 1:
@@ -160,245 +135,265 @@ class Member(ABC):
         raise ValueError(f"cannot interpret array of shape {a.shape} as points")
 
 
-# ---------------------------------------------------------------------------
-# Normal members
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class NormalMember(Member):
-    """Multivariate normal N(mean, cov) with symmetric positive definite cov."""
-
-    mean: np.ndarray
-    cov: np.ndarray
-    index: int = 0
-
-    kind = "normal"
-
-    def __post_init__(self):
-        mean = as_vector(self.mean)
-        cov = check_symmetric(as_matrix(self.cov, mean.shape[0]))
-        w = np.linalg.eigvalsh(cov)
-        if w[0] <= 0.0:
-            raise ValueError(f"covariance not positive definite: lambda_min={w[0]:.3e}")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
-        object.__setattr__(self, "_cache", {})
-
-    # Inverse / sqrt / logdet are computed lazily so that a nearly singular
-    # covariance can still be *inspected* (eigenvalues, Hessian) even though
-    # using its density or sampler raises DegenerateCovarianceError.
-    def _prec(self, key):
-        cache = self._cache
-        if key not in cache:
-            cache["inv"] = sym_inv(self.cov)
-            cache["sqrt"] = sym_sqrt(self.cov)
-            cache["logdet"] = sym_logdet(self.cov)
-        return cache[key]
-
-    @property
-    def dim(self):
-        return self.mean.shape[0]
-
-    @property
-    def domain(self):
-        return AllSpace(self.dim)
-
-    def cgf(self, theta):
-        t = self._check_theta(theta)
-        return float(self.mean @ t + 0.5 * t @ self.cov @ t)
-
-    def cgf_grad(self, theta):
-        t = self._check_theta(theta)
-        return self.mean + self.cov @ t
-
-    def cgf_hess(self, theta):
-        self._check_theta(theta)
-        return self.cov.copy()
-
-    def log_density(self, x):
-        pts, single = self._points(x)
-        diff = pts - self.mean
-        quad = np.einsum("ni,ij,nj->n", diff, self._prec("inv"), diff)
-        out = -0.5 * (self.dim * LOG_2PI + self._prec("logdet") + quad)
-        return float(out[0]) if single else out
-
-    def tilt(self, theta):
-        t = self._check_theta(theta)
-        return NormalMember(self.mean + self.cov @ t, self.cov, self.index)
-
-    def sample(self, rng, count):
-        if count < 0:
-            raise ValueError("count must be nonnegative")
-        z = rng.standard_normal((count, self.dim))
-        return self.mean + z @ self._prec("sqrt")
-
-    def char_fn_modulus_sup(self, theta, radii):
-        self._check_theta(theta)
-        r = np.asarray(radii, dtype=float)
-        lam_min = float(np.linalg.eigvalsh(self.cov)[0])
-        return np.exp(-0.5 * lam_min * r * r)
-
-    def density_partial_l1(self, theta, axis):
-        # d p/dx_l = -(cov^{-1}(x - mu))_l p(x), so the integral reduces to
-        # E|Y| with Y ~ N(0, (cov^{-1})_{ll}); integrate that scalar law.
-        from scipy.integrate import quad
-
-        self._check_theta(theta)
-        v = float(self._prec("inv")[axis, axis])
-        sd = math.sqrt(v)
-        val, _ = quad(
-            lambda y: 2.0 * y * math.exp(-0.5 * y * y / v) / (sd * math.sqrt(2.0 * math.pi)),
-            0.0,
-            40.0 * sd,
-        )
-        return val
-
-    def fourth_central_moment(self, theta):
-        self._check_theta(theta)
-        g = self.cov
-        return float(2.0 * np.trace(g @ g) + np.trace(g) ** 2)
-
-    def third_central_moment_tensor(self, theta):
-        self._check_theta(theta)
-        d = self.dim
-        return np.zeros((d, d, d))
+def _nonempty(count):
+    if count == 0:
+        raise ValueError("member sequence is empty")
 
 
 # ---------------------------------------------------------------------------
-# Gamma members
+# Gamma families
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GammaMember(Member):
-    """Gamma(shape, scale) on (0, inf), shape > 2 strictly, scale > 0.
+class GammaFamily(Family):
+    """Members Gamma(shapes[j], scale) on (0, inf), every shape > 2 strictly,
+    one shared scale > 0.
 
-    kappa(theta) = -shape * log(1 - theta * scale) for theta < 1 / scale.
+    kappa_j(theta) = -shapes[j] * log(1 - theta * scale) for theta < 1 / scale.
     """
 
-    shape: float
-    scale: float
-    index: int = 0
-
     kind = "gamma"
+    dim = 1
+    support = (0.0, math.inf)
 
-    def __post_init__(self):
-        if not (self.shape > 2.0):
-            raise ValueError(f"gamma shape must exceed 2, got {self.shape}")
-        if not (self.scale > 0.0):
-            raise ValueError(f"gamma scale must be positive, got {self.scale}")
+    def __init__(self, shapes, scale):
+        shapes = np.asarray(shapes, dtype=float).reshape(-1)
+        _nonempty(shapes.size)
+        if not np.all(shapes > 2.0):
+            raise ValueError(f"gamma shape must exceed 2, got {np.min(shapes)}")
+        if not (scale > 0.0):
+            raise ValueError(f"gamma scale must be positive, got {scale}")
+        self.shapes = shapes
+        self.scale = float(scale)
+        self.domain = HalfLine(1.0 / self.scale)
+        self._kbar = float(shapes.mean())
 
-    @property
-    def dim(self):
-        return 1
+    def __len__(self):
+        return self.shapes.shape[0]
 
-    @property
-    def domain(self):
-        return HalfLine(1.0 / self.scale)
+    def _take(self, index):
+        return GammaFamily(self.shapes[index], self.scale)
 
-    def _theta_scalar(self, theta):
-        return float(self._check_theta(theta)[0])
+    def _denom(self, theta):
+        return 1.0 - float(self._check_theta(theta)[0]) * self.scale
 
     def cgf(self, theta):
-        th = self._theta_scalar(theta)
-        return -self.shape * math.log1p(-th * self.scale)
+        return -self._kbar * math.log1p(-float(self._check_theta(theta)[0]) * self.scale)
 
     def cgf_grad(self, theta):
-        th = self._theta_scalar(theta)
-        return np.array([self.shape * self.scale / (1.0 - th * self.scale)])
+        return np.array([self._kbar * self.scale / self._denom(theta)])
 
     def cgf_hess(self, theta):
-        th = self._theta_scalar(theta)
-        return np.array([[self.shape * self.scale**2 / (1.0 - th * self.scale) ** 2]])
+        return np.array([[self._kbar * self.scale**2 / self._denom(theta) ** 2]])
+
+    def tilt(self, theta):
+        return GammaFamily(self.shapes, self.scale / self._denom(theta))
+
+    def convolve(self):
+        return GammaFamily([self.shapes.sum()], self.scale)
+
+    def distinct(self):
+        return GammaFamily(np.unique(self.shapes), self.scale)
+
+    # -- single law (or one point per member for log_density) ---------------
+
+    @cached_property
+    def _log_norm(self):
+        return gammaln(self.shapes) + self.shapes * math.log(self.scale)
 
     def log_density(self, x):
         pts, single = self._points(x)
         v = pts[:, 0]
-        out = np.full(v.shape, -np.inf)
-        pos = v > 0.0
-        k, t = self.shape, self.scale
-        out[pos] = (k - 1.0) * np.log(v[pos]) - v[pos] / t - math.lgamma(k) - k * math.log(t)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = (self.shapes - 1.0) * np.log(v) - v / self.scale - self._log_norm
+        out = np.where(v > 0.0, out, -np.inf)
         return float(out[0]) if single else out
 
-    def tilt(self, theta):
-        th = self._theta_scalar(theta)
-        return GammaMember(self.shape, self.scale / (1.0 - th * self.scale), self.index)
+    def cdf(self, x):
+        self._single("cdf")
+        return gammainc(self.shapes[0], np.maximum(np.asarray(x, dtype=float), 0.0) / self.scale)
+
+    def sf(self, x):
+        self._single("sf")
+        return gammaincc(self.shapes[0], np.maximum(np.asarray(x, dtype=float), 0.0) / self.scale)
 
     def sample(self, rng, count):
-        if count < 0:
-            raise ValueError("count must be nonnegative")
-        return rng.gamma(self.shape, self.scale, size=(count, 1))
+        """i.i.d. draws, shape (count, 1)."""
+        self._single("sample")
+        return rng.gamma(self.shapes[0], self.scale, size=(count, 1))
 
-    def char_fn_modulus_sup(self, theta, radii):
-        u = self.tilt(theta).scale
-        r = np.asarray(radii, dtype=float)
-        return (1.0 + (u * r) ** 2) ** (-0.5 * self.shape)
+    # -- hooks: one entry per member -----------------------------------------
 
-    def density_partial_l1(self, theta, axis):
-        # p'(x) = p(x) ((k-1)/x - 1/u) changes sign exactly at the mode
-        # (k-1) u, so split the quadrature there.
-        from scipy.integrate import quad
-
-        if axis != 0:
-            raise ValueError("gamma members are one-dimensional")
-        tilted = self.tilt(theta)
-        k, u = tilted.shape, tilted.scale
-        mode = (k - 1.0) * u
-
-        def abs_deriv(x):
-            return abs((k - 1.0) / x - 1.0 / u) * math.exp(
-                (k - 1.0) * math.log(x) - x / u - math.lgamma(k) - k * math.log(u)
-            )
-
-        hi = k * u + 40.0 * math.sqrt(k) * u
-        left, _ = quad(abs_deriv, 0.0, mode, limit=200)
-        right, _ = quad(abs_deriv, mode, hi, limit=200)
-        return left + right
+    def member_hess(self, theta):
+        return (self.shapes * self.scale**2 / self._denom(theta) ** 2).reshape(-1, 1, 1)
 
     def fourth_central_moment(self, theta):
-        tilted = self.tilt(theta)
-        k, u = tilted.shape, tilted.scale
+        k, u = self.shapes, self.scale / self._denom(theta)
         return 3.0 * k * (k + 2.0) * u**4
 
+    def char_fn_modulus_sup(self, theta, radii):
+        u = self.scale / self._denom(theta)
+        r = np.asarray(radii, dtype=float)
+        return (1.0 + (u * r) ** 2) ** (-0.5 * self.shapes[:, None])
+
+    def density_partial_l1(self, theta, axis):
+        # p' changes sign once, at the mode (k - 1) u, so the L1 norm of p'
+        # is 2 p(mode).
+        if axis != 0:
+            raise ValueError("gamma members are one-dimensional")
+        k, u = self.shapes, self.scale / self._denom(theta)
+        return 2.0 * np.exp((k - 1.0) * np.log((k - 1.0) * u) - (k - 1.0) - gammaln(k) - k * math.log(u))
+
     def third_central_moment_tensor(self, theta):
-        tilted = self.tilt(theta)
-        return np.array([[[2.0 * tilted.shape * tilted.scale**3]]])
+        """Third central moment 2 k u^3 of the tilted members, averaged."""
+        u = self.scale / self._denom(theta)
+        return np.array([[[2.0 * self._kbar * u**3]]])
 
 
 # ---------------------------------------------------------------------------
-# Sequence builders and validation
+# Normal families
+# ---------------------------------------------------------------------------
+
+class NormalFamily(Family):
+    """Multivariate normal members N(means[j], covs[j]); covs holds one
+    symmetric positive definite matrix shared by every member (shape
+    (1, d, d)) or one per member (shape (n, d, d))."""
+
+    kind = "normal"
+    support = (-math.inf, math.inf)
+
+    def __init__(self, means, covs):
+        means = np.asarray(means, dtype=float)
+        if means.ndim != 2:
+            raise ValueError(f"means must have shape (n, d), got {means.shape}")
+        _nonempty(means.shape[0])
+        covs = check_symmetric(covs)
+        n, d = means.shape
+        if covs.ndim != 3 or covs.shape[1:] != (d, d) or covs.shape[0] not in (1, n):
+            raise ValueError("covs must be shared or match means in length")
+        lam_min = float(np.min(np.linalg.eigvalsh(covs)[:, 0]))
+        if lam_min <= 0.0:
+            raise ValueError(f"covariance not positive definite: lambda_min={lam_min:.3e}")
+        self.means = means
+        self.covs = covs
+        self.dim = d
+        self.domain = AllSpace(d)
+        self._mean = means.mean(axis=0)
+        self._cov = covs.mean(axis=0)
+
+    def __len__(self):
+        return self.means.shape[0]
+
+    def _take(self, index):
+        return NormalFamily(self.means[index], self.covs if self.covs.shape[0] == 1 else self.covs[index])
+
+    @property
+    def _member_covs(self):
+        return np.broadcast_to(self.covs, (len(self), self.dim, self.dim))
+
+    def cgf(self, theta):
+        t = self._check_theta(theta)
+        return float(self._mean @ t + 0.5 * t @ self._cov @ t)
+
+    def cgf_grad(self, theta):
+        t = self._check_theta(theta)
+        return self._mean + self._cov @ t
+
+    def cgf_hess(self, theta):
+        self._check_theta(theta)
+        return self._cov.copy()
+
+    def tilt(self, theta):
+        t = self._check_theta(theta)
+        return NormalFamily(self.means + self.covs @ t, self.covs)
+
+    def convolve(self):
+        return NormalFamily(
+            self.means.sum(axis=0, keepdims=True), self._member_covs.sum(axis=0, keepdims=True)
+        )
+
+    def distinct(self):
+        n, d = self.means.shape
+        rows = np.unique(np.concatenate([self.means, self._member_covs.reshape(n, d * d)], axis=1), axis=0)
+        return NormalFamily(rows[:, :d], rows[:, d:].reshape(-1, d, d))
+
+    # Inverse / sqrt / logdet are computed lazily so that a nearly singular
+    # covariance can still be *inspected* (eigenvalues, Hessian) even though
+    # using its density or sampler raises DegenerateCovarianceError.
+    @cached_property
+    def _inv(self):
+        return sym_inv(self.covs)
+
+    @cached_property
+    def _logdet(self):
+        return sym_logdet(self.covs)
+
+    # -- single law (or one point per member for log_density) ---------------
+
+    def log_density(self, x):
+        pts, single = self._points(x)
+        diff = pts - self.means
+        quad = np.einsum("...i,...ij,...j->...", diff, self._inv, diff)
+        out = -0.5 * (self.dim * LOG_2PI + self._logdet + quad)
+        return float(out[0]) if single else out
+
+    def _sd(self):
+        self._single("cdf/sf")
+        if self.dim != 1:
+            raise ValueError("cdf/sf are defined for one-dimensional laws only")
+        return math.sqrt(self.covs[0, 0, 0])
+
+    def cdf(self, x):
+        return ndtr((np.asarray(x, dtype=float) - self.means[0, 0]) / self._sd())
+
+    def sf(self, x):
+        return ndtr((self.means[0, 0] - np.asarray(x, dtype=float)) / self._sd())
+
+    def sample(self, rng, count):
+        """i.i.d. draws, shape (count, d)."""
+        self._single("sample")
+        z = rng.standard_normal((count, self.dim))
+        return self.means[0] + z @ sym_sqrt(self.covs[0])
+
+    # -- hooks: one entry per member -----------------------------------------
+
+    def member_hess(self, theta):
+        self._check_theta(theta)
+        return self._member_covs
+
+    def fourth_central_moment(self, theta):
+        self._check_theta(theta)
+        g = self._member_covs
+        return 2.0 * np.einsum("nij,nji->n", g, g) + np.trace(g, axis1=1, axis2=2) ** 2
+
+    def char_fn_modulus_sup(self, theta, radii):
+        self._check_theta(theta)
+        r = np.asarray(radii, dtype=float)
+        lam_min = np.linalg.eigvalsh(self._member_covs)[:, 0]
+        return np.exp(-0.5 * lam_min[:, None] * r * r)
+
+    def density_partial_l1(self, theta, axis):
+        # d p/dx_l = -(cov^{-1}(x - mu))_l p(x), and (cov^{-1}(X - mu))_l is
+        # N(0, v) with v = (cov^{-1})_{ll}, so the L1 norm is E|N(0, v)|.
+        self._check_theta(theta)
+        v = np.broadcast_to(self._inv[:, axis, axis], (len(self),))
+        return np.sqrt(2.0 * v / math.pi)
+
+    def third_central_moment_tensor(self, theta):
+        self._check_theta(theta)
+        return np.zeros((self.dim, self.dim, self.dim))
+
+
+# ---------------------------------------------------------------------------
+# Constructors
 # ---------------------------------------------------------------------------
 
 def gamma_family(shapes, scale):
     """Members Gamma(shapes[j], scale) sharing one scale."""
-    return [GammaMember(float(k), float(scale), index=j) for j, k in enumerate(shapes)]
+    return GammaFamily(shapes, scale)
 
 
 def normal_family(means, covs):
-    """Normal members; covs may be a single matrix shared by every member."""
-    means = list(means)
-    if isinstance(covs, (list, tuple)) and len(covs) != 1 and len(covs) != len(means):
-        raise ValueError("covs must be shared or match means in length")
-    if not isinstance(covs, (list, tuple)):
-        covs = [covs]
-    if len(covs) == 1:
-        covs = covs * len(means)
-    return [NormalMember(m, c, index=j) for j, (m, c) in enumerate(zip(means, covs))]
-
-
-def validate_members(members):
-    """Check the structural conventions: a nonempty homogeneous sequence with a
-    common cgf domain (same kind and dimension; Gamma members share the scale).
-    """
-    if len(members) == 0:
-        raise ValueError("member sequence is empty")
-    first = members[0]
-    for m in members:
-        if type(m) is not type(first):
-            raise UnsupportedFamilyError("mixed-kind member sequences are not supported")
-        if m.dim != first.dim:
-            raise ValueError("members have inconsistent dimensions")
-    if isinstance(first, GammaMember):
-        scales = {m.scale for m in members}
-        if len(scales) != 1:
-            raise UnsupportedFamilyError("gamma members must share a single scale")
-    return members
+    """Normal members N(means[j], covs[j]); covs may be a single matrix (or a
+    list holding one) shared by every member."""
+    covs = np.asarray(covs, dtype=float)
+    return NormalFamily(means, covs[None] if covs.ndim == 2 else covs)

@@ -26,36 +26,32 @@ def as_vector(x, dim=None):
     return v
 
 
-def as_matrix(m, dim=None):
-    """Coerce a scalar or nested sequence to a float matrix of shape (d, d)."""
+def check_symmetric(m, tol=1e-10):
+    """Coerce a scalar, matrix or stack of matrices to a float array of shape
+    (..., d, d) and check that every matrix is symmetric."""
     a = np.asarray(m, dtype=float)
     if a.ndim == 0:
         a = a.reshape(1, 1)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if dim is not None and a.shape[0] != dim:
-        raise ValueError(f"expected a {dim}x{dim} matrix, got {a.shape}")
-    return a
-
-
-def check_symmetric(m, tol=1e-10):
-    a = as_matrix(m)
-    if not np.allclose(a, a.T, rtol=tol, atol=tol):
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected square matrices, got shape {a.shape}")
+    if not np.allclose(a, np.swapaxes(a, -1, -2), rtol=tol, atol=tol):
         raise ValueError("matrix is not symmetric")
     return a
 
 
 def guarded_eigh(mat, rel_floor=REL_EIG_FLOOR):
-    """Eigendecomposition of a symmetric positive definite matrix.
+    """Eigendecomposition of a symmetric positive definite matrix, or of a
+    stack of them (shape (..., d, d)).
 
-    Raises DegenerateCovarianceError when the spectrum is not usable for
+    Raises DegenerateCovarianceError when a spectrum is not usable for
     square roots / inverses (lambda_min < rel_floor * lambda_max).
     """
     a = check_symmetric(mat)
     w, q = np.linalg.eigh(a)
-    if w[-1] <= 0.0 or w[0] < rel_floor * w[-1]:
+    lo, hi = w[..., 0], w[..., -1]
+    if np.any(hi <= 0.0) or np.any(lo < rel_floor * hi):
         raise DegenerateCovarianceError(
-            f"matrix numerically singular: eigenvalues in [{w[0]:.3e}, {w[-1]:.3e}]"
+            f"matrix numerically singular: eigenvalues in [{np.min(lo):.3e}, {np.max(hi):.3e}]"
         )
     return w, q
 
@@ -63,23 +59,23 @@ def guarded_eigh(mat, rel_floor=REL_EIG_FLOOR):
 def sym_sqrt(mat):
     """Symmetric square root S of a SPD matrix, S @ S = mat."""
     w, q = guarded_eigh(mat)
-    return (q * np.sqrt(w)) @ q.T
+    return (q * np.sqrt(w)[..., None, :]) @ np.swapaxes(q, -1, -2)
 
 
 def sym_inv_sqrt(mat):
     """Symmetric inverse square root B of a SPD matrix, B @ mat @ B = I."""
     w, q = guarded_eigh(mat)
-    return (q / np.sqrt(w)) @ q.T
+    return (q / np.sqrt(w)[..., None, :]) @ np.swapaxes(q, -1, -2)
 
 
 def sym_inv(mat):
     w, q = guarded_eigh(mat)
-    return (q / w) @ q.T
+    return (q / w[..., None, :]) @ np.swapaxes(q, -1, -2)
 
 
 def sym_logdet(mat):
     w, _ = guarded_eigh(mat)
-    return float(np.sum(np.log(w)))
+    return np.sum(np.log(w), axis=-1)
 
 
 def tensor_grid(lo, hi, points_per_axis, dim):

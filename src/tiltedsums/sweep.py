@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NonConvergenceError
 from .tilting import solve_tilt
 from .tv import tv_joint_mc, tv_scheffe, tv_sum_mc
 
@@ -54,20 +55,20 @@ def _row_rng(seed, index):
 def run_row(config, index, n, k, a, timing=False):
     start = time.perf_counter()
     try:
-        members = config.family.build(n)
-        sol = solve_tilt(members, np.array(a))
+        family = config.family.build(n)
+        sol = solve_tilt(family, np.array(a))
         if not sol.converged:
-            raise RuntimeError(f"tilt solve did not converge (residual {sol.residual_norm:.3e})")
+            raise NonConvergenceError(f"tilt solve did not converge (residual {sol.residual_norm:.3e})")
         if config.method == "scheffe":
-            est = tv_scheffe(members, k, np.array(a), theta=sol.theta)
+            est = tv_scheffe(family, k, np.array(a), theta=sol.theta)
         elif config.method == "sum_mc":
             est = tv_sum_mc(
-                members, k, np.array(a), samples=config.samples,
+                family, k, np.array(a), samples=config.samples,
                 rng=_row_rng(config.seed, index), theta=sol.theta,
             )
         else:
             est = tv_joint_mc(
-                members, k, np.array(a), samples=config.samples,
+                family, k, np.array(a), samples=config.samples,
                 rng=_row_rng(config.seed, index), theta=sol.theta,
             )
         elapsed = time.perf_counter() - start

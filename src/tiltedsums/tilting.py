@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConditioningError, OutOfDomainError, UnsupportedFamilyError
-from .families import GammaMember, NormalMember, validate_members
+from .families import GammaFamily, NormalFamily
 from .numerics import as_vector, guarded_eigh
 
 DEFAULT_TOL = 1e-10
@@ -43,50 +43,38 @@ class TiltingSolution:
     converged: bool
 
 
-def mean_cgf(members, theta):
+def mean_cgf(family, theta):
     """(kbar_n, grad kbar_n, Hess kbar_n) at theta, as arithmetic means."""
-    validate_members(members)
-    t = as_vector(theta, members[0].dim)
-    n = len(members)
-    k = 0.0
-    g = np.zeros(members[0].dim)
-    h = np.zeros((members[0].dim, members[0].dim))
-    for m in members:
-        k += m.cgf(t)
-        g += m.cgf_grad(t)
-        h += m.cgf_hess(t)
-    return k / n, g / n, h / n
+    return family.cgf(theta), family.cgf_grad(theta), family.cgf_hess(theta)
 
 
-def _check_target(members, a):
+def _check_target(family, a):
     """a must lie in the interior of the convex support hull."""
-    first = members[0]
-    if isinstance(first, GammaMember) and a[0] <= 0.0:
+    if isinstance(family, GammaFamily) and a[0] <= 0.0:
         raise OutOfDomainError(f"target mean a={a[0]} outside (0, inf) for gamma members")
 
 
-def _in_domain(members, theta):
+def _in_domain(family, theta):
     margin = 0.0
-    dom = members[0].domain
+    dom = family.domain
     if hasattr(dom, "upper"):
         margin = BOUNDARY_MARGIN * max(1.0, abs(dom.upper))
-    return all(m.domain.contains(theta, margin=margin) for m in members)
+    return dom.contains(theta, margin=margin)
 
 
-def solve_tilt(members, a, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, callback=None):
+def solve_tilt(family, a, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, callback=None):
     """Damped Newton iteration for grad kbar_n(theta) = a.
 
     Returns a TiltingSolution; converged is False (rather than raising) when
     max_iter Newton updates did not bring the residual below tol.
     """
-    validate_members(members)
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    a = as_vector(a, members[0].dim)
-    _check_target(members, a)
+    a = as_vector(a, family.dim)
+    _check_target(family, a)
 
-    theta = np.zeros(members[0].dim)
-    _, grad, hess = mean_cgf(members, theta)
+    theta = np.zeros(family.dim)
+    _, grad, hess = mean_cgf(family, theta)
     resid = grad - a
     merit = 0.5 * float(resid @ resid)
     iterations = 0
@@ -102,8 +90,8 @@ def solve_tilt(members, a, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, callback=
         accepted = False
         for _ in range(MAX_HALVINGS):
             cand = theta + lam * step
-            if _in_domain(members, cand):
-                _, grad_c, hess_c = mean_cgf(members, cand)
+            if _in_domain(family, cand):
+                _, grad_c, hess_c = mean_cgf(family, cand)
                 resid_c = grad_c - a
                 merit_c = 0.5 * float(resid_c @ resid_c)
                 if merit_c < merit:
@@ -129,44 +117,41 @@ def _guarded_hessian(hess):
         raise ConditioningError(f"mean cgf Hessian is numerically singular: {exc}") from exc
 
 
-def tilt_oracle(members, a):
+def tilt_oracle(family, a):
     """Closed-form tilt parameter for the shipped families.
 
     Normal: solve mean(Gamma_j) theta = a - mean(mu_j).  Gamma (shared scale):
     the average gradient kbar t/(1-theta t) depends on shapes only through
     their mean, so theta = (1 - kbar t / a)/t for any shape sequence.
     """
-    validate_members(members)
-    a = as_vector(a, members[0].dim)
-    first = members[0]
-    if isinstance(first, NormalMember):
-        mu = np.mean([m.mean for m in members], axis=0)
-        gam = np.mean([m.cov for m in members], axis=0)
+    a = as_vector(a, family.dim)
+    if isinstance(family, NormalFamily):
+        mu = family.means.mean(axis=0)
+        gam = family.covs.mean(axis=0)
         w, q = _guarded_hessian(gam)
         return q @ ((q.T @ (a - mu)) / w)
-    if isinstance(first, GammaMember):
-        _check_target(members, a)
-        t = first.scale
-        kbar = float(np.mean([m.shape for m in members]))
+    if isinstance(family, GammaFamily):
+        _check_target(family, a)
+        t = family.scale
+        kbar = float(family.shapes.mean())
         return np.array([(1.0 - kbar * t / a[0]) / t])
-    raise UnsupportedFamilyError(f"no closed-form tilt for kind {first.kind!r}")
+    raise UnsupportedFamilyError(f"no closed-form tilt for kind {family.kind!r}")
 
 
-def theta_bounds_1d(members, a):
+def theta_bounds_1d(family, a):
     """Bracketing interval for the tilt parameter from envelope functions.
 
     Gamma members with shapes in [k_lo, k_hi] have means squeezed between
     f_-(theta) = k_lo t/(1-theta t) and f_+ = k_hi t/(1-theta t), so
     f_+^{-1}(a) <= theta <= f_-^{-1}(a).
     """
-    validate_members(members)
-    if not isinstance(members[0], GammaMember):
+    if not isinstance(family, GammaFamily):
         raise UnsupportedFamilyError("envelope bounds are available for gamma members only")
     a = as_vector(a, 1)
-    _check_target(members, a)
-    t = members[0].scale
-    k_lo = min(m.shape for m in members)
-    k_hi = max(m.shape for m in members)
+    _check_target(family, a)
+    t = family.scale
+    k_lo = float(family.shapes.min())
+    k_hi = float(family.shapes.max())
     lo = (1.0 - k_hi * t / a[0]) / t
     hi = (1.0 - k_lo * t / a[0]) / t
     return lo, hi

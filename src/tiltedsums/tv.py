@@ -33,9 +33,9 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from .conditional import GammaSumDensity, RatioContext, exact_sum_density
-from .errors import QuadratureError, UnsupportedFamilyError
-from .families import validate_members
+from .conditional import RatioContext
+from .errors import NonConvergenceError, QuadratureError, UnsupportedFamilyError
+from .families import GammaFamily
 from .numerics import as_vector
 from .tilting import solve_tilt
 
@@ -69,6 +69,11 @@ def _as_rng(rng):
     return rng
 
 
+def _check_samples(samples):
+    if samples < 2:
+        raise ValueError(f"samples must be at least 2 for a standard error, got {samples}")
+
+
 def _zero_estimate(method, n, a, samples=0):
     return TVEstimate(0.0, 0.0, method, n, 0, tuple(np.atleast_1d(a).astype(float)), samples)
 
@@ -85,25 +90,24 @@ def df_gamma_constant():
     return inner + 2.0 * tail
 
 
-def tv_scheffe(members, k, a, theta=None):
+def tv_scheffe(family, k, a, theta=None):
     """Deterministic quadrature of the block TV for one-dimensional
     closed-form families; std_error is reported as 0."""
-    validate_members(members)
-    n = len(members)
-    if members[0].dim != 1:
+    n = len(family)
+    if family.dim != 1:
         raise UnsupportedFamilyError("quadrature TV is implemented for d = 1 only")
     a = as_vector(a, 1)
     if k == 0:
         return _zero_estimate("scheffe", n, a)
-    ctx = RatioContext(members, k, a, theta=theta)
-    block = exact_sum_density(members[: ctx.k], ctx.theta)
+    ctx = RatioContext(family, k, a, theta=theta)
+    block = family[: ctx.k].tilt(ctx.theta).convolve()
 
-    center = float(block.mean[0])
-    sd = block.sd
+    center = float(block.cgf_grad(0.0)[0])
+    sd = math.sqrt(block.cgf_hess(0.0)[0, 0])
     lo = max(block.support[0], center - _WINDOW_SDS * sd)
     hi = min(block.support[1], center + _WINDOW_SDS * sd)
     na = float(ctx.na[0])
-    if isinstance(block, GammaSumDensity):
+    if isinstance(block, GammaFamily):
         # rho vanishes identically above n a, so the integrand equals the
         # block density there and contributes exactly its tail mass.
         hi = min(hi, na)
@@ -112,7 +116,7 @@ def tv_scheffe(members, k, a, theta=None):
         return float(ctx.log_ratio_exact(np.array([[t]]))[0])
 
     def integrand(t):
-        ld = float(np.asarray(block.log_density(t)).reshape(-1)[0])
+        ld = block.log_density(t)
         if ld == -math.inf:
             return 0.0
         lr = log_rho(t)
@@ -160,20 +164,21 @@ def _sign_change_roots(log_rho, ctx, lo, hi, scan_points=4097):
     return roots
 
 
-def tv_sum_mc(members, k, a, samples=DEFAULT_SUM_SAMPLES, rng=None, ratio_method="exact", theta=None):
+def tv_sum_mc(family, k, a, samples=DEFAULT_SUM_SAMPLES, rng=None, ratio_method="exact", theta=None):
     """Monte Carlo TV over the block-sum statistic: mean of |rho(T) - 1|
     with T drawn from the tilted block-sum law."""
-    validate_members(members)
-    n = len(members)
-    a = as_vector(a, members[0].dim)
+    _check_samples(samples)
+    n = len(family)
+    a = as_vector(a, family.dim)
     if k == 0:
         return _zero_estimate("sum_mc", n, a, samples)
     gen = _as_rng(rng)
-    ctx = RatioContext(members, k, a, theta=theta)
+    ctx = RatioContext(family, k, a, theta=theta)
 
+    tilted = family[: ctx.k].tilt(ctx.theta)
     total = np.zeros((samples, ctx.d))
-    for member in members[: ctx.k]:
-        total += member.tilt(ctx.theta).sample(gen, samples)
+    for j in range(ctx.k):
+        total += tilted[j].sample(gen, samples)
 
     if ratio_method == "exact":
         vals = np.abs(np.expm1(ctx.log_ratio_exact(total)))
@@ -186,44 +191,48 @@ def tv_sum_mc(members, k, a, samples=DEFAULT_SUM_SAMPLES, rng=None, ratio_method
     return TVEstimate(value, std_error, "sum_mc", n, ctx.k, tuple(a), samples)
 
 
-def tv_joint_mc(members, k, a, samples=DEFAULT_JOINT_SAMPLES, rng=None, theta=None):
+def tv_joint_mc(family, k, a, samples=DEFAULT_JOINT_SAMPLES, rng=None, theta=None):
     """Monte Carlo TV in the joint block space.
 
     Draws x ~ product of tilted members and averages |q(x)/p(x) - 1| where q
     is the conditional density of the block given {S_1n = n a} (built from
     untilted member densities) and p the tilted product density.  By
-    sufficiency of the block sum this equals the sum-statistic TV.
+    sufficiency of the block sum this equals the sum-statistic TV; the
+    members are drawn and evaluated one by one so that this route shares no
+    block-sum shortcut with the other estimators.
     """
-    validate_members(members)
-    n = len(members)
-    a = as_vector(a, members[0].dim)
+    _check_samples(samples)
+    n = len(family)
+    d = family.dim
+    a = as_vector(a, d)
     if k == 0:
         return _zero_estimate("joint_mc", n, a, samples)
     if theta is None:
-        sol = solve_tilt(members, a)
+        sol = solve_tilt(family, a)
         if not sol.converged:
-            raise RuntimeError("tilting equation did not converge")
+            raise NonConvergenceError(
+                f"tilting equation did not converge (residual {sol.residual_norm:.3e})"
+            )
         theta = sol.theta
-    theta = as_vector(theta, members[0].dim)
+    theta = as_vector(theta, d)
     gen = _as_rng(rng)
-    d = members[0].dim
     na = n * a
 
-    comp0 = exact_sum_density(members[k:])
-    full0 = exact_sum_density(members)
-    log_full_na = float(np.asarray(full0.log_density(na if d > 1 else na[0])).reshape(-1)[0])
+    log_full_na = float(family.convolve().log_density(na.reshape(1, d))[0])
+    comp0 = family[k:].convolve()
 
+    tilted = family[:k].tilt(theta)
     total = np.zeros((samples, d))
     log_q = np.zeros(samples)
     log_p = np.zeros(samples)
-    for member in members[:k]:
-        draws = member.tilt(theta).sample(gen, samples)
+    for j in range(k):
+        member = family[j]
+        draws = tilted[j].sample(gen, samples)
         total += draws
-        base_log = member.log_density(draws if d > 1 else draws[:, 0])
+        base_log = member.log_density(draws)
         log_q += base_log
         log_p += base_log + draws @ theta - member.cgf(theta)
-    rest = na - total
-    log_q += np.asarray(comp0.log_density(rest if d > 1 else rest[:, 0])).reshape(-1) - log_full_na
+    log_q += comp0.log_density(na - total) - log_full_na
 
     vals = np.abs(np.expm1(log_q - log_p))
     value = float(np.mean(vals))

@@ -1,10 +1,9 @@
-"""Shared fixtures, including the documented negative-control members that
+"""Shared fixtures, including the documented negative-control family that
 the assumption checks must reject.
 """
 
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -17,35 +16,35 @@ if str(SRC) not in sys.path:
     except ImportError:
         sys.path.insert(0, str(SRC))
 
-from tiltedsums.families import AllSpace, Member  # noqa: E402
+from tiltedsums.families import AllSpace, Family  # noqa: E402
 
 
-@dataclass(frozen=True)
-class PointMassMember(Member):
-    """Degenerate distribution concentrated at one point: the documented
-    violator for the characteristic-function checks.
+class PointMassFamily(Family):
+    """Members concentrated at one point: the documented violator for the
+    characteristic-function checks.
 
-    It is an honest member of the tilting framework (its cgf is
-    theta * location, so tilting leaves it unchanged), but it has no
-    Lebesgue density and its characteristic function has modulus 1
+    It is an honest family of the tilting framework (each cgf is
+    theta * location, so tilting leaves it unchanged), but its members have
+    no Lebesgue density and their characteristic functions have modulus 1
     everywhere, so both the decay bound |cf| <= C/||t|| and the strict
     separation sup |cf| < 1 genuinely fail.  density_partial_l1 returns a
     vacuous finite placeholder (there is no density to differentiate) so
     the validators can run to their failure verdicts instead of erroring.
     """
 
-    location: float = 1.0
-    index: int = 0
-
     kind = "point_mass"
+    dim = 1
+    domain = AllSpace(1)
 
-    @property
-    def dim(self):
-        return 1
+    def __init__(self, location=1.0, count=1):
+        self.location = float(location)
+        self.count = int(count)
 
-    @property
-    def domain(self):
-        return AllSpace(1)
+    def __len__(self):
+        return self.count
+
+    def _take(self, index):
+        return PointMassFamily(self.location, len(range(self.count)[index]))
 
     def cgf(self, theta):
         return float(self._check_theta(theta)[0]) * self.location
@@ -58,26 +57,36 @@ class PointMassMember(Member):
         self._check_theta(theta)
         return np.zeros((1, 1))
 
+    def tilt(self, theta):
+        self._check_theta(theta)
+        return self
+
+    def convolve(self):
+        return PointMassFamily(self.count * self.location)
+
+    def distinct(self):
+        return PointMassFamily(self.location)
+
     def log_density(self, x):
         pts, single = self._points(x)
         out = np.full(pts.shape[0], -math.inf)
         return float(out[0]) if single else out
 
-    def tilt(self, theta):
-        self._check_theta(theta)
-        return self
-
     def sample(self, rng, count):
+        self._single("sample")
         return np.full((count, 1), self.location)
 
-    def char_fn_modulus_sup(self, theta, radii):
-        return np.ones_like(np.asarray(radii, dtype=float))
-
-    def density_partial_l1(self, theta, axis):
-        return 1.0
+    def member_hess(self, theta):
+        return np.zeros((self.count, 1, 1))
 
     def fourth_central_moment(self, theta):
-        return 0.0
+        return np.zeros(self.count)
+
+    def char_fn_modulus_sup(self, theta, radii):
+        return np.ones((self.count, np.size(radii)))
+
+    def density_partial_l1(self, theta, axis):
+        return np.ones(self.count)
 
     def third_central_moment_tensor(self, theta):
         return np.zeros((1, 1, 1))
@@ -85,7 +94,7 @@ class PointMassMember(Member):
 
 @pytest.fixture
 def point_mass_members():
-    return [PointMassMember(1.0, index=j) for j in range(3)]
+    return PointMassFamily(1.0, count=3)
 
 
 @pytest.fixture

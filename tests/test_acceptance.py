@@ -13,7 +13,6 @@ import pytest
 
 from tiltedsums import (
     ThetaBox,
-    NormalMember,
     build_model,
     check_am4,
     check_cf3,
@@ -63,10 +62,12 @@ def test_criterion_1_tilt_correctness():
     for _ in range(100):
         d = int(rng.integers(1, 4))
         n = int(rng.integers(1, 31))
-        members = []
+        means, covs = [], []
         for j in range(n):
             A = rng.standard_normal((d, d))
-            members.append(NormalMember(rng.standard_normal(d), A @ A.T + 0.3 * np.eye(d), index=j))
+            means.append(rng.standard_normal(d))
+            covs.append(A @ A.T + 0.3 * np.eye(d))
+        members = normal_family(means, covs)
         a = 2.0 * rng.standard_normal(d)
         sol = solve_tilt(members, a)
         star = tilt_oracle(members, a)
@@ -122,10 +123,12 @@ def test_criterion_3_gaussian_exactness():
     for trial in range(25):
         d = int(rng.integers(1, 4))
         n = int(rng.integers(2, 40))
-        members = []
+        means, covs = [], []
         for j in range(n):
             A = rng.standard_normal((d, d))
-            members.append(NormalMember(rng.standard_normal(d), A @ A.T + 0.4 * np.eye(d), index=j))
+            means.append(rng.standard_normal(d))
+            covs.append(A @ A.T + 0.4 * np.eye(d))
+        members = normal_family(means, covs)
         theta = rng.uniform(-0.8, 0.8, d)
         model1 = build_model(members, theta, order=1)
         model0 = build_model(members, theta, order=0)
@@ -223,10 +226,10 @@ def test_criterion_7_tilting_invariance():
             a = float(rng.uniform(-2.0, 2.0))
         k = int(rng.integers(1, n))
         theta = solve_tilt(members, a).theta
-        block_mean = sum(float(m.cgf_grad(theta)[0]) for m in members[:k])
-        block_sd = math.sqrt(sum(float(m.cgf_hess(theta)[0, 0]) for m in members[:k]))
+        block_mean = k * float(members[:k].cgf_grad(theta)[0])
+        block_sd = math.sqrt(k * float(members[:k].cgf_hess(theta)[0, 0]))
         t = block_mean + float(rng.uniform(-2.5, 2.5)) * block_sd
-        if members[0].kind == "gamma" and t <= 0.0:
+        if members.kind == "gamma" and t <= 0.0:
             t = 0.3 * block_mean
         untilted, tilted = tilting_invariance_check(members, k, a, t)
         if untilted == 0.0 and tilted == 0.0:
@@ -242,8 +245,8 @@ def test_criterion_8_assumption_suite(point_mass_members):
     gamma_members = gamma_family([2.5, 4.0] * 10, 1.0)
     gamma_box = ThetaBox((-1.0,), (0.9,))
     normal_members = normal_family(
-        [np.zeros(2), np.array([0.5, -0.5])], [np.array([[1.0, 0.2], [0.2, 2.0]])]
-    ) * 3
+        [np.zeros(2), np.array([0.5, -0.5])] * 3, [np.array([[1.0, 0.2], [0.2, 2.0]])]
+    )
     normal_box = ThetaBox((-1.0, -1.0), (1.0, 1.0))
 
     positives = (
@@ -252,7 +255,7 @@ def test_criterion_8_assumption_suite(point_mass_members):
     )
 
     negatives = (
-        not check_cv([NormalMember(np.zeros(2), np.diag([1.0, 1e-15]))], normal_box).passed
+        not check_cv(normal_family([np.zeros(2)], np.diag([1.0, 1e-15])), normal_box).passed
         and not check_am4(gamma_members, ThetaBox((0.0,), (1.0 - 1e-4,))).passed
         and not check_cf_decay(point_mass_members, gamma_box).passed
         and not check_cf3(point_mass_members, gamma_box, beta=0.5).passed

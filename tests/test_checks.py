@@ -8,8 +8,6 @@ import pytest
 from scipy.integrate import quad
 
 from tiltedsums import (
-    GammaMember,
-    NormalMember,
     ThetaBox,
     UnsupportedFamilyError,
     check_am4,
@@ -37,9 +35,9 @@ def gamma_box():
 @pytest.fixture
 def normal_members():
     return normal_family(
-        [np.zeros(2), np.array([0.5, -0.5])],
+        [np.zeros(2), np.array([0.5, -0.5])] * 2,
         [np.array([[1.0, 0.2], [0.2, 2.0]])],
-    ) * 2
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -62,7 +60,7 @@ def test_cv_gamma_witnesses_at_box_ends(gamma_box):
 
 
 def test_cv_negative_control_near_singular(gamma_box):
-    violator = [NormalMember(np.zeros(2), np.diag([1.0, 1e-15]))]
+    violator = normal_family([np.zeros(2)], np.diag([1.0, 1e-15]))
     result = check_cv(violator, ThetaBox((-1.0, -1.0), (1.0, 1.0)))
     assert not result.passed
     assert result.witnesses["lambda_min"] < 1e-12
@@ -79,14 +77,14 @@ def test_am4_normal_value():
 
 
 def test_am4_gamma_values_and_quadrature_oracle():
-    member = GammaMember(3.0, 1.0)
-    res0 = check_am4([member], ThetaBox((0.0,), (0.0,)))
+    member = gamma_family([3.0], 1.0)
+    res0 = check_am4(member, ThetaBox((0.0,), (0.0,)))
     assert res0.witnesses["max_fourth_moment"] == pytest.approx(45.0, rel=1e-12)
-    res_tilt = check_am4([member], ThetaBox((0.5,), (0.5,)))
+    res_tilt = check_am4(member, ThetaBox((0.5,), (0.5,)))
     assert res_tilt.witnesses["max_fourth_moment"] == pytest.approx(720.0, rel=1e-12)
     # quadrature recomputation of the tilted moment
     tilted = member.tilt(0.5)
-    mean = tilted.shape * tilted.scale
+    mean = tilted.shapes[0] * tilted.scale
     mom, _ = quad(lambda x: (x - mean) ** 4 * tilted.density(x), 0.0, 600.0, limit=500)
     assert mom == pytest.approx(720.0, rel=1e-8)
 
@@ -108,6 +106,8 @@ def test_cf_decay_normal_witness_and_bound():
     assert result.passed
     # L1 norm of the standard normal derivative is 2 phi(0)
     assert result.witnesses["c_k"] == pytest.approx(2.0 / math.sqrt(2 * math.pi), rel=1e-8)
+    mass, _ = quad(lambda x: abs(x) * math.exp(-0.5 * x * x) / math.sqrt(2 * math.pi), -40.0, 40.0)
+    assert result.witnesses["c_k"] == pytest.approx(mass, rel=1e-8)
 
 
 def test_cf_decay_gamma_closed_form_cross_check(gamma_box):
@@ -119,14 +119,22 @@ def test_cf_decay_gamma_closed_form_cross_check(gamma_box):
     u = 1.0 / 2.0
     closed = 2.0 * math.exp((3 - 1) * math.log((3 - 1) * u) - (3 - 1) - math.lgamma(3.0) - 3 * math.log(u))
     assert result.witnesses["c_k"] == pytest.approx(closed, rel=1e-8)
+    # quadrature of |p'| for Gamma(3, u), split at the mode 2 u
+    tilted = gamma_family([3.0], u)
+
+    def abs_deriv(x):
+        return abs(2.0 / x - 1.0 / u) * tilted.density(x)
+
+    mass = quad(abs_deriv, 0.0, 2.0 * u)[0] + quad(abs_deriv, 2.0 * u, 60.0, limit=200)[0]
+    assert result.witnesses["c_k"] == pytest.approx(mass, rel=1e-8)
 
 
 def test_cf_decay_gamma_modulus_is_bounded():
     # |cf| of Gamma(3, u) is (1 + u^2 r^2)^{-3/2} <= C/r for every r >= 1
-    member = GammaMember(3.0, 1.0)
+    member = gamma_family([3.0], 1.0)
     radii = np.geomspace(1.0, 100.0, 200)
-    modulus = member.char_fn_modulus_sup(0.0, radii)
-    c = member.density_partial_l1(0.0, 0)
+    modulus = member.char_fn_modulus_sup(0.0, radii)[0]
+    c = member.density_partial_l1(0.0, 0)[0]
     assert np.all(modulus <= c / radii + 1e-12)
 
 
@@ -227,6 +235,18 @@ def test_report_reproducible(gamma_members, gamma_box):
     r2 = run_assumption_checks(gamma_members, gamma_box)
     assert r1.csv_rows() == r2.csv_rows()
     assert r1.to_text() == r2.to_text()
+
+
+def test_report_depends_on_distinct_laws_only(gamma_box):
+    many = run_assumption_checks(gamma_family([3.0] * 200, 1.0), gamma_box)
+    one = run_assumption_checks(gamma_family([3.0], 1.0), gamma_box)
+    assert [e.witnesses for e in many.entries] == [e.witnesses for e in one.entries]
+    cov = np.array([[1.0, 0.2], [0.2, 2.0]])
+    box = ThetaBox((-1.0, -1.0), (1.0, 1.0))
+    means = [np.zeros(2), np.array([0.5, -0.5])]
+    many = run_assumption_checks(normal_family(means * 50, cov), box)
+    two = run_assumption_checks(normal_family(means, cov), box)
+    assert many.csv_rows() == two.csv_rows()
 
 
 def test_report_csv_shape(gamma_members, gamma_box):

@@ -157,3 +157,36 @@ def test_seed_override_changes_mc_results(cfg_path, tmp_path):
     base = (out1 / "results.csv").read_bytes()
     assert (out2 / "results.csv").read_bytes() != base
     assert (out3 / "results.csv").read_bytes() == base  # config seed was 3
+
+
+# (config method, config samples, argv after the subcommand's --config, exit code)
+BAD_INPUTS = [
+    ("scheffe", 5000, ["tv", "--n", "50", "--k", "50", "--a", "6.0"], 2),
+    ("scheffe", 5000, ["tv", "--n", "50", "--k", "-1", "--a", "6.0"], 2),
+    ("scheffe", 5000, ["ratio", "--n", "50", "--k", "0", "--a", "6.0"], 2),
+    ("scheffe", 5000, ["tv", "--n", "50", "--k", "5", "--a", "nan"], 2),
+    ("scheffe", 5000, ["tilt", "--a", "inf"], 2),
+    ("scheffe", 5000, ["tv", "--n", "50", "--k", "5", "--a", "6.0", "--seed", "-1"], 2),
+    ("scheffe", 5000, ["tv", "--n", "50", "--k", "5", "--a", "6.0", "--method", "sum_mc", "--samples", "1"], 2),
+    ("scheffe", 1, ["tv", "--n", "50", "--k", "5", "--a", "6.0", "--method", "joint_mc"], 2),
+    ("sum_mc", 1, ["sweep"], 2),
+    ("scheffe", 5000, ["tv", "--n", "400", "--k", "20", "--a", "1e6"], 1),
+]
+
+
+@pytest.mark.parametrize("method,samples,argv,code", BAD_INPUTS)
+def test_bad_inputs_exit_with_message(method, samples, argv, code, cfg_path, capsys, caplog):
+    path = cfg_path(method=method)
+    with open(path) as fh:
+        text = fh.read().replace("samples = 5000", f"samples = {samples}")
+    with open(path, "w") as fh:
+        fh.write(text)
+    try:
+        result = main([argv[0], "--config", path, *argv[1:]])
+    except SystemExit as exc:
+        result = exc.code
+    assert result == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    logged = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert "error:" in err or logged

@@ -14,7 +14,6 @@ from tiltedsums import (
     UndefinedConditionalError,
     conditional_density,
     density_ratio,
-    exact_sum_density,
     gamma_family,
     gibbs_density,
     normal_family,
@@ -35,9 +34,10 @@ def iid_normals(n, mean=0.0, var=1.0):
 
 def test_gamma_sum_density_matches_convolution_family():
     members = gamma_family([2.5, 3.0, 4.5], 2.0)
-    ds = exact_sum_density(members, 0.25)
+    ds = members.tilt(0.25).convolve()
     # tilted scale 2/(1-0.25*2) = 4, total shape 10
-    assert ds.total_shape == pytest.approx(10.0)
+    assert len(ds) == 1
+    assert ds.shapes[0] == pytest.approx(10.0)
     assert ds.scale == pytest.approx(4.0)
     from scipy.stats import gamma as gamma_dist
 
@@ -48,10 +48,10 @@ def test_gamma_sum_density_matches_convolution_family():
 def test_normal_sum_density_matches_scipy():
     members = normal_family([np.array([0.1, -0.2]), np.array([0.3, 0.4])], [np.eye(2)])
     theta = np.array([0.5, -0.5])
-    ds = exact_sum_density(members, theta)
+    ds = members.tilt(theta).convolve()
     from scipy.stats import multivariate_normal
 
-    mean = sum(m.tilt(theta).mean for m in members)
+    mean = members[0].tilt(theta).means[0] + members[1].tilt(theta).means[0]
     ref = multivariate_normal(mean=mean, cov=2.0 * np.eye(2))
     pts = np.array([[0.0, 0.0], [1.0, -1.0], [2.5, 0.5]])
     np.testing.assert_allclose(ds.density(pts), ref.pdf(pts), rtol=1e-12)
@@ -62,7 +62,7 @@ def test_sum_density_kind_dispatch():
     exact = sum_density(members, 0.2, kind="exact")
     edge = sum_density(members, 0.2, kind="edgeworth")
     assert isinstance(edge, EdgeworthSumDensity)
-    mean, sd = float(exact.mean[0]), exact.sd
+    mean, sd = float(exact.cgf_grad(0.0)[0]), math.sqrt(exact.cgf_hess(0.0)[0, 0])
     xs = np.linspace(mean - 2 * sd, mean + 2 * sd, 9)
     np.testing.assert_allclose(edge.density(xs), exact.density(xs), rtol=0.02)
     with pytest.raises(ValueError):
@@ -252,7 +252,7 @@ def test_ratio_allows_one_member_complement():
 
 def test_gibbs_identity_gamma():
     members = gamma_family([3.0] * 10, 1.0)
-    tilted_block = exact_sum_density(members[:2], 0.5)
+    tilted_block = members[:2].tilt(0.5).convolve()
     for x in (2.0, 8.0, 15.0):
         lhs = gibbs_density(members, 2, 0.5, x)
         assert lhs == pytest.approx(float(tilted_block.density(x)), rel=1e-10)
@@ -261,7 +261,7 @@ def test_gibbs_identity_gamma():
 def test_gibbs_identity_normal():
     members = iid_normals(6, mean=0.3, var=1.4)
     theta = np.array([-0.6])
-    tilted_block = exact_sum_density(members[:3], theta)
+    tilted_block = members[:3].tilt(theta).convolve()
     for x in (-2.0, 0.5, 3.0):
         assert gibbs_density(members, 3, theta, x) == pytest.approx(
             float(tilted_block.density(x)), rel=1e-10
@@ -270,7 +270,7 @@ def test_gibbs_identity_normal():
 
 def test_gibbs_zero_tilt_is_block_density():
     members = gamma_family([2.5, 3.5, 4.5], 1.0)
-    block = exact_sum_density(members[:2])
+    block = members[:2].convolve()
     assert gibbs_density(members, 2, 0.0, 5.0) == pytest.approx(float(block.density(5.0)), rel=1e-14)
 
 

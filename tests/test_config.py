@@ -9,8 +9,8 @@ from tiltedsums import (
     ConfigError,
     ExperimentConfig,
     FamilySpec,
-    GammaMember,
-    NormalMember,
+    GammaFamily,
+    NormalFamily,
     k_for,
     parse_config,
     serialize_config,
@@ -41,9 +41,9 @@ def test_parse_gamma_config():
     assert cfg.k_rule == "sqrt"
     assert cfg.a_values == ((6.0,),)
     assert cfg.method == "scheffe"
-    members = cfg.family.build(5)
-    assert [m.shape for m in members] == [2.5, 4.0, 2.5, 4.0, 2.5]
-    assert all(isinstance(m, GammaMember) for m in members)
+    family = cfg.family.build(5)
+    assert isinstance(family, GammaFamily)
+    assert family.shapes.tolist() == [2.5, 4.0, 2.5, 4.0, 2.5]
 
 
 def test_parse_normal_config_with_matrix():
@@ -61,11 +61,11 @@ a = 0.3;0.3
 method = sum_mc
 """
     )
-    members = cfg.family.build(3)
-    assert all(isinstance(m, NormalMember) for m in members)
-    np.testing.assert_allclose(members[1].mean, [0.5, 0.5])
-    np.testing.assert_allclose(members[2].mean, [0.0, 0.0])
-    np.testing.assert_allclose(members[0].cov, [[1.0, 0.2], [0.2, 2.0]])
+    family = cfg.family.build(3)
+    assert isinstance(family, NormalFamily)
+    np.testing.assert_allclose(family.means[1], [0.5, 0.5])
+    np.testing.assert_allclose(family.means[2], [0.0, 0.0])
+    np.testing.assert_allclose(family[0].covs[0], [[1.0, 0.2], [0.2, 2.0]])
 
 
 def test_parse_member_lines():
@@ -81,8 +81,8 @@ k = 1
 a = 0.5;0.5
 """
     )
-    members = cfg.family.build(4)
-    np.testing.assert_allclose(members[3].cov, 2 * np.eye(2))
+    family = cfg.family.build(4)
+    np.testing.assert_allclose(family[3].covs[0], 2 * np.eye(2))
 
 
 def test_parse_gamma_member_lines_share_scale():
@@ -161,6 +161,10 @@ def test_config_rejections():
         parse_config("no sections at all = 3")
     with pytest.raises(ConfigError):
         parse_config(GAMMA_CFG.replace("method = scheffe", "method = magic"))
+    with pytest.raises(ConfigError):
+        parse_config(GAMMA_CFG.replace("method = scheffe", "method = sum_mc").replace("samples = 1000", "samples = 1"))
+    with pytest.raises(ConfigError):
+        parse_config(GAMMA_CFG.replace("seed = 7", "seed = -1"))
 
 
 def test_round_trip_gamma():

@@ -10,8 +10,6 @@ from scipy.integrate import quad
 
 from tiltedsums import (
     DegenerateCovarianceError,
-    GammaMember,
-    NormalMember,
     build_model,
     default_grid,
     edgeworth_density,
@@ -65,14 +63,14 @@ def test_hermite3_vanishes_at_zero(dim, which):
 # ---------------------------------------------------------------------------
 
 def test_third_cumulant_normal_vanishes():
-    member = NormalMember(np.array([1.0, -2.0]), np.array([[1.0, 0.3], [0.3, 2.0]]))
+    member = normal_family([np.array([1.0, -2.0])], np.array([[1.0, 0.3], [0.3, 2.0]]))
     out = third_cumulant(member, np.zeros(2), np.eye(2))
     assert set(out) == set(multi_indices(2))
     assert all(v == 0.0 for v in out.values())
 
 
 def test_third_cumulant_gamma_example():
-    member = GammaMember(3.0, 1.0)
+    member = gamma_family([3.0], 1.0)
     b = np.array([[3.0**-0.5]])
     out = third_cumulant(member, 0.0, b)
     # third central moment of Gamma(3,1) is 2*k*t^3 = 6, scaled by B^3
@@ -81,10 +79,10 @@ def test_third_cumulant_gamma_example():
 
 
 def test_third_cumulant_gamma_quadrature_oracle():
-    member = GammaMember(3.0, 1.0)
+    member = gamma_family([3.0], 1.0)
     for theta in (0.0, 0.4, -1.0):
         tilted = member.tilt(theta)
-        mean = tilted.shape * tilted.scale
+        mean = tilted.shapes[0] * tilted.scale
         mom, _ = quad(lambda x: (x - mean) ** 3 * tilted.density(x), 0.0, 600.0, limit=500)
         b = 0.7
         closed = third_cumulant(member, theta, np.array([[b]]))[(3,)]
@@ -92,7 +90,7 @@ def test_third_cumulant_gamma_quadrature_oracle():
 
 
 def test_mixed_third_moments_vanish_for_product_members():
-    member = NormalMember(np.zeros(2), np.diag([1.0, 4.0]))
+    member = normal_family([np.zeros(2)], np.diag([1.0, 4.0]))
     out = third_cumulant(member, np.zeros(2), np.diag([1.0, 0.5]))
     assert out[(2, 1)] == 0.0 and out[(1, 2)] == 0.0
 
@@ -116,7 +114,7 @@ def test_build_model_gamma_skewness():
 
 
 def test_build_model_single_standard_normal():
-    model = build_model([NormalMember(np.zeros(1), np.eye(1))], 0.0)
+    model = build_model(normal_family([np.zeros(1)], np.eye(1)), 0.0)
     assert model.count == 1
     assert model.B[0, 0] == pytest.approx(1.0)
     assert model.mean_sum[0] == 0.0
@@ -124,13 +122,13 @@ def test_build_model_single_standard_normal():
 
 def test_build_model_key_count_matches_dimension():
     for d in (1, 2, 3):
-        members = [NormalMember(np.zeros(d), np.eye(d)) for _ in range(3)]
+        members = normal_family([np.zeros(d)] * 3, np.eye(d))
         model = build_model(members, np.zeros(d))
         assert len(model.avg_third_cumulants) == math.comb(d + 2, 3)
 
 
 def test_build_model_degenerate_covariance_error():
-    members = [NormalMember(np.zeros(2), np.diag([1.0, 1e-15])) for _ in range(3)]
+    members = normal_family([np.zeros(2)] * 3, np.diag([1.0, 1e-15]))
     with pytest.raises(DegenerateCovarianceError):
         build_model(members, np.zeros(2))
 
@@ -152,8 +150,8 @@ def test_density_at_origin_is_gaussian_for_any_model():
     for order in (0, 1):
         model = build_model(members, 0.3, order=order)
         assert edgeworth_density(model, 0.0) == pytest.approx((2 * math.pi) ** -0.5, rel=1e-14)
-    members2 = [NormalMember(np.zeros(2), np.eye(2))] * 4
-    model2 = build_model(list(members2), np.zeros(2))
+    members2 = normal_family([np.zeros(2)] * 4, np.eye(2))
+    model2 = build_model(members2, np.zeros(2))
     assert edgeworth_density(model2, np.zeros(2)) == pytest.approx((2 * math.pi) ** -1.0, rel=1e-14)
 
 

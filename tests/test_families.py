@@ -1,4 +1,6 @@
-"""Member-level behaviour: cgf calculus, densities, tilting, sampling."""
+"""Member-level behaviour: cgf calculus, densities, tilting, sampling.
+
+A single member is a family of length 1."""
 
 import math
 
@@ -9,18 +11,22 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from tiltedsums import (
-    GammaMember,
-    NormalMember,
     OutOfDomainError,
-    UnsupportedFamilyError,
     gamma_family,
     normal_family,
-    validate_members,
 )
 
 
+def gamma_member(shape, scale):
+    return gamma_family([shape], scale)
+
+
+def normal_member(mean, cov):
+    return normal_family([mean], cov)
+
+
 def std_normal():
-    return NormalMember(np.zeros(1), np.eye(1))
+    return normal_member(np.zeros(1), np.eye(1))
 
 
 # ---------------------------------------------------------------------------
@@ -29,11 +35,11 @@ def std_normal():
 
 def test_cgf_at_zero_is_zero():
     assert std_normal().cgf(0.0) == 0.0
-    assert GammaMember(3.0, 1.0).cgf(0.0) == 0.0
+    assert gamma_member(3.0, 1.0).cgf(0.0) == 0.0
 
 
 def test_gamma_cgf_closed_form_and_quadrature():
-    member = GammaMember(3.0, 1.0)
+    member = gamma_member(3.0, 1.0)
     val = member.cgf(0.5)
     assert val == pytest.approx(-3.0 * math.log(0.5), rel=1e-14)
     assert val == pytest.approx(2.0794415416798357, rel=1e-12)
@@ -43,13 +49,13 @@ def test_gamma_cgf_closed_form_and_quadrature():
 
 
 def test_normal_cgf_closed_form():
-    member = NormalMember(np.array([1.0]), np.array([[2.0]]))
+    member = normal_member(np.array([1.0]), np.array([[2.0]]))
     assert member.cgf(1.0) == pytest.approx(2.0, rel=1e-15)
 
 
 def test_cgf_strict_convexity_on_triples():
     rng = np.random.default_rng(7)
-    members = [GammaMember(3.5, 0.8), NormalMember(np.array([0.3, -1.0]), np.array([[1.0, 0.2], [0.2, 2.0]]))]
+    members = [gamma_member(3.5, 0.8), normal_member(np.array([0.3, -1.0]), np.array([[1.0, 0.2], [0.2, 2.0]]))]
     for member in members:
         for _ in range(50):
             if member.dim == 1:
@@ -69,22 +75,22 @@ def test_cgf_strict_convexity_on_triples():
 # ---------------------------------------------------------------------------
 
 def test_gamma_grad_examples():
-    member = GammaMember(3.0, 1.0)
+    member = gamma_member(3.0, 1.0)
     assert member.cgf_grad(0.0)[0] == pytest.approx(3.0, abs=0.0)
     assert member.cgf_grad(0.5)[0] == pytest.approx(6.0, rel=1e-15)
 
 
 def test_normal_grad_example():
-    member = NormalMember(np.array([1.0, 0.0]), np.eye(2))
+    member = normal_member(np.array([1.0, 0.0]), np.eye(2))
     np.testing.assert_allclose(member.cgf_grad(np.array([0.5, 0.5])), [1.5, 0.5], rtol=1e-15)
 
 
 def test_hess_examples():
-    member = GammaMember(3.0, 1.0)
+    member = gamma_member(3.0, 1.0)
     assert member.cgf_hess(0.0)[0, 0] == pytest.approx(3.0)
     assert member.cgf_hess(0.5)[0, 0] == pytest.approx(12.0, rel=1e-14)
     gam = np.array([[1.0, 0.3], [0.3, 2.0]])
-    member = NormalMember(np.zeros(2), gam)
+    member = normal_member(np.zeros(2), gam)
     for theta in (np.zeros(2), np.array([0.7, -0.4])):
         np.testing.assert_allclose(member.cgf_hess(theta), gam)
 
@@ -127,12 +133,12 @@ def _random_members_and_thetas(count):
         if rng.uniform() < 0.5:
             shape = rng.uniform(2.1, 6.0)
             scale = rng.uniform(0.3, 3.0)
-            member = GammaMember(shape, scale)
+            member = gamma_member(shape, scale)
             theta = np.array([rng.uniform(-2.0 / scale, 0.9 / scale)])
         else:
             d = int(rng.integers(1, 4))
             A = rng.standard_normal((d, d))
-            member = NormalMember(rng.standard_normal(d), A @ A.T + 0.4 * np.eye(d))
+            member = normal_member(rng.standard_normal(d), A @ A.T + 0.4 * np.eye(d))
             theta = rng.uniform(-1.5, 1.5, d)
         pairs.append((member, theta))
     return pairs
@@ -157,14 +163,14 @@ def test_hessian_consistency_200_random():
 # ---------------------------------------------------------------------------
 
 def test_density_examples():
-    assert GammaMember(3.0, 1.0).density(-1.0) == 0.0
+    assert gamma_member(3.0, 1.0).density(-1.0) == 0.0
     assert std_normal().density(0.0) == pytest.approx(1.0 / math.sqrt(2 * math.pi), rel=1e-15)
-    assert GammaMember(3.0, 1.0).density(2.0) == pytest.approx(2.0 * math.exp(-2.0), rel=1e-14)
-    assert GammaMember(3.0, 1.0).density(2.0) == pytest.approx(0.2706705664732254, rel=1e-12)
+    assert gamma_member(3.0, 1.0).density(2.0) == pytest.approx(2.0 * math.exp(-2.0), rel=1e-14)
+    assert gamma_member(3.0, 1.0).density(2.0) == pytest.approx(0.2706705664732254, rel=1e-12)
 
 
 def test_density_normalization_1d():
-    for member in (GammaMember(3.0, 1.0), GammaMember(2.5, 2.0), NormalMember(np.array([1.0]), np.array([[3.0]]))):
+    for member in (gamma_member(3.0, 1.0), gamma_member(2.5, 2.0), normal_member(np.array([1.0]), np.array([[3.0]]))):
         lo = 0.0 if member.kind == "gamma" else -80.0
         mass, _ = quad(lambda x: member.density(x), lo, 200.0, limit=400)
         assert mass == pytest.approx(1.0, abs=1e-8)
@@ -178,10 +184,10 @@ _QUAD_COVS = {
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_density_normalization_tensor_quadrature(dim):
-    member = NormalMember(0.3 * np.arange(dim), _QUAD_COVS[dim])
-    half = 9.0 * math.sqrt(float(np.linalg.eigvalsh(member.cov)[-1]))
+    member = normal_member(0.3 * np.arange(dim), _QUAD_COVS[dim])
+    half = 9.0 * math.sqrt(float(np.linalg.eigvalsh(member.covs[0])[-1]))
     nodes, weights = np.polynomial.legendre.leggauss(80)
-    pts_1d = [member.mean[i] + half * nodes for i in range(dim)]
+    pts_1d = [member.means[0, i] + half * nodes for i in range(dim)]
     mesh = np.meshgrid(*pts_1d, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=-1)
     w = weights * half
@@ -193,32 +199,49 @@ def test_density_normalization_tensor_quadrature(dim):
     assert mass == pytest.approx(1.0, abs=1e-8)
 
 
+def test_log_density_one_point_per_member():
+    normals = normal_family(
+        [np.zeros(2), np.array([0.5, -1.0]), np.ones(2)],
+        [np.eye(2), np.array([[1.0, 0.3], [0.3, 2.0]]), np.diag([0.5, 4.0])],
+    )
+    pts = np.array([[0.1, -0.2], [1.0, 0.5], [-2.0, 3.0]])
+    expected = [normals[j].log_density(pts[j]) for j in range(3)]
+    np.testing.assert_allclose(normals.log_density(pts), expected, rtol=1e-14)
+    gammas = gamma_family([2.5, 3.0, 4.0], 1.5)
+    xs = np.array([1.0, 7.5, -1.0])
+    expected = [gammas[j].log_density(xs[j]) for j in range(3)]
+    np.testing.assert_allclose(gammas.log_density(xs), expected, rtol=1e-14)
+    assert expected[2] == -math.inf
+
+
 # ---------------------------------------------------------------------------
 # tilting
 # ---------------------------------------------------------------------------
 
 def test_tilt_identity_at_zero():
-    g = GammaMember(3.0, 1.0, index=4)
-    assert g.tilt(0.0) == g
-    n = NormalMember(np.array([0.5]), np.array([[2.0]]))
+    g = gamma_member(3.0, 1.0)
+    tilted = g.tilt(0.0)
+    np.testing.assert_array_equal(tilted.shapes, g.shapes)
+    assert tilted.scale == g.scale
+    n = normal_member(np.array([0.5]), np.array([[2.0]]))
     tilted = n.tilt(0.0)
-    np.testing.assert_array_equal(tilted.mean, n.mean)
-    np.testing.assert_array_equal(tilted.cov, n.cov)
+    np.testing.assert_array_equal(tilted.means, n.means)
+    np.testing.assert_array_equal(tilted.covs, n.covs)
 
 
 def test_tilt_closures():
-    g = GammaMember(3.0, 1.0).tilt(0.5)
-    assert (g.shape, g.scale) == (3.0, 2.0)
-    n = NormalMember(np.zeros(1), np.eye(1)).tilt(0.5)
-    assert n.mean[0] == pytest.approx(0.5) and n.cov[0, 0] == 1.0
+    g = gamma_member(3.0, 1.0).tilt(0.5)
+    assert (g.shapes[0], g.scale) == (3.0, 2.0)
+    n = normal_member(np.zeros(1), np.eye(1)).tilt(0.5)
+    assert n.means[0, 0] == pytest.approx(0.5) and n.covs[0, 0, 0] == 1.0
 
 
 @pytest.mark.parametrize(
     "member,theta,grid",
     [
-        (GammaMember(3.0, 1.0), np.array([0.5]), np.linspace(0.05, 20.0, 100)),
-        (GammaMember(2.8, 0.7), np.array([-1.2]), np.linspace(0.05, 15.0, 100)),
-        (NormalMember(np.zeros(1), np.eye(1)), np.array([0.5]), np.linspace(-5.0, 5.0, 100)),
+        (gamma_member(3.0, 1.0), np.array([0.5]), np.linspace(0.05, 20.0, 100)),
+        (gamma_member(2.8, 0.7), np.array([-1.2]), np.linspace(0.05, 15.0, 100)),
+        (normal_member(np.zeros(1), np.eye(1)), np.array([0.5]), np.linspace(-5.0, 5.0, 100)),
     ],
 )
 def test_tilt_closure_pointwise_identity(member, theta, grid):
@@ -230,7 +253,7 @@ def test_tilt_closure_pointwise_identity(member, theta, grid):
 
 
 def test_tilt_closure_normalizes():
-    tilted = GammaMember(3.0, 1.0).tilt(0.5)
+    tilted = gamma_member(3.0, 1.0).tilt(0.5)
     mass, _ = quad(lambda x: tilted.density(x), 0.0, 400.0, limit=400)
     assert mass == pytest.approx(1.0, abs=1e-8)
 
@@ -238,7 +261,7 @@ def test_tilt_closure_normalizes():
 @given(theta=st.floats(-2.0, 0.9), shape=st.floats(2.1, 8.0), scale=st.floats(0.3, 2.0))
 @settings(max_examples=60, deadline=None)
 def test_tilted_mean_cov_match_cgf_derivatives(theta, shape, scale):
-    member = GammaMember(shape, scale)
+    member = gamma_member(shape, scale)
     th = np.array([theta / scale])
     tilted = member.tilt(th)
     np.testing.assert_allclose(member.cgf_grad(th), tilted.cgf_grad(0.0), rtol=1e-12)
@@ -246,7 +269,7 @@ def test_tilted_mean_cov_match_cgf_derivatives(theta, shape, scale):
 
 
 def test_tilted_mean_cov_normal():
-    member = NormalMember(np.array([1.0, -0.5]), np.array([[1.0, 0.4], [0.4, 2.0]]))
+    member = normal_member(np.array([1.0, -0.5]), np.array([[1.0, 0.4], [0.4, 2.0]]))
     theta = np.array([0.3, -0.7])
     tilted = member.tilt(theta)
     np.testing.assert_allclose(member.cgf_grad(theta), tilted.cgf_grad(np.zeros(2)), rtol=1e-14)
@@ -258,7 +281,7 @@ def test_tilted_mean_cov_normal():
 # ---------------------------------------------------------------------------
 
 def test_out_of_domain_raises_not_nan():
-    member = GammaMember(3.0, 2.0)
+    member = gamma_member(3.0, 2.0)
     for bad in (0.5, 0.7, 10.0):  # boundary at 1/scale = 0.5, inclusive
         with pytest.raises(OutOfDomainError):
             member.cgf(bad)
@@ -272,13 +295,13 @@ def test_out_of_domain_raises_not_nan():
 
 def test_invalid_parameters_rejected():
     with pytest.raises(ValueError):
-        GammaMember(2.0, 1.0)  # shape must exceed 2 strictly
+        gamma_member(2.0, 1.0)  # shape must exceed 2 strictly
     with pytest.raises(ValueError):
-        GammaMember(3.0, 0.0)
+        gamma_member(3.0, 0.0)
     with pytest.raises(ValueError):
-        NormalMember(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]))  # indefinite
+        normal_member(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]))  # indefinite
     with pytest.raises(ValueError):
-        NormalMember(np.zeros(2), np.array([[1.0, 0.5], [0.4, 1.0]]))  # asymmetric
+        normal_member(np.zeros(2), np.array([[1.0, 0.5], [0.4, 1.0]]))  # asymmetric
 
 
 # ---------------------------------------------------------------------------
@@ -286,27 +309,27 @@ def test_invalid_parameters_rejected():
 # ---------------------------------------------------------------------------
 
 def test_normal_sampling_clt_bound(rng):
-    member = NormalMember(np.zeros(1), np.eye(1))
+    member = normal_member(np.zeros(1), np.eye(1))
     draws = member.sample(rng, 10**6)
     assert abs(draws.mean()) <= 4.0 / math.sqrt(10**6)
 
 
 def test_gamma_sampling_clt_bound(rng):
-    member = GammaMember(3.0, 1.0)
+    member = gamma_member(3.0, 1.0)
     draws = member.sample(rng, 10**6)
     assert abs(draws.mean() - 3.0) <= 4.0 * math.sqrt(3.0) / 1e3
 
 
 def test_sample_count_zero_returns_empty(rng):
-    assert GammaMember(3.0, 1.0).sample(rng, 0).shape == (0, 1)
-    assert NormalMember(np.zeros(2), np.eye(2)).sample(rng, 0).shape == (0, 2)
+    assert gamma_member(3.0, 1.0).sample(rng, 0).shape == (0, 1)
+    assert normal_member(np.zeros(2), np.eye(2)).sample(rng, 0).shape == (0, 2)
 
 
 def test_multivariate_sampling_moments(rng):
     cov = np.array([[1.0, 0.6], [0.6, 2.0]])
-    member = NormalMember(np.array([1.0, -1.0]), cov)
+    member = normal_member(np.array([1.0, -1.0]), cov)
     draws = member.sample(rng, 200_000)
-    np.testing.assert_allclose(draws.mean(axis=0), member.mean, atol=0.02)
+    np.testing.assert_allclose(draws.mean(axis=0), member.means[0], atol=0.02)
     np.testing.assert_allclose(np.cov(draws.T), cov, atol=0.03)
 
 
@@ -316,13 +339,10 @@ def test_multivariate_sampling_moments(rng):
 
 def test_builders_and_validation():
     g = gamma_family([2.5, 4.0], 1.0)
-    assert [m.index for m in g] == [0, 1]
-    validate_members(g)
+    assert len(g) == 2 and g[1].shapes[0] == 4.0
     n = normal_family([np.zeros(2), np.ones(2)], [np.eye(2)])
-    validate_members(n)
+    assert len(n) == 2 and n.dim == 2
     with pytest.raises(ValueError):
-        validate_members([])
-    with pytest.raises(UnsupportedFamilyError):
-        validate_members([g[0], n[0]])
-    with pytest.raises(UnsupportedFamilyError):
-        validate_members([GammaMember(3.0, 1.0), GammaMember(3.0, 2.0)])
+        gamma_family([], 1.0)
+    with pytest.raises(ValueError):
+        normal_family(np.zeros((0, 2)), [np.eye(2)])

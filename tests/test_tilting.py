@@ -47,7 +47,7 @@ def test_mean_cgf_hessian_mixed_normals():
 
 def test_mean_cgf_rejects_empty_and_out_of_domain():
     with pytest.raises(ValueError):
-        mean_cgf([], 0.0)
+        mean_cgf(gamma_family([], 1.0), 0.0)
     with pytest.raises(OutOfDomainError):
         mean_cgf(gamma_family([3.0], 1.0), 1.0)
 
@@ -88,7 +88,7 @@ def test_solve_errors():
     with pytest.raises(ValueError):
         solve_tilt(gamma_family([3.0], 1.0), 6.0, tol=0.0)
     with pytest.raises(ValueError):
-        solve_tilt([], 1.0)
+        solve_tilt(gamma_family([], 1.0), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +123,14 @@ def test_oracle_agreement_randomized():
 def test_oracle_unsupported_mix(point_mass_members):
     with pytest.raises(UnsupportedFamilyError):
         tilt_oracle(point_mass_members, 1.0)
+
+
+def test_oracle_agreement_large_heterogeneous_family():
+    members = gamma_family([2.5, 4.0] * 6400, 1.0)
+    sol = solve_tilt(members, 6.0)
+    star = tilt_oracle(members, 6.0)
+    assert sol.converged
+    assert abs(sol.theta[0] - star[0]) <= 1e-12 * abs(star[0])
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,9 @@ from scipy.integrate import quad
 from scipy.special import ndtr
 
 from tiltedsums import (
-    GammaSumDensity,
     RatioContext,
     UnsupportedFamilyError,
     df_gamma_constant,
-    exact_sum_density,
     gamma_family,
     normal_family,
     tv_joint_mc,
@@ -84,7 +82,7 @@ def test_scheffe_gamma_against_dense_trapezoid_oracle():
     members = gamma_family([3.0] * 50, 1.0)
     est = tv_scheffe(members, 5, 6.0)
     ctx = RatioContext(members, 5, 6.0)
-    block = exact_sum_density(members[:5], ctx.theta)
+    block = members[:5].tilt(ctx.theta).convolve()
     grid = np.linspace(1e-9, 300.0, 100_001)
     vals = np.abs(np.expm1(ctx.log_ratio_exact(grid.reshape(-1, 1)))) * np.exp(block.log_density(grid))
     oracle = float(np.trapezoid(vals, grid)) + float(block.sf(300.0))
@@ -158,6 +156,13 @@ def test_sum_mc_requires_explicit_rng():
         tv_sum_mc(gamma_family([3.0] * 5, 1.0), 1, 6.0, samples=10)
 
 
+def test_mc_estimators_need_two_samples():
+    members = gamma_family([3.0] * 10, 1.0)
+    for estimator in (tv_sum_mc, tv_joint_mc):
+        with pytest.raises(ValueError):
+            estimator(members, 2, 6.0, samples=1, rng=0)
+
+
 def test_sum_mc_zero_when_ratio_forced_to_one(monkeypatch):
     # identical-law degenerate check: with the log ratio pinned at 0 the
     # estimator must return exactly 0
@@ -212,7 +217,7 @@ def test_mc_reproducible_for_fixed_seed():
 # ---------------------------------------------------------------------------
 
 def test_gamma_block_tail_mass_used_by_scheffe():
-    ds = GammaSumDensity(6.0, 2.0)
+    ds = gamma_family([2.5, 3.5], 2.0).convolve()
     # sf + cdf = 1
     for x in (1.0, 10.0, 60.0):
         assert float(ds.cdf(x) + ds.sf(x)) == pytest.approx(1.0, rel=1e-12)
