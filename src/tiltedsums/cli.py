@@ -42,6 +42,14 @@ def _seed_arg(text):
     return seed
 
 
+def _box_arg(text):
+    try:
+        lo, hi = (float(v) for v in text.split(":"))
+        return checks_mod.ThetaBox((lo,), (hi,))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"expected lo:hi with lo <= hi, got {text!r}") from exc
+
+
 def _grid_arg(text):
     lo, hi, pts = text.split(":")
     return float(lo), float(hi), int(pts)
@@ -101,7 +109,8 @@ def build_parser():
     _add_common(p)
     p.add_argument("--n", type=int, default=None, help="number of members (default: largest sweep n)")
     p.add_argument("--beta", type=float, default=0.5, help="cf separation threshold")
-    p.add_argument("--box", default=None, help="theta box lo:hi (d = 1); default derives from the sweep")
+    p.add_argument("--box", type=_box_arg, default=None,
+                   help="theta box lo:hi (d = 1); default derives from the sweep")
 
     p = sub.add_parser("sweep", help="run the configured sweep and write results.csv / scaling.csv")
     _add_common(p)
@@ -223,9 +232,12 @@ def cmd_tv(args):
 def cmd_check(args):
     cfg = _load(args)
     family = _family_for(cfg, args.n)
-    if args.box is not None:
-        lo, hi = (float(v) for v in args.box.split(":"))
-        box = checks_mod.ThetaBox((lo,), (hi,))
+    box = args.box
+    if box is not None:
+        if box.dim != family.dim:
+            raise ConfigError(f"--box is {box.dim}-dimensional, the members are {family.dim}-dimensional")
+        if not (family.domain.contains(box.lo) and family.domain.contains(box.hi)):
+            raise ConfigError(f"--box {box.lo[0]:g}:{box.hi[0]:g} leaves the open domain of the {family.kind} cgf")
     else:
         thetas = []
         for n in cfg.n_values:

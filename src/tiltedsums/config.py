@@ -192,6 +192,12 @@ def _scalar_list(text):
     return tuple(out)
 
 
+def _count(value, key):
+    if not value.is_integer():
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _vector(text):
     return tuple(_scalar(p) for p in text.split(";"))
 
@@ -301,15 +307,15 @@ def parse_config(text):
     missing = {"n", "k", "a"} - set(sweep)
     if missing:
         raise ConfigError(f"sweep section is missing {sorted(missing)}")
-    n_values = tuple(int(v) for v in _scalar_list(sweep["n"]))
+    n_values = tuple(_count(v, "n") for v in _scalar_list(sweep["n"]))
     return ExperimentConfig(
         family=family,
         n_values=n_values,
         k_rule=sweep["k"],
         a_values=_vector_list(sweep["a"]),
         method=sweep.get("method", "scheffe"),
-        samples=int(_scalar(sweep.get("samples", "1000000"))),
-        seed=int(_scalar(sweep.get("seed", "0"))),
+        samples=_count(_scalar(sweep.get("samples", "1000000")), "samples"),
+        seed=_count(_scalar(sweep.get("seed", "0")), "seed"),
         out=sweep.get("out", "results"),
     )
 

@@ -28,7 +28,8 @@ class UndefinedConditionalError(TiltedSumsError, ValueError):
 
 
 class QuadratureError(TiltedSumsError, RuntimeError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
+    """The split points of the Scheffe integral (the sign changes of log rho)
+    could not be located."""
 
 
 class ConfigError(TiltedSumsError, ValueError):

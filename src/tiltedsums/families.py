@@ -21,7 +21,8 @@ sum of the members:
 
 Slicing gives the family of a block (family[:k], family[k:]), a single member
 is a family of length 1, and convolve() returns the law of the sum as a
-family of length 1.  Densities, cdf/sf and samplers are those of a single law;
+family of length 1.  Densities, cdf/sf, samplers and cdf_given_sum (the cdf
+of one law given its sum with another) are those of a single law;
 log_density also evaluates member j at point j when given one point per
 member.  The per-member hooks of the assumption checks return one row per
 member.
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import gammainc, gammaincc, gammaln, ndtr
+from scipy.special import betainc, gammainc, gammaincc, gammaln, ndtr
 
 from .errors import OutOfDomainError
 from .numerics import LOG_2PI, as_vector, check_symmetric, sym_inv, sym_logdet, sym_sqrt
@@ -85,10 +86,11 @@ class Family:
 
     Subclasses provide kind, dim, domain, __len__, _take(slice), the average
     cgf calculus (cgf, cgf_grad, cgf_hess), tilt, convolve, distinct, the
-    single-law operations (log_density, cdf, sf, sample) and the per-member
-    hooks of the assumption checks (member_hess, fourth_central_moment,
-    char_fn_modulus_sup, density_partial_l1), plus third_central_moment_tensor
-    averaged over the family for the Edgeworth expansion.
+    single-law operations (log_density, cdf, sf, sample, cdf_given_sum) and
+    the per-member hooks of the assumption checks (member_hess,
+    fourth_central_moment, char_fn_modulus_sup, density_partial_l1), plus
+    third_central_moment_tensor averaged over the family for the Edgeworth
+    expansion.
     """
 
     def __getitem__(self, index):
@@ -220,6 +222,16 @@ class GammaFamily(Family):
         """i.i.d. draws, shape (count, 1)."""
         self._single("sample")
         return rng.gamma(self.shapes[0], self.scale, size=(count, 1))
+
+    def cdf_given_sum(self, rest, s, x):
+        """P(X <= x | X + Y = s) for X = self, Y = rest: X / s ~ Beta(K_x, K_y)
+        given the sum, whatever the shared scale."""
+        self._single("cdf_given_sum")
+        rest._single("cdf_given_sum")
+        if rest.scale != self.scale:
+            raise ValueError(f"gamma laws with scales {self.scale} and {rest.scale} have no beta bridge")
+        ratio = np.clip(np.asarray(x, dtype=float) / s, 0.0, 1.0)
+        return betainc(self.shapes[0], rest.shapes[0], ratio)
 
     # -- hooks: one entry per member -----------------------------------------
 
@@ -353,6 +365,14 @@ class NormalFamily(Family):
         self._single("sample")
         z = rng.standard_normal((count, self.dim))
         return self.means[0] + z @ sym_sqrt(self.covs[0])
+
+    def cdf_given_sum(self, rest, s, x):
+        """P(X <= x | X + Y = s) for one-dimensional X = self, Y = rest:
+        N(m_x + w (s - m_x - m_y), w v_y) with w = v_x / (v_x + v_y)."""
+        sd_x, sd_y = self._sd(), rest._sd()
+        w = sd_x**2 / (sd_x**2 + sd_y**2)
+        mean = self.means[0, 0] + w * (s - self.means[0, 0] - rest.means[0, 0])
+        return ndtr((np.asarray(x, dtype=float) - mean) / (sd_y * math.sqrt(w)))
 
     # -- hooks: one entry per member -----------------------------------------
 

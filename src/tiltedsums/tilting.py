@@ -11,6 +11,15 @@ solves Hess kbar_n(theta) p = -(grad kbar_n(theta) - a) and halves the step
 until the iterate is strictly inside Theta and the residual merit
 0.5 ||grad - a||^2 decreases.
 
+The iteration stops after an accepted step p with
+||p|| <= tol * min(max(1, ||theta||), dist(theta, boundary)), and a rejected
+line search counts as converged under the same bound.  A residual test
+cannot serve: grad kbar_n ~ a carries rounding of order eps * |a|, far above
+a fixed tolerance for large a and far below it for small a.  The boundary
+term measures the step against the distance on which the tilted law
+depends, so a theta that float cannot place near the boundary is reported
+as not converged.
+
 Closed forms used as oracles in the test suite:
 
     all Normal:            mean(Gamma_j) theta = a - mean(mu_j)
@@ -66,7 +75,8 @@ def solve_tilt(family, a, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, callback=N
     """Damped Newton iteration for grad kbar_n(theta) = a.
 
     Returns a TiltingSolution; converged is False (rather than raising) when
-    max_iter Newton updates did not bring the residual below tol.
+    max_iter Newton updates did not bring the step below the scale-aware
+    bound of the module docstring.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -78,11 +88,9 @@ def solve_tilt(family, a, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, callback=N
     resid = grad - a
     merit = 0.5 * float(resid @ resid)
     iterations = 0
+    converged = False
 
     for _ in range(max_iter):
-        res_norm = float(np.linalg.norm(resid))
-        if res_norm <= tol:
-            return TiltingSolution(theta, res_norm, iterations, True)
         w, q = _guarded_hessian(hess)
         step = -(q @ ((q.T @ resid) / w))
 
@@ -99,15 +107,23 @@ def solve_tilt(family, a, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, callback=N
                     break
             lam *= 0.5
         if not accepted:
-            return TiltingSolution(theta, res_norm, iterations, False)
+            converged = _step_small(family, theta, step, tol)
+            break
 
         theta, resid, hess, merit = cand, resid_c, hess_c, merit_c
         iterations += 1
         if callback is not None:
             callback(theta.copy(), float(np.linalg.norm(resid)))
+        converged = _step_small(family, theta, step, tol)
+        if converged:
+            break
 
-    res_norm = float(np.linalg.norm(resid))
-    return TiltingSolution(theta, res_norm, iterations, res_norm <= tol)
+    return TiltingSolution(theta, float(np.linalg.norm(resid)), iterations, converged)
+
+
+def _step_small(family, theta, step, tol):
+    scale = min(max(1.0, np.linalg.norm(theta)), family.domain.boundary_distance(theta))
+    return bool(np.linalg.norm(step) <= tol * scale)
 
 
 def _guarded_hessian(hess):

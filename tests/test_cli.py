@@ -46,6 +46,11 @@ def test_tv_subcommand(cfg_path, capsys):
     fields = lines[1].split(",")
     assert fields[:4] == ["50", "5", "6", "scheffe"]
     assert 0.0 < float(fields[4]) < 1.0
+    # a far above the mean: theta lies 3e-6 from the domain boundary, and the
+    # gamma TV does not depend on a
+    assert main(["tv", "--config", cfg_path(), "--n", "400", "--k", "20", "--a", "1e6"]) == 0
+    fields = capsys.readouterr().out.strip().split("\n")[1].split(",")
+    assert float(fields[4]) == pytest.approx(0.0249886544, abs=1e-10)
 
 
 def test_edgeworth_subcommand(cfg_path, tmp_path):
@@ -148,6 +153,13 @@ def test_check_with_explicit_box(cfg_path, capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+def test_check_box_dimension_mismatch_exits_2(tmp_path, caplog):
+    path = tmp_path / "normal2d.cfg"
+    path.write_text("[family]\nkind = normal\nmeans = 0;0\ncov = 1;0|0;1\n[sweep]\nn = 20\nk = 1\na = 0.5;0.5\n")
+    assert main(["check", "--config", str(path), "--n", "20", "--box", "0:1"]) == 2
+    assert any("dimensional" in r.getMessage() for r in caplog.records if r.levelname == "ERROR")
+
+
 def test_seed_override_changes_mc_results(cfg_path, tmp_path):
     out1, out2, out3 = tmp_path / "s1", tmp_path / "s2", tmp_path / "s3"
     path = cfg_path(method="sum_mc")
@@ -170,7 +182,11 @@ BAD_INPUTS = [
     ("scheffe", 5000, ["tv", "--n", "50", "--k", "5", "--a", "6.0", "--method", "sum_mc", "--samples", "1"], 2),
     ("scheffe", 1, ["tv", "--n", "50", "--k", "5", "--a", "6.0", "--method", "joint_mc"], 2),
     ("sum_mc", 1, ["sweep"], 2),
-    ("scheffe", 5000, ["tv", "--n", "400", "--k", "20", "--a", "1e6"], 1),
+    ("scheffe", 5000, ["tv", "--n", "400", "--k", "20", "--a", "1e16"], 1),
+    ("scheffe", 5000, ["check", "--n", "20", "--box", "abc"], 2),
+    ("scheffe", 5000, ["check", "--n", "20", "--box", "0.5"], 2),
+    ("scheffe", 5000, ["check", "--n", "20", "--box", "0.9:0.1"], 2),
+    ("scheffe", 5000, ["check", "--n", "20", "--box", "0:2"], 2),
 ]
 
 

@@ -165,6 +165,14 @@ def test_config_rejections():
         parse_config(GAMMA_CFG.replace("method = scheffe", "method = sum_mc").replace("samples = 1000", "samples = 1"))
     with pytest.raises(ConfigError):
         parse_config(GAMMA_CFG.replace("seed = 7", "seed = -1"))
+    for line, bad in (
+        ("n = 200, 400", "n = 200.7, 400"),
+        ("seed = 7", "seed = 2.9"),
+        ("samples = 1000", "samples = 1000.5"),
+    ):
+        with pytest.raises(ConfigError):
+            parse_config(GAMMA_CFG.replace(line, bad))
+    assert parse_config(GAMMA_CFG.replace("samples = 1000", "samples = 1e6")).samples == 10**6
 
 
 def test_round_trip_gamma():

@@ -180,6 +180,20 @@ def test_monotone_residual_and_domain_safety():
     assert all(th < boundary - 1e-14 for th, _ in trace)
 
 
+def test_solver_accuracy_across_scales():
+    # the step rule is relative to |theta| and to the distance 1 - theta from
+    # the boundary, so it holds for targets from far below to far above the
+    # mean, and reports non-convergence once float cannot resolve 1 - theta
+    members = gamma_family([3.0] * 400, 1.0)
+    for a in (1e-6, 1e-4, 1e4, 1e6):
+        sol = solve_tilt(members, a)
+        star = tilt_oracle(members, a)
+        assert sol.converged
+        assert abs(sol.theta[0] - star[0]) <= 1e-12 * max(1.0, abs(star[0]))
+    for a in (1e12, 1e16):
+        assert not solve_tilt(members, a).converged
+
+
 def test_iterate_count_reported():
     members = gamma_family([3.0] * 8, 1.0)
     steps = []

@@ -9,11 +9,13 @@ from scipy.integrate import quad
 from scipy.special import ndtr
 
 from tiltedsums import (
+    QuadratureError,
     RatioContext,
     UnsupportedFamilyError,
     df_gamma_constant,
     gamma_family,
     normal_family,
+    tilt_oracle,
     tv_joint_mc,
     tv_scheffe,
     tv_sum_mc,
@@ -89,6 +91,32 @@ def test_scheffe_gamma_against_dense_trapezoid_oracle():
     assert est.value == pytest.approx(oracle, abs=1e-6)
     # frozen value from the trapezoid oracle
     assert est.value == pytest.approx(0.0523910730, abs=1e-7)
+
+
+def test_scheffe_high_precision_reference():
+    # Reference from 50-digit mpmath: block Gamma(370.5, u), rest
+    # Gamma(41229.5, u), u = 6 / 3.25; the two roots of log rho found by
+    # findroot, then |increment of betainc(370.5, 41229.5, t / (n a)) -
+    # increment of gammainc(370.5, t / u)| summed over [0, r1, r2, n a], plus
+    # the block mass above n a.
+    members = gamma_family([2.5, 4.0] * 6400, 1.0)
+    est = tv_scheffe(members, 114, 6.0, theta=tilt_oracle(members, 6.0))
+    assert abs(est.value - 0.004333978793969307) <= 1e-13
+
+
+def test_scheffe_gamma_tv_does_not_depend_on_a():
+    # T / (n a) has an a-free law under both measures
+    members = gamma_family([3.0] * 400, 1.0)
+    values = [tv_scheffe(members, 20, a).value for a in (1e-3, 6.0, 1e6)]
+    assert max(values) - min(values) <= 1e-10
+
+
+def test_scheffe_raises_without_sign_change(monkeypatch):
+    monkeypatch.setattr(
+        RatioContext, "log_ratio_exact", lambda self, t: np.full(np.asarray(t).reshape(-1, 1).shape[0], 0.5)
+    )
+    with pytest.raises(QuadratureError):
+        tv_scheffe(gamma_family([3.0] * 50, 1.0), 5, 6.0)
 
 
 def test_scheffe_requires_one_dimension():
@@ -221,3 +249,34 @@ def test_gamma_block_tail_mass_used_by_scheffe():
     # sf + cdf = 1
     for x in (1.0, 10.0, 60.0):
         assert float(ds.cdf(x) + ds.sf(x)) == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "members,k,a",
+    [
+        (gamma_family([2.5, 4.0] * 25, 1.5), 5, 6.0),
+        (
+            normal_family(np.linspace(-1.0, 1.0, 30).reshape(-1, 1), np.linspace(0.5, 2.0, 30).reshape(-1, 1, 1)),
+            4,
+            0.7,
+        ),
+    ],
+)
+def test_cdf_given_sum_against_trapezoid(members, k, a):
+    # independent route: integrate the conditional density rho * f_block
+    ctx = RatioContext(members, k, a)
+    tilted = members.tilt(ctx.theta)
+    block, rest = tilted[:k].convolve(), tilted[k:].convolve()
+    center = float(block.cgf_grad(0.0)[0])
+    sd = math.sqrt(block.cgf_hess(0.0)[0, 0])
+    grid = np.linspace(max(center - 12.0 * sd, block.support[0]), center + 12.0 * sd, 200_001)
+    dens = np.exp(ctx.log_ratio_exact(grid.reshape(-1, 1)) + block.log_density(grid))
+    cum = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(grid))])
+    na = float(ctx.na[0])
+    for q in (2000, 50_000, 100_000, 150_000, 198_000):
+        assert float(block.cdf_given_sum(rest, na, grid[q])) == pytest.approx(cum[q], abs=1e-9)
+
+
+def test_cdf_given_sum_gamma_needs_one_scale():
+    with pytest.raises(ValueError):
+        gamma_family([3.0], 1.0).cdf_given_sum(gamma_family([4.0], 2.0), 10.0, 5.0)
