@@ -16,7 +16,7 @@ import numpy as np
 
 from . import checks as checks_mod
 from .config import ConfigError, parse_config_file
-from .conditional import RatioContext, normalized_exact_density
+from .conditional import RatioContext, _solved_theta, normalized_exact_density
 from .edgeworth import build_model, edgeworth_density
 from .errors import TiltedSumsError
 from .sweep import emit_report, fit_scaling, run_sweep
@@ -167,7 +167,7 @@ def cmd_edgeworth(args):
     if args.theta is not None:
         theta = args.theta
     elif args.a is not None:
-        theta = solve_tilt(family, args.a).theta
+        theta = _solved_theta(family, args.a)
     else:
         theta = np.zeros(1)
     model1 = build_model(family, theta, order=1)
@@ -243,7 +243,7 @@ def cmd_check(args):
         for n in cfg.n_values:
             seq = cfg.family.build(n)
             for a in cfg.a_values:
-                thetas.append(solve_tilt(seq, np.array(a)).theta)
+                thetas.append(_solved_theta(seq, np.array(a)))
         box = checks_mod.theta_box_from_solutions(thetas, family)
     report = checks_mod.run_assumption_checks(family, box, beta=args.beta)
     sys.stdout.write(report.to_text() + "\n")

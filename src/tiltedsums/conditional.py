@@ -30,6 +30,7 @@ the size of rho - 1.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -164,8 +165,9 @@ class NormalizedCoords:
 
 class RatioContext:
     """Precomputed data for repeated ratio evaluations with fixed
-    (family, k, a): the solved tilt, exact sum densities, normalization
-    matrices, and the Edgeworth models of block complement and full sum."""
+    (family, k, a): the solved tilt, exact sum densities and normalization
+    matrices.  The Edgeworth models of block complement and full sum are
+    built on first use, so the exact ratio never pays for them."""
 
     def __init__(self, family, k, a, theta=None):
         self.n = _check_block(family, k)
@@ -182,20 +184,28 @@ class RatioContext:
         self.block_mean = self.k * block.cgf_grad(self.theta)
         self.block_B = sym_inv_sqrt(block.cgf_hess(self.theta))
 
-        self.comp_model = build_model(family[self.k :], self.theta, order=1)
-        self.full_model = build_model(family, self.theta, order=1)
-        # det(Cov S_full)^(1/2) / det(Cov S_comp)^(1/2), Cov = count * V
-        self.log_det_ratio = 0.5 * (
-            self.d * math.log(self.n / (self.n - self.k))
-            + sym_logdet(self.full_model.avg_cov)
-            - sym_logdet(self.comp_model.avg_cov)
-        )
-
         tilted = family.tilt(self.theta)
         self._comp_exact = tilted[self.k :].convolve()
         self._log_full_at_na = _scalar_log(tilted.convolve(), self.na)
         if not np.isfinite(self._log_full_at_na):
             raise UndefinedConditionalError(f"zero sum density at s={self.na}")
+
+    @cached_property
+    def comp_model(self):
+        return build_model(self.family[self.k :], self.theta, order=1)
+
+    @cached_property
+    def full_model(self):
+        return build_model(self.family, self.theta, order=1)
+
+    @cached_property
+    def log_det_ratio(self):
+        """log of det(Cov S_full)^(1/2) / det(Cov S_comp)^(1/2), Cov = count * V."""
+        return 0.5 * (
+            self.d * math.log(self.n / (self.n - self.k))
+            + sym_logdet(self.full_model.avg_cov)
+            - sym_logdet(self.comp_model.avg_cov)
+        )
 
     def coords(self, t):
         """(t_tilde, t_sharp) for an array of block-sum values, shape (N, d)."""

@@ -34,18 +34,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
-from .conditional import RatioContext
-from .errors import NonConvergenceError, QuadratureError, UnsupportedFamilyError
+from .conditional import RatioContext, _solved_theta
+from .errors import QuadratureError, UnsupportedFamilyError
 from .numerics import as_vector
-from .tilting import solve_tilt
 
 DEFAULT_SUM_SAMPLES = 10**6
 DEFAULT_JOINT_SAMPLES = 10**5
 
 _WINDOW_SDS = 40.0
+_RTOL = 4.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -78,7 +76,11 @@ def _zero_estimate(method, n, a, samples=0):
 
 def df_gamma_constant():
     """gamma_df = 0.5 E|1 - Z^2| for standard normal Z, by adaptive
-    quadrature split at the kinks z = +-1; equals 2 phi(1)."""
+    quadrature split at the kinks z = +-1; equals 2 phi(1).  This is the
+    independent reference for that closed form, and the only user of
+    scipy.integrate, which is imported here so that loading the package
+    does not pay for it."""
+    from scipy.integrate import quad
 
     def integrand(z):
         return 0.5 * abs(1.0 - z * z) * math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
@@ -113,7 +115,7 @@ def tv_scheffe(family, k, a, theta=None):
     hi = min(block.support[1], na - rest.support[0], center + _WINDOW_SDS * sd)
 
     roots = _sign_change_roots(ctx, lo, hi)
-    if not roots:
+    if roots.size == 0:
         raise QuadratureError(f"log rho has no sign change on [{lo:.6g}, {hi:.6g}]")
     edges = np.array([-math.inf, *roots, math.inf])
     given_sum = np.diff(block.cdf_given_sum(rest, na, edges))
@@ -122,23 +124,32 @@ def tv_scheffe(family, k, a, theta=None):
 
 
 def _sign_change_roots(ctx, lo, hi, scan_points=4097):
-    """Locate the kinks of |rho - 1|: the zeros of log rho on [lo, hi]."""
+    """Locate the kinks of |rho - 1|: the zeros of log rho on [lo, hi], sorted.
 
-    def log_rho(t):
-        return float(ctx.log_ratio_exact(np.array([[t]]))[0])
-
+    A scan grid point where log rho is exactly 0 is a root; every scan
+    interval whose finite ends differ in sign is a bracket.  All brackets are
+    bisected together, one log rho evaluation per step, until each is no
+    wider than xtol + 4 eps |left| with xtol = 1e-13 max(1, |hi|), the
+    stopping rule of brentq; the relative term ends the search once a
+    bracket spans a few ulps.  Each root is the midpoint of its last bracket.
+    """
     ts = np.linspace(lo, hi, scan_points)
     vals = ctx.log_ratio_exact(ts.reshape(-1, 1))
-    roots = []
-    for i in range(len(ts) - 1):
-        v0, v1 = vals[i], vals[i + 1]
-        if not (np.isfinite(v0) and np.isfinite(v1)):
-            continue
-        if v0 == 0.0:
-            roots.append(ts[i])
-        elif v0 * v1 < 0.0:
-            roots.append(brentq(log_rho, ts[i], ts[i + 1], xtol=1e-13 * max(1.0, abs(hi))))
-    return roots
+    v0, v1 = vals[:-1], vals[1:]
+    finite = np.isfinite(v0) & np.isfinite(v1)
+    on_grid = ts[:-1][finite & (v0 == 0.0)]
+    bracket = finite & (v0 * v1 < 0.0)
+    left, right, f_left = ts[:-1][bracket], ts[1:][bracket], v0[bracket]
+
+    xtol = 1e-13 * max(1.0, abs(hi))
+    while np.any(right - left > xtol + _RTOL * np.abs(left)):
+        mid = 0.5 * (left + right)
+        f_mid = ctx.log_ratio_exact(mid.reshape(-1, 1))
+        keep_left = np.sign(f_mid) != np.sign(f_left)
+        right = np.where(keep_left, mid, right)
+        left = np.where(keep_left, left, mid)
+        f_left = np.where(keep_left, f_left, f_mid)
+    return np.sort(np.concatenate([on_grid, 0.5 * (left + right)]))
 
 
 def tv_sum_mc(family, k, a, samples=DEFAULT_SUM_SAMPLES, rng=None, ratio_method="exact", theta=None):
@@ -180,14 +191,7 @@ def tv_joint_mc(family, k, a, samples=DEFAULT_JOINT_SAMPLES, rng=None, theta=Non
     a = as_vector(a, d)
     if k == 0:
         return _zero_estimate("joint_mc", n, a, samples)
-    if theta is None:
-        sol = solve_tilt(family, a)
-        if not sol.converged:
-            raise NonConvergenceError(
-                f"tilting equation did not converge (residual {sol.residual_norm:.3e})"
-            )
-        theta = sol.theta
-    theta = as_vector(theta, d)
+    theta = as_vector(_solved_theta(family, a) if theta is None else theta, d)
     gen = _as_rng(rng)
     na = n * a
 

@@ -1,7 +1,13 @@
 """Command-line interface: subcommand behaviour and exit codes."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import tiltedsums
 from tiltedsums.cli import main
 
 GAMMA_CFG = """
@@ -187,6 +193,7 @@ BAD_INPUTS = [
     ("scheffe", 5000, ["check", "--n", "20", "--box", "0.5"], 2),
     ("scheffe", 5000, ["check", "--n", "20", "--box", "0.9:0.1"], 2),
     ("scheffe", 5000, ["check", "--n", "20", "--box", "0:2"], 2),
+    ("scheffe", 5000, ["edgeworth", "--count", "64", "--a", "1e16", "--grid", "0:4:3"], 1),
 ]
 
 
@@ -206,3 +213,26 @@ def test_bad_inputs_exit_with_message(method, samples, argv, code, cfg_path, cap
     assert "Traceback" not in err
     logged = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
     assert "error:" in err or logged
+
+
+def test_check_unconverged_tilt_exits_1(cfg_path, capsys, caplog):
+    # the default theta box comes from the sweep's tilt solves, which fail here
+    path = cfg_path()
+    with open(path) as fh:
+        text = fh.read().replace("a = 6.0", "a = 1e16")
+    with open(path, "w") as fh:
+        fh.write(text)
+    assert main(["check", "--config", path, "--n", "20"]) == 1
+    assert "FAIL" not in capsys.readouterr().out
+    assert any("did not converge" in r.getMessage() for r in caplog.records if r.levelname == "ERROR")
+
+
+def test_cli_import_loads_neither_optimize_nor_integrate():
+    code = (
+        "import sys, tiltedsums.cli; "
+        "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules))"
+    )
+    src = str(Path(tiltedsums.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"

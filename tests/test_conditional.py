@@ -21,7 +21,9 @@ from tiltedsums import (
     solve_tilt,
     sum_density,
     tilting_invariance_check,
+    tv_scheffe,
 )
+from tiltedsums import conditional
 
 
 def iid_normals(n, mean=0.0, var=1.0):
@@ -172,6 +174,27 @@ def test_coords_linear_relation_heterogeneous():
             @ t_tilde[0]
         )
         assert t_sharp[0, 0] == pytest.approx(predicted[0], abs=1e-12)
+
+
+def test_edgeworth_models_built_only_on_first_use(monkeypatch):
+    calls = []
+    real_build = conditional.build_model
+
+    def counting_build(*args, **kwargs):
+        calls.append(args)
+        return real_build(*args, **kwargs)
+
+    monkeypatch.setattr(conditional, "build_model", counting_build)
+    tv_scheffe(gamma_family([2.5, 4.0] * 50, 1.0), 10, 6.0)
+    assert calls == []
+    ctx = RatioContext(gamma_family([2.5, 4.0] * 20, 1.0), 3, 5.5)
+    assert calls == []
+    values = ctx.edgeworth(np.array([[10.0], [16.5], [25.0]]))
+    assert len(calls) == 2
+    # values of the eager construction
+    np.testing.assert_allclose(values, [0.9716174055884229, 1.0405165191339747, 0.942314871190284], rtol=1e-14)
+    ctx.edgeworth(np.array([[12.0]]))
+    assert len(calls) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import brentq
 from scipy.special import ndtr
 
 from tiltedsums import (
@@ -20,6 +21,7 @@ from tiltedsums import (
     tv_scheffe,
     tv_sum_mc,
 )
+from tiltedsums.tv import _sign_change_roots
 
 
 def iid_normals(n, mean=0.0, var=1.0, dim=1):
@@ -117,6 +119,60 @@ def test_scheffe_raises_without_sign_change(monkeypatch):
     )
     with pytest.raises(QuadratureError):
         tv_scheffe(gamma_family([3.0] * 50, 1.0), 5, 6.0)
+
+
+def _scan_brentq_roots(ctx, lo, hi, scan_points=4097):
+    """Reference root finder: a scan loop with scalar brentq on each bracket."""
+
+    def log_rho(t):
+        return float(ctx.log_ratio_exact(np.array([[t]]))[0])
+
+    ts = np.linspace(lo, hi, scan_points)
+    vals = ctx.log_ratio_exact(ts.reshape(-1, 1))
+    roots = []
+    for i in range(len(ts) - 1):
+        v0, v1 = vals[i], vals[i + 1]
+        if not (np.isfinite(v0) and np.isfinite(v1)):
+            continue
+        if v0 == 0.0:
+            roots.append(ts[i])
+        elif v0 * v1 < 0.0:
+            roots.append(brentq(log_rho, ts[i], ts[i + 1], xtol=1e-13 * max(1.0, abs(hi))))
+    return np.array(roots)
+
+
+# (members, k, a, band): band is how finely log rho resolves its zeros.  At
+# n = 12800 log rho is a difference of terms near 4e5, rounded to 5.8e-11,
+# and its slope at the roots is about 3.5e-4, so each zero is a plateau some
+# 2e-7 wide; bisection and brentq both stop somewhere on it.
+@pytest.mark.parametrize(
+    "members,k,a,band",
+    [
+        (gamma_family([2.5, 4.0] * 6400, 1.0), 114, 6.0, 1e-6),
+        (gamma_family([3.0] * 50, 1.0), 5, 6.0, 0.0),
+        (iid_normals(100), 1, 0.5, 0.0),
+    ],
+)
+def test_sign_change_roots_match_brentq(members, k, a, band):
+    ctx = RatioContext(members, k, a)
+    tilted = members.tilt(ctx.theta)
+    block, rest = tilted[:k].convolve(), tilted[k:].convolve()
+    center = float(block.cgf_grad(0.0)[0])
+    sd = math.sqrt(block.cgf_hess(0.0)[0, 0])
+    lo = max(block.support[0], center - 40.0 * sd)
+    hi = min(block.support[1], float(ctx.na[0]) - rest.support[0], center + 40.0 * sd)
+    roots = _sign_change_roots(ctx, lo, hi)
+    reference = _scan_brentq_roots(ctx, lo, hi)
+    assert roots.size == reference.size == 2
+    assert np.all(np.diff(roots) > 0.0)
+    assert np.max(np.abs(roots - reference)) <= 1e-13 * max(1.0, abs(hi)) + band
+
+
+def test_scheffe_bisection_stops_below_float_spacing():
+    # window [-8e5, 0]: xtol = 1e-13 is below the float spacing (5.8e-11) at
+    # the roots near -4e5 +- 1e4, so only the relative term ends the search
+    est = tv_scheffe(normal_family([[0.0]] * 100, [[1e8]]), 1, -4e5)
+    assert est.value == pytest.approx(gaussian_variance_tv(1.0 - 1.0 / 100), abs=1e-12)
 
 
 def test_scheffe_requires_one_dimension():
