@@ -21,15 +21,10 @@ from .checks import (
     theta_box_from_solutions,
 )
 from .conditional import (
-    EdgeworthSumDensity,
-    NormalizedCoords,
     RatioContext,
     conditional_density,
-    density_ratio,
     gibbs_density,
-    normalized_coords,
     normalized_exact_density,
-    sum_density,
     tilting_invariance_check,
 )
 from .config import ExperimentConfig, FamilySpec, k_for, parse_config, parse_config_file, serialize_config
@@ -69,7 +64,6 @@ __all__ = [
     "ConfigError",
     "DegenerateCovarianceError",
     "EdgeworthModel",
-    "EdgeworthSumDensity",
     "ExperimentConfig",
     "Family",
     "FamilySpec",
@@ -77,7 +71,6 @@ __all__ = [
     "HalfLine",
     "NonConvergenceError",
     "NormalFamily",
-    "NormalizedCoords",
     "OutOfDomainError",
     "QuadratureError",
     "RatioContext",
@@ -97,7 +90,6 @@ __all__ = [
     "check_uf",
     "conditional_density",
     "default_grid",
-    "density_ratio",
     "df_gamma_constant",
     "edgeworth_density",
     "emit_report",
@@ -109,7 +101,6 @@ __all__ = [
     "mean_cgf",
     "multi_indices",
     "normal_family",
-    "normalized_coords",
     "normalized_exact_density",
     "parse_config",
     "parse_config_file",
@@ -117,7 +108,6 @@ __all__ = [
     "run_sweep",
     "serialize_config",
     "solve_tilt",
-    "sum_density",
     "theta_bounds_1d",
     "theta_box_from_solutions",
     "third_cumulant",

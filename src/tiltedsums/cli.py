@@ -8,6 +8,7 @@ error, such as non-convergence), 2 configuration or argument error.
 
 import argparse
 import logging
+import math
 import os
 import sys
 import time
@@ -52,7 +53,17 @@ def _box_arg(text):
 
 def _grid_arg(text):
     lo, hi, pts = text.split(":")
-    return float(lo), float(hi), int(pts)
+    lo, hi, pts = float(lo), float(hi), int(pts)
+    if not (math.isfinite(lo) and math.isfinite(hi) and pts >= 1):
+        raise argparse.ArgumentTypeError(f"need finite lo, hi and points >= 1, got {text!r}")
+    return lo, hi, pts
+
+
+def _beta_arg(text):
+    beta = float(text)
+    if not (math.isfinite(beta) and beta > 0.0):
+        raise argparse.ArgumentTypeError(f"beta must be finite and positive, got {text!r}")
+    return beta
 
 
 def _default_threads():
@@ -108,7 +119,7 @@ def build_parser():
     p = sub.add_parser("check", help="run the assumption battery and print the report")
     _add_common(p)
     p.add_argument("--n", type=int, default=None, help="number of members (default: largest sweep n)")
-    p.add_argument("--beta", type=float, default=0.5, help="cf separation threshold")
+    p.add_argument("--beta", type=_beta_arg, default=0.5, help="cf separation threshold")
     p.add_argument("--box", type=_box_arg, default=None,
                    help="theta box lo:hi (d = 1); default derives from the sweep")
 

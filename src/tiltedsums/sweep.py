@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonConvergenceError
-from .tilting import solve_tilt
+from .conditional import _solved_theta
 from .tv import tv_joint_mc, tv_scheffe, tv_sum_mc
 
 logger = logging.getLogger(__name__)
@@ -56,25 +55,23 @@ def run_row(config, index, n, k, a, timing=False):
     start = time.perf_counter()
     try:
         family = config.family.build(n)
-        sol = solve_tilt(family, np.array(a))
-        if not sol.converged:
-            raise NonConvergenceError(f"tilt solve did not converge (residual {sol.residual_norm:.3e})")
+        theta = _solved_theta(family, np.array(a))
         if config.method == "scheffe":
-            est = tv_scheffe(family, k, np.array(a), theta=sol.theta)
+            est = tv_scheffe(family, k, np.array(a), theta=theta)
         elif config.method == "sum_mc":
             est = tv_sum_mc(
                 family, k, np.array(a), samples=config.samples,
-                rng=_row_rng(config.seed, index), theta=sol.theta,
+                rng=_row_rng(config.seed, index), theta=theta,
             )
         else:
             est = tv_joint_mc(
                 family, k, np.array(a), samples=config.samples,
-                rng=_row_rng(config.seed, index), theta=sol.theta,
+                rng=_row_rng(config.seed, index), theta=theta,
             )
         elapsed = time.perf_counter() - start
         logger.info("row %d: n=%d k=%d tv=%.6g (%.2fs)", index, n, k, est.value, elapsed)
         return SweepRow(
-            index, n, k, tuple(a), tuple(float(v) for v in sol.theta), config.method,
+            index, n, k, tuple(a), tuple(float(v) for v in theta), config.method,
             est.value, est.std_error, elapsed if timing else 0.0,
         )
     except Exception as exc:

@@ -1,13 +1,16 @@
 """Total-variation distance between the conditional block law and the
 product of tilted members, three ways.
 
-Writing rho(t) = f_comp(n a - t)/f_full(n a) for the tilted sum densities,
+Writing rho(t) = f_rest(n a - t)/f_full(n a) for the tilted sum densities,
 the distance reduces (sufficiency of the block sum, then the density form
 of the L1 distance) to a single integral over the block-sum value:
 
     TV = integral |rho(t) - 1| f_block(t) dt,
 
-with f_block the tilted block-sum density.  Estimators:
+with f_block the tilted block-sum density.  The two sum-statistic
+estimators take f_block, f_rest and rho from one conditional.RatioContext
+(ctx.block, ctx.rest, ctx.log_ratio_exact) and tilt or convolve nothing
+themselves.  Estimators:
 
   * scheffe   - exact evaluation for d = 1 by Scheffe's identity: rho
                 f_block is the density of the block sum T given
@@ -103,9 +106,7 @@ def tv_scheffe(family, k, a, theta=None):
     if k == 0:
         return _zero_estimate("scheffe", n, a)
     ctx = RatioContext(family, k, a, theta=theta)
-    tilted = family.tilt(ctx.theta)
-    block = tilted[: ctx.k].convolve()
-    rest = tilted[ctx.k :].convolve()
+    block, rest = ctx.block, ctx.rest
 
     center = float(block.cgf_grad(0.0)[0])
     sd = math.sqrt(block.cgf_hess(0.0)[0, 0])
@@ -152,9 +153,9 @@ def _sign_change_roots(ctx, lo, hi, scan_points=4097):
     return np.sort(np.concatenate([on_grid, 0.5 * (left + right)]))
 
 
-def tv_sum_mc(family, k, a, samples=DEFAULT_SUM_SAMPLES, rng=None, ratio_method="exact", theta=None):
+def tv_sum_mc(family, k, a, samples=DEFAULT_SUM_SAMPLES, rng=None, theta=None):
     """Monte Carlo TV over the block-sum statistic: mean of |rho(T) - 1|
-    with T drawn from the tilted block-sum law."""
+    with T drawn from the tilted block-sum law ctx.block."""
     _check_samples(samples)
     n = len(family)
     a = as_vector(a, family.dim)
@@ -163,13 +164,7 @@ def tv_sum_mc(family, k, a, samples=DEFAULT_SUM_SAMPLES, rng=None, ratio_method=
     gen = _as_rng(rng)
     ctx = RatioContext(family, k, a, theta=theta)
 
-    total = family[: ctx.k].tilt(ctx.theta).convolve().sample(gen, samples)
-    if ratio_method == "exact":
-        vals = np.abs(np.expm1(ctx.log_ratio_exact(total)))
-    elif ratio_method == "edgeworth":
-        vals = np.abs(ctx.edgeworth(total) - 1.0)
-    else:
-        raise ValueError(f"unknown ratio method {ratio_method!r}")
+    vals = np.abs(np.expm1(ctx.log_ratio_exact(ctx.block.sample(gen, samples))))
     value = float(np.mean(vals))
     std_error = float(np.std(vals, ddof=1) / math.sqrt(samples))
     return TVEstimate(value, std_error, "sum_mc", n, ctx.k, tuple(a), samples)

@@ -194,6 +194,11 @@ BAD_INPUTS = [
     ("scheffe", 5000, ["check", "--n", "20", "--box", "0.9:0.1"], 2),
     ("scheffe", 5000, ["check", "--n", "20", "--box", "0:2"], 2),
     ("scheffe", 5000, ["edgeworth", "--count", "64", "--a", "1e16", "--grid", "0:4:3"], 1),
+    ("scheffe", 5000, ["edgeworth", "--grid=-6:6:-1"], 2),
+    ("scheffe", 5000, ["ratio", "--n", "50", "--k", "5", "--a", "6.0", "--t-grid=-3:3:-1"], 2),
+    ("scheffe", 5000, ["check", "--n", "20", "--beta", "0"], 2),
+    ("scheffe", 5000, ["check", "--n", "20", "--beta=-1"], 2),
+    ("scheffe", 5000, ["check", "--n", "20", "--beta", "nan"], 2),
 ]
 
 

@@ -9,17 +9,13 @@ from scipy.integrate import quad
 from scipy.stats import norm
 
 from tiltedsums import (
-    EdgeworthSumDensity,
     RatioContext,
     UndefinedConditionalError,
     conditional_density,
-    density_ratio,
     gamma_family,
     gibbs_density,
     normal_family,
-    normalized_coords,
     solve_tilt,
-    sum_density,
     tilting_invariance_check,
     tv_scheffe,
 )
@@ -28,6 +24,15 @@ from tiltedsums import conditional
 
 def iid_normals(n, mean=0.0, var=1.0):
     return normal_family([np.array([mean])] * n, [np.array([[var]])])
+
+
+def test_public_api_resolves():
+    import tiltedsums
+
+    assert [name for name in tiltedsums.__all__ if not hasattr(tiltedsums, name)] == []
+    # sum laws come from family.tilt(theta).convolve(), ratios and coordinates from RatioContext
+    removed = ("sum_density", "EdgeworthSumDensity", "density_ratio", "normalized_coords", "NormalizedCoords")
+    assert [name for name in removed if hasattr(tiltedsums, name) or name in tiltedsums.__all__] == []
 
 
 # ---------------------------------------------------------------------------
@@ -57,18 +62,6 @@ def test_normal_sum_density_matches_scipy():
     ref = multivariate_normal(mean=mean, cov=2.0 * np.eye(2))
     pts = np.array([[0.0, 0.0], [1.0, -1.0], [2.5, 0.5]])
     np.testing.assert_allclose(ds.density(pts), ref.pdf(pts), rtol=1e-12)
-
-
-def test_sum_density_kind_dispatch():
-    members = gamma_family([3.0] * 64, 1.0)
-    exact = sum_density(members, 0.2, kind="exact")
-    edge = sum_density(members, 0.2, kind="edgeworth")
-    assert isinstance(edge, EdgeworthSumDensity)
-    mean, sd = float(exact.cgf_grad(0.0)[0]), math.sqrt(exact.cgf_hess(0.0)[0, 0])
-    xs = np.linspace(mean - 2 * sd, mean + 2 * sd, 9)
-    np.testing.assert_allclose(edge.density(xs), exact.density(xs), rtol=0.02)
-    with pytest.raises(ValueError):
-        sum_density(members, kind="histogram")
 
 
 # ---------------------------------------------------------------------------
@@ -142,14 +135,14 @@ def test_tilting_invariance_normal():
 def test_coords_vanish_at_block_mean():
     members = gamma_family([3.0] * 50, 1.0)
     ctx = RatioContext(members, 5, 6.0)
-    nc = normalized_coords(members, 5, 6.0, float(ctx.block_mean[0]))
-    assert abs(nc.t_tilde[0]) < 1e-12 and abs(nc.t_sharp[0]) < 1e-12
+    t_tilde, t_sharp = ctx.coords(ctx.block_mean)
+    assert abs(t_tilde[0, 0]) < 1e-12 and abs(t_sharp[0, 0]) < 1e-12
 
 
 def test_coords_iid_ratio():
     members = gamma_family([3.0] * 100, 1.0)
-    nc = normalized_coords(members, 4, 6.0, 30.0)
-    assert abs(nc.t_sharp[0] / nc.t_tilde[0]) == pytest.approx(math.sqrt(4.0 / 96.0), rel=1e-12)
+    t_tilde, t_sharp = RatioContext(members, 4, 6.0).coords(np.array([[30.0]]))
+    assert abs(t_sharp[0, 0] / t_tilde[0, 0]) == pytest.approx(math.sqrt(4.0 / 96.0), rel=1e-12)
 
 
 def test_coords_linear_relation_example():
@@ -157,9 +150,9 @@ def test_coords_linear_relation_example():
     ctx = RatioContext(members, 4, 6.0)
     sd = 1.0 / float(ctx.block_B[0, 0])
     t = float(ctx.block_mean[0]) + math.sqrt(4.0) * sd * 1.0  # t_tilde = 1
-    nc = normalized_coords(members, 4, 6.0, t)
-    assert nc.t_tilde[0] == pytest.approx(1.0, rel=1e-12)
-    assert nc.t_sharp[0] == pytest.approx(-math.sqrt(4.0 / 96.0), rel=1e-12)
+    t_tilde, t_sharp = ctx.coords(np.array([[t]]))
+    assert t_tilde[0, 0] == pytest.approx(1.0, rel=1e-12)
+    assert t_sharp[0, 0] == pytest.approx(-math.sqrt(4.0 / 96.0), rel=1e-12)
 
 
 def test_coords_linear_relation_heterogeneous():
@@ -207,9 +200,8 @@ def test_ratio_near_one_at_block_mean():
         (iid_normals(200), 0.5),
     ]:
         ctx = RatioContext(members, 4, a)
-        t = float(ctx.block_mean[0])
-        for method in ("exact", "edgeworth"):
-            val = density_ratio(members, 4, a, t, method=method)
+        for ratio in (ctx.exact, ctx.edgeworth):
+            val = float(ratio(ctx.block_mean)[0])
             assert abs(val - 1.0) <= 2.0 * 4.0 / 200.0
 
 
@@ -219,20 +211,20 @@ def test_ratio_exact_vs_edgeworth_gamma():
     sd = 1.0 / float(ctx.block_B[0, 0])
     for tt in np.linspace(-2.0, 2.0, 21):
         t = float(ctx.block_mean[0]) + math.sqrt(2.0) * sd * tt
-        exact = density_ratio(members, 2, 6.0, t, method="exact", theta=ctx.theta)
-        edge = density_ratio(members, 2, 6.0, t, method="edgeworth", theta=ctx.theta)
+        exact = float(ctx.exact(np.array([[t]]))[0])
+        edge = float(ctx.edgeworth(np.array([[t]]))[0])
         assert abs(exact - edge) <= 0.01
 
 
 def test_ratio_gaussian_closed_form():
     n, k, a = 100, 1, 0.5
-    members = iid_normals(n)
-    val = density_ratio(members, k, a, a)
+    ctx = RatioContext(iid_normals(n), k, a)
+    val = float(ctx.exact(np.array([[a]]))[0])
     # complement sum is N((n-1)a, n-1), full sum N(na, n)
     expected = math.sqrt(n / (n - 1)) * math.exp(-(a - a) ** 2 / (2 * (n - 1)))
     assert val == pytest.approx(expected, rel=1e-12)
     t = 1.7
-    val = density_ratio(members, k, a, t)
+    val = float(ctx.exact(np.array([[t]]))[0])
     expected = math.sqrt(n / (n - 1)) * math.exp(-((a - t) ** 2) / (2 * (n - 1)))
     assert val == pytest.approx(expected, rel=1e-12)
 
@@ -255,17 +247,15 @@ def test_ratio_bounded_tsharp_regime_constant_stable():
     assert 0.5 <= ratio <= 2.0
 
 
-def test_ratio_rejects_bad_blocks_and_methods():
+def test_ratio_rejects_bad_blocks():
     members = gamma_family([3.0] * 10, 1.0)
     with pytest.raises(ValueError):
-        density_ratio(members, 10, 6.0, 30.0)  # empty complement
-    with pytest.raises(ValueError):
-        density_ratio(members, 2, 6.0, 12.0, method="mystery")
+        RatioContext(members, 10, 6.0)  # empty complement
 
 
 def test_ratio_allows_one_member_complement():
     members = gamma_family([3.0] * 10, 1.0)
-    val = density_ratio(members, 9, 6.0, 54.0)
+    val = float(RatioContext(members, 9, 6.0).exact(np.array([[54.0]]))[0])
     assert math.isfinite(val) and val > 0.0
 
 

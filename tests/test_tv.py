@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import quad, trapezoid
 from scipy.optimize import brentq
 from scipy.special import ndtr
 
@@ -89,7 +89,7 @@ def test_scheffe_gamma_against_dense_trapezoid_oracle():
     block = members[:5].tilt(ctx.theta).convolve()
     grid = np.linspace(1e-9, 300.0, 100_001)
     vals = np.abs(np.expm1(ctx.log_ratio_exact(grid.reshape(-1, 1)))) * np.exp(block.log_density(grid))
-    oracle = float(np.trapezoid(vals, grid)) + float(block.sf(300.0))
+    oracle = float(trapezoid(vals, grid)) + float(block.sf(300.0))
     assert est.value == pytest.approx(oracle, abs=1e-6)
     # frozen value from the trapezoid oracle
     assert est.value == pytest.approx(0.0523910730, abs=1e-7)
@@ -223,16 +223,9 @@ def test_sum_mc_normal_2d_against_quadrature_oracle():
     xx, yy = np.meshgrid(grid, grid, indexing="ij")
     rsq = xx * xx + yy * yy
     diff = np.abs(np.exp(-rsq / (2.0 * c)) / c - np.exp(-rsq / 2.0)) / (2.0 * math.pi)
-    tensor = float(np.trapezoid(np.trapezoid(diff, grid, axis=1), grid))
+    tensor = float(trapezoid(trapezoid(diff, grid, axis=1), grid))
     assert tensor == pytest.approx(oracle, abs=1e-6)
     assert abs(mc.value - oracle) <= 3.0 * mc.std_error
-
-
-def test_sum_mc_edgeworth_ratio_close_to_exact():
-    members = gamma_family([3.0] * 100, 1.0)
-    exact = tv_sum_mc(members, 3, 6.0, samples=50_000, rng=7)
-    edge = tv_sum_mc(members, 3, 6.0, samples=50_000, rng=7, ratio_method="edgeworth")
-    assert edge.value == pytest.approx(exact.value, rel=0.05)
 
 
 def test_sum_mc_requires_explicit_rng():
