@@ -4,7 +4,7 @@
 For i.i.d. standard normals conditioned through their sum with k = 1, the
 block TV equals the L1 distance between N(a, 1 - 1/n) and N(a, 1), whose
 leading coefficient is gamma_df = E|1 - Z^2| / 2 = 2 phi(1).  The table
-shows the quadrature TV, TV * n, and the relative gap to the constant.
+shows the exact (Scheffe) TV, TV * n, and the relative gap to the constant.
 """
 
 import argparse

@@ -141,6 +141,16 @@ def _family_for(cfg, n):
     return cfg.family.build(count)
 
 
+def _check_vectors(args, family, *names):
+    """Reject a vector option whose length is not the member dimension."""
+    for name in names:
+        v = getattr(args, name)
+        if v is not None and len(v) != family.dim:
+            raise ConfigError(
+                f"--{name} has {len(v)} components, the members are {family.dim}-dimensional"
+            )
+
+
 def _check_args(parser, args):
     """Reject argument combinations the estimators cannot take (exit code 2)."""
     if args.command in ("tv", "ratio"):
@@ -160,6 +170,7 @@ def _emit(text, out_path):
 def cmd_tilt(args):
     cfg = _load(args)
     family = _family_for(cfg, args.n)
+    _check_vectors(args, family, "a")
     a = args.a if args.a is not None else np.array(cfg.a_values[0])
     sol = solve_tilt(family, a)
     theta = ";".join(f"{v:.17g}" for v in sol.theta)
@@ -175,6 +186,7 @@ def cmd_edgeworth(args):
     family = _family_for(cfg, args.count)
     if family.dim != 1:
         raise ConfigError("the edgeworth subcommand handles one-dimensional members")
+    _check_vectors(args, family, "a", "theta")
     if args.theta is not None:
         theta = args.theta
     elif args.a is not None:
@@ -201,6 +213,7 @@ def cmd_ratio(args):
     family = cfg.family.build(args.n)
     if family.dim != 1:
         raise ConfigError("the ratio subcommand handles one-dimensional members")
+    _check_vectors(args, family, "a")
     ctx = RatioContext(family, args.k, args.a)
     lo, hi, pts = args.t_grid
     t_tilde_targets = np.linspace(lo, hi, pts)
@@ -219,6 +232,7 @@ def cmd_ratio(args):
 def cmd_tv(args):
     cfg = _load(args)
     family = cfg.family.build(args.n)
+    _check_vectors(args, family, "a")
     a = args.a
     samples = args.samples if args.samples is not None else cfg.samples
     if args.method != "scheffe" and samples < 2:

@@ -41,7 +41,7 @@ import numpy as np
 from scipy.special import betainc, gammainc, gammaincc, gammaln, ndtr
 
 from .errors import OutOfDomainError
-from .numerics import LOG_2PI, as_vector, check_symmetric, sym_inv, sym_logdet, sym_sqrt
+from .numerics import LOG_2PI, as_vector, check_symmetric, sym_inv, sym_inv_sqrt, sym_logdet, sym_sqrt
 
 
 # ---------------------------------------------------------------------------
@@ -336,15 +336,25 @@ class NormalFamily(Family):
         return sym_inv(self.covs)
 
     @cached_property
+    def _inv_sqrt(self):
+        return sym_inv_sqrt(self.covs)
+
+    @cached_property
     def _logdet(self):
         return sym_logdet(self.covs)
 
     # -- single law (or one point per member for log_density) ---------------
 
     def log_density(self, x):
+        # The quadratic form is the squared norm of the whitened residual,
+        # formed as (d, N) rows so that every pass runs along the points.
         pts, single = self._points(x)
-        diff = pts - self.means
-        quad = np.einsum("...i,...ij,...j->...", diff, self._inv, diff)
+        diff = (pts - self.means).T
+        if self.covs.shape[0] == 1:
+            white = self._inv_sqrt[0] @ diff
+        else:
+            white = np.einsum("nij,jn->in", self._inv_sqrt, diff)
+        quad = np.einsum("in,in->n", white, white)
         out = -0.5 * (self.dim * LOG_2PI + self._logdet + quad)
         return float(out[0]) if single else out
 
@@ -361,10 +371,11 @@ class NormalFamily(Family):
         return ndtr((self.means[0, 0] - np.asarray(x, dtype=float)) / self._sd())
 
     def sample(self, rng, count):
-        """i.i.d. draws, shape (count, d)."""
+        """i.i.d. draws, shape (count, d), as a column-major view so that
+        later per-coordinate work runs along the draws."""
         self._single("sample")
         z = rng.standard_normal((count, self.dim))
-        return self.means[0] + z @ sym_sqrt(self.covs[0])
+        return (sym_sqrt(self.covs[0]) @ z.T + self.means[0][:, None]).T
 
     def cdf_given_sum(self, rest, s, x):
         """P(X <= x | X + Y = s) for one-dimensional X = self, Y = rest:

@@ -199,6 +199,11 @@ BAD_INPUTS = [
     ("scheffe", 5000, ["check", "--n", "20", "--beta", "0"], 2),
     ("scheffe", 5000, ["check", "--n", "20", "--beta=-1"], 2),
     ("scheffe", 5000, ["check", "--n", "20", "--beta", "nan"], 2),
+    ("scheffe", 5000, ["tilt", "--a", "6;7"], 2),
+    ("scheffe", 5000, ["tv", "--n", "50", "--k", "5", "--a", "6;7"], 2),
+    ("scheffe", 5000, ["ratio", "--n", "50", "--k", "5", "--a", "6;7"], 2),
+    ("scheffe", 5000, ["edgeworth", "--a", "6;7"], 2),
+    ("scheffe", 5000, ["edgeworth", "--theta", "0.1;0.2"], 2),
 ]
 
 

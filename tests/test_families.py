@@ -9,12 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.stats import multivariate_normal
 
 from tiltedsums import (
+    DegenerateCovarianceError,
     OutOfDomainError,
     gamma_family,
     normal_family,
 )
+from tiltedsums.numerics import sym_sqrt
 
 
 def gamma_member(shape, scale):
@@ -212,6 +215,47 @@ def test_log_density_one_point_per_member():
     expected = [gammas[j].log_density(xs[j]) for j in range(3)]
     np.testing.assert_allclose(gammas.log_density(xs), expected, rtol=1e-14)
     assert expected[2] == -math.inf
+
+
+def _spd_stack(rng, count, dim):
+    a = rng.normal(size=(count, dim, dim))
+    return a @ np.swapaxes(a, 1, 2) + 0.5 * np.eye(dim)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("shared", [True, False])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_normal_log_density_against_scipy(dim, shared, order):
+    rng = np.random.default_rng(10 * dim + shared)
+    means = rng.normal(size=(4, dim))
+    covs = _spd_stack(rng, 1 if shared else 4, dim)
+    family = normal_family(means, covs)
+    # one point per member
+    pts = np.asarray(means + rng.normal(size=(4, dim)), order=order)
+    expected = [multivariate_normal(means[j], covs[0 if shared else j]).logpdf(pts[j]) for j in range(4)]
+    np.testing.assert_allclose(family.log_density(pts), expected, rtol=1e-13, atol=1e-13)
+    # many points against one law
+    many = np.asarray(means[2] + 3.0 * rng.normal(size=(200, dim)), order=order)
+    law = multivariate_normal(means[2], covs[0 if shared else 2])
+    np.testing.assert_allclose(family[2].log_density(many), law.logpdf(many), rtol=1e-13, atol=1e-13)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_normal_sample_is_affine_map_of_standard_draws(dim):
+    rng = np.random.default_rng(dim)
+    mean, cov = rng.normal(size=dim), _spd_stack(rng, 1, dim)[0]
+    draws = normal_member(mean, cov).sample(np.random.default_rng(5), 1000)
+    z = np.random.default_rng(5).standard_normal((1000, dim))
+    np.testing.assert_allclose(draws, mean + z @ sym_sqrt(cov), rtol=0.0, atol=1e-14)
+
+
+def test_near_singular_covariance_raises_from_log_density():
+    # positive definite, so it can be built and inspected, but too ill
+    # conditioned to whiten
+    member = normal_member(np.zeros(2), np.diag([1.0, 1e-14]))
+    assert member.cgf_hess(np.zeros(2))[1, 1] == 1e-14
+    with pytest.raises(DegenerateCovarianceError):
+        member.log_density(np.ones((3, 2)))
 
 
 # ---------------------------------------------------------------------------

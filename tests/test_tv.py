@@ -21,7 +21,7 @@ from tiltedsums import (
     tv_scheffe,
     tv_sum_mc,
 )
-from tiltedsums.tv import _sign_change_roots
+from tiltedsums.tv import SUM_MC_CHUNK, _sign_change_roots
 
 
 def iid_normals(n, mean=0.0, var=1.0, dim=1):
@@ -226,6 +226,28 @@ def test_sum_mc_normal_2d_against_quadrature_oracle():
     tensor = float(trapezoid(trapezoid(diff, grid, axis=1), grid))
     assert tensor == pytest.approx(oracle, abs=1e-6)
     assert abs(mc.value - oracle) <= 3.0 * mc.std_error
+
+
+@pytest.mark.parametrize(
+    "samples", [2, SUM_MC_CHUNK - 1, SUM_MC_CHUNK, SUM_MC_CHUNK + 1, 3 * SUM_MC_CHUNK + 7]
+)
+@pytest.mark.parametrize("kind", ["gamma", "normal"])
+def test_sum_mc_chunks_continue_one_stream(kind, samples):
+    # chunked evaluation must reproduce one draw of every sample in one call
+    if kind == "gamma":
+        members, k, a = gamma_family([2.5, 4.0] * 50, 1.0), 10, 6.0
+    else:
+        members = normal_family([[0.0, 0.0], [0.5, 0.5]] * 50, [[1.0, 0.2], [0.2, 2.0]])
+        k, a = 10, [0.6, 0.6]
+    est = tv_sum_mc(members, k, a, samples=samples, rng=17)
+    ctx = RatioContext(members, k, a)
+    draws = ctx.block.sample(np.random.default_rng(17), samples)
+    vals = np.abs(np.expm1(ctx.log_ratio_exact(draws)))
+    value, std_error = np.mean(vals), np.std(vals, ddof=1) / math.sqrt(samples)
+    if kind == "gamma":
+        assert (est.value, est.std_error) == (value, std_error)
+    else:
+        np.testing.assert_allclose([est.value, est.std_error], [value, std_error], rtol=1e-13, atol=0.0)
 
 
 def test_sum_mc_requires_explicit_rng():
