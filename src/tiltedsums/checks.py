@@ -29,6 +29,7 @@ import numpy as np
 
 from .errors import UnsupportedFamilyError
 from .families import GammaFamily, HalfLine
+from .numerics import tensor_grid
 
 
 @dataclass(frozen=True)
@@ -53,9 +54,7 @@ class ThetaBox:
         return len(self.lo)
 
     def grid(self, points_per_axis=33):
-        axes = [np.linspace(l, h, points_per_axis) for l, h in zip(self.lo, self.hi)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
+        return tensor_grid(self.lo, self.hi, points_per_axis)
 
     @property
     def center(self):

@@ -240,10 +240,9 @@ def cmd_tv(args):
     start = time.perf_counter()
     if args.method == "scheffe":
         est = tv_scheffe(family, args.k, a)
-    elif args.method == "sum_mc":
-        est = tv_sum_mc(family, args.k, a, samples=samples, rng=cfg.seed)
     else:
-        est = tv_joint_mc(family, args.k, a, samples=samples, rng=cfg.seed)
+        mc = tv_sum_mc if args.method == "sum_mc" else tv_joint_mc
+        est = mc(family, args.k, a, samples=samples, rng=cfg.seed)
     seconds = time.perf_counter() - start
     a_txt = ";".join(f"{v:.17g}" for v in np.atleast_1d(a))
     lines = [
@@ -287,10 +286,9 @@ def cmd_sweep(args):
         fit = fit_scaling(rows)
     except ValueError as exc:
         logger.warning("no scaling fit: %s", exc)
-    results_path, scaling_path = emit_report(rows, fit, cfg.out)
-    sys.stdout.write(f"wrote {results_path}\n")
-    if scaling_path:
-        sys.stdout.write(f"wrote {scaling_path}\n")
+    for path in emit_report(rows, fit, cfg.out):
+        if path:
+            sys.stdout.write(f"wrote {path}\n")
     if fit is not None:
         sys.stdout.write(
             f"scaling exponent={fit.exponent:.4f} log_constant={fit.log_constant:.4f} "

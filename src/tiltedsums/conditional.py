@@ -45,10 +45,11 @@ from .tilting import solve_tilt
 # ---------------------------------------------------------------------------
 
 def _check_block(family, k):
+    """The block size as an int; ValueError unless k is an integer in [1, n)."""
     n = len(family)
-    if not (1 <= k < n):
-        raise ValueError(f"block size k={k} must satisfy 1 <= k < n={n}")
-    return n
+    if not (1 <= k < n) or k != int(k):
+        raise ValueError(f"block size k={k} must be an integer with 1 <= k < n={n}")
+    return int(k)
 
 
 def _scalar_log(density, point):
@@ -70,8 +71,7 @@ def conditional_density(family, k, x_block, s):
     Raises UndefinedConditionalError when s carries zero density under the
     full sum.
     """
-    k = int(k)
-    _check_block(family, k)
+    k = _check_block(family, k)
     d = family.dim
     s = as_vector(s, d)
     x = np.asarray(x_block, dtype=float).reshape(k, d)
@@ -101,8 +101,8 @@ class RatioContext:
     never pays for them."""
 
     def __init__(self, family, k, a, theta=None):
-        self.n = _check_block(family, k)
-        self.k = int(k)
+        self.n = len(family)
+        self.k = _check_block(family, k)
         self.d = family.dim
         self.a = as_vector(a, self.d)
         self.na = self.n * self.a

@@ -22,12 +22,13 @@ nu to chi_nu stores raw averaged cumulants, with the nu! divisor applied at
 evaluation time.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import LOG_2PI, as_vector, sym_inv_sqrt
+from .numerics import LOG_2PI, as_vector, sym_inv_sqrt, tensor_grid
 
 _HERMITE = (
     lambda u: np.ones_like(u),
@@ -39,12 +40,7 @@ _HERMITE = (
 
 def multi_indices(dim, weight=3):
     """All multi-indices of the given total weight, lexicographically ascending."""
-    if dim == 1:
-        return [(weight,)]
-    out = []
-    for head in range(weight + 1):
-        out.extend((head,) + tail for tail in multi_indices(dim - 1, weight - head))
-    return sorted(out)
+    return [nu for nu in itertools.product(range(weight + 1), repeat=dim) if sum(nu) == weight]
 
 
 def hermite3(nu, x):
@@ -147,10 +143,8 @@ def weighted_sup_error(model, exact_density, grid):
 def default_grid(dim, lo=-6.0, hi=6.0, points_per_axis=241, rng=None, mc_points=100_000):
     """Evaluation grid for sup errors: a tensor grid for dim <= 2, Gaussian
     Monte Carlo points beyond that."""
-    from .numerics import tensor_grid
-
     if dim <= 2:
-        return tensor_grid(lo, hi, points_per_axis, dim)
+        return tensor_grid([lo] * dim, [hi] * dim, points_per_axis)
     if rng is None:
         rng = np.random.default_rng(0)
     return rng.standard_normal((mc_points, dim))

@@ -78,8 +78,9 @@ def sym_logdet(mat):
     return np.sum(np.log(w), axis=-1)
 
 
-def tensor_grid(lo, hi, points_per_axis, dim):
-    """Uniform tensor-product grid over a box, returned as an (N, dim) array."""
-    axes = [np.linspace(lo, hi, points_per_axis) for _ in range(dim)]
+def tensor_grid(lo, hi, points_per_axis):
+    """Uniform tensor-product grid over the box with corners lo and hi (one
+    entry per axis), returned as an (N, dim) array."""
+    axes = [np.linspace(l, h, points_per_axis) for l, h in zip(lo, hi)]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=-1)

@@ -10,6 +10,8 @@ timing=True to record them in the rows instead (which voids byte
 reproducibility).
 """
 
+import csv
+import io
 import logging
 import math
 import os
@@ -58,16 +60,10 @@ def run_row(config, index, n, k, a, timing=False):
         theta = _solved_theta(family, np.array(a))
         if config.method == "scheffe":
             est = tv_scheffe(family, k, np.array(a), theta=theta)
-        elif config.method == "sum_mc":
-            est = tv_sum_mc(
-                family, k, np.array(a), samples=config.samples,
-                rng=_row_rng(config.seed, index), theta=theta,
-            )
         else:
-            est = tv_joint_mc(
-                family, k, np.array(a), samples=config.samples,
-                rng=_row_rng(config.seed, index), theta=theta,
-            )
+            mc = tv_sum_mc if config.method == "sum_mc" else tv_joint_mc
+            rng = _row_rng(config.seed, index)
+            est = mc(family, k, np.array(a), samples=config.samples, rng=rng, theta=theta)
         elapsed = time.perf_counter() - start
         logger.info("row %d: n=%d k=%d tv=%.6g (%.2fs)", index, n, k, est.value, elapsed)
         return SweepRow(
@@ -154,19 +150,34 @@ def render_scaling(fit):
     return "\n".join(lines) + "\n"
 
 
+def render_failures(rows):
+    """failures.csv text (index,n,k,a,error) for the failed rows, or None
+    when every row succeeded."""
+    failed = [(r.index, r.n, r.k, _vec(r.a), r.error) for r in rows if r.error is not None]
+    if not failed:
+        return None
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([("index", "n", "k", "a", "error"), *failed])
+    return buf.getvalue()
+
+
 def emit_report(rows, fit, out_dir):
-    """Write results.csv (and scaling.csv when a fit is given); the content
+    """Write results.csv, scaling.csv when a fit is given and failures.csv
+    when a row failed, removing a failures.csv of an earlier run when none
+    did; returns the three paths, None for a file not written.  The content
     is rendered fully before any file is opened, so a failed write never
     leaves a partial file behind."""
-    results_text = render_results(rows)
-    scaling_text = render_scaling(fit) if fit is not None else None
+    texts = {
+        "results.csv": render_results(rows),
+        "scaling.csv": render_scaling(fit) if fit is not None else None,
+        "failures.csv": render_failures(rows),
+    }
     os.makedirs(out_dir, exist_ok=True)
-    results_path = os.path.join(out_dir, "results.csv")
-    with open(results_path, "w", encoding="utf-8") as fh:
-        fh.write(results_text)
-    scaling_path = None
-    if scaling_text is not None:
-        scaling_path = os.path.join(out_dir, "scaling.csv")
-        with open(scaling_path, "w", encoding="utf-8") as fh:
-            fh.write(scaling_text)
-    return results_path, scaling_path
+    paths = {name: os.path.join(out_dir, name) for name in texts}
+    for name, text in texts.items():
+        if text is not None:
+            with open(paths[name], "w", encoding="utf-8") as fh:
+                fh.write(text)
+    if texts["failures.csv"] is None and os.path.exists(paths["failures.csv"]):
+        os.remove(paths["failures.csv"])
+    return tuple(paths[name] if text is not None else None for name, text in texts.items())

@@ -28,7 +28,9 @@ themselves.  Estimators:
                 E_{x ~ tilted product} |q_cond(x)/p_tilted(x) - 1|, an
                 independent route that must agree with the sum-statistic
                 estimators because the block sum is sufficient; it draws
-                and evaluates the members one by one.
+                the tilted members one by one, and as their densities cancel
+                pointwise in q/p it evaluates one untilted sum-density ratio
+                and Gibbs factor per sample.
 
 All three report the plain L1 integral (twice the sup-over-sets distance);
 in the k = o(n) regimes exercised here its value is far below 1.  For
@@ -41,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conditional import RatioContext, _solved_theta
+from .conditional import RatioContext, _check_block, _scalar_log, _solved_theta
 from .errors import QuadratureError, UnsupportedFamilyError
 from .numerics import as_vector
 
@@ -179,42 +181,37 @@ def tv_sum_mc(family, k, a, samples=DEFAULT_SUM_SAMPLES, rng=None, theta=None):
 
 
 def tv_joint_mc(family, k, a, samples=DEFAULT_JOINT_SAMPLES, rng=None, theta=None):
-    """Monte Carlo TV in the joint block space.
-
-    Draws x ~ product of tilted members and averages |q(x)/p(x) - 1| where q
-    is the conditional density of the block given {S_1n = n a} (built from
-    untilted member densities) and p the tilted product density.  By
-    sufficiency of the block sum this equals the sum-statistic TV; the
-    members are drawn and evaluated one by one so that this route shares no
-    block-sum shortcut with the other estimators.
-    """
+    """Monte Carlo TV in the joint block space: draws x ~ product of tilted
+    members, one member at a time, and averages |q(x)/p(x) - 1| with q the
+    conditional density of the block given {S_1n = n a} and p the tilted
+    product density.  The member densities cancel pointwise in q/p, so only
+    the block sum of each draw is kept (_joint_log_ratio).  By sufficiency
+    this equals the sum-statistic TV; no tilted sum law is shared."""
     _check_samples(samples)
     n = len(family)
     d = family.dim
     a = as_vector(a, d)
     if k == 0:
         return _zero_estimate("joint_mc", n, a, samples)
+    k = _check_block(family, k)
     theta = as_vector(_solved_theta(family, a) if theta is None else theta, d)
     gen = _as_rng(rng)
-    na = n * a
-
-    log_full_na = float(family.convolve().log_density(na.reshape(1, d))[0])
-    comp0 = family[k:].convolve()
 
     tilted = family[:k].tilt(theta)
     total = np.zeros((samples, d))
-    log_q = np.zeros(samples)
-    log_p = np.zeros(samples)
     for j in range(k):
-        member = family[j]
-        draws = tilted[j].sample(gen, samples)
-        total += draws
-        base_log = member.log_density(draws)
-        log_q += base_log
-        log_p += base_log + draws @ theta - member.cgf(theta)
-    log_q += comp0.log_density(na - total) - log_full_na
-
-    vals = np.abs(np.expm1(log_q - log_p))
+        total += tilted[j].sample(gen, samples)
+    vals = np.abs(np.expm1(_joint_log_ratio(family, k, n * a, theta, total)))
     value = float(np.mean(vals))
     std_error = float(np.std(vals, ddof=1) / math.sqrt(samples))
     return TVEstimate(value, std_error, "joint_mc", n, k, tuple(a), samples)
+
+
+def _joint_log_ratio(family, k, na, theta, total):
+    """log q(x)/p(x) at block points x with sums T = total, shape (N, d):
+
+        log f0_rest(n a - T) - log f0_full(n a) - <theta, T> + sum_{j<=k} kappa_j(theta),
+
+    untilted sum densities and the Gibbs factor; prod_j p_j(x_j) cancels."""
+    log_rest = family[k:].convolve().log_density(na - total)
+    return log_rest - _scalar_log(family.convolve(), na) - total @ theta + k * family[:k].cgf(theta)

@@ -143,6 +143,31 @@ def test_row_failure_exit_code(tmp_path):
     assert results == "n,k,a,theta,method,tv,std_error,seconds\n"
 
 
+def test_failed_rows_written_to_failures_csv(tmp_path, capsys):
+    # a = 1e16 is a valid target whose tilt solve does not converge; the good
+    # rows' results.csv is byte-identical to a sweep without that target
+    cfg = Path(__file__).resolve().parents[1] / "scripts" / "configs" / "gamma_iid_sweep.cfg"
+    both, good = tmp_path / "both.cfg", tmp_path / "good.cfg"
+    both.write_text(cfg.read_text().replace("a = 6.0", "a = 6.0, 1e16"))
+    good.write_text(cfg.read_text())
+    assert main(["sweep", "--config", str(both), "--out", str(tmp_path / "both")]) == 1
+    assert f"wrote {tmp_path / 'both' / 'failures.csv'}" in capsys.readouterr().out
+    assert main(["sweep", "--config", str(good), "--out", str(tmp_path / "good")]) == 0
+    assert "failures.csv" not in capsys.readouterr().out
+    results = [(tmp_path / d / "results.csv").read_bytes() for d in ("both", "good")]
+    assert results[0] == results[1]
+    lines = (tmp_path / "both" / "failures.csv").read_text().strip().split("\n")
+    assert lines[0] == "index,n,k,a,error"
+    assert [line.split(",")[:4] for line in lines[1:]] == [
+        ["1", "200", "15", "10000000000000000"], ["3", "400", "20", "10000000000000000"],
+        ["5", "800", "29", "10000000000000000"], ["7", "1600", "40", "10000000000000000"],
+    ]
+    assert all("did not converge" in line for line in lines[1:])
+    # rerun into the same directory without failures: the stale file goes
+    assert main(["sweep", "--config", str(good), "--out", str(tmp_path / "both")]) == 0
+    assert not (tmp_path / "both" / "failures.csv").exists()
+
+
 def test_threads_env_var_default(cfg_path, tmp_path, monkeypatch):
     monkeypatch.setenv("TILTEDSUMS_THREADS", "3")
     out_env = tmp_path / "env"

@@ -1,6 +1,9 @@
 """Sweep orchestration, scaling fits, and CSV reports."""
 
+import csv
+import io
 import math
+import os
 
 import pytest
 
@@ -74,8 +77,9 @@ def test_sweep_row_failure_is_contained(caplog):
     assert all(math.isnan(r.tv) for r in rows)
 
 
-def test_sweep_thread_count_does_not_change_results():
-    cfg = make_config(method="sum_mc", n="40, 60, 90", samples=4000)
+@pytest.mark.parametrize("method", ["sum_mc", "joint_mc"])
+def test_sweep_thread_count_does_not_change_results(method):
+    cfg = make_config(method=method, n="40, 60, 90", samples=4000)
     serial = run_sweep(cfg, threads=1)
     threaded = run_sweep(cfg, threads=4)
     assert render_results(serial) == render_results(threaded)
@@ -146,20 +150,21 @@ GOLDEN_RESULTS = (
 
 def test_results_golden_bytes(tmp_path):
     fit = fit_scaling(GOLDEN_ROWS)
-    results_path, scaling_path = emit_report(GOLDEN_ROWS, fit, tmp_path)
+    results_path, scaling_path, failures_path = emit_report(GOLDEN_ROWS, fit, tmp_path)
     with open(results_path, "rb") as fh:
         assert fh.read() == GOLDEN_RESULTS.encode()
     with open(scaling_path) as fh:
         lines = fh.read().strip().split("\n")
     assert lines[0] == "log_k_over_n,log_tv,fit_log_tv"
     assert len(lines) == 4
+    assert failures_path is None and not (tmp_path / "failures.csv").exists()
 
 
 def test_empty_rows_give_header_only(tmp_path):
-    results_path, scaling_path = emit_report([], None, tmp_path)
+    results_path, scaling_path, failures_path = emit_report([], None, tmp_path)
     with open(results_path) as fh:
         assert fh.read() == "n,k,a,theta,method,tv,std_error,seconds\n"
-    assert scaling_path is None
+    assert scaling_path is None and failures_path is None
 
 
 def test_unwritable_path_leaves_no_partial_file(tmp_path):
@@ -176,6 +181,37 @@ def test_failed_rows_excluded_from_results():
     ]
     text = render_results(rows)
     assert len(text.strip().split("\n")) == 4  # header + 3 rows
+
+
+FAILED_ROWS = [
+    SweepRow(3, 800, 29, (1e16,), (), "scheffe", math.nan, math.nan, 0.0,
+             error="tilting equation did not converge (residual 9.7e+15)"),
+    SweepRow(5, 50, 2, (0.75, -1.0), (), "sum_mc", math.nan, math.nan, 0.0,
+             error='theta, "quoted", outside\nthe domain'),
+]
+
+
+def test_failures_csv_lists_failed_rows(tmp_path):
+    rows = GOLDEN_ROWS[:2] + FAILED_ROWS[:1] + GOLDEN_ROWS[2:] + FAILED_ROWS[1:]
+    results_path, _, failures_path = emit_report(rows, None, tmp_path)
+    with open(results_path, "rb") as fh:
+        assert fh.read() == GOLDEN_RESULTS.encode()
+    assert failures_path == os.path.join(tmp_path, "failures.csv")
+    with open(failures_path, newline="", encoding="utf-8") as fh:
+        text = fh.read()
+    assert text.startswith("index,n,k,a,error\n3,800,29,10000000000000000,tilting equation did not converge")
+    assert list(csv.reader(io.StringIO(text))) == [
+        ["index", "n", "k", "a", "error"],
+        ["3", "800", "29", "10000000000000000", "tilting equation did not converge (residual 9.7e+15)"],
+        ["5", "50", "2", "0.75;-1", 'theta, "quoted", outside\nthe domain'],
+    ]
+
+
+def test_stale_failures_csv_removed_when_no_row_fails(tmp_path):
+    emit_report(GOLDEN_ROWS + FAILED_ROWS, None, tmp_path)
+    assert (tmp_path / "failures.csv").exists()
+    assert emit_report(GOLDEN_ROWS, None, tmp_path)[2] is None
+    assert not (tmp_path / "failures.csv").exists()
 
 
 def test_multidim_vectors_semicolon_joined():

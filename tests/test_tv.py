@@ -13,15 +13,17 @@ from tiltedsums import (
     QuadratureError,
     RatioContext,
     UnsupportedFamilyError,
+    conditional_density,
     df_gamma_constant,
     gamma_family,
     normal_family,
+    solve_tilt,
     tilt_oracle,
     tv_joint_mc,
     tv_scheffe,
     tv_sum_mc,
 )
-from tiltedsums.tv import SUM_MC_CHUNK, _sign_change_roots
+from tiltedsums.tv import SUM_MC_CHUNK, _joint_log_ratio, _sign_change_roots
 
 
 def iid_normals(n, mean=0.0, var=1.0, dim=1):
@@ -292,6 +294,69 @@ def test_joint_mc_agrees_with_scheffe_gamma():
     sch = tv_scheffe(members, 2, 6.0)
     joint = tv_joint_mc(members, 2, 6.0, samples=100_000, rng=23)
     assert abs(joint.value - sch.value) <= 3.0 * joint.std_error
+
+
+def joint_case(kind):
+    """(family, k, a) of the joint-space identity and parity tests."""
+    if kind == "gamma":
+        return gamma_family([2.5, 4.0] * 30, 1.0), 6, np.array([6.0])
+    covs = [[[1.0, 0.2], [0.2, 2.0]], [[2.0, -0.3], [-0.3, 1.0]]] * 20
+    return normal_family([[0.0, 0.0], [0.5, 0.5]] * 20, covs), 4, np.array([0.6, 0.6])
+
+
+@pytest.mark.parametrize("kind", ["gamma", "normal"])
+def test_joint_log_ratio_is_conditional_over_tilted_product(kind):
+    # the reduced ratio drops the member densities, which cancel in q/p;
+    # the full product form is rebuilt here from conditional_density
+    family, k, a = joint_case(kind)
+    n = len(family)
+    theta = solve_tilt(family, a).theta
+    tilted = family[:k].tilt(theta)
+    gen = np.random.default_rng(29)
+    for _ in range(5):
+        x = np.concatenate([tilted[j].sample(gen, 1) for j in range(k)])
+        reduced = _joint_log_ratio(family, k, n * a, theta, x.sum(axis=0, keepdims=True))
+        full = math.log(conditional_density(family, k, x, n * a)) - np.sum(tilted.log_density(x))
+        assert reduced.shape == (1,)
+        assert abs(reduced[0] - full) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "kind, seed, value, std_error",
+    [
+        ("gamma", 5, 0.05219820183147601, 0.0003607236410929044),
+        ("normal", 9, 0.0774918936820324, 0.00044929714231097966),
+    ],
+)
+def test_joint_mc_keeps_the_member_product_values(kind, seed, value, std_error):
+    # values of the estimator that evaluated every member density, so the
+    # draws and their order are unchanged
+    family, k, a = joint_case(kind)
+    est = tv_joint_mc(family, k, a, samples=20_000, rng=seed)
+    np.testing.assert_allclose([est.value, est.std_error], [value, std_error], rtol=1e-12, atol=0.0)
+
+
+ESTIMATORS = {
+    "scheffe": lambda members, k: tv_scheffe(members, k, 6.0),
+    "sum_mc": lambda members, k: tv_sum_mc(members, k, 6.0, samples=1000, rng=1),
+    "joint_mc": lambda members, k: tv_joint_mc(members, k, 6.0, samples=1000, rng=1),
+}
+
+
+@pytest.mark.parametrize("k", [-1, 20, 21, 2.5, math.nan])
+@pytest.mark.parametrize("method", sorted(ESTIMATORS))
+def test_estimators_reject_bad_block_sizes(method, k):
+    with pytest.raises(ValueError, match="block size"):
+        ESTIMATORS[method](gamma_family([3.0] * 20, 1.0), k)
+
+
+@pytest.mark.parametrize("method", sorted(ESTIMATORS))
+def test_estimators_take_integral_block_sizes(method):
+    members = gamma_family([3.0] * 20, 1.0)
+    est = ESTIMATORS[method](members, 2.0)
+    assert est == ESTIMATORS[method](members, np.int64(2)) == ESTIMATORS[method](members, 2)
+    assert type(est.k) is int and est.k == 2
+    assert ESTIMATORS[method](members, 0).value == 0.0
 
 
 def test_estimates_within_unit_interval_band():
