@@ -44,7 +44,6 @@ from .errors import (
     DegenerateCovarianceError,
     NonConvergenceError,
     OutOfDomainError,
-    QuadratureError,
     TiltedSumsError,
     UndefinedConditionalError,
     UnsupportedFamilyError,
@@ -72,7 +71,6 @@ __all__ = [
     "NonConvergenceError",
     "NormalFamily",
     "OutOfDomainError",
-    "QuadratureError",
     "RatioContext",
     "ScalingFit",
     "SweepRow",

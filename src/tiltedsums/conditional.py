@@ -18,9 +18,9 @@ convolutions), and the ratio
     rho(t) = f_rest(n a - t) / f_full(n a)
 
 of tilted sum densities, so that given the sum the block sum has density
-rho(t) ctx.block(t).  rho is evaluated either exactly or through order-1
-Edgeworth approximations of both normalized densities together with the
-exact determinant ratio.  The normalized coordinates
+rho(t) ctx.block(t).  rho is evaluated either exactly (log_ratio_given_sum)
+or through order-1 Edgeworth approximations of both normalized densities
+together with the exact determinant ratio.  The normalized coordinates
 
     t_tilde = k^{-1/2} B_{1,k} (t - sum_{j<=k} m_j(theta))
     t_sharp = (n-k)^{-1/2} B_{k+1,n} (sum_{j<=k} m_j(theta) - t)
@@ -44,11 +44,11 @@ from .tilting import solve_tilt
 # Conditional density given the total sum
 # ---------------------------------------------------------------------------
 
-def _check_block(family, k):
-    """The block size as an int; ValueError unless k is an integer in [1, n)."""
+def _check_block(family, k, upper="<"):
+    """The block size as an int; ValueError unless k is an integer in [1, n) ([1, n] for upper="<=")."""
     n = len(family)
-    if not (1 <= k < n) or k != int(k):
-        raise ValueError(f"block size k={k} must be an integer with 1 <= k < n={n}")
+    if not (1 <= k <= n - (upper == "<")) or k != int(k):
+        raise ValueError(f"block size k={k} must be an integer with 1 <= k {upper} n={n}")
     return int(k)
 
 
@@ -75,16 +75,12 @@ def conditional_density(family, k, x_block, s):
     d = family.dim
     s = as_vector(s, d)
     x = np.asarray(x_block, dtype=float).reshape(k, d)
-
-    log_den = _scalar_log(family.convolve(), s)
-    if not np.isfinite(log_den):
+    if not np.isfinite(_scalar_log(family.convolve(), s)):
         raise UndefinedConditionalError(f"conditioning point s={s} has zero sum density")
-
-    log_num = _scalar_log(family[k:].convolve(), s - x.sum(axis=0))
-    log_num += float(np.sum(family[:k].log_density(x)))
-    if not np.isfinite(log_num):
-        return 0.0
-    return math.exp(log_num - log_den)
+    block, rest = family[:k], family[k:].convolve()
+    log_q = block.convolve().log_ratio_given_sum(rest, s, x.sum(axis=0, keepdims=True))[0]
+    log_q += np.sum(block.log_density(x))
+    return math.exp(log_q) if np.isfinite(log_q) else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -118,8 +114,7 @@ class RatioContext:
         tilted = family.tilt(self.theta)
         self.block = tilted[: self.k].convolve()
         self.rest = tilted[self.k :].convolve()
-        self._log_full_at_na = _scalar_log(tilted.convolve(), self.na)
-        if not np.isfinite(self._log_full_at_na):
+        if not np.isfinite(_scalar_log(tilted.convolve(), self.na)):
             raise UndefinedConditionalError(f"zero sum density at s={self.na}")
 
     @cached_property
@@ -148,7 +143,7 @@ class RatioContext:
 
     def log_ratio_exact(self, t):
         t = np.asarray(t, dtype=float).reshape(-1, self.d)
-        return self.rest.log_density(self.na - t) - self._log_full_at_na
+        return self.block.log_ratio_given_sum(self.rest, self.na, t)
 
     def exact(self, t):
         return np.exp(self.log_ratio_exact(t))
@@ -184,8 +179,7 @@ def gibbs_density(family, k, theta, x):
     computed from the untilted block-sum density and the explicit
     reweighting; coincides with the exact tilted block-sum density.
     """
-    if not (1 <= k <= len(family)):
-        raise ValueError(f"block size k={k} must be in [1, n]")
+    k = _check_block(family, k, upper="<=")
     d = family.dim
     theta = as_vector(theta, d)
     x = as_vector(x, d)

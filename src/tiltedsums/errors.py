@@ -27,11 +27,6 @@ class UndefinedConditionalError(TiltedSumsError, ValueError):
     """The conditioning event has zero density, so no conditional density exists."""
 
 
-class QuadratureError(TiltedSumsError, RuntimeError):
-    """The split points of the Scheffe integral (the sign changes of log rho)
-    could not be located."""
-
-
 class ConfigError(TiltedSumsError, ValueError):
     """An experiment configuration is malformed or inconsistent."""
 

@@ -21,11 +21,12 @@ sum of the members:
 
 Slicing gives the family of a block (family[:k], family[k:]), a single member
 is a family of length 1, and convolve() returns the law of the sum as a
-family of length 1.  Densities, cdf/sf, samplers and cdf_given_sum (the cdf
-of one law given its sum with another) are those of a single law;
-log_density also evaluates member j at point j when given one point per
-member.  The per-member hooks of the assumption checks return one row per
-member.
+family of length 1.  Densities, cdf/sf and samplers are those of a single
+law X, and so are P(X <= x | X + Y = s), log rho(t) = log f_Y(s - t) -
+log f_{X+Y}(s) and the two zeros of log rho (cdf_given_sum, log_ratio_given_sum
+and ratio_roots, given Y = rest); log_density also evaluates member j at point
+j when given one point per member.  The per-member hooks of the assumption
+checks return one row per member.
 
 Gamma members require shape > 2 so densities are C^1 and fourth moments stay
 uniformly controlled under tilting; a gamma family shares a single scale t.
@@ -35,10 +36,10 @@ explicitly.
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.special import betainc, gammainc, gammaincc, gammaln, ndtr
+from scipy.special import betainc, betaln, gammainc, gammaincc, gammaln, ndtr
 
 from .errors import OutOfDomainError
 from .numerics import LOG_2PI, as_vector, check_symmetric, sym_inv, sym_inv_sqrt, sym_logdet, sym_sqrt
@@ -86,11 +87,11 @@ class Family:
 
     Subclasses provide kind, dim, domain, __len__, _take(slice), the average
     cgf calculus (cgf, cgf_grad, cgf_hess), tilt, convolve, distinct, the
-    single-law operations (log_density, cdf, sf, sample, cdf_given_sum) and
-    the per-member hooks of the assumption checks (member_hess,
-    fourth_central_moment, char_fn_modulus_sup, density_partial_l1), plus
-    third_central_moment_tensor averaged over the family for the Edgeworth
-    expansion.
+    single-law operations (log_density, cdf, sf, sample, cdf_given_sum,
+    log_ratio_given_sum, ratio_roots) and the per-member hooks of the
+    assumption checks (member_hess, fourth_central_moment,
+    char_fn_modulus_sup, density_partial_l1), plus third_central_moment_tensor
+    averaged over the family for the Edgeworth expansion.
     """
 
     def __getitem__(self, index):
@@ -115,9 +116,9 @@ class Family:
             )
         return t
 
-    def _single(self, what):
-        if len(self) != 1:
-            raise ValueError(f"{what} needs a single law; index or convolve the family first")
+    def _single(self, what, *others):
+        if any(len(law) != 1 for law in (self, *others)):
+            raise ValueError(f"{what} needs single laws; index or convolve the family first")
 
     def _points(self, x):
         """Normalize x to an (N, d) array; report whether input was a single point."""
@@ -155,7 +156,6 @@ class GammaFamily(Family):
 
     kind = "gamma"
     dim = 1
-    support = (0.0, math.inf)
 
     def __init__(self, shapes, scale):
         shapes = np.asarray(shapes, dtype=float).reshape(-1)
@@ -223,15 +223,52 @@ class GammaFamily(Family):
         self._single("sample")
         return rng.gamma(self.shapes[0], self.scale, size=(count, 1))
 
+    def _bridge(self, rest):
+        """Shapes (K_x, K_y) of single laws X = self, Y = rest of one scale."""
+        self._single("a law given its sum", rest)
+        if rest.scale != self.scale:
+            raise ValueError(f"gamma laws with scales {self.scale} and {rest.scale} have no beta bridge")
+        return self.shapes[0], rest.shapes[0]
+
     def cdf_given_sum(self, rest, s, x):
         """P(X <= x | X + Y = s) for X = self, Y = rest: X / s ~ Beta(K_x, K_y)
         given the sum, whatever the shared scale."""
-        self._single("cdf_given_sum")
-        rest._single("cdf_given_sum")
-        if rest.scale != self.scale:
-            raise ValueError(f"gamma laws with scales {self.scale} and {rest.scale} have no beta bridge")
         ratio = np.clip(np.asarray(x, dtype=float) / s, 0.0, 1.0)
-        return betainc(self.shapes[0], rest.shapes[0], ratio)
+        return betainc(*self._bridge(rest), ratio)
+
+    def _log_ratio_terms(self, rest, s):
+        """(s, m, lam, c) of log rho(s x) = m log1p(-x) + lam x + c: m = K_y - 1, lam = s / scale,
+        c = lgamma(K_x) - betaln(K_x, K_y) - K_x log lam, none as large as the sums' log densities."""
+        k_x, k_y = self._bridge(rest)
+        (s,) = as_vector(s, 1)
+        lam = s / self.scale
+        return s, k_y - 1.0, lam, float(gammaln(k_x) - betaln(k_x, k_y) - k_x * math.log(lam))
+
+    def log_ratio_given_sum(self, rest, s, t):
+        """log f_Y(s - t) - log f_{X+Y}(s) for X = self, Y = rest; -inf for t >= s."""
+        s, m, lam, c = self._log_ratio_terms(rest, s)
+        pts, single = self._points(t)
+        x = pts[:, 0] / s
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = np.where(x < 1.0, m * np.log1p(-x) + lam * x + c, -np.inf)
+        return float(out[0]) if single else out
+
+    def ratio_roots(self, rest, s):
+        """The zeros t_1 <= t_2 of log rho, clamped to [0, s).  g(x) = log rho(s x) is
+        concave and lies below -m x^2 / 2 + (lam - m) x + c on [0, 1); from that quadratic's
+        roots in [0, 1), Newton steps on g move each iterate inward until g >= 0 there (x = 0
+        when c >= 0) or the next step would not move it inward or would pass the other one."""
+        s, m, lam, c = self._log_ratio_terms(rest, s)
+        half = math.sqrt(max((lam - m) ** 2 + 2.0 * m * c, 0.0))
+        x = np.clip((lam - m + np.array([-half, half])) / m, 0.0, np.nextafter(1.0, 0.0))
+        inward = np.array([1.0, -1.0])
+        while True:
+            g = m * np.log1p(-x) + lam * x + c
+            new = x - g / (lam - m / (1.0 - x))
+            move = (g < 0.0) & (inward * (new - x) > 0.0) & (inward * (x[::-1] - new) > 0.0)
+            if not move.any():
+                return s * x
+            x = np.where(move, new, x)
 
     # -- hooks: one entry per member -----------------------------------------
 
@@ -271,7 +308,6 @@ class NormalFamily(Family):
     (1, d, d)) or one per member (shape (n, d, d))."""
 
     kind = "normal"
-    support = (-math.inf, math.inf)
 
     def __init__(self, means, covs):
         means = np.asarray(means, dtype=float)
@@ -385,6 +421,23 @@ class NormalFamily(Family):
         mean = self.means[0, 0] + w * (s - self.means[0, 0] - rest.means[0, 0])
         return ndtr((np.asarray(x, dtype=float) - mean) / (sd_y * math.sqrt(w)))
 
+    def log_ratio_given_sum(self, rest, s, t):
+        """log f_Y(s - t) - log f_{X+Y}(s) for single laws X = self, Y = rest."""
+        self._single("log_ratio_given_sum", rest)
+        s = as_vector(s, self.dim)
+        pts, single = self._points(t)
+        out = rest.log_density(s - pts) - _log_sum_density(self, rest, tuple(s))
+        return float(out[0]) if single else out
+
+    def ratio_roots(self, rest, s):
+        """The zeros s - m_y -+ sqrt(v_y (z^2 - log1p(-v_x / v_f))) of log rho for
+        one-dimensional X = self, Y = rest; v_f = v_x + v_y, z = (s - m_x - m_y) / sqrt(v_f)."""
+        v_x, v_y = self._sd() ** 2, rest._sd() ** 2
+        (s,) = as_vector(s, 1)
+        z2 = (s - self.means[0, 0] - rest.means[0, 0]) ** 2 / (v_x + v_y)
+        half = math.sqrt(v_y * (z2 - math.log1p(-v_x / (v_x + v_y))))
+        return s - rest.means[0, 0] + np.array([-half, half])
+
     # -- hooks: one entry per member -----------------------------------------
 
     def member_hess(self, theta):
@@ -412,6 +465,12 @@ class NormalFamily(Family):
     def third_central_moment_tensor(self, theta):
         self._check_theta(theta)
         return np.zeros((self.dim, self.dim, self.dim))
+
+
+@lru_cache(maxsize=8)
+def _log_sum_density(x, y, s):
+    """log f_{X+Y}(s) for normal X, Y and a point tuple s, cached for the chunks of tv_sum_mc."""
+    return NormalFamily(x.means + y.means, x.covs + y.covs).log_density(np.array([s]))[0]
 
 
 # ---------------------------------------------------------------------------

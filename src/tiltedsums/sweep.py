@@ -163,10 +163,10 @@ def render_failures(rows):
 
 def emit_report(rows, fit, out_dir):
     """Write results.csv, scaling.csv when a fit is given and failures.csv
-    when a row failed, removing a failures.csv of an earlier run when none
-    did; returns the three paths, None for a file not written.  The content
-    is rendered fully before any file is opened, so a failed write never
-    leaves a partial file behind."""
+    when a row failed, removing any of the three an earlier run left that
+    this run does not write; returns the three paths, None for a file not
+    written.  The content is rendered fully before any file is opened, so a
+    failed write never leaves a partial file behind."""
     texts = {
         "results.csv": render_results(rows),
         "scaling.csv": render_scaling(fit) if fit is not None else None,
@@ -178,6 +178,6 @@ def emit_report(rows, fit, out_dir):
         if text is not None:
             with open(paths[name], "w", encoding="utf-8") as fh:
                 fh.write(text)
-    if texts["failures.csv"] is None and os.path.exists(paths["failures.csv"]):
-        os.remove(paths["failures.csv"])
+        elif os.path.exists(paths[name]):
+            os.remove(paths[name])
     return tuple(paths[name] if text is not None else None for name, text in texts.items())

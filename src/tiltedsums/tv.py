@@ -13,9 +13,9 @@ estimators take f_block, f_rest and rho from one conditional.RatioContext
 themselves.  Estimators:
 
   * scheffe   - exact evaluation for d = 1 by Scheffe's identity: rho
-                f_block is the density of the block sum T given
-                {S_1n = n a}, so between consecutive sign changes of log
-                rho the integral is the difference of the increments of two
+                f_block is the density of the block sum T given {S_1n = n a},
+                so between the zeros of log rho (ctx.block.ratio_roots) the
+                integral is the difference of the increments of two
                 closed-form cdfs, P(T <= t | S_1n = n a) and P(T <= t);
   * sum_mc    - Monte Carlo mean of |rho - 1| over draws of the tilted
                 block sum from its closed-form law (the integrand's own
@@ -44,16 +44,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conditional import RatioContext, _check_block, _scalar_log, _solved_theta
-from .errors import QuadratureError, UnsupportedFamilyError
+from .errors import UnsupportedFamilyError
 from .numerics import as_vector
 
 DEFAULT_SUM_SAMPLES = 10**6
 DEFAULT_JOINT_SAMPLES = 10**5
 # Block sums per chunk in tv_sum_mc; the estimate does not depend on it.
 SUM_MC_CHUNK = 1 << 16
-
-_WINDOW_SDS = 40.0
-_RTOL = 4.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -102,10 +99,7 @@ def df_gamma_constant():
 
 def tv_scheffe(family, k, a, theta=None):
     """Exact block TV for one-dimensional closed-form families by Scheffe's
-    identity, with the sign changes of log rho sought on a 40-sd window around
-    the block mean; std_error is reported as 0.  Raises QuadratureError when
-    none is found: rho - 1 integrates to 0 against f_block, so it must have one.
-    """
+    identity, split at the zeros of log rho; std_error is reported as 0."""
     n = len(family)
     if family.dim != 1:
         raise UnsupportedFamilyError("Scheffe TV is implemented for d = 1 only")
@@ -113,51 +107,10 @@ def tv_scheffe(family, k, a, theta=None):
     if k == 0:
         return _zero_estimate("scheffe", n, a)
     ctx = RatioContext(family, k, a, theta=theta)
-    block, rest = ctx.block, ctx.rest
-
-    center = float(block.cgf_grad(0.0)[0])
-    sd = math.sqrt(block.cgf_hess(0.0)[0, 0])
-    na = float(ctx.na[0])
-    # rho vanishes identically where n a - t leaves the support of the rest
-    lo = max(block.support[0], center - _WINDOW_SDS * sd)
-    hi = min(block.support[1], na - rest.support[0], center + _WINDOW_SDS * sd)
-
-    roots = _sign_change_roots(ctx, lo, hi)
-    if roots.size == 0:
-        raise QuadratureError(f"log rho has no sign change on [{lo:.6g}, {hi:.6g}]")
-    edges = np.array([-math.inf, *roots, math.inf])
-    given_sum = np.diff(block.cdf_given_sum(rest, na, edges))
-    value = float(np.sum(np.abs(given_sum - np.diff(block.cdf(edges)))))
+    edges = np.array([-math.inf, *ctx.block.ratio_roots(ctx.rest, ctx.na), math.inf])
+    given_sum = np.diff(ctx.block.cdf_given_sum(ctx.rest, ctx.na, edges))
+    value = float(np.sum(np.abs(given_sum - np.diff(ctx.block.cdf(edges)))))
     return TVEstimate(value, 0.0, "scheffe", n, ctx.k, tuple(a), 0)
-
-
-def _sign_change_roots(ctx, lo, hi, scan_points=4097):
-    """Locate the kinks of |rho - 1|: the zeros of log rho on [lo, hi], sorted.
-
-    A scan grid point where log rho is exactly 0 is a root; every scan
-    interval whose finite ends differ in sign is a bracket.  All brackets are
-    bisected together, one log rho evaluation per step, until each is no
-    wider than xtol + 4 eps |left| with xtol = 1e-13 max(1, |hi|), the
-    stopping rule of brentq; the relative term ends the search once a
-    bracket spans a few ulps.  Each root is the midpoint of its last bracket.
-    """
-    ts = np.linspace(lo, hi, scan_points)
-    vals = ctx.log_ratio_exact(ts.reshape(-1, 1))
-    v0, v1 = vals[:-1], vals[1:]
-    finite = np.isfinite(v0) & np.isfinite(v1)
-    on_grid = ts[:-1][finite & (v0 == 0.0)]
-    bracket = finite & (v0 * v1 < 0.0)
-    left, right, f_left = ts[:-1][bracket], ts[1:][bracket], v0[bracket]
-
-    xtol = 1e-13 * max(1.0, abs(hi))
-    while np.any(right - left > xtol + _RTOL * np.abs(left)):
-        mid = 0.5 * (left + right)
-        f_mid = ctx.log_ratio_exact(mid.reshape(-1, 1))
-        keep_left = np.sign(f_mid) != np.sign(f_left)
-        right = np.where(keep_left, mid, right)
-        left = np.where(keep_left, left, mid)
-        f_left = np.where(keep_left, f_left, f_mid)
-    return np.sort(np.concatenate([on_grid, 0.5 * (left + right)]))
 
 
 def tv_sum_mc(family, k, a, samples=DEFAULT_SUM_SAMPLES, rng=None, theta=None):

@@ -16,6 +16,7 @@ from tiltedsums import (
     gibbs_density,
     normal_family,
     solve_tilt,
+    tilt_oracle,
     tilting_invariance_check,
     tv_scheffe,
 )
@@ -259,6 +260,36 @@ def test_ratio_allows_one_member_complement():
     assert math.isfinite(val) and val > 0.0
 
 
+# 50-digit mpmath values of log f_rest(n a - t) - log f_full(n a) for Gamma
+# laws of the tilted scale the code derives from tilt_oracle (u =
+# 1.8461538461538463); (n, k, t values, log rho values, allowed error).
+LOG_RATIO_REFERENCES = [
+    (
+        12800, 114, [600.0, 640.0, 684.0, 730.0, 760.0],
+        [-0.021717874922505553, -0.0029907972438255053, 0.004473055855562666,
+         -0.0024545339328599586, -0.01509362455216798],
+        3e-11,
+    ),
+    (
+        1_000_000, 1, [1.0, 3.0, 4.5, 10.0, 20.0],
+        [-8.079597722063779e-07, -2.4039582232148027e-09, 3.6478376699223913e-07,
+         -2.6709970394534238e-08, -7.735063828776142e-06],
+        1e-13,
+    ),
+]
+
+
+@pytest.mark.parametrize("n,k,ts,reference,tol", LOG_RATIO_REFERENCES)
+def test_log_ratio_exact_high_precision_reference(n, k, ts, reference, tol):
+    # the sums' log densities are ~4e5 (n = 12800) and ~4e7 (n = 1e6) in size,
+    # so a difference of them would keep only ~1e-10 and ~1e-8 of log rho
+    members = gamma_family([2.5, 4.0] * (n // 2), 1.0)
+    ctx = RatioContext(members, k, 6.0, theta=tilt_oracle(members, 6.0))
+    assert ctx.rest.scale == 1.8461538461538463
+    got = ctx.log_ratio_exact(np.array(ts).reshape(-1, 1))
+    assert np.max(np.abs(got - np.array(reference))) <= tol
+
+
 # ---------------------------------------------------------------------------
 # Gibbs-form density of the block sum
 # ---------------------------------------------------------------------------
@@ -291,3 +322,16 @@ def test_gibbs_density_normalizes():
     members = gamma_family([3.0] * 4, 1.0)
     mass, _ = quad(lambda x: gibbs_density(members, 2, 0.5, x), 0.0, 400.0, limit=400)
     assert mass == pytest.approx(1.0, abs=1e-8)
+
+
+@pytest.mark.parametrize("k", [0, 11, 2.5, math.nan])
+def test_gibbs_density_rejects_bad_block_sizes(k):
+    with pytest.raises(ValueError, match="block size"):
+        gibbs_density(gamma_family([3.0] * 10, 1.0), k, 0.0, 6.0)
+
+
+def test_gibbs_density_takes_integral_block_sizes():
+    members = gamma_family([3.0] * 10, 1.0)
+    value = gibbs_density(members, 2, 0.5, 6.0)
+    assert gibbs_density(members, 2.0, 0.5, 6.0) == gibbs_density(members, np.int64(2), 0.5, 6.0) == value
+    assert gibbs_density(members, 10, 0.5, 6.0) > 0.0

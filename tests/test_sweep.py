@@ -214,6 +214,17 @@ def test_stale_failures_csv_removed_when_no_row_fails(tmp_path):
     assert not (tmp_path / "failures.csv").exists()
 
 
+def test_stale_scaling_csv_removed_when_run_has_no_fit(tmp_path):
+    # a fitted run, then one whose every row fails, into the same directory
+    emit_report(GOLDEN_ROWS, fit_scaling(GOLDEN_ROWS), tmp_path)
+    assert (tmp_path / "scaling.csv").exists()
+    results_path, scaling_path, failures_path = emit_report(FAILED_ROWS, None, tmp_path)
+    assert scaling_path is None and not (tmp_path / "scaling.csv").exists()
+    assert sorted(os.listdir(tmp_path)) == ["failures.csv", "results.csv"]
+    with open(results_path) as fh:
+        assert fh.read() == "n,k,a,theta,method,tv,std_error,seconds\n"
+
+
 def test_multidim_vectors_semicolon_joined():
     row = SweepRow(0, 50, 2, (0.75, 0.375), (0.25, 0.5), "sum_mc", 0.01, 0.001, 0.0)
     text = render_results([row])

@@ -2,6 +2,7 @@
 and the two-Gaussian variation constant."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from scipy.optimize import brentq
 from scipy.special import ndtr
 
 from tiltedsums import (
-    QuadratureError,
     RatioContext,
     UnsupportedFamilyError,
     conditional_density,
@@ -23,7 +23,7 @@ from tiltedsums import (
     tv_scheffe,
     tv_sum_mc,
 )
-from tiltedsums.tv import SUM_MC_CHUNK, _joint_log_ratio, _sign_change_roots
+from tiltedsums.tv import SUM_MC_CHUNK, _joint_log_ratio
 
 
 def iid_normals(n, mean=0.0, var=1.0, dim=1):
@@ -115,12 +115,31 @@ def test_scheffe_gamma_tv_does_not_depend_on_a():
     assert max(values) - min(values) <= 1e-10
 
 
-def test_scheffe_raises_without_sign_change(monkeypatch):
-    monkeypatch.setattr(
-        RatioContext, "log_ratio_exact", lambda self, t: np.full(np.asarray(t).reshape(-1, 1).shape[0], 0.5)
-    )
-    with pytest.raises(QuadratureError):
-        tv_scheffe(gamma_family([3.0] * 50, 1.0), 5, 6.0)
+@pytest.mark.parametrize(
+    "n,reference",
+    [
+        (100_000, 4.2228576569277981e-6),
+        (1_000_000, 4.2228392079010073e-7),
+    ],
+)
+def test_scheffe_large_n_high_precision_reference(n, reference):
+    # 50-digit mpmath: block Gamma(2.5, u), rest Gamma(3.25 n - 2.5, u); with
+    # x = t / (n a) and lam = n a / u = 3.25 n, log rho is
+    # (K_r - 1) log(1 - x) + lam x + lgamma(K) - lgamma(K_r) - K_b log lam;
+    # its two roots by findroot, then the cdf increments as in
+    # test_scheffe_high_precision_reference.  Here log rho is about 1e-6 near
+    # its roots, far below the ~4e7-sized log densities of the sums.
+    est = tv_scheffe(gamma_family([2.5, 4.0] * (n // 2), 1.0), 1, 6.0)
+    assert est.value == pytest.approx(reference, rel=1e-7)
+
+
+def test_scheffe_finds_the_root_next_to_the_support_end():
+    # k = n - 1: the rest is one member, so the upper zero of log rho sits
+    # within a fraction of a member's scale of t = n a, where the density
+    # of the rest vanishes.  Reference from 50-digit mpmath as above, with
+    # K_b = 1197, K_r = 3 and lam = n a / u = 1200.
+    est = tv_scheffe(gamma_family([3.0] * 400, 1.0), 399, 6.0)
+    assert est.value == pytest.approx(1.7911687224808459, abs=1e-12)
 
 
 def _scan_brentq_roots(ctx, lo, hi, scan_points=4097):
@@ -143,10 +162,10 @@ def _scan_brentq_roots(ctx, lo, hi, scan_points=4097):
     return np.array(roots)
 
 
-# (members, k, a, band): band is how finely log rho resolves its zeros.  At
-# n = 12800 log rho is a difference of terms near 4e5, rounded to 5.8e-11,
-# and its slope at the roots is about 3.5e-4, so each zero is a plateau some
-# 2e-7 wide; bisection and brentq both stop somewhere on it.
+# (members, k, a, band): band is how finely log rho resolves its zeros; at
+# n = 12800 its slope at the roots is about 3.5e-4, so rounding of the
+# O(1e3)-sized terms of log rho widens each zero to a plateau on which
+# brentq may stop anywhere.
 @pytest.mark.parametrize(
     "members,k,a,band",
     [
@@ -156,25 +175,56 @@ def _scan_brentq_roots(ctx, lo, hi, scan_points=4097):
     ],
 )
 def test_sign_change_roots_match_brentq(members, k, a, band):
+    # ratio_roots against a scan of a 40-sd window with brentq per bracket
     ctx = RatioContext(members, k, a)
-    tilted = members.tilt(ctx.theta)
-    block, rest = tilted[:k].convolve(), tilted[k:].convolve()
+    block, rest, na = ctx.block, ctx.rest, float(ctx.na[0])
     center = float(block.cgf_grad(0.0)[0])
     sd = math.sqrt(block.cgf_hess(0.0)[0, 0])
-    lo = max(block.support[0], center - 40.0 * sd)
-    hi = min(block.support[1], float(ctx.na[0]) - rest.support[0], center + 40.0 * sd)
-    roots = _sign_change_roots(ctx, lo, hi)
+    lo, hi = center - 40.0 * sd, center + 40.0 * sd
+    if members.kind == "gamma":  # rho vanishes where n a - t leaves (0, inf)
+        lo, hi = max(lo, 0.0), min(hi, na)
+    roots = block.ratio_roots(rest, na)
     reference = _scan_brentq_roots(ctx, lo, hi)
     assert roots.size == reference.size == 2
     assert np.all(np.diff(roots) > 0.0)
     assert np.max(np.abs(roots - reference)) <= 1e-13 * max(1.0, abs(hi)) + band
 
 
-def test_scheffe_bisection_stops_below_float_spacing():
-    # window [-8e5, 0]: xtol = 1e-13 is below the float spacing (5.8e-11) at
-    # the roots near -4e5 +- 1e4, so only the relative term ends the search
+def test_scheffe_normal_roots_far_from_the_origin():
+    # the closed-form roots -4e5 +- 9975 of log rho, where the float spacing
+    # is 5.8e-11
     est = tv_scheffe(normal_family([[0.0]] * 100, [[1e8]]), 1, -4e5)
     assert est.value == pytest.approx(gaussian_variance_tv(1.0 - 1.0 / 100), abs=1e-12)
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.3, -5.0, 0.9])
+def test_ratio_roots_under_a_given_theta(theta):
+    # Newton from the quadratic bound's roots stays inside [0, 1) without a
+    # RuntimeWarning.  At theta = 0.9, log rho(0) > 0, so the lower zero
+    # lies below the support and is clamped to 0.
+    members = gamma_family([2.5, 4.0] * 200, 1.0)
+    ctx = RatioContext(members, 20, 6.0, theta=theta)
+    block, rest, na = ctx.block, ctx.rest, float(ctx.na[0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        lower, upper = block.ratio_roots(rest, na)
+    assert 0.0 <= lower < upper < na
+    # log rho changes sign across each root, from - to + at the lower one
+    near = np.array([lower, lower, upper, upper]) * (1.0 + np.array([-1e-9, 1e-9, -1e-9, 1e-9]))
+    signs = np.sign(block.log_ratio_given_sum(rest, na, near))
+    assert list(signs[1:]) == [1.0, 1.0, -1.0]
+    assert lower == 0.0 if theta == 0.9 else signs[0] == -1.0
+
+
+def test_scheffe_clamped_root_against_dense_trapezoid_oracle():
+    # theta = 0.9 puts the lower zero of log rho below the support
+    members = gamma_family([3.0] * 50, 1.0)
+    est = tv_scheffe(members, 5, 6.0, theta=0.9)
+    ctx = RatioContext(members, 5, 6.0, theta=0.9)
+    grid = np.linspace(1e-9, 300.0, 100_001)
+    vals = np.abs(np.expm1(ctx.log_ratio_exact(grid.reshape(-1, 1)))) * np.exp(ctx.block.log_density(grid))
+    oracle = float(trapezoid(vals, grid)) + float(ctx.block.sf(300.0))
+    assert est.value == pytest.approx(oracle, abs=1e-6)
 
 
 def test_scheffe_requires_one_dimension():
@@ -405,7 +455,8 @@ def test_cdf_given_sum_against_trapezoid(members, k, a):
     block, rest = tilted[:k].convolve(), tilted[k:].convolve()
     center = float(block.cgf_grad(0.0)[0])
     sd = math.sqrt(block.cgf_hess(0.0)[0, 0])
-    grid = np.linspace(max(center - 12.0 * sd, block.support[0]), center + 12.0 * sd, 200_001)
+    lower = 0.0 if members.kind == "gamma" else -math.inf
+    grid = np.linspace(max(center - 12.0 * sd, lower), center + 12.0 * sd, 200_001)
     dens = np.exp(ctx.log_ratio_exact(grid.reshape(-1, 1)) + block.log_density(grid))
     cum = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(grid))])
     na = float(ctx.na[0])
