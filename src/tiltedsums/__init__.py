@@ -50,7 +50,7 @@ from .errors import (
 )
 from .families import AllSpace, Family, GammaFamily, HalfLine, NormalFamily, gamma_family, normal_family
 from .sweep import ScalingFit, SweepRow, emit_report, fit_scaling, run_sweep
-from .tilting import TiltingSolution, mean_cgf, solve_tilt, theta_bounds_1d, tilt_oracle
+from .tilting import TiltingSolution, mean_cgf, solve_tilt, tilt_oracle
 from .tv import TVEstimate, df_gamma_constant, tv_joint_mc, tv_scheffe, tv_sum_mc
 
 __version__ = "0.1.0"
@@ -106,7 +106,6 @@ __all__ = [
     "run_sweep",
     "serialize_config",
     "solve_tilt",
-    "theta_bounds_1d",
     "theta_box_from_solutions",
     "third_cumulant",
     "tilt_oracle",

@@ -62,14 +62,24 @@ class FamilySpec:
         return 1 if self.kind == "gamma" else len(self.means[0])
 
     def build(self, n):
-        """The family of n members, parameters cycled in declaration order."""
+        """The family of n members, parameters cycled in declaration order.
+
+        Member j takes parameter row j mod len(rows); the rows are repeated
+        by one np.tile copy.
+        """
         if n < 1:
             raise ConfigError(f"family length must be at least 1, got {n}")
         if self.kind == "gamma":
-            return gamma_family(np.resize(self.shapes, n), self.scale)
-        d = self.dim
-        covs = self.covs if len(self.covs) == 1 else np.resize(self.covs, (n, d, d))
-        return normal_family(np.resize(self.means, (n, d)), covs)
+            return gamma_family(_cycle(self.shapes, n), self.scale)
+        covs = self.covs if len(self.covs) == 1 else _cycle(self.covs, n)
+        return normal_family(_cycle(self.means, n), covs)
+
+
+def _cycle(rows, n):
+    """The first n rows of rows repeated end to end."""
+    rows = np.asarray(rows)
+    copies = -(-n // len(rows))
+    return np.tile(rows, (copies,) + (1,) * (rows.ndim - 1))[:n]
 
 
 @dataclass(frozen=True)

@@ -262,6 +262,20 @@ def test_check_unconverged_tilt_exits_1(cfg_path, capsys, caplog):
     assert any("did not converge" in r.getMessage() for r in caplog.records if r.levelname == "ERROR")
 
 
+SHIPPED = Path(__file__).resolve().parents[1] / "scripts" / "configs"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_far_target_exits_1_without_overflow_warning(capsys, caplog):
+    # |a| = 1e300 squares to inf in the tilt solver's merit and norms
+    cfg = str(SHIPPED / "gamma_iid_sweep.cfg")
+    assert main(["tilt", "--config", cfg, "--a", "1e300"]) == 1
+    assert capsys.readouterr().out == "theta=0 residual_norm=inf iterations=0 converged=False\n"
+    cfg = str(SHIPPED / "normal_df.cfg")
+    assert main(["tv", "--config", cfg, "--n", "500", "--k", "1", "--a", "1e300"]) == 1
+    assert any(r.levelname == "ERROR" for r in caplog.records)
+
+
 def test_cli_import_loads_neither_optimize_nor_integrate():
     code = (
         "import sys, tiltedsums.cli; "

@@ -216,3 +216,33 @@ def test_round_trip_property(shapes, scale, seed):
         out="out",
     )
     assert parse_config(serialize_config(cfg)) == cfg
+
+
+# parameter rows cycled by FamilySpec.build: L = 3 rows each
+CYCLED_SPECS = {
+    "gamma": FamilySpec("gamma", scale=1.5, shapes=(2.5, 3.0, 4.0)),
+    "normal-shared-cov": FamilySpec(
+        "normal", means=((0.0, 0.0), (0.5, -0.5), (1.0, 2.0)), covs=(((1.0, 0.2), (0.2, 2.0)),)
+    ),
+    "normal-member-covs": FamilySpec(
+        "normal",
+        means=((0.0, 0.0), (0.5, -0.5), (1.0, 2.0)),
+        covs=(((1.0, 0.0), (0.0, 1.0)), ((2.0, 0.3), (0.3, 2.0)), ((1.5, -0.1), (-0.1, 0.7))),
+    ),
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 12801])
+@pytest.mark.parametrize("name", list(CYCLED_SPECS))
+def test_build_cycles_parameters_like_resize(name, n):
+    spec = CYCLED_SPECS[name]
+    family = spec.build(n)
+    if spec.kind == "gamma":
+        pairs = [(family.shapes, np.resize(spec.shapes, n))]
+    else:
+        d = spec.dim
+        covs = np.resize(spec.covs, (n, d, d)) if len(spec.covs) > 1 else np.asarray(spec.covs)
+        pairs = [(family.means, np.resize(spec.means, (n, d))), (family.covs, covs)]
+    for got, want in pairs:
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()

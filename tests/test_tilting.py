@@ -12,9 +12,9 @@ from tiltedsums import (
     mean_cgf,
     normal_family,
     solve_tilt,
-    theta_bounds_1d,
     tilt_oracle,
 )
+from tiltedsums import tilting
 
 
 def iid_normals(n, mean=0.0, var=1.0):
@@ -137,6 +137,19 @@ def test_oracle_agreement_large_heterogeneous_family():
 # envelope bounds (d = 1)
 # ---------------------------------------------------------------------------
 
+def theta_bounds_1d(family, a):
+    """Bracket of the gamma tilt parameter from envelope functions.
+
+    Gamma members with shapes in [k_lo, k_hi] have means squeezed between
+    f_-(theta) = k_lo t/(1-theta t) and f_+ = k_hi t/(1-theta t), so
+    f_+^{-1}(a) <= theta <= f_-^{-1}(a).
+    """
+    t = family.scale
+    lo = (1.0 - float(family.shapes.max()) * t / a) / t
+    hi = (1.0 - float(family.shapes.min()) * t / a) / t
+    return lo, hi
+
+
 def test_theta_bounds_heterogeneous():
     members = gamma_family([2.5, 3.0, 4.0], 1.0)
     lo, hi = theta_bounds_1d(members, 6.0)
@@ -158,11 +171,6 @@ def test_theta_bounds_contain_zero_at_untilted_mean():
     a = float(mean_cgf(members, 0.0)[1][0])
     lo, hi = theta_bounds_1d(members, a)
     assert lo <= 0.0 <= hi
-
-
-def test_theta_bounds_normal_unsupported():
-    with pytest.raises(UnsupportedFamilyError):
-        theta_bounds_1d(iid_normals(3), 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -237,3 +245,75 @@ def test_legendre_round_trip_normal_2d():
         sol = solve_tilt(members, a)
         _, grad, _ = mean_cgf(members, sol.theta)
         assert np.linalg.norm(grad - a) <= 1e-10 * (1 + np.linalg.norm(a))
+
+
+# ---------------------------------------------------------------------------
+# line search: halving stops once the candidate rounds to the iterate
+# ---------------------------------------------------------------------------
+
+ALTERNATING = gamma_family([2.5, 4.0] * 6400, 1.0)
+IID = gamma_family([3.0] * 200, 1.0)
+
+
+@pytest.mark.parametrize("members", [ALTERNATING, IID], ids=["alternating-12800", "iid-200"])
+def test_converged_solve_costs_about_one_evaluation_per_step(members, monkeypatch):
+    # the last Newton step lies below one ulp of theta, so no halving of it
+    # can be accepted; 60 of them would make 67 and 62 evaluations here
+    calls = []
+
+    def counted(family, theta):
+        calls.append(theta)
+        return mean_cgf(family, theta)
+
+    monkeypatch.setattr(tilting, "mean_cgf", counted)
+    sol = solve_tilt(members, 6.0)
+    assert sol.converged
+    assert len(calls) <= 10
+
+
+# (family, a, repr(theta), repr(residual_norm), iterations, converged) as
+# solved with the full 60 halvings before every failed line search; at
+# a = 1e300 the residual squares to inf, which must raise no overflow warning
+PINNED = [
+    (ALTERNATING, 1e-12, "-3249999999999.0", "0.0", 47, True),
+    (ALTERNATING, 6.0, "0.45833333333333337", "0.0", 5, True),
+    (ALTERNATING, 1e7, "0.999999675", "0.0007145646959543228", 13, True),
+    (ALTERNATING, 1e12, "0.99999999999675", "13581727.469848633", 14, False),
+    (ALTERNATING, 1e300, "0.0", "inf", 0, False),
+    (IID, 1e-12, "-2999999999999.0005", "2.0194839173657902e-28", 47, True),
+    (IID, 6.0, "0.5", "0.0", 1, True),
+    (IID, 1e7, "0.9999997", "0.0015628151595592499", 12, False),
+    (IID, 1e12, "0.999999999997", "14885492.451538086", 14, False),
+    (IID, 1e300, "0.0", "inf", 0, False),
+]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "members,a,theta,residual,iterations,converged",
+    PINNED,
+    ids=[f"{'alt' if m is ALTERNATING else 'iid'}-{a:g}" for m, a, *_ in PINNED],
+)
+def test_solve_tilt_pinned_results(members, a, theta, residual, iterations, converged):
+    sol = solve_tilt(members, a)
+    assert repr(float(sol.theta[0])) == theta
+    assert repr(sol.residual_norm) == residual
+    assert (sol.iterations, sol.converged) == (iterations, converged)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "a,theta,residual,iterations,converged",
+    [
+        ((1.0, -2.0), ["1.4090909090909092", "-2.9696969696969697"], "0.0", 1, True),
+        ((1e300, -1e300), ["0.0", "0.0"], "inf", 0, False),
+    ],
+)
+def test_solve_tilt_pinned_results_normal_2d(a, theta, residual, iterations, converged):
+    members = normal_family(
+        [np.array([0.5, -0.3]), np.array([-0.1, 0.8])],
+        [np.array([[1.2, 0.3], [0.3, 0.9]])],
+    )
+    sol = solve_tilt(members, np.array(a))
+    assert [repr(float(v)) for v in sol.theta] == theta
+    assert (repr(sol.residual_norm), sol.iterations, sol.converged) == (residual, iterations, converged)
