@@ -18,9 +18,10 @@ convolutions), and the ratio
     rho(t) = f_rest(n a - t) / f_full(n a)
 
 of tilted sum densities, so that given the sum the block sum has density
-rho(t) ctx.block(t).  rho is evaluated either exactly (log_ratio_given_sum)
-or through order-1 Edgeworth approximations of both normalized densities
-together with the exact determinant ratio.  The normalized coordinates
+rho(t) ctx.block(t).  rho is evaluated either exactly (log_ratio_given_sum,
+or fill_log_ratio at fresh draws of the block sum) or through order-1
+Edgeworth approximations of both normalized densities together with the
+exact determinant ratio.  The normalized coordinates
 
     t_tilde = k^{-1/2} B_{1,k} (t - sum_{j<=k} m_j(theta))
     t_sharp = (n-k)^{-1/2} B_{k+1,n} (sum_{j<=k} m_j(theta) - t)
@@ -144,6 +145,15 @@ class RatioContext:
     def log_ratio_exact(self, t):
         t = np.asarray(t, dtype=float).reshape(-1, self.d)
         return self.block.log_ratio_given_sum(self.rest, self.na, t)
+
+    @cached_property
+    def _log_ratio_fill(self):
+        return self.block.log_ratio_sampler(self.rest, self.na)
+
+    def fill_log_ratio(self, rng, out):
+        """Draw len(out) block sums from ctx.block on rng, consuming it as
+        ctx.block.sample does, and write log rho at them into out."""
+        self._log_ratio_fill(rng, out)
 
     def exact(self, t):
         return np.exp(self.log_ratio_exact(t))

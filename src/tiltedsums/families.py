@@ -23,10 +23,11 @@ Slicing gives the family of a block (family[:k], family[k:]), a single member
 is a family of length 1, and convolve() returns the law of the sum as a
 family of length 1.  Densities, cdf/sf and samplers are those of a single
 law X, and so are P(X <= x | X + Y = s), log rho(t) = log f_Y(s - t) -
-log f_{X+Y}(s) and the two zeros of log rho (cdf_given_sum, log_ratio_given_sum
-and ratio_roots, given Y = rest); log_density also evaluates member j at point
-j when given one point per member.  The per-member hooks of the assumption
-checks return one row per member.
+log f_{X+Y}(s), its values at fresh draws of X and the two zeros of log rho
+(cdf_given_sum, log_ratio_given_sum, log_ratio_sampler and ratio_roots, given
+Y = rest); log_density also evaluates member j at point j when given one
+point per member.  The per-member hooks of the assumption checks return one
+row per member.
 
 Gamma members require shape > 2 so densities are C^1 and fourth moments stay
 uniformly controlled under tilting; a gamma family shares a single scale t.
@@ -36,7 +37,7 @@ explicitly.
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 from scipy.special import betainc, betaln, gammainc, gammaincc, gammaln, ndtr
@@ -88,8 +89,8 @@ class Family:
     Subclasses provide kind, dim, domain, __len__, _take(slice), the average
     cgf calculus (cgf, cgf_grad, cgf_hess), tilt, convolve, distinct, the
     single-law operations (log_density, cdf, sf, sample, cdf_given_sum,
-    log_ratio_given_sum, ratio_roots) and the per-member hooks of the
-    assumption checks (member_hess, fourth_central_moment,
+    log_ratio_given_sum, log_ratio_sampler, ratio_roots) and the per-member
+    hooks of the assumption checks (member_hess, fourth_central_moment,
     char_fn_modulus_sup, density_partial_l1), plus third_central_moment_tensor
     averaged over the family for the Edgeworth expansion.
     """
@@ -252,6 +253,16 @@ class GammaFamily(Family):
         with np.errstate(divide="ignore", invalid="ignore"):
             out = np.where(x < 1.0, m * np.log1p(-x) + lam * x + c, -np.inf)
         return float(out[0]) if single else out
+
+    def log_ratio_sampler(self, rest, s):
+        """fill(rng, out): draws len(out) values of X = self on rng, as sample
+        does, and writes log rho at them into out (Y = rest, sum s)."""
+        self._bridge(rest)
+
+        def fill(rng, out):
+            out[:] = self.log_ratio_given_sum(rest, s, self.sample(rng, len(out)))
+
+        return fill
 
     def ratio_roots(self, rest, s):
         """The zeros t_1 <= t_2 of log rho, clamped to [0, s).  g(x) = log rho(s x) is
@@ -426,8 +437,38 @@ class NormalFamily(Family):
         self._single("log_ratio_given_sum", rest)
         s = as_vector(s, self.dim)
         pts, single = self._points(t)
-        out = rest.log_density(s - pts) - _log_sum_density(self, rest, tuple(s))
+        out = rest.log_density(s - pts) - self._log_sum_density(rest, s)
         return float(out[0]) if single else out
+
+    def _log_sum_density(self, rest, s):
+        """log f_{X+Y}(s) for X = self, Y = rest."""
+        full = NormalFamily(self.means + rest.means, self.covs + rest.covs)
+        return full.log_density(np.reshape(s, (1, -1)))[0]
+
+    def log_ratio_sampler(self, rest, s):
+        """fill(rng, out): draws len(out) values T = m_x + L z of X = self on
+        rng, as sample does (L = cov_x^(1/2), z standard normal), and writes
+        log rho(T) into out (Y = rest, sum s).  The whitened rest residual
+        W (s - T - m_y) (W = cov_y^(-1/2)) is c - A z with A = W L and
+        c = W (s - m_x - m_y), so the two affine maps are composed once here
+        and a fill costs one (d, d) by (d, len(out)) product; T is never
+        formed.  Temporaries are z and one (d, len(out)) array."""
+        self._single("log_ratio_sampler", rest)
+        s = as_vector(s, self.dim)
+        w = rest._inv_sqrt[0]
+        a_map = w @ sym_sqrt(self.covs[0])
+        shift = (w @ (s - self.means[0] - rest.means[0]))[:, None]
+        const = -0.5 * (self.dim * LOG_2PI + rest._logdet[0]) - self._log_sum_density(rest, s)
+
+        def fill(rng, out):
+            z = rng.standard_normal((len(out), self.dim))
+            white = a_map @ z.T
+            np.subtract(shift, white, out=white)
+            np.einsum("in,in->n", white, white, out=out)
+            out *= -0.5
+            out += const
+
+        return fill
 
     def ratio_roots(self, rest, s):
         """The zeros s - m_y -+ sqrt(v_y (z^2 - log1p(-v_x / v_f))) of log rho for
@@ -465,12 +506,6 @@ class NormalFamily(Family):
     def third_central_moment_tensor(self, theta):
         self._check_theta(theta)
         return np.zeros((self.dim, self.dim, self.dim))
-
-
-@lru_cache(maxsize=8)
-def _log_sum_density(x, y, s):
-    """log f_{X+Y}(s) for normal X, Y and a point tuple s, cached for the chunks of tv_sum_mc."""
-    return NormalFamily(x.means + y.means, x.covs + y.covs).log_density(np.array([s]))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -26,14 +26,21 @@ def as_vector(x, dim=None):
     return v
 
 
-def check_symmetric(m, tol=1e-10):
+def _square(m):
     """Coerce a scalar, matrix or stack of matrices to a float array of shape
-    (..., d, d) and check that every matrix is symmetric."""
+    (..., d, d)."""
     a = np.asarray(m, dtype=float)
     if a.ndim == 0:
         a = a.reshape(1, 1)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected square matrices, got shape {a.shape}")
+    return a
+
+
+def check_symmetric(m, tol=1e-10):
+    """Coerce a scalar, matrix or stack of matrices to a float array of shape
+    (..., d, d) and check that every matrix is symmetric."""
+    a = _square(m)
     if not np.allclose(a, np.swapaxes(a, -1, -2), rtol=tol, atol=tol):
         raise ValueError("matrix is not symmetric")
     return a
@@ -43,13 +50,15 @@ def guarded_eigh(mat, rel_floor=REL_EIG_FLOOR):
     """Eigendecomposition of a symmetric positive definite matrix, or of a
     stack of them (shape (..., d, d)).
 
-    Raises DegenerateCovarianceError when a spectrum is not usable for
-    square roots / inverses (lambda_min < rel_floor * lambda_max).
+    Symmetry is not re-tested: every matrix that reaches here is a
+    covariance checked when its family was built, or a Hessian symmetric by
+    construction, and eigh reads only the lower triangle.  Raises
+    DegenerateCovarianceError when a spectrum is not usable for square
+    roots / inverses (lambda_min < rel_floor * lambda_max).
     """
-    a = check_symmetric(mat)
-    w, q = np.linalg.eigh(a)
+    w, q = np.linalg.eigh(_square(mat))
     lo, hi = w[..., 0], w[..., -1]
-    if np.any(hi <= 0.0) or np.any(lo < rel_floor * hi):
+    if ((hi <= 0.0) | (lo < rel_floor * hi)).any():
         raise DegenerateCovarianceError(
             f"matrix numerically singular: eigenvalues in [{np.min(lo):.3e}, {np.max(hi):.3e}]"
         )

@@ -9,7 +9,7 @@ of the L1 distance) to a single integral over the block-sum value:
 
 with f_block the tilted block-sum density.  The two sum-statistic
 estimators take f_block, f_rest and rho from one conditional.RatioContext
-(ctx.block, ctx.rest, ctx.log_ratio_exact) and tilt or convolve nothing
+(ctx.block, ctx.rest, ctx.fill_log_ratio) and tilt or convolve nothing
 themselves.  Estimators:
 
   * scheffe   - exact evaluation for d = 1 by Scheffe's identity: rho
@@ -20,10 +20,12 @@ themselves.  Estimators:
   * sum_mc    - Monte Carlo mean of |rho - 1| over draws of the tilted
                 block sum from its closed-form law (the integrand's own
                 weight is the importance measure, so no reweighting is
-                needed); draws are made and evaluated SUM_MC_CHUNK at a time
-                from one generator, which continues a single stream, so the
-                values are those of one large draw while the temporaries of
-                a chunk stay in cache;
+                needed); ctx.fill_log_ratio draws SUM_MC_CHUNK block sums
+                at a time from one generator, which continues a single
+                stream, and writes log rho at them straight into that
+                chunk of the one sample buffer; expm1, abs, the mean and
+                the standard error then run in place, so a row holds one
+                samples-long array plus the temporaries of one chunk;
   * joint_mc  - Monte Carlo in the k*d-dimensional joint space,
                 E_{x ~ tilted product} |q_cond(x)/p_tilted(x) - 1|, an
                 independent route that must agree with the sum-statistic
@@ -115,7 +117,10 @@ def tv_scheffe(family, k, a, theta=None):
 
 def tv_sum_mc(family, k, a, samples=DEFAULT_SUM_SAMPLES, rng=None, theta=None):
     """Monte Carlo TV over the block-sum statistic: mean of |rho(T) - 1|
-    with T drawn from the tilted block-sum law ctx.block."""
+    with T drawn from the tilted block-sum law ctx.block.  Each chunk of the
+    samples-long buffer is filled with log rho at fresh draws
+    (ctx.fill_log_ratio) and turned into |rho - 1| in place; the values are
+    those of one draw of all samples from rng, whatever SUM_MC_CHUNK is."""
     _check_samples(samples)
     n = len(family)
     a = as_vector(a, family.dim)
@@ -126,10 +131,10 @@ def tv_sum_mc(family, k, a, samples=DEFAULT_SUM_SAMPLES, rng=None, theta=None):
 
     vals = np.empty(samples)
     for start in range(0, samples, SUM_MC_CHUNK):
-        draws = ctx.block.sample(gen, min(SUM_MC_CHUNK, samples - start))
-        vals[start : start + len(draws)] = np.abs(np.expm1(ctx.log_ratio_exact(draws)))
-    value = float(np.mean(vals))
-    std_error = float(np.std(vals, ddof=1) / math.sqrt(samples))
+        chunk = vals[start : start + SUM_MC_CHUNK]
+        ctx.fill_log_ratio(gen, chunk)
+        np.abs(np.expm1(chunk, out=chunk), out=chunk)
+    value, std_error = _mean_and_se(vals)
     return TVEstimate(value, std_error, "sum_mc", n, ctx.k, tuple(a), samples)
 
 
@@ -154,10 +159,21 @@ def tv_joint_mc(family, k, a, samples=DEFAULT_JOINT_SAMPLES, rng=None, theta=Non
     total = np.zeros((samples, d))
     for j in range(k):
         total += tilted[j].sample(gen, samples)
-    vals = np.abs(np.expm1(_joint_log_ratio(family, k, n * a, theta, total)))
-    value = float(np.mean(vals))
-    std_error = float(np.std(vals, ddof=1) / math.sqrt(samples))
+    vals = _joint_log_ratio(family, k, n * a, theta, total)
+    np.abs(np.expm1(vals, out=vals), out=vals)
+    value, std_error = _mean_and_se(vals)
     return TVEstimate(value, std_error, "joint_mc", n, k, tuple(a), samples)
+
+
+def _mean_and_se(vals):
+    """(mean, standard error of the mean) of vals as floats, bit for bit
+    np.mean(vals) and np.std(vals, ddof=1) / sqrt(N); vals is overwritten
+    (centred and squared in place) instead of copied."""
+    mean = np.mean(vals)
+    vals -= mean
+    np.square(vals, out=vals)
+    variance = np.add.reduce(vals) / (len(vals) - 1)
+    return float(mean), float(np.sqrt(variance) / math.sqrt(len(vals)))
 
 
 def _joint_log_ratio(family, k, na, theta, total):

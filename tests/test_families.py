@@ -17,7 +17,7 @@ from tiltedsums import (
     gamma_family,
     normal_family,
 )
-from tiltedsums.numerics import sym_sqrt
+from tiltedsums.numerics import guarded_eigh, sym_sqrt
 
 
 def gamma_member(shape, scale):
@@ -256,6 +256,19 @@ def test_near_singular_covariance_raises_from_log_density():
     assert member.cgf_hess(np.zeros(2))[1, 1] == 1e-14
     with pytest.raises(DegenerateCovarianceError):
         member.log_density(np.ones((3, 2)))
+
+
+def test_guarded_eigh_checks_shape_and_spectrum():
+    # symmetry is checked once, when a family is built; the eigendecomposition
+    # keeps the shape check and the eigenvalue floor
+    w, q = guarded_eigh(4.0)
+    assert w.tolist() == [4.0] and q.tolist() == [[1.0]]
+    for bad_shape in (np.ones(3), np.ones((2, 3)), np.ones((4, 2, 3))):
+        with pytest.raises(ValueError):
+            guarded_eigh(bad_shape)
+    for degenerate in (np.diag([1.0, 1e-14]), -np.eye(2), np.stack([np.eye(2), np.diag([1.0, 0.0])])):
+        with pytest.raises(DegenerateCovarianceError):
+            guarded_eigh(degenerate)
 
 
 # ---------------------------------------------------------------------------

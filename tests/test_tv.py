@@ -2,6 +2,7 @@
 and the two-Gaussian variation constant."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -23,7 +24,7 @@ from tiltedsums import (
     tv_scheffe,
     tv_sum_mc,
 )
-from tiltedsums.tv import SUM_MC_CHUNK, _joint_log_ratio
+from tiltedsums.tv import SUM_MC_CHUNK, _joint_log_ratio, _mean_and_se
 
 
 def iid_normals(n, mean=0.0, var=1.0, dim=1):
@@ -317,11 +318,70 @@ def test_mc_estimators_need_two_samples():
 def test_sum_mc_zero_when_ratio_forced_to_one(monkeypatch):
     # identical-law degenerate check: with the log ratio pinned at 0 the
     # estimator must return exactly 0
-    monkeypatch.setattr(
-        RatioContext, "log_ratio_exact", lambda self, t: np.zeros(np.asarray(t).reshape(-1, 1).shape[0])
-    )
+    monkeypatch.setattr(RatioContext, "fill_log_ratio", lambda self, rng, out: out.fill(0.0))
     est = tv_sum_mc(gamma_family([3.0] * 10, 1.0), 2, 6.0, samples=1000, rng=1)
     assert est.value == 0.0 and est.std_error == 0.0
+
+
+@pytest.mark.parametrize("kind", ["gamma", "normal"])
+def test_sum_mc_traced_memory_is_one_buffer_plus_a_chunk(kind):
+    # a row holds its samples-long float64 buffer and the temporaries of one
+    # chunk, at most six d-wide float64 arrays of SUM_MC_CHUNK rows
+    samples = 1 << 20
+    if kind == "gamma":
+        members, k, a, d = gamma_family([2.5, 4.0] * 50, 1.0), 10, 6.0, 1
+    else:
+        members = normal_family([[0.0, 0.0], [0.5, 0.5]] * 50, [[1.0, 0.2], [0.2, 2.0]])
+        k, a, d = 10, [0.6, 0.6], 2
+    tracemalloc.start()
+    try:
+        tv_sum_mc(members, k, a, samples=samples, rng=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * samples + 48 * d * SUM_MC_CHUNK, peak / 2**20
+
+
+@pytest.mark.parametrize(
+    "count", [2, 3, 8, 9, 127, 128, 129, 2**16 - 1, 2**16, 2**16 + 1, 10**6 + 3]
+)
+def test_mean_and_se_bitwise_numpy(count):
+    vals = np.abs(np.random.default_rng(count).standard_normal(count)) * 1e-3
+    expected = (np.mean(vals), np.std(vals, ddof=1) / math.sqrt(count))
+    assert _mean_and_se(vals.copy()) == expected
+
+
+def _sum_mc_laws():
+    cov2 = [[1.0, 0.2], [0.2, 2.0]]
+    cov3 = [[1.0, 0.2, 0.1], [0.2, 2.0, 0.0], [0.1, 0.0, 0.5]]
+    return [
+        ("gamma", gamma_family([2.5, 4.0] * 50, 1.0), 10, 6.0),
+        ("gamma", gamma_family([3.0] * 40, 2.0), 1, 5.0),
+        ("normal", normal_family([[0.0]] * 300, [[1.0]]), 1, 0.5),
+        ("normal", normal_family([[0.0], [1.0]] * 30, [[[1.0]], [[3.0]]] * 30), 7, 0.8),
+        ("normal", normal_family([[0.0, 0.0], [0.5, 0.5]] * 50, cov2), 10, [0.6, 0.6]),
+        ("normal", normal_family([[0.0, 0.0], [0.5, 0.5]] * 50, [cov2, np.eye(2) * 0.5] * 50), 9, [0.6, 0.6]),
+        ("normal", normal_family([[0.0, 0.1, 0.2]] * 60, cov3), 5, [0.6, 0.6, 0.1]),
+        ("normal", normal_family([[0.0, 0.1, 0.2]] * 60, [cov3, np.eye(3)] * 30), 6, [0.6, 0.6, 0.1]),
+    ]
+
+
+@pytest.mark.parametrize("untilted", [False, True])
+@pytest.mark.parametrize("kind,members,k,a", _sum_mc_laws())
+def test_fill_log_ratio_matches_ratio_at_block_draws(kind, members, k, a, untilted):
+    # the fused fill draws what ctx.block.sample draws, consumes the stream
+    # alike, and writes log rho at those draws; untilted, the block and rest
+    # means no longer add up to n a, so the whitened shift is not 0
+    ctx = RatioContext(members, k, a, theta=np.zeros(members.dim) if untilted else None)
+    gen, ref_gen = np.random.default_rng(29), np.random.default_rng(29)
+    out = np.empty(5001)
+    ctx.fill_log_ratio(gen, out)
+    expected = ctx.log_ratio_exact(ctx.block.sample(ref_gen, len(out)))
+    assert gen.bit_generator.state == ref_gen.bit_generator.state
+    if kind == "gamma":
+        assert out.tobytes() == expected.tobytes()
+    else:
+        np.testing.assert_allclose(out, expected, rtol=0.0, atol=1e-12)
 
 
 def test_joint_mc_k1_matches_sum_mc():
