@@ -33,8 +33,6 @@ from .edgeworth import (
     build_model,
     default_grid,
     edgeworth_density,
-    hermite3,
-    multi_indices,
     third_cumulant,
     weighted_sup_error,
 )
@@ -94,10 +92,8 @@ __all__ = [
     "fit_scaling",
     "gamma_family",
     "gibbs_density",
-    "hermite3",
     "k_for",
     "mean_cgf",
-    "multi_indices",
     "normal_family",
     "normalized_exact_density",
     "parse_config",

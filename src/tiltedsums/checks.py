@@ -111,12 +111,20 @@ class AssumptionReport:
         return all(e.passed for e in self.entries)
 
 
-def _theta_grid(family, box, points_per_axis):
-    if box.dim != family.dim:
+def _thetas(laws, box, points_per_axis):
+    """The tilt parameters a check evaluates, as an (N, d) array.
+
+    Tilting a normal member shifts its mean only, so its covariance, moments,
+    cf modulus and density-derivative norms do not depend on theta; the box
+    center suffices.  Other kinds are scanned over the full grid, which must
+    lie inside the cgf domain."""
+    if box.dim != laws.dim:
         raise ValueError("box dimension does not match the members")
+    if laws.kind == "normal":
+        return box.center[None, :]
     grid = box.grid(points_per_axis)
     for theta in grid:
-        if not family.domain.contains(theta):
+        if not laws.domain.contains(theta):
             raise ValueError(f"grid point {theta} is outside the cgf domain")
     return grid
 
@@ -124,8 +132,8 @@ def _theta_grid(family, box, points_per_axis):
 def check_cv(family, box, points_per_axis=33, eig_floor=1e-8, eig_ceiling=1e12):
     """Covariance eigenvalues of tilted members over K."""
     laws = family.distinct()
-    grid = _theta_grid(laws, box, points_per_axis)
-    eigs = np.array([np.linalg.eigvalsh(laws.member_hess(theta)) for theta in grid])
+    thetas = _thetas(laws, box, points_per_axis)
+    eigs = np.array([np.linalg.eigvalsh(laws.member_hess(theta)) for theta in thetas])
     lam_min = float(np.min(eigs[..., 0]))
     lam_max = float(np.max(eigs[..., -1]))
     passed = eig_floor < lam_min <= lam_max < eig_ceiling
@@ -135,19 +143,10 @@ def check_cv(family, box, points_per_axis=33, eig_floor=1e-8, eig_ceiling=1e12):
 def check_am4(family, box, points_per_axis=33, ceiling=1e6):
     """Fourth absolute central moments of tilted members over K."""
     laws = family.distinct()
-    grid = _theta_grid(laws, box, points_per_axis)
-    worst = max(float(np.max(laws.fourth_central_moment(theta))) for theta in grid)
+    thetas = _thetas(laws, box, points_per_axis)
+    worst = max(float(np.max(laws.fourth_central_moment(theta))) for theta in thetas)
     passed = math.isfinite(worst) and worst < ceiling
     return CheckResult("am4", passed, {"max_fourth_moment": worst, "ceiling": ceiling})
-
-
-def _theta_list_for_cf(laws, box, points_per_axis):
-    """Tilting a normal member shifts its mean only, so its cf modulus and
-    density-derivative norms do not depend on theta; one evaluation point
-    suffices.  Other kinds are scanned over the full grid."""
-    if laws.kind == "normal":
-        return [box.center]
-    return list(_theta_grid(laws, box, points_per_axis))
 
 
 def _sup_partial_l1(laws, thetas):
@@ -162,7 +161,7 @@ def check_cf_decay(family, box, points_per_axis=33, r_min=1.0, r_max=100.0, r_po
     """Characteristic-function decay |cf(t)| <= C_K / ||t|| on ||t|| in
     [r_min, r_max], with C_K = sup of L1 norms of density partials."""
     laws = family.distinct()
-    thetas = _theta_list_for_cf(laws, box, points_per_axis)
+    thetas = _thetas(laws, box, points_per_axis)
     c_k = _sup_partial_l1(laws, thetas)
     radii = np.geomspace(r_min, r_max, r_points)
     worst_ratio = max(
@@ -179,7 +178,7 @@ def check_cf3(family, box, beta=0.5, points_per_axis=33, r_max=100.0, r_points=5
     if beta <= 0.0:
         raise ValueError("beta must be positive")
     laws = family.distinct()
-    thetas = _theta_list_for_cf(laws, box, points_per_axis)
+    thetas = _thetas(laws, box, points_per_axis)
     radii = np.linspace(beta, r_max, r_points)
     eps = max(float(np.max(laws.char_fn_modulus_sup(theta, radii))) for theta in thetas)
     eps = max(eps, _sup_partial_l1(laws, thetas) / r_max)
@@ -199,7 +198,7 @@ def check_uf(family, box=None, shape_lo=None, shape_hi=None, points_per_axis=33)
     if box is None:
         box = ThetaBox((-2.0 / t,), (1.0 / t - 1e-3,))
     laws = family.distinct()
-    grid = _theta_grid(laws, box, points_per_axis)
+    grid = _thetas(laws, box, points_per_axis)
     k_lo = float(laws.shapes.min()) if shape_lo is None else float(shape_lo)
     k_hi = float(laws.shapes.max()) if shape_hi is None else float(shape_hi)
 

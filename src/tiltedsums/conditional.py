@@ -37,7 +37,7 @@ import numpy as np
 
 from .edgeworth import build_model, edgeworth_density
 from .errors import NonConvergenceError, UndefinedConditionalError
-from .numerics import as_vector, sym_inv, sym_inv_sqrt, sym_logdet
+from .numerics import LOG_2PI, as_vector, sym_inv, sym_inv_sqrt, sym_logdet
 from .tilting import solve_tilt
 
 
@@ -94,8 +94,10 @@ class RatioContext:
     rest-sum law `rest` (of X_{k+1}+..+X_n), both closed-form convolutions,
     the full-sum log density at n a, and the normalization of the block.
     Given the sum, the block sum has density rho(t) block(t).  The Edgeworth
-    models of rest and full sum are built on first use, so the exact ratio
-    never pays for them."""
+    model of the rest sum is built on first use, so the exact ratio never
+    pays for it.  The full sum needs no model: rho is evaluated where the
+    full sum's normalized coordinate is 0, and P1(0) = 0 leaves its order-1
+    density there at (2 pi)^(-d/2)."""
 
     def __init__(self, family, k, a, theta=None):
         self.n = len(family)
@@ -123,15 +125,11 @@ class RatioContext:
         return build_model(self.family[self.k :], self.theta, order=1)
 
     @cached_property
-    def full_model(self):
-        return build_model(self.family, self.theta, order=1)
-
-    @cached_property
     def log_det_ratio(self):
         """log of det(Cov S_full)^(1/2) / det(Cov S_comp)^(1/2), Cov = count * V."""
         return 0.5 * (
             self.d * math.log(self.n / (self.n - self.k))
-            + sym_logdet(self.full_model.avg_cov)
+            + sym_logdet(self.family.cgf_hess(self.theta))
             - sym_logdet(self.comp_model.avg_cov)
         )
 
@@ -162,7 +160,7 @@ class RatioContext:
         t = np.asarray(t, dtype=float).reshape(-1, self.d)
         _, t_sharp = self.coords(t)
         g_comp = np.atleast_1d(edgeworth_density(self.comp_model, t_sharp))
-        g_full0 = edgeworth_density(self.full_model, np.zeros(self.d))
+        g_full0 = np.exp(-0.5 * self.d * LOG_2PI)
         return math.exp(self.log_det_ratio) * g_comp / g_full0
 
 

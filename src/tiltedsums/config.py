@@ -51,11 +51,16 @@ class FamilySpec:
             raise ConfigError(f"unknown family kind {self.kind!r}")
         if self.kind == "gamma" and not self.shapes:
             raise ConfigError("gamma families need at least one shape")
-        if self.kind == "normal":
-            if not self.means or not self.covs:
-                raise ConfigError("normal families need means and covariances")
-            if len(self.covs) not in (1, len(self.means)):
-                raise ConfigError("covs must be shared or match means in length")
+        if self.kind == "normal" and (not self.means or not self.covs):
+            raise ConfigError("normal families need means and covariances")
+        # the declared rows, built once, carry every check the family makes
+        try:
+            if self.kind == "gamma":
+                gamma_family(self.shapes, self.scale)
+            else:
+                normal_family(self.means, self.covs)
+        except ValueError as exc:
+            raise ConfigError(f"bad {self.kind} family parameters: {exc}") from exc
 
     @property
     def dim(self):
@@ -167,9 +172,12 @@ def _strip(line):
 
 def _scalar(text):
     try:
-        return float(text)
+        value = float(text)
     except ValueError as exc:
         raise ConfigError(f"expected a number, got {text!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _split_top_level(text):

@@ -8,21 +8,20 @@ covariances C_j, let V = (1/m) sum C_j, B = V^{-1/2} and
 The density q of Z is approximated by
 
     q(x) ~= phi(x) [1 + m^{-1/2} P1(x)],
-    P1(x) = sum_{|nu|=3} (chi_nu / nu!) H_nu(x),
+    P1(x) = kappa_ijk H_ijk(x) / 6 = (kappa_ijk x_i x_j x_k - 3 kappa_iik x_k) / 6,
 
-where chi_nu averages the nu-th cumulants of the standardized summands
-B (X_j - m_j) (equal to their third central moments), and H_nu is the
-product of probabilists' Hermite polynomials He_{nu_i}(x_i).  All H_nu with
-|nu| = 3 vanish at 0, so the correction never moves the density at the
-origin.  The quality metric used throughout is the weighted sup error
-max (1 + ||x||^4) |exact - approx|, which decays like 1/m at order 1.
+summed over repeated indices, where kappa_ijk averages the third cumulants
+of the standardized summands B (X_j - m_j) (equal to their third central
+moments) and H_ijk(x) = x_i x_j x_k - x_i delta_jk - x_j delta_ik - x_k delta_ij
+is the third tensor Hermite polynomial.  P1 is odd, so the correction never
+moves the density at the origin.  The quality metric used throughout is
+the weighted sup error max (1 + ||x||^4) |exact - approx|, which decays
+like 1/m at order 1.
 
-Multi-indices are enumerated in ascending lexicographic order; the map from
-nu to chi_nu stores raw averaged cumulants, with the nu! divisor applied at
-evaluation time.
+The averaged cumulants are kept as one symmetric (d, d, d) array, and P1
+is two einsum contractions of it.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -30,40 +29,10 @@ import numpy as np
 
 from .numerics import LOG_2PI, as_vector, sym_inv_sqrt, tensor_grid
 
-_HERMITE = (
-    lambda u: np.ones_like(u),
-    lambda u: u,
-    lambda u: u * u - 1.0,
-    lambda u: u * (u * u - 3.0),
-)
-
-
-def multi_indices(dim, weight=3):
-    """All multi-indices of the given total weight, lexicographically ascending."""
-    return [nu for nu in itertools.product(range(weight + 1), repeat=dim) if sum(nu) == weight]
-
-
-def hermite3(nu, x):
-    """Product Hermite polynomial H_nu(x) = prod_i He_{nu_i}(x_i), |nu| = 3.
-
-    x may be a scalar (d = 1), one point of length d, or an (N, d) batch.
-    """
-    if sum(nu) != 3:
-        raise ValueError(f"multi-index {nu} does not have weight 3")
-    d = len(nu)
-    pts = np.asarray(x, dtype=float)
-    single = pts.ndim == 0 or (pts.ndim == 1 and d > 1)
-    if pts.size % d != 0:
-        raise ValueError(f"points of shape {pts.shape} for multi-index {nu}")
-    pts = pts.reshape(-1, d)
-    val = np.ones(pts.shape[0])
-    for i, power in enumerate(nu):
-        val = val * _HERMITE[power](pts[:, i])
-    return float(val[0]) if single else val
-
 
 def third_cumulant(family, theta, B):
-    """Map nu -> average over the family of E[(B (X_tilted - mean))^nu], |nu| = 3.
+    """The (d, d, d) array kappa_ijk: the family average of
+    E[(B (X_tilted - mean))_i (...)_j (...)_k].
 
     Third cumulants of a centered vector equal its third moments, so the
     averaged central third-moment tensor contracted with rows of B gives
@@ -72,12 +41,7 @@ def third_cumulant(family, theta, B):
     d = family.dim
     B = np.asarray(B, dtype=float).reshape(d, d)
     tensor = family.third_central_moment_tensor(theta)
-    moments = np.einsum("ia,jb,kc,abc->ijk", B, B, B, tensor)
-    out = {}
-    for nu in multi_indices(d):
-        slots = tuple(i for i, power in enumerate(nu) for _ in range(power))
-        out[nu] = float(moments[slots])
-    return out
+    return np.einsum("ia,jb,kc,abc->ijk", B, B, B, tensor)
 
 
 @dataclass(frozen=True)
@@ -87,7 +51,7 @@ class EdgeworthModel:
     mean_sum: np.ndarray
     avg_cov: np.ndarray
     B: np.ndarray
-    avg_third_cumulants: dict
+    avg_third_cumulants: np.ndarray
     order: int
 
 
@@ -100,20 +64,16 @@ def build_model(family, theta, order=1):
     mean_sum = m * family.cgf_grad(theta)
     avg_cov = family.cgf_hess(theta)
     B = sym_inv_sqrt(avg_cov)
-    chi = third_cumulant(family, theta, B)
-    return EdgeworthModel(family.dim, m, mean_sum, avg_cov, B, chi, order)
+    kappa = third_cumulant(family, theta, B)
+    return EdgeworthModel(family.dim, m, mean_sum, avg_cov, B, kappa, order)
 
 
 def skew_correction(model, x):
-    """P1(x) = sum_nu chi_nu / nu! H_nu(x), the order-1 polynomial factor."""
-    pts = np.atleast_2d(np.asarray(x, dtype=float).reshape(-1, model.dim))
-    corr = np.zeros(pts.shape[0])
-    for nu, chi in model.avg_third_cumulants.items():
-        if chi == 0.0:
-            continue
-        divisor = math.prod(math.factorial(p) for p in nu)
-        corr += (chi / divisor) * hermite3(nu, pts)
-    return corr
+    """P1(x) = (kappa_ijk x_i x_j x_k - 3 kappa_iik x_k) / 6, the order-1
+    polynomial factor, at an (N, d) batch of points."""
+    kappa = model.avg_third_cumulants
+    cubic = np.einsum("ijk,ni,nj,nk->n", kappa, x, x, x)
+    return (cubic - 3.0 * np.einsum("iik,nk->n", kappa, x)) / 6.0
 
 
 def edgeworth_density(model, x):

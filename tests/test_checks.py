@@ -8,6 +8,7 @@ import pytest
 from scipy.integrate import quad
 
 from tiltedsums import (
+    NormalFamily,
     ThetaBox,
     UnsupportedFamilyError,
     check_am4,
@@ -247,6 +248,30 @@ def test_report_depends_on_distinct_laws_only(gamma_box):
     many = run_assumption_checks(normal_family(means * 50, cov), box)
     two = run_assumption_checks(normal_family(means, cov), box)
     assert many.csv_rows() == two.csv_rows()
+
+
+def test_normal_checks_evaluate_one_theta(monkeypatch):
+    """Normal covariances and moments do not depend on theta, so a 3-d box
+    costs one evaluation, not 33^3; the witnesses are those of the full grid."""
+    members = normal_family([np.zeros(3), np.array([0.5, -0.5, 1.0])] * 2,
+                            [np.array([[1.0, 0.2, 0.1], [0.2, 2.0, 0.3], [0.1, 0.3, 1.5]])])
+    calls = []
+    real_hess = NormalFamily.member_hess
+
+    def counting_hess(self, theta):
+        calls.append(theta)
+        return real_hess(self, theta)
+
+    monkeypatch.setattr(NormalFamily, "member_hess", counting_hess)
+    report = run_assumption_checks(members, ThetaBox((-1.0,) * 3, (1.0,) * 3))
+    assert len(calls) == 1
+    assert [(e.name, e.passed, e.witnesses) for e in report.entries] == [
+        ("supp", True, {}),
+        ("cv", True, {"lambda_min": 0.9576748571757885, "lambda_max": 2.1827601656659157}),
+        ("am4", True, {"max_fourth_moment": 35.31, "ceiling": 1e6}),
+        ("cf_decay", True, {"c_k": 0.8073735529745871, "max_bound_ratio": 0.7676505831853291}),
+        ("cf3", True, {"epsilon": 0.8871782512674558, "beta": 0.5}),
+    ]
 
 
 def test_report_csv_shape(gamma_members, gamma_box):

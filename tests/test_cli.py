@@ -250,6 +250,33 @@ def test_bad_inputs_exit_with_message(method, samples, argv, code, cfg_path, cap
     assert "error:" in err or logged
 
 
+# configs whose family parameters or numbers are invalid: (family section, a)
+BAD_CONFIGS = {
+    "gamma-shape": ("kind = gamma\nscale = 1.0\nshapes = 1.5", "6.0"),
+    "gamma-scale": ("kind = gamma\nscale = -1.0\nshapes = 3.0", "6.0"),
+    "normal-cov": ("kind = normal\nmeans = 0;0\ncov = 1;2|2;1", "0;0"),
+    "normal-means": ("kind = normal\nmeans = 0;0, 1\ncov = 1;0|0;1", "0;0"),
+    "nan-target": ("kind = gamma\nscale = 1.0\nshapes = 3.0", "nan"),
+    "inf-scale": ("kind = gamma\nscale = inf\nshapes = 3.0", "6.0"),
+    "inf-shape": ("kind = gamma\nscale = 1.0\nshapes = inf", "6.0"),
+}
+
+
+@pytest.mark.parametrize("command", ["tilt", "tv", "check", "sweep"])
+@pytest.mark.parametrize("name", list(BAD_CONFIGS))
+def test_bad_family_config_exits_2(name, command, tmp_path, capsys, caplog):
+    family, a = BAD_CONFIGS[name]
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"[family]\n{family}\n\n[sweep]\nn = 50, 80\nk = sqrt\na = {a}\n"
+                    f"out = {tmp_path / 'out'}\n")
+    target = "0;0" if "normal" in family else "6.0"
+    extra = ["--n", "50", "--k", "5", "--a", target] if command == "tv" else []
+    assert main([command, "--config", str(path), *extra]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert any("config error" in r.getMessage() for r in caplog.records if r.levelname == "ERROR")
+    assert not (tmp_path / "out").exists()
+
+
 def test_check_unconverged_tilt_exits_1(cfg_path, capsys, caplog):
     # the default theta box comes from the sweep's tilt solves, which fail here
     path = cfg_path()

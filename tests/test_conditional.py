@@ -18,7 +18,9 @@ from tiltedsums import (
     solve_tilt,
     tilt_oracle,
     tilting_invariance_check,
+    tv_joint_mc,
     tv_scheffe,
+    tv_sum_mc,
 )
 from tiltedsums import conditional
 
@@ -31,8 +33,10 @@ def test_public_api_resolves():
     import tiltedsums
 
     assert [name for name in tiltedsums.__all__ if not hasattr(tiltedsums, name)] == []
-    # sum laws come from family.tilt(theta).convolve(), ratios and coordinates from RatioContext
-    removed = ("sum_density", "EdgeworthSumDensity", "density_ratio", "normalized_coords", "NormalizedCoords")
+    # sum laws come from family.tilt(theta).convolve(), ratios and coordinates from RatioContext,
+    # the order-1 Edgeworth factor from the cumulant tensor
+    removed = ("sum_density", "EdgeworthSumDensity", "density_ratio", "normalized_coords", "NormalizedCoords",
+               "hermite3", "multi_indices")
     assert [name for name in removed if hasattr(tiltedsums, name) or name in tiltedsums.__all__] == []
 
 
@@ -179,16 +183,20 @@ def test_edgeworth_models_built_only_on_first_use(monkeypatch):
         return real_build(*args, **kwargs)
 
     monkeypatch.setattr(conditional, "build_model", counting_build)
-    tv_scheffe(gamma_family([2.5, 4.0] * 50, 1.0), 10, 6.0)
+    family = gamma_family([2.5, 4.0] * 50, 1.0)
+    tv_scheffe(family, 10, 6.0)
+    tv_sum_mc(family, 10, 6.0, samples=100, rng=np.random.default_rng(0))
+    tv_joint_mc(family, 10, 6.0, samples=100, rng=np.random.default_rng(0))
     assert calls == []
     ctx = RatioContext(gamma_family([2.5, 4.0] * 20, 1.0), 3, 5.5)
     assert calls == []
     values = ctx.edgeworth(np.array([[10.0], [16.5], [25.0]]))
-    assert len(calls) == 2
+    # the rest sum's model only: P1(0) = 0 leaves the full sum's density at 0 Gaussian
+    assert len(calls) == 1
     # values of the eager construction
     np.testing.assert_allclose(values, [0.9716174055884229, 1.0405165191339747, 0.942314871190284], rtol=1e-14)
     ctx.edgeworth(np.array([[12.0]]))
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,61 +1,27 @@
-"""Edgeworth machinery: Hermite products, cumulant maps, density accuracy."""
+"""Edgeworth machinery: the cumulant tensor, the order-1 factor P1 and
+density accuracy."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
+from numpy.polynomial.hermite_e import hermegauss
 from scipy.integrate import quad
 
 from tiltedsums import (
     DegenerateCovarianceError,
+    EdgeworthModel,
     build_model,
     default_grid,
     edgeworth_density,
     gamma_family,
-    hermite3,
-    multi_indices,
     normal_family,
     normalized_exact_density,
     third_cumulant,
     weighted_sup_error,
 )
-
-
-# ---------------------------------------------------------------------------
-# multi-indices and Hermite products
-# ---------------------------------------------------------------------------
-
-def test_multi_index_enumeration():
-    assert multi_indices(1) == [(3,)]
-    assert multi_indices(2) == [(0, 3), (1, 2), (2, 1), (3, 0)]
-    for d in (1, 2, 3):
-        assert len(multi_indices(d)) == math.comb(d + 2, 3)
-        assert all(sum(nu) == 3 for nu in multi_indices(d))
-
-
-def test_hermite3_values():
-    assert hermite3((3,), 0.0) == 0.0
-    assert hermite3((3,), 2.0) == pytest.approx(2.0)
-    assert hermite3((1, 2), np.array([1.0, 1.0])) == pytest.approx(0.0)
-    assert hermite3((1, 2), np.array([2.0, 2.0])) == pytest.approx(2.0 * 3.0)
-    assert hermite3((1, 1, 1), np.array([2.0, 3.0, -1.0])) == pytest.approx(-6.0)
-
-
-def test_hermite3_rejects_wrong_weight():
-    with pytest.raises(ValueError):
-        hermite3((2,), 1.0)
-    with pytest.raises(ValueError):
-        hermite3((2, 2), np.array([1.0, 1.0]))
-
-
-@given(st.integers(1, 3), st.integers(0, 9))
-@settings(max_examples=40, deadline=None)
-def test_hermite3_vanishes_at_zero(dim, which):
-    nus = multi_indices(dim)
-    nu = nus[which % len(nus)]
-    assert hermite3(nu, np.zeros(dim)) == 0.0
+from tiltedsums.edgeworth import skew_correction
 
 
 # ---------------------------------------------------------------------------
@@ -65,8 +31,8 @@ def test_hermite3_vanishes_at_zero(dim, which):
 def test_third_cumulant_normal_vanishes():
     member = normal_family([np.array([1.0, -2.0])], np.array([[1.0, 0.3], [0.3, 2.0]]))
     out = third_cumulant(member, np.zeros(2), np.eye(2))
-    assert set(out) == set(multi_indices(2))
-    assert all(v == 0.0 for v in out.values())
+    assert out.shape == (2, 2, 2)
+    assert not out.any()
 
 
 def test_third_cumulant_gamma_example():
@@ -74,8 +40,8 @@ def test_third_cumulant_gamma_example():
     b = np.array([[3.0**-0.5]])
     out = third_cumulant(member, 0.0, b)
     # third central moment of Gamma(3,1) is 2*k*t^3 = 6, scaled by B^3
-    assert out[(3,)] == pytest.approx(6.0 * 3.0**-1.5, rel=1e-13)
-    assert out[(3,)] == pytest.approx(1.1547005383792517, rel=1e-12)
+    assert out[0, 0, 0] == pytest.approx(6.0 * 3.0**-1.5, rel=1e-13)
+    assert out[0, 0, 0] == pytest.approx(1.1547005383792517, rel=1e-12)
 
 
 def test_third_cumulant_gamma_quadrature_oracle():
@@ -85,14 +51,14 @@ def test_third_cumulant_gamma_quadrature_oracle():
         mean = tilted.shapes[0] * tilted.scale
         mom, _ = quad(lambda x: (x - mean) ** 3 * tilted.density(x), 0.0, 600.0, limit=500)
         b = 0.7
-        closed = third_cumulant(member, theta, np.array([[b]]))[(3,)]
+        closed = third_cumulant(member, theta, np.array([[b]]))[0, 0, 0]
         assert closed == pytest.approx(b**3 * mom, rel=1e-8)
 
 
 def test_mixed_third_moments_vanish_for_product_members():
     member = normal_family([np.zeros(2)], np.diag([1.0, 4.0]))
     out = third_cumulant(member, np.zeros(2), np.diag([1.0, 0.5]))
-    assert out[(2, 1)] == 0.0 and out[(1, 2)] == 0.0
+    assert out[0, 0, 1] == 0.0 and out[0, 1, 1] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +68,7 @@ def test_mixed_third_moments_vanish_for_product_members():
 def test_build_model_normal_all_cumulants_zero():
     members = normal_family([np.array([0.2, -0.1])] * 5, [np.array([[1.0, 0.2], [0.2, 0.8]])])
     model = build_model(members, np.array([0.3, 0.0]))
-    assert all(v == 0.0 for v in model.avg_third_cumulants.values())
+    assert not model.avg_third_cumulants.any()
     ident = model.B @ model.avg_cov @ model.B
     np.testing.assert_allclose(ident, np.eye(2), atol=1e-10)
 
@@ -110,7 +76,7 @@ def test_build_model_normal_all_cumulants_zero():
 def test_build_model_gamma_skewness():
     members = gamma_family([3.0] * 16, 1.0)
     model = build_model(members, 0.0)
-    assert model.avg_third_cumulants[(3,)] == pytest.approx(2.0 / math.sqrt(3.0), rel=1e-12)
+    assert model.avg_third_cumulants[0, 0, 0] == pytest.approx(2.0 / math.sqrt(3.0), rel=1e-12)
 
 
 def test_build_model_single_standard_normal():
@@ -120,17 +86,78 @@ def test_build_model_single_standard_normal():
     assert model.mean_sum[0] == 0.0
 
 
-def test_build_model_key_count_matches_dimension():
-    for d in (1, 2, 3):
-        members = normal_family([np.zeros(d)] * 3, np.eye(d))
-        model = build_model(members, np.zeros(d))
-        assert len(model.avg_third_cumulants) == math.comb(d + 2, 3)
-
-
 def test_build_model_degenerate_covariance_error():
     members = normal_family([np.zeros(2)] * 3, np.diag([1.0, 1e-15]))
     with pytest.raises(DegenerateCovarianceError):
         build_model(members, np.zeros(2))
+
+
+# ---------------------------------------------------------------------------
+# the order-1 factor P1 for a general cumulant tensor
+# ---------------------------------------------------------------------------
+
+def _random_kappa(rng, d):
+    """A random symmetric (d, d, d) tensor."""
+    a = rng.standard_normal((d, d, d))
+    return sum(np.transpose(a, axes) for axes in itertools.permutations(range(3))) / 6.0
+
+
+def _standard_model(kappa, count):
+    d = kappa.shape[0]
+    return EdgeworthModel(d, count, np.zeros(d), np.eye(d), np.eye(d), kappa, 1)
+
+
+_HE = (
+    lambda u: np.ones_like(u),
+    lambda u: u,
+    lambda u: u * u - 1.0,
+    lambda u: u * (u * u - 3.0),
+)
+
+
+def _p1_multi_index(kappa, x):
+    """P1(x) = sum_{|nu|=3} kappa_nu / nu! prod_i He_{nu_i}(x_i): the
+    multi-index form of the same polynomial, as a reference."""
+    d = kappa.shape[0]
+    out = np.zeros(x.shape[0])
+    for nu in itertools.product(range(4), repeat=d):
+        if sum(nu) != 3:
+            continue
+        slots = tuple(i for i, power in enumerate(nu) for _ in range(power))
+        term = kappa[slots] / math.prod(math.factorial(p) for p in nu)
+        for i, power in enumerate(nu):
+            term = term * _HE[power](x[:, i])
+        out += term
+    return out
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_p1_tensor_form_matches_multi_index_form(d):
+    rng = np.random.default_rng(100 + d)
+    kappa = _random_kappa(rng, d)
+    x = 3.0 * rng.standard_normal((200, d))
+    tensor = skew_correction(_standard_model(kappa, 9), x)
+    reference = _p1_multi_index(kappa, x)
+    assert np.all(np.abs(tensor - reference) <= 1e-12 * np.maximum(1.0, np.abs(reference)))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_order1_density_has_its_defining_moments(d):
+    """Mass 1, mean 0, covariance I and third moments kappa_ijk / sqrt(m),
+    by tensor-product Gauss-Hermite quadrature, exact for these degrees."""
+    rng = np.random.default_rng(7 + d)
+    kappa = _random_kappa(rng, d)
+    count = 16
+    nodes, weights = hermegauss(8)
+    x = np.array(list(itertools.product(nodes, repeat=d)))
+    w = np.prod(np.array(list(itertools.product(weights, repeat=d))), axis=1)
+    # weights integrate against exp(-|x|^2 / 2); divide it back out
+    w = w * np.exp(0.5 * np.sum(x * x, axis=1)) * edgeworth_density(_standard_model(kappa, count), x)
+    assert abs(np.sum(w) - 1.0) <= 1e-13
+    np.testing.assert_allclose(w @ x, np.zeros(d), rtol=0, atol=1e-13)
+    np.testing.assert_allclose(np.einsum("n,ni,nj->ij", w, x, x), np.eye(d), rtol=0, atol=1e-13)
+    third = np.einsum("n,ni,nj,nk->ijk", w, x, x, x)
+    np.testing.assert_allclose(third, kappa / math.sqrt(count), rtol=0, atol=1e-13)
 
 
 # ---------------------------------------------------------------------------
