@@ -5,21 +5,27 @@ the cgf domain and reports a pass flag plus witness numbers:
 
   cv        covariances of tilted members have eigenvalues bounded away
             from 0 and infinity over K;
-  am4       fourth absolute central moments stay below a configured ceiling;
+  am4       fourth absolute central moments stay below AM4_CEILING = 1e6;
   cf_decay  the characteristic function obeys |cf(t)| <= C_K / ||t||, with
             C_K the largest L1 norm of a density partial derivative
             (in closed form);
   cf3       sup over ||t|| > beta of |cf(t)| stays strictly below 1
-            (grid scan plus the analytic C_K / t_max tail bound);
+            (radius scan plus the analytic C_K / R_MAX tail bound);
   uf        one-dimensional gamma means are squeezed between the envelope
             functions shape_lo t/(1-theta t) and shape_hi t/(1-theta t).
 
 Common support and positivity of the member densities hold by construction
 (homogeneous kinds, open supports), so the report carries a structural
 "supp" entry rather than a numeric one.  Every sup and inf runs over the
-family's distinct member laws, so repeated members cost nothing.  All
-evaluations are pure grid computations: identical inputs give identical
-witnesses.
+family's distinct member laws, so repeated members cost nothing.
+
+No check scans K.  Tilting a normal member moves only its mean, so the
+normal hooks do not depend on theta and the box center stands for all of K.
+Every gamma hook is a monotone function of the tilted scale
+u = t / (1 - theta t), which increases with theta, so each sup and inf over
+K sits at one of the box's two ends, and those are the only tilts
+evaluated.  Thresholds and radius grids are fixed constants, so identical
+inputs give identical witnesses.
 """
 
 import math
@@ -29,7 +35,15 @@ import numpy as np
 
 from .errors import UnsupportedFamilyError
 from .families import GammaFamily, HalfLine
-from .numerics import tensor_grid
+
+EIG_FLOOR, EIG_CEILING = 1e-8, 1e12
+AM4_CEILING = 1e6
+# cf_decay scans R_POINTS geometric radii in [R_MIN, R_MAX]; cf3 scans as
+# many linear radii in [beta, R_MAX] and bounds the rest by C_K / R_MAX.
+R_MIN, R_MAX, R_POINTS = 1.0, 100.0, 512
+# A box from solved tilts grows by BOX_INFLATE times its extent (at least 1)
+# and stays BOUNDARY_MARGIN inside a half-line domain.
+BOX_INFLATE, BOUNDARY_MARGIN = 0.2, 1e-3
 
 
 @dataclass(frozen=True)
@@ -53,26 +67,23 @@ class ThetaBox:
     def dim(self):
         return len(self.lo)
 
-    def grid(self, points_per_axis=33):
-        return tensor_grid(self.lo, self.hi, points_per_axis)
-
     @property
     def center(self):
         return np.array([(l + h) / 2.0 for l, h in zip(self.lo, self.hi)])
 
 
-def theta_box_from_solutions(thetas, family, inflate=0.2, boundary_margin=1e-3):
+def theta_box_from_solutions(thetas, family):
     """Bounding box of observed tilt parameters, inflated and clipped
     strictly inside the domain (margin from a half-line boundary)."""
     arr = np.atleast_2d(np.asarray(thetas, dtype=float))
     lo = arr.min(axis=0)
     hi = arr.max(axis=0)
-    pad = inflate * np.maximum(hi - lo, 1.0)
+    pad = BOX_INFLATE * np.maximum(hi - lo, 1.0)
     lo = lo - pad
     hi = hi + pad
     dom = family.domain
     if isinstance(dom, HalfLine):
-        hi = np.minimum(hi, dom.upper - boundary_margin)
+        hi = np.minimum(hi, dom.upper - BOUNDARY_MARGIN)
         lo = np.minimum(lo, hi - 1e-9)
     return ThetaBox(tuple(lo), tuple(hi))
 
@@ -111,42 +122,47 @@ class AssumptionReport:
         return all(e.passed for e in self.entries)
 
 
-def _thetas(laws, box, points_per_axis):
+def _thetas(laws, box):
     """The tilt parameters a check evaluates, as an (N, d) array.
 
     Tilting a normal member shifts its mean only, so its covariance, moments,
     cf modulus and density-derivative norms do not depend on theta; the box
-    center suffices.  Other kinds are scanned over the full grid, which must
-    lie inside the cgf domain."""
+    center suffices.  Other kinds give the box's two ends, which must lie
+    inside the cgf domain.  That needs every hook (member_hess,
+    fourth_central_moment, char_fn_modulus_sup at each radius,
+    density_partial_l1, and the gamma mean) to be monotone in theta over the
+    box, so that its sup and inf over K are taken at an end.  Gamma members
+    satisfy it: each hook is monotone in the tilted scale u = t / (1 - theta t),
+    and u increases with theta."""
     if box.dim != laws.dim:
         raise ValueError("box dimension does not match the members")
     if laws.kind == "normal":
         return box.center[None, :]
-    grid = box.grid(points_per_axis)
-    for theta in grid:
+    ends = np.array([box.lo, box.hi])
+    for theta in ends:
         if not laws.domain.contains(theta):
-            raise ValueError(f"grid point {theta} is outside the cgf domain")
-    return grid
+            raise ValueError(f"box end {theta} is outside the cgf domain")
+    return ends
 
 
-def check_cv(family, box, points_per_axis=33, eig_floor=1e-8, eig_ceiling=1e12):
+def check_cv(family, box):
     """Covariance eigenvalues of tilted members over K."""
     laws = family.distinct()
-    thetas = _thetas(laws, box, points_per_axis)
+    thetas = _thetas(laws, box)
     eigs = np.array([np.linalg.eigvalsh(laws.member_hess(theta)) for theta in thetas])
     lam_min = float(np.min(eigs[..., 0]))
     lam_max = float(np.max(eigs[..., -1]))
-    passed = eig_floor < lam_min <= lam_max < eig_ceiling
+    passed = EIG_FLOOR < lam_min <= lam_max < EIG_CEILING
     return CheckResult("cv", passed, {"lambda_min": lam_min, "lambda_max": lam_max})
 
 
-def check_am4(family, box, points_per_axis=33, ceiling=1e6):
+def check_am4(family, box):
     """Fourth absolute central moments of tilted members over K."""
     laws = family.distinct()
-    thetas = _thetas(laws, box, points_per_axis)
+    thetas = _thetas(laws, box)
     worst = max(float(np.max(laws.fourth_central_moment(theta))) for theta in thetas)
-    passed = math.isfinite(worst) and worst < ceiling
-    return CheckResult("am4", passed, {"max_fourth_moment": worst, "ceiling": ceiling})
+    passed = math.isfinite(worst) and worst < AM4_CEILING
+    return CheckResult("am4", passed, {"max_fourth_moment": worst, "ceiling": AM4_CEILING})
 
 
 def _sup_partial_l1(laws, thetas):
@@ -157,13 +173,13 @@ def _sup_partial_l1(laws, thetas):
     )
 
 
-def check_cf_decay(family, box, points_per_axis=33, r_min=1.0, r_max=100.0, r_points=512):
+def check_cf_decay(family, box):
     """Characteristic-function decay |cf(t)| <= C_K / ||t|| on ||t|| in
-    [r_min, r_max], with C_K = sup of L1 norms of density partials."""
+    [R_MIN, R_MAX] = [1, 100], with C_K = sup of L1 norms of density partials."""
     laws = family.distinct()
-    thetas = _thetas(laws, box, points_per_axis)
+    thetas = _thetas(laws, box)
     c_k = _sup_partial_l1(laws, thetas)
-    radii = np.geomspace(r_min, r_max, r_points)
+    radii = np.geomspace(R_MIN, R_MAX, R_POINTS)
     worst_ratio = max(
         float(np.max(laws.char_fn_modulus_sup(theta, radii) * radii / c_k)) for theta in thetas
     )
@@ -171,56 +187,57 @@ def check_cf_decay(family, box, points_per_axis=33, r_min=1.0, r_max=100.0, r_po
     return CheckResult("cf_decay", passed, {"c_k": c_k, "max_bound_ratio": worst_ratio})
 
 
-def check_cf3(family, box, beta=0.5, points_per_axis=33, r_max=100.0, r_points=512):
+def check_cf3(family, box, beta=0.5):
     """Strict cf separation from 1: epsilon = sup over ||t|| > beta of
-    |cf(t)|, combining a grid scan on [beta, r_max] with the analytic
-    C_K / r_max bound beyond."""
+    |cf(t)|, combining a radius scan on [beta, R_MAX] with the analytic
+    C_K / R_MAX bound beyond."""
     if beta <= 0.0:
         raise ValueError("beta must be positive")
     laws = family.distinct()
-    thetas = _thetas(laws, box, points_per_axis)
-    radii = np.linspace(beta, r_max, r_points)
+    thetas = _thetas(laws, box)
+    radii = np.linspace(beta, R_MAX, R_POINTS)
     eps = max(float(np.max(laws.char_fn_modulus_sup(theta, radii))) for theta in thetas)
-    eps = max(eps, _sup_partial_l1(laws, thetas) / r_max)
+    eps = max(eps, _sup_partial_l1(laws, thetas) / R_MAX)
     return CheckResult("cf3", eps < 1.0, {"epsilon": eps, "beta": beta})
 
 
-def check_uf(family, box=None, shape_lo=None, shape_hi=None, points_per_axis=33):
+def check_uf(family, shape_lo=None, shape_hi=None):
     """Envelope squeeze for one-dimensional gamma means.
 
     With f_lo(theta) = shape_lo t/(1-theta t) and f_hi the same with
-    shape_hi, verifies f_lo <= m_j <= f_hi on a theta grid; the witness is
-    the worst margin (nonnegative means the squeeze holds).
+    shape_hi, verifies f_lo <= m_j <= f_hi over theta in
+    [-2/t, 1/t - BOUNDARY_MARGIN]; the witness is the worst margin
+    (nonnegative means the squeeze holds).
     """
     if not isinstance(family, GammaFamily):
         raise UnsupportedFamilyError("envelope check is defined for gamma members only")
     t = family.scale
-    if box is None:
-        box = ThetaBox((-2.0 / t,), (1.0 / t - 1e-3,))
     laws = family.distinct()
-    grid = _thetas(laws, box, points_per_axis)
+    thetas = _thetas(laws, ThetaBox((-2.0 / t,), (1.0 / t - BOUNDARY_MARGIN,)))
     k_lo = float(laws.shapes.min()) if shape_lo is None else float(shape_lo)
     k_hi = float(laws.shapes.max()) if shape_hi is None else float(shape_hi)
 
     # Same operation order as the member gradient, so equal shapes give an
     # exactly zero margin.
-    denom = 1.0 - grid[:, :1] * t
+    denom = 1.0 - thetas[:, :1] * t
     means = laws.shapes * t / denom
     worst = float(np.min(np.minimum(means - k_lo * t / denom, k_hi * t / denom - means)))
     return CheckResult("uf", worst >= 0.0, {"worst_margin": worst, "shape_lo": k_lo, "shape_hi": k_hi})
 
 
-def run_assumption_checks(family, box, beta=0.5, points_per_axis=33, am4_ceiling=1e6,
-                          r_max=100.0, r_points=512):
+# A box end far out (|theta| ~ 1e300) overflows a tilted moment to inf or
+# shrinks it to 0; that is the check's verdict, not a fault to warn of.
+@np.errstate(over="ignore")
+def run_assumption_checks(family, box, beta=0.5):
     """Full report over a family: structural support entry plus the numeric
     battery (and the envelope check for gamma families)."""
-    entries = [CheckResult("supp", True, {})]
-    entries.append(check_cv(family, box, points_per_axis))
-    entries.append(check_am4(family, box, points_per_axis, ceiling=am4_ceiling))
-    entries.append(check_cf_decay(family, box, points_per_axis, r_max=r_max, r_points=r_points))
-    entries.append(
-        check_cf3(family, box, beta=beta, points_per_axis=points_per_axis, r_max=r_max, r_points=r_points)
-    )
+    entries = [
+        CheckResult("supp", True, {}),
+        check_cv(family, box),
+        check_am4(family, box),
+        check_cf_decay(family, box),
+        check_cf3(family, box, beta=beta),
+    ]
     if isinstance(family, GammaFamily):
-        entries.append(check_uf(family, box=None, points_per_axis=points_per_axis))
+        entries.append(check_uf(family))
     return AssumptionReport(entries, box)

@@ -21,7 +21,7 @@ sum of the members:
 
 Slicing gives the family of a block (family[:k], family[k:]), a single member
 is a family of length 1, and convolve() returns the law of the sum as a
-family of length 1.  Densities, cdf/sf and samplers are those of a single
+family of length 1.  Densities, cdf and samplers are those of a single
 law X, and so are P(X <= x | X + Y = s), log rho(t) = log f_Y(s - t) -
 log f_{X+Y}(s), its values at fresh draws of X and the two zeros of log rho
 (cdf_given_sum, log_ratio_given_sum, log_ratio_sampler and ratio_roots, given
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import betainc, betaln, gammainc, gammaincc, gammaln, ndtr
+from scipy.special import betainc, betaln, gammainc, gammaln, ndtr
 
 from .errors import OutOfDomainError
 from .numerics import LOG_2PI, as_vector, check_symmetric, sym_inv, sym_inv_sqrt, sym_logdet, sym_sqrt
@@ -88,7 +88,7 @@ class Family:
 
     Subclasses provide kind, dim, domain, __len__, _take(slice), the average
     cgf calculus (cgf, cgf_grad, cgf_hess), tilt, convolve, distinct, the
-    single-law operations (log_density, cdf, sf, sample, cdf_given_sum,
+    single-law operations (log_density, cdf, sample, cdf_given_sum,
     log_ratio_given_sum, log_ratio_sampler, ratio_roots) and the per-member
     hooks of the assumption checks (member_hess, fourth_central_moment,
     char_fn_modulus_sup, density_partial_l1), plus third_central_moment_tensor
@@ -166,8 +166,11 @@ class GammaFamily(Family):
         if not (scale > 0.0):
             raise ValueError(f"gamma scale must be positive, got {scale}")
         self.shapes = shapes
-        self.scale = float(scale)
-        self.domain = HalfLine(1.0 / self.scale)
+        # A numpy scale makes an overflowing power (scale**2, u**4) inf, where
+        # a Python float raises; a subnormal scale still gives upper = inf
+        # without a warning.
+        self.scale = np.float64(scale)
+        self.domain = HalfLine(1.0 / float(scale))
         self._kbar = float(shapes.mean())
 
     def __len__(self):
@@ -214,10 +217,6 @@ class GammaFamily(Family):
     def cdf(self, x):
         self._single("cdf")
         return gammainc(self.shapes[0], np.maximum(np.asarray(x, dtype=float), 0.0) / self.scale)
-
-    def sf(self, x):
-        self._single("sf")
-        return gammaincc(self.shapes[0], np.maximum(np.asarray(x, dtype=float), 0.0) / self.scale)
 
     def sample(self, rng, count):
         """i.i.d. draws, shape (count, 1)."""
@@ -406,16 +405,13 @@ class NormalFamily(Family):
         return float(out[0]) if single else out
 
     def _sd(self):
-        self._single("cdf/sf")
+        self._single("cdf")
         if self.dim != 1:
-            raise ValueError("cdf/sf are defined for one-dimensional laws only")
+            raise ValueError("cdf is defined for one-dimensional laws only")
         return math.sqrt(self.covs[0, 0, 0])
 
     def cdf(self, x):
         return ndtr((np.asarray(x, dtype=float) - self.means[0, 0]) / self._sd())
-
-    def sf(self, x):
-        return ndtr((self.means[0, 0] - np.asarray(x, dtype=float)) / self._sd())
 
     def sample(self, rng, count):
         """i.i.d. draws, shape (count, d), as a column-major view so that

@@ -46,7 +46,7 @@ def check_symmetric(m, tol=1e-10):
     return a
 
 
-def guarded_eigh(mat, rel_floor=REL_EIG_FLOOR):
+def guarded_eigh(mat):
     """Eigendecomposition of a symmetric positive definite matrix, or of a
     stack of them (shape (..., d, d)).
 
@@ -54,11 +54,11 @@ def guarded_eigh(mat, rel_floor=REL_EIG_FLOOR):
     covariance checked when its family was built, or a Hessian symmetric by
     construction, and eigh reads only the lower triangle.  Raises
     DegenerateCovarianceError when a spectrum is not usable for square
-    roots / inverses (lambda_min < rel_floor * lambda_max).
+    roots / inverses: not finite, or lambda_min < REL_EIG_FLOOR * lambda_max.
     """
     w, q = np.linalg.eigh(_square(mat))
     lo, hi = w[..., 0], w[..., -1]
-    if ((hi <= 0.0) | (lo < rel_floor * hi)).any():
+    if (~np.isfinite(w).all(axis=-1) | (hi <= 0.0) | (lo < REL_EIG_FLOOR * hi)).any():
         raise DegenerateCovarianceError(
             f"matrix numerically singular: eigenvalues in [{np.min(lo):.3e}, {np.max(hi):.3e}]"
         )

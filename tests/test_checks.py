@@ -8,6 +8,8 @@ import pytest
 from scipy.integrate import quad
 
 from tiltedsums import (
+    AssumptionReport,
+    GammaFamily,
     NormalFamily,
     ThetaBox,
     UnsupportedFamilyError,
@@ -21,6 +23,8 @@ from tiltedsums import (
     run_assumption_checks,
     theta_box_from_solutions,
 )
+from tiltedsums import checks as checks_mod
+from tiltedsums.numerics import tensor_grid
 
 
 @pytest.fixture
@@ -92,7 +96,7 @@ def test_am4_gamma_values_and_quadrature_oracle():
 
 def test_am4_negative_control_boundary_box():
     members = gamma_family([3.0] * 2, 1.0)
-    result = check_am4(members, ThetaBox((0.0,), (1.0 - 1e-4,)), ceiling=1e6)
+    result = check_am4(members, ThetaBox((0.0,), (1.0 - 1e-4,)))
     assert not result.passed
     assert result.witnesses["max_fourth_moment"] > 1e6
 
@@ -272,6 +276,69 @@ def test_normal_checks_evaluate_one_theta(monkeypatch):
         ("cf_decay", True, {"c_k": 0.8073735529745871, "max_bound_ratio": 0.7676505831853291}),
         ("cf3", True, {"epsilon": 0.8871782512674558, "beta": 0.5}),
     ]
+
+
+def _grid_thetas(laws, box):
+    """Reference theta list: the box center for normal members, otherwise the
+    full 33-point grid over the box, every point inside the cgf domain."""
+    if laws.kind == "normal":
+        return box.center[None, :]
+    grid = tensor_grid(box.lo, box.hi, 33)
+    for theta in grid:
+        if not laws.domain.contains(theta):
+            raise ValueError(f"grid point {theta} is outside the cgf domain")
+    return grid
+
+
+def _random_gamma_cases():
+    rng = np.random.default_rng(2024)
+    for _ in range(6):
+        t = float(rng.uniform(0.37, 2.5))
+        family = gamma_family(rng.uniform(2.05, 9.0, size=int(rng.integers(1, 6))), t)
+        point = float(rng.uniform(-3.0, 0.95)) / t
+        boxes = [
+            ThetaBox((point,), (point,)),
+            ThetaBox((-30.0,), ((1.0 - 1e-9) / t,)),
+            ThetaBox((float(rng.uniform(-3.0, 0.0)) / t,), (float(rng.uniform(0.0, 0.95)) / t,)),
+        ]
+        yield family, boxes
+
+
+def _uf_reports(family):
+    k_lo, k_hi = float(family.shapes.min()), float(family.shapes.max())
+    box = ThetaBox((0.0,), (0.0,))
+    return [
+        AssumptionReport([check_uf(family, **bounds)], box)
+        for bounds in ({}, {"shape_lo": k_lo, "shape_hi": k_hi},
+                       {"shape_lo": k_lo + 0.3, "shape_hi": k_hi - 0.3},
+                       {"shape_lo": k_lo - 0.5, "shape_hi": k_hi + 1.5})
+    ]
+
+
+def test_box_ends_reproduce_the_grid(monkeypatch):
+    """Every gamma hook is monotone in the tilted scale u = t / (1 - theta t),
+    so the two box ends give the reports of the 33-point grid byte for byte."""
+    outputs = []
+    for family, boxes in _random_gamma_cases():
+        reports = [run_assumption_checks(family, box) for box in boxes] + _uf_reports(family)
+        outputs.append([(r.csv_rows(), r.to_text()) for r in reports])
+    monkeypatch.setattr(checks_mod, "_thetas", _grid_thetas)
+    for (family, boxes), got in zip(_random_gamma_cases(), outputs):
+        reports = [run_assumption_checks(family, box) for box in boxes] + _uf_reports(family)
+        assert got == [(r.csv_rows(), r.to_text()) for r in reports]
+
+
+def test_gamma_cv_evaluates_the_two_box_ends(monkeypatch, gamma_members, gamma_box):
+    calls = []
+    real_hess = GammaFamily.member_hess
+
+    def counting_hess(self, theta):
+        calls.append(float(theta[0]))
+        return real_hess(self, theta)
+
+    monkeypatch.setattr(GammaFamily, "member_hess", counting_hess)
+    check_cv(gamma_members, gamma_box)
+    assert calls == [-1.0, 0.9]
 
 
 def test_report_csv_shape(gamma_members, gamma_box):

@@ -303,6 +303,37 @@ def test_far_target_exits_1_without_overflow_warning(capsys, caplog):
     assert any(r.levelname == "ERROR" for r in caplog.records)
 
 
+# a huge gamma scale (or box end) squares past the float range
+OVERFLOWS = {
+    "tilt-huge-scale": (True, ["tilt"]),
+    "tv-huge-scale": (True, ["tv", "--n", "50", "--k", "5", "--a", "6.0"]),
+    "check-far-box": (False, ["check", "--box=-1e300:0.5"]),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name", list(OVERFLOWS))
+def test_gamma_overflow_exits_1_without_traceback(name, tmp_path, capsys, caplog):
+    huge_scale, argv = OVERFLOWS[name]
+    cfg = SHIPPED / "gamma_iid_sweep.cfg"
+    if huge_scale:
+        text = cfg.read_text().replace("scale = 1.0", "scale = 1e300")
+        assert "scale = 1e300" in text
+        cfg = tmp_path / "huge_scale.cfg"
+        cfg.write_text(text)
+    assert main([argv[0], "--config", str(cfg), *argv[1:]]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    if huge_scale:
+        # an inf Hessian is singular, not a converged zero step
+        assert captured.out == ""
+        assert len(errors) == 1 and "mean cgf Hessian is numerically singular" in errors[0]
+    else:
+        assert "cv        FAIL  lambda_min=0  " in captured.out
+        assert errors == []
+
+
 def test_cli_import_loads_neither_optimize_nor_integrate():
     code = (
         "import sys, tiltedsums.cli; "

@@ -271,6 +271,13 @@ def test_guarded_eigh_checks_shape_and_spectrum():
             guarded_eigh(degenerate)
 
 
+@pytest.mark.parametrize("mat", [[[np.inf]], [[np.nan]], np.diag([np.nan, 1.0])])
+def test_guarded_eigh_rejects_non_finite_spectrum(mat):
+    # an overflowed Hessian must not pass as a usable spectrum
+    with pytest.raises(DegenerateCovarianceError):
+        guarded_eigh(np.array(mat))
+
+
 # ---------------------------------------------------------------------------
 # tilting
 # ---------------------------------------------------------------------------
