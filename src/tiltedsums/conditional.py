@@ -57,6 +57,14 @@ def _scalar_log(density, point):
     return float(density.log_density(np.reshape(np.asarray(point, dtype=float), (1, -1)))[0])
 
 
+def _zero_density(law, point):
+    """Whether law has zero density at point.  The normalizer of a valid law
+    is finite, so the unnormalized log density decides, and no lgamma is
+    evaluated."""
+    log_kernel = law.log_density(np.reshape(np.asarray(point, dtype=float), (1, -1)), normalized=False)
+    return not np.isfinite(log_kernel[0])
+
+
 def _solved_theta(family, a):
     sol = solve_tilt(family, a)
     if not sol.converged:
@@ -76,7 +84,7 @@ def conditional_density(family, k, x_block, s):
     d = family.dim
     s = as_vector(s, d)
     x = np.asarray(x_block, dtype=float).reshape(k, d)
-    if not np.isfinite(_scalar_log(family.convolve(), s)):
+    if _zero_density(family.convolve(), s):
         raise UndefinedConditionalError(f"conditioning point s={s} has zero sum density")
     block, rest = family[:k], family[k:].convolve()
     log_q = block.convolve().log_ratio_given_sum(rest, s, x.sum(axis=0, keepdims=True))[0]
@@ -117,7 +125,7 @@ class RatioContext:
         tilted = family.tilt(self.theta)
         self.block = tilted[: self.k].convolve()
         self.rest = tilted[self.k :].convolve()
-        if not np.isfinite(_scalar_log(tilted.convolve(), self.na)):
+        if _zero_density(tilted.convolve(), self.na):
             raise UndefinedConditionalError(f"zero sum density at s={self.na}")
 
     @cached_property

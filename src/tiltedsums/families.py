@@ -22,28 +22,43 @@ sum of the members:
 Slicing gives the family of a block (family[:k], family[k:]), a single member
 is a family of length 1, and convolve() returns the law of the sum as a
 family of length 1.  Densities, cdf and samplers are those of a single
-law X, and so are P(X <= x | X + Y = s), log rho(t) = log f_Y(s - t) -
+law X, and so are P(X <= x | X + Y = s), the probabilities of an interval
+given the sum and unconditioned, log rho(t) = log f_Y(s - t) -
 log f_{X+Y}(s), its values at fresh draws of X and the two zeros of log rho
-(cdf_given_sum, log_ratio_given_sum, log_ratio_sampler and ratio_roots, given
-Y = rest); log_density also evaluates member j at point j when given one
-point per member.  The per-member hooks of the assumption checks return one
-row per member.
+(cdf_given_sum, interval_masses, log_ratio_given_sum, log_ratio_sampler and
+ratio_roots, given Y = rest); log_density also evaluates member j at point j
+when given one point per member.  The per-member hooks of the assumption
+checks return one row per member.
 
 Gamma members require shape > 2 so densities are C^1 and fourth moments stay
 uniformly controlled under tilting; a gamma family shares a single scale t.
 Families are immutable; random number generators are always passed
 explicitly.
+
+Interval probabilities of a Gamma law, and of X / s ~ Beta given the sum,
+come from one self-normalized Gauss-Legendre rule (_interval_masses) in
+the coordinate where the law's log density is smooth on the whole line:
+log T for the Gamma, logit(T / s) for the Beta.  Normal laws use erfc.
 """
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
-from scipy.special import betainc, betaln, gammainc, gammaln, ndtr
 
 from .errors import OutOfDomainError
-from .numerics import LOG_2PI, as_vector, check_symmetric, sym_inv, sym_inv_sqrt, sym_logdet, sym_sqrt
+from .numerics import (
+    LOG_2PI,
+    as_vector,
+    check_symmetric,
+    lgamma,
+    stirling_tail,
+    sym_inv,
+    sym_inv_sqrt,
+    sym_logdet,
+    sym_sqrt,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -89,10 +104,11 @@ class Family:
     Subclasses provide kind, dim, domain, __len__, _take(slice), the average
     cgf calculus (cgf, cgf_grad, cgf_hess), tilt, convolve, distinct, the
     single-law operations (log_density, cdf, sample, cdf_given_sum,
-    log_ratio_given_sum, log_ratio_sampler, ratio_roots) and the per-member
-    hooks of the assumption checks (member_hess, fourth_central_moment,
-    char_fn_modulus_sup, density_partial_l1), plus third_central_moment_tensor
-    averaged over the family for the Edgeworth expansion.
+    interval_masses, log_ratio_given_sum, log_ratio_sampler, ratio_roots) and
+    the per-member hooks of the assumption checks (member_hess,
+    fourth_central_moment, char_fn_modulus_sup, density_partial_l1), plus
+    third_central_moment_tensor averaged over the family for the Edgeworth
+    expansion.
     """
 
     def __getitem__(self, index):
@@ -142,6 +158,111 @@ class Family:
 def _nonempty(count):
     if count == 0:
         raise ValueError("member sequence is empty")
+
+
+def _sorted_distinct(values):
+    """np.unique of a 1-D float array without np.unique, whose first call
+    imports numpy.ma (about 10 ms)."""
+    ordered = np.sort(values)
+    return ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+
+
+# ---------------------------------------------------------------------------
+# Interval masses of Gamma and Beta laws
+# ---------------------------------------------------------------------------
+
+# Positive nodes and weights of the 48-point Gauss-Legendre rule on [-1, 1].
+_GL_HALF = np.array([
+    (0.03238017096286936, 0.06473769681268392),
+    (0.0970046992094627, 0.06446616443595009),
+    (0.1612223560688917, 0.06392423858464819),
+    (0.22476379039468905, 0.06311419228625402),
+    (0.28736248735545555, 0.062039423159892665),
+    (0.34875588629216075, 0.06070443916589388),
+    (0.4086864819907167, 0.059114839698395635),
+    (0.4669029047509584, 0.057277292100403214),
+    (0.523160974722233, 0.055199503699984165),
+    (0.5772247260839727, 0.05289018948519367),
+    (0.6288673967765136, 0.05035903555385447),
+    (0.6778723796326639, 0.04761665849249048),
+    (0.7240341309238146, 0.04467456085669428),
+    (0.7671590325157404, 0.04154508294346475),
+    (0.8070662040294426, 0.03824135106583071),
+    (0.8435882616243935, 0.03477722256477044),
+    (0.8765720202742479, 0.03116722783279809),
+    (0.9058791367155696, 0.027426509708356948),
+    (0.9313866907065543, 0.02357076083932438),
+    (0.9529877031604309, 0.01961616045735553),
+    (0.9705915925462473, 0.015579315722943849),
+    (0.9841245837228269, 0.01147723457923454),
+    (0.9935301722663508, 0.0073275539012762625),
+    (0.9987710072524261, 0.0031533460523058385),
+])
+_GL_NODES = np.concatenate([-_GL_HALF[::-1, 0], _GL_HALF[:, 0]])
+_GL_WEIGHTS = np.concatenate([_GL_HALF[::-1, 1], _GL_HALF[:, 1]])
+# Equal panels per integral.  The masses of the 50-digit reference cases
+# move by under 1e-15 when the count doubles from 4 or from 8; from 2 they
+# move by up to 4e-10.
+GL_PANELS = 8
+# A law's window ends where its log density lies this far below the mode,
+# so the mass outside it is below e^-46 ~ 1e-20.
+WINDOW_DROP = 46.0
+
+
+@cache
+def _panel_rule(panels):
+    """(nodes, weights) of the composite rule on [0, 1]: the 48-point rule
+    on each of `panels` equal panels, weights summing to 1."""
+    nodes = (np.arange(panels)[:, None] + 0.5 * (_GL_NODES + 1.0)) / panels
+    weights = np.broadcast_to(_GL_WEIGHTS / (2.0 * panels), nodes.shape)
+    return nodes.ravel(), weights.ravel()
+
+
+def _log_mode_ratio(c, v, d):
+    """l(d) - l(0) = -c (h(1 - v, -d) + h(v, d)), h(v, t) = log1p(v expm1(t)) / v
+    (expm1(t) at v = 0): the log density, relative to its mode d = 0, of
+    Gamma(c) in d = log(T / (c u)) (v = 0) and of Beta(a, b) in
+    d = logit(X) - log(a / b) (c = a b / (a + b), v = a / (a + b)).  Each term
+    is of size c |d| at most, never of size a + b."""
+    e = np.expm1(d)
+    w = 1.0 - v
+    right = np.where(v > 0.0, np.log1p(v * e) / np.where(v > 0.0, v, 1.0), e)
+    return -c * (np.log1p(w * np.expm1(-d)) / w + right)
+
+
+def _window(c, v):
+    """Ends of an interval holding the window where _log_mode_ratio(c, v, .) >=
+    -WINDOW_DROP: the log density is concave, so its tangent at
+    +-sqrt(2 WINDOW_DROP / c) reaches -WINDOW_DROP outside the window.  Python
+    floats, as two points cost a few microseconds here and tens as arrays."""
+    ends = []
+    for d in (-math.sqrt(2.0 * WINDOW_DROP / c), math.sqrt(2.0 * WINDOW_DROP / c)):
+        e, em, w = math.expm1(d), math.expm1(-d), 1.0 - v
+        level = -c * (math.log1p(w * em) / w + (math.log1p(v * e) / v if v > 0.0 else e))
+        slope = -c * ((1.0 + e) / (1.0 + v * e) - (1.0 + em) / (1.0 + w * em))
+        ends.append(d - (WINDOW_DROP + level) / slope)
+    return ends
+
+
+def _interval_masses(c, v, lo, hi):
+    """P(lo < D < hi) for laws of log density _log_mode_ratio(c, v, D) plus a
+    constant: c and v hold one entry per law, lo and hi broadcast against
+    them.  The mass is the composite Gauss-Legendre integral over (lo, hi)
+    clipped to the law's _window (a lo of -inf starts at its end) divided by
+    the same rule over the window, so the normalizing constant cancels.  The
+    sums are numpy's pairwise ones, which round less than a dot product."""
+    first, last = np.array([_window(*law) for law in zip(c, v)]).T
+    lo = np.minimum(np.maximum(lo, first), last)
+    hi = np.minimum(np.maximum(hi, lo), last)
+    # ends[..., law, integral, end]: integral 0 is (lo, hi), integral 1 the window
+    ends = np.empty(hi.shape + (2, 2))
+    ends[..., 0, 0], ends[..., 0, 1], ends[..., 1, 0], ends[..., 1, 1] = lo, hi, first, last
+    width = ends[..., 1] - ends[..., 0]
+    c, v = np.array(c)[:, None, None], np.array(v)[:, None, None]
+    nodes, weights = _panel_rule(GL_PANELS)
+    points = ends[..., :1] + width[..., None] * nodes
+    integrals = np.sum(np.exp(_log_mode_ratio(c, v, points)) * weights, axis=-1) * width
+    return integrals[..., 0] / integrals[..., 1]
 
 
 # ---------------------------------------------------------------------------
@@ -198,25 +319,39 @@ class GammaFamily(Family):
         return GammaFamily([self.shapes.sum()], self.scale)
 
     def distinct(self):
-        return GammaFamily(np.unique(self.shapes), self.scale)
+        return GammaFamily(_sorted_distinct(self.shapes), self.scale)
 
     # -- single law (or one point per member for log_density) ---------------
 
     @cached_property
-    def _log_norm(self):
-        return gammaln(self.shapes) + self.shapes * math.log(self.scale)
+    def _lgamma_shapes(self):
+        """lgamma of every shape, evaluated once per distinct shape."""
+        distinct = _sorted_distinct(self.shapes)
+        return np.array([lgamma(k) for k in distinct.tolist()])[np.searchsorted(distinct, self.shapes)]
 
-    def log_density(self, x):
+    @cached_property
+    def _log_norm(self):
+        return self._lgamma_shapes + self.shapes * math.log(self.scale)
+
+    def log_density(self, x, normalized=True):
+        """log p(x); without the log normalizer lgamma(k) + k log(scale) unless normalized."""
         pts, single = self._points(x)
         v = pts[:, 0]
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = (self.shapes - 1.0) * np.log(v) - v / self.scale - self._log_norm
+            out = (self.shapes - 1.0) * np.log(v) - v / self.scale - (self._log_norm if normalized else 0.0)
         out = np.where(v > 0.0, out, -np.inf)
         return float(out[0]) if single else out
 
+    def _mass_args(self, t):
+        """(c, v, d) of _interval_masses for this law at points t: d = log(t / (K scale))."""
+        k = float(self.shapes[0])
+        with np.errstate(divide="ignore"):
+            return k, 0.0, np.log(np.maximum(t, 0.0) / (k * self.scale))
+
     def cdf(self, x):
         self._single("cdf")
-        return gammainc(self.shapes[0], np.maximum(np.asarray(x, dtype=float), 0.0) / self.scale)
+        c, v, d = self._mass_args(x)
+        return _interval_masses([c], [v], -np.inf, d[..., None])[..., 0]
 
     def sample(self, rng, count):
         """i.i.d. draws, shape (count, 1)."""
@@ -230,19 +365,50 @@ class GammaFamily(Family):
             raise ValueError(f"gamma laws with scales {self.scale} and {rest.scale} have no beta bridge")
         return self.shapes[0], rest.shapes[0]
 
+    def _mass_args_given_sum(self, rest, s, t):
+        """(c, v, d) of _interval_masses for X = self given X + Y = s, Y = rest, at
+        points t: X / s ~ Beta(K_x, K_y) given the sum, whatever the shared scale,
+        and d = logit(t / s) - log(K_x / K_y)."""
+        k_x, k_y = (float(k) for k in self._bridge(rest))
+        (s,) = as_vector(s, 1)
+        t = np.minimum(np.maximum(t, 0.0), s)
+        with np.errstate(divide="ignore"):
+            d = np.log(t * k_y / ((s - t) * k_x))
+        return k_x * k_y / (k_x + k_y), k_x / (k_x + k_y), d
+
     def cdf_given_sum(self, rest, s, x):
-        """P(X <= x | X + Y = s) for X = self, Y = rest: X / s ~ Beta(K_x, K_y)
-        given the sum, whatever the shared scale."""
-        ratio = np.clip(np.asarray(x, dtype=float) / s, 0.0, 1.0)
-        return betainc(*self._bridge(rest), ratio)
+        """P(X <= x | X + Y = s) for X = self, Y = rest."""
+        c, v, d = self._mass_args_given_sum(rest, s, x)
+        return _interval_masses([c], [v], -np.inf, d[..., None])[..., 0]
+
+    def interval_masses(self, rest, s, t1, t2):
+        """(P(t1 < X < t2 | X + Y = s), P(t1 < X < t2)) for X = self, Y = rest,
+        both from one evaluation of _interval_masses."""
+        edges = np.array([t1, t2])
+        (c1, v1, d1), (c2, v2, d2) = self._mass_args_given_sum(rest, s, edges), self._mass_args(edges)
+        given_sum, block = _interval_masses([c1, c2], [v1, v2], [d1[0], d2[0]], [d1[1], d2[1]])
+        return float(given_sum), float(block)
 
     def _log_ratio_terms(self, rest, s):
         """(s, m, lam, c) of log rho(s x) = m log1p(-x) + lam x + c: m = K_y - 1, lam = s / scale,
-        c = lgamma(K_x) - betaln(K_x, K_y) - K_x log lam, none as large as the sums' log densities."""
+        c = lgamma(K) - lgamma(K_y) - K_x log lam with K = K_x + K_y, none as large as the sums'
+        log densities.  For K_y >= 10 c is the Stirling difference
+        -(K_y - 1/2) log1p(-K_x / K) + K_x log(K / lam) - K_x + S(K) - S(K_y),
+        whose terms are of size K_x at most; below, lgamma of each."""
         k_x, k_y = self._bridge(rest)
         (s,) = as_vector(s, 1)
         lam = s / self.scale
-        return s, k_y - 1.0, lam, float(gammaln(k_x) - betaln(k_x, k_y) - k_x * math.log(lam))
+        total = k_x + k_y
+        if k_y >= 10.0:
+            c = (
+                -(k_y - 0.5) * math.log1p(-k_x / total)
+                + k_x * math.log(total / lam)
+                - k_x
+                + (stirling_tail(total) - stirling_tail(k_y))
+            )
+        else:
+            c = lgamma(total) - lgamma(k_y) - k_x * math.log(lam)
+        return s, k_y - 1.0, lam, float(c)
 
     def log_ratio_given_sum(self, rest, s, t):
         """log f_Y(s - t) - log f_{X+Y}(s) for X = self, Y = rest; -inf for t >= s."""
@@ -267,18 +433,24 @@ class GammaFamily(Family):
         """The zeros t_1 <= t_2 of log rho, clamped to [0, s).  g(x) = log rho(s x) is
         concave and lies below -m x^2 / 2 + (lam - m) x + c on [0, 1); from that quadratic's
         roots in [0, 1), Newton steps on g move each iterate inward until g >= 0 there (x = 0
-        when c >= 0) or the next step would not move it inward or would pass the other one."""
-        s, m, lam, c = self._log_ratio_terms(rest, s)
+        when c >= 0) or the next step would not move it inward or would pass the other one.
+        The two iterates are Python floats, which cost a few microseconds a step where
+        2-element arrays cost tens."""
+        s, m, lam, c = (float(term) for term in self._log_ratio_terms(rest, s))
+
+        def newton(x):
+            g = m * math.log1p(-x) + lam * x + c
+            slope = lam - m / (1.0 - x)
+            return x - g / slope if g < 0.0 and slope != 0.0 else x
+
         half = math.sqrt(max((lam - m) ** 2 + 2.0 * m * c, 0.0))
-        x = np.clip((lam - m + np.array([-half, half])) / m, 0.0, np.nextafter(1.0, 0.0))
-        inward = np.array([1.0, -1.0])
+        lower, upper = (min(max((lam - m + h) / m, 0.0), math.nextafter(1.0, 0.0)) for h in (-half, half))
         while True:
-            g = m * np.log1p(-x) + lam * x + c
-            new = x - g / (lam - m / (1.0 - x))
-            move = (g < 0.0) & (inward * (new - x) > 0.0) & (inward * (x[::-1] - new) > 0.0)
-            if not move.any():
-                return s * x
-            x = np.where(move, new, x)
+            new_lower, new_upper = newton(lower), newton(upper)
+            move_lower, move_upper = lower < new_lower < upper, lower < new_upper < upper
+            if not (move_lower or move_upper):
+                return s * np.array([lower, upper])
+            lower, upper = (new_lower if move_lower else lower), (new_upper if move_upper else upper)
 
     # -- hooks: one entry per member -----------------------------------------
 
@@ -300,7 +472,8 @@ class GammaFamily(Family):
         if axis != 0:
             raise ValueError("gamma members are one-dimensional")
         k, u = self.shapes, self.scale / self._denom(theta)
-        return 2.0 * np.exp((k - 1.0) * np.log((k - 1.0) * u) - (k - 1.0) - gammaln(k) - k * math.log(u))
+        log_mode = (k - 1.0) * np.log((k - 1.0) * u) - (k - 1.0) - self._lgamma_shapes - k * math.log(u)
+        return 2.0 * np.exp(log_mode)
 
     def third_central_moment_tensor(self, theta):
         """Third central moment 2 k u^3 of the tilted members, averaged."""
@@ -311,6 +484,13 @@ class GammaFamily(Family):
 # ---------------------------------------------------------------------------
 # Normal families
 # ---------------------------------------------------------------------------
+
+def _ndtr(x):
+    """Standard normal cdf 0.5 erfc(-x / sqrt(2)), elementwise over an array."""
+    x = np.asarray(x)
+    out = np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in x.flat])
+    return out.reshape(x.shape)[()]
+
 
 class NormalFamily(Family):
     """Multivariate normal members N(means[j], covs[j]); covs holds one
@@ -391,7 +571,9 @@ class NormalFamily(Family):
 
     # -- single law (or one point per member for log_density) ---------------
 
-    def log_density(self, x):
+    def log_density(self, x, normalized=True):
+        """log p(x); without the log normalizer (d log(2 pi) + log det cov) / 2
+        unless normalized."""
         # The quadratic form is the squared norm of the whitened residual,
         # formed as (d, N) rows so that every pass runs along the points.
         pts, single = self._points(x)
@@ -401,7 +583,7 @@ class NormalFamily(Family):
         else:
             white = np.einsum("nij,jn->in", self._inv_sqrt, diff)
         quad = np.einsum("in,in->n", white, white)
-        out = -0.5 * (self.dim * LOG_2PI + self._logdet + quad)
+        out = -0.5 * ((self.dim * LOG_2PI + self._logdet if normalized else 0.0) + quad)
         return float(out[0]) if single else out
 
     def _sd(self):
@@ -411,7 +593,7 @@ class NormalFamily(Family):
         return math.sqrt(self.covs[0, 0, 0])
 
     def cdf(self, x):
-        return ndtr((np.asarray(x, dtype=float) - self.means[0, 0]) / self._sd())
+        return _ndtr((np.asarray(x, dtype=float) - self.means[0, 0]) / self._sd())
 
     def sample(self, rng, count):
         """i.i.d. draws, shape (count, d), as a column-major view so that
@@ -426,7 +608,14 @@ class NormalFamily(Family):
         sd_x, sd_y = self._sd(), rest._sd()
         w = sd_x**2 / (sd_x**2 + sd_y**2)
         mean = self.means[0, 0] + w * (s - self.means[0, 0] - rest.means[0, 0])
-        return ndtr((np.asarray(x, dtype=float) - mean) / (sd_y * math.sqrt(w)))
+        return _ndtr((np.asarray(x, dtype=float) - mean) / (sd_y * math.sqrt(w)))
+
+    def interval_masses(self, rest, s, t1, t2):
+        """(P(t1 < X < t2 | X + Y = s), P(t1 < X < t2)) for one-dimensional
+        X = self, Y = rest, as differences of the two cdfs."""
+        edges = np.array([t1, t2])
+        given_sum, block = self.cdf_given_sum(rest, s, edges), self.cdf(edges)
+        return float(given_sum[1] - given_sum[0]), float(block[1] - block[0])
 
     def log_ratio_given_sum(self, rest, s, t):
         """log f_Y(s - t) - log f_{X+Y}(s) for single laws X = self, Y = rest."""

@@ -14,9 +14,10 @@ themselves.  Estimators:
 
   * scheffe   - exact evaluation for d = 1 by Scheffe's identity: rho
                 f_block is the density of the block sum T given {S_1n = n a},
-                so between the zeros of log rho (ctx.block.ratio_roots) the
-                integral is the difference of the increments of two
-                closed-form cdfs, P(T <= t | S_1n = n a) and P(T <= t);
+                and rho > 1 exactly between the zeros r1 < r2 of log rho
+                (ctx.block.ratio_roots), so the integral is
+                2 (P(r1 < T < r2 | S_1n = n a) - P(r1 < T < r2))
+                (ctx.block.interval_masses);
   * sum_mc    - Monte Carlo mean of |rho - 1| over draws of the tilted
                 block sum from its closed-form law (the integrand's own
                 weight is the importance measure, so no reweighting is
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conditional import RatioContext, _check_block, _scalar_log, _solved_theta
+from .conditional import RatioContext, _check_block, _solved_theta
 from .errors import UnsupportedFamilyError
 from .numerics import as_vector
 
@@ -84,19 +85,9 @@ def _zero_estimate(method, n, a, samples=0):
 
 
 def df_gamma_constant():
-    """gamma_df = 0.5 E|1 - Z^2| for standard normal Z, by adaptive
-    quadrature split at the kinks z = +-1; equals 2 phi(1).  This is the
-    independent reference for that closed form, and the only user of
-    scipy.integrate, which is imported here so that loading the package
-    does not pay for it."""
-    from scipy.integrate import quad
-
-    def integrand(z):
-        return 0.5 * abs(1.0 - z * z) * math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-
-    inner, _ = quad(integrand, -1.0, 1.0, epsabs=1e-14, epsrel=1e-13)
-    tail, _ = quad(integrand, 1.0, 40.0, epsabs=1e-14, epsrel=1e-13)
-    return inner + 2.0 * tail
+    """gamma_df = 0.5 E|1 - Z^2| for standard normal Z.  Since
+    (z^2 - 1) phi(z) = d/dz[-z phi(z)], it equals 2 phi(1)."""
+    return 2.0 * math.exp(-0.5) / math.sqrt(2.0 * math.pi)
 
 
 def tv_scheffe(family, k, a, theta=None):
@@ -109,10 +100,9 @@ def tv_scheffe(family, k, a, theta=None):
     if k == 0:
         return _zero_estimate("scheffe", n, a)
     ctx = RatioContext(family, k, a, theta=theta)
-    edges = np.array([-math.inf, *ctx.block.ratio_roots(ctx.rest, ctx.na), math.inf])
-    given_sum = np.diff(ctx.block.cdf_given_sum(ctx.rest, ctx.na, edges))
-    value = float(np.sum(np.abs(given_sum - np.diff(ctx.block.cdf(edges)))))
-    return TVEstimate(value, 0.0, "scheffe", n, ctx.k, tuple(a), 0)
+    roots = ctx.block.ratio_roots(ctx.rest, ctx.na)
+    given_sum, block = ctx.block.interval_masses(ctx.rest, ctx.na, *roots)
+    return TVEstimate(2.0 * (given_sum - block), 0.0, "scheffe", n, ctx.k, tuple(a), 0)
 
 
 def tv_sum_mc(family, k, a, samples=DEFAULT_SUM_SAMPLES, rng=None, theta=None):
@@ -181,6 +171,7 @@ def _joint_log_ratio(family, k, na, theta, total):
 
         log f0_rest(n a - T) - log f0_full(n a) - <theta, T> + sum_{j<=k} kappa_j(theta),
 
-    untilted sum densities and the Gibbs factor; prod_j p_j(x_j) cancels."""
-    log_rest = family[k:].convolve().log_density(na - total)
-    return log_rest - _scalar_log(family.convolve(), na) - total @ theta + k * family[:k].cgf(theta)
+    the untilted sum-density ratio (log_ratio_given_sum of the block and
+    rest sums) and the Gibbs factor; prod_j p_j(x_j) cancels."""
+    log_ratio = family[:k].convolve().log_ratio_given_sum(family[k:].convolve(), na, total)
+    return log_ratio - total @ theta + k * family[:k].cgf(theta)

@@ -276,7 +276,7 @@ LOG_RATIO_REFERENCES = [
         12800, 114, [600.0, 640.0, 684.0, 730.0, 760.0],
         [-0.021717874922505553, -0.0029907972438255053, 0.004473055855562666,
          -0.0024545339328599586, -0.01509362455216798],
-        3e-11,
+        1e-12,
     ),
     (
         1_000_000, 1, [1.0, 3.0, 4.5, 10.0, 20.0],

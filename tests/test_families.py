@@ -17,7 +17,7 @@ from tiltedsums import (
     gamma_family,
     normal_family,
 )
-from tiltedsums.numerics import guarded_eigh, sym_sqrt
+from tiltedsums.numerics import guarded_eigh, lgamma, sym_sqrt
 
 
 def gamma_member(shape, scale):
@@ -215,6 +215,69 @@ def test_log_density_one_point_per_member():
     expected = [gammas[j].log_density(xs[j]) for j in range(3)]
     np.testing.assert_allclose(gammas.log_density(xs), expected, rtol=1e-14)
     assert expected[2] == -math.inf
+
+
+# log Gamma rounded once from 50-digit mpmath values; math.lgamma is 1 to 3
+# ulp off at 2.5, 3 and 4.
+@pytest.mark.parametrize(
+    "x, expected",
+    [(2.5, 0.2846828704729192), (3.0, 0.6931471805599453), (4.0, 1.791759469228055), (41229.5, 396908.26240987406)],
+)
+def test_lgamma_is_correctly_rounded(x, expected):
+    assert lgamma(x) == expected
+
+
+# 50-digit mpmath values of gammainc(K, 0, x / scale, regularized=True):
+# (K, scale, x, P(X <= x)).
+GAMMA_CDF_REFERENCES = [
+    (2.5, 1.0, 0.5, 0.037434226752703631),
+    (2.5, 1.0, 2.5, 0.58411981300449208),
+    (2.5, 1.0, 10.0, 0.99875026943696862),
+    (370.5, 1.8461538461538463, 600.0, 0.0071292707630207172),
+    (370.5, 1.8461538461538463, 684.0, 0.50690877704670342),
+    (370.5, 1.8461538461538463, 760.0, 0.98130266617126599),
+    (41229.5, 1.0, 41000.0, 0.12908597902048732),
+    (41229.5, 1.0, 41229.5, 0.50065491484631874),
+    (41229.5, 1.0, 41500.0, 0.90839223768982979),
+]
+
+# 50-digit mpmath values of betainc(K_x, K_y, 0, x / s, regularized=True):
+# (K_x, K_y, scale, s, x, P(X <= x | X + Y = s)).
+GAMMA_CDF_GIVEN_SUM_REFERENCES = [
+    (3.0, 3.0, 1.0, 10.0, 2.0, 0.05792),
+    (3.0, 3.0, 1.0, 10.0, 5.0, 0.5),
+    (3.0, 3.0, 1.0, 10.0, 8.0, 0.94208),
+    (2.5, 41229.5, 1.0, 76800.0, 1.0, 0.043595942243555922),
+    (2.5, 41229.5, 1.0, 76800.0, 4.5, 0.56325075851468592),
+    (2.5, 41229.5, 1.0, 76800.0, 10.0, 0.94316502886430287),
+    (370.5, 41229.5, 1.8461538461538463, 76800.0, 600.0, 0.0069265834843540735),
+    (370.5, 41229.5, 1.8461538461538463, 76800.0, 684.0, 0.50681615728823837),
+    (370.5, 41229.5, 1.8461538461538463, 76800.0, 760.0, 0.98174162872354632),
+    (1197.0, 3.0, 1.0, 2400.0, 2380.0, 0.0027128649261373974),
+    (1197.0, 3.0, 1.0, 2400.0, 2395.0, 0.54421441173143401),
+    (1197.0, 3.0, 1.0, 2400.0, 2399.0, 0.98566756512985471),
+]
+
+
+# The log density at the quadrature nodes rounds to about 1e-16 sqrt(K)
+# (the terms of -K (expm1(d) - d) are of size K |d| with d ~ 1 / sqrt(K));
+# at K = 41229.5 the largest error measured is 2.4e-15.
+@pytest.mark.parametrize("shape, scale, x, expected", GAMMA_CDF_REFERENCES)
+def test_gamma_cdf_high_precision_reference(shape, scale, x, expected):
+    assert abs(gamma_member(shape, scale).cdf(x) - expected) <= 5e-15
+
+
+@pytest.mark.parametrize("k_x, k_y, scale, s, x, expected", GAMMA_CDF_GIVEN_SUM_REFERENCES)
+def test_gamma_cdf_given_sum_high_precision_reference(k_x, k_y, scale, s, x, expected):
+    assert abs(gamma_member(k_x, scale).cdf_given_sum(gamma_member(k_y, scale), s, x) - expected) <= 5e-15
+
+
+def test_gamma_cdfs_at_the_support_ends():
+    block, rest = gamma_member(2.5, 1.0), gamma_member(370.5, 1.0)
+    assert block.cdf(0.0) == 0.0 and block.cdf(-3.0) == 0.0 and block.cdf(math.inf) == 1.0
+    ends = block.cdf_given_sum(rest, 100.0, np.array([-1.0, 0.0, 100.0, 150.0]))
+    assert ends.tolist() == [0.0, 0.0, 1.0, 1.0]
+    assert np.shape(block.cdf(np.ones((3, 1)))) == (3, 1) and np.ndim(block.cdf(1.0)) == 0
 
 
 def _spd_stack(rng, count, dim):

@@ -24,6 +24,7 @@ from tiltedsums import (
     tv_scheffe,
     tv_sum_mc,
 )
+from tiltedsums import families
 from tiltedsums.tv import SUM_MC_CHUNK, _joint_log_ratio, _mean_and_se
 
 
@@ -44,9 +45,14 @@ def gaussian_variance_tv(c):
 # ---------------------------------------------------------------------------
 
 def test_df_gamma_matches_antiderivative_identity():
-    # (z^2 - 1) phi(z) = d/dz[-z phi(z)] pins the value at 2 phi(1)
-    closed = 2.0 * math.exp(-0.5) / math.sqrt(2.0 * math.pi)
-    assert df_gamma_constant() == pytest.approx(closed, abs=1e-10)
+    # the closed form 2 phi(1) against 0.5 E|1 - Z^2| by adaptive quadrature
+    # split at the kinks z = +-1
+    def integrand(z):
+        return 0.5 * abs(1.0 - z * z) * math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+
+    inner, _ = quad(integrand, -1.0, 1.0, epsabs=1e-14, epsrel=1e-13)
+    tail, _ = quad(integrand, 1.0, 40.0, epsabs=1e-14, epsrel=1e-13)
+    assert df_gamma_constant() == pytest.approx(inner + 2.0 * tail, abs=1e-10)
 
 
 def test_df_gamma_fixed_node_convergence():
@@ -189,6 +195,29 @@ def test_sign_change_roots_match_brentq(members, k, a, band):
     assert roots.size == reference.size == 2
     assert np.all(np.diff(roots) > 0.0)
     assert np.max(np.abs(roots - reference)) <= 1e-13 * max(1.0, abs(hi)) + band
+
+
+# The 50-digit reference cases above and the clamped lower root of
+# test_ratio_roots_under_a_given_theta: (members, k, theta).
+_ALTERNATING_12800 = gamma_family([2.5, 4.0] * 6400, 1.0)
+GAMMA_SCHEFFE_CASES = [
+    (_ALTERNATING_12800, 114, tilt_oracle(_ALTERNATING_12800, 6.0)),
+    (gamma_family([2.5, 4.0] * 50_000, 1.0), 1, None),
+    (gamma_family([2.5, 4.0] * 500_000, 1.0), 1, None),
+    (gamma_family([3.0] * 400, 1.0), 399, None),
+    (gamma_family([3.0] * 50, 1.0), 5, 0.9),
+]
+
+
+@pytest.mark.parametrize("members,k,theta", GAMMA_SCHEFFE_CASES)
+def test_interval_masses_fixed_node_convergence(monkeypatch, members, k, theta):
+    # both Scheffe masses move by less than 1e-15 when the panels double
+    ctx = RatioContext(members, k, 6.0, theta=theta)
+    roots = ctx.block.ratio_roots(ctx.rest, ctx.na)
+    masses = ctx.block.interval_masses(ctx.rest, ctx.na, *roots)
+    monkeypatch.setattr(families, "GL_PANELS", 2 * families.GL_PANELS)
+    doubled = ctx.block.interval_masses(ctx.rest, ctx.na, *roots)
+    assert np.max(np.abs(np.subtract(masses, doubled))) <= 1e-15
 
 
 def test_scheffe_normal_roots_far_from_the_origin():
