@@ -42,6 +42,7 @@ from .errors import (
     DegenerateCovarianceError,
     NonConvergenceError,
     OutOfDomainError,
+    SampleMemoryError,
     TiltedSumsError,
     UndefinedConditionalError,
     UnsupportedFamilyError,
@@ -70,6 +71,7 @@ __all__ = [
     "NormalFamily",
     "OutOfDomainError",
     "RatioContext",
+    "SampleMemoryError",
     "ScalingFit",
     "SweepRow",
     "ThetaBox",

@@ -33,3 +33,7 @@ class ConfigError(TiltedSumsError, ValueError):
 
 class NonConvergenceError(TiltedSumsError, RuntimeError):
     """The damped Newton iteration for the tilting equation did not converge."""
+
+
+class SampleMemoryError(TiltedSumsError, MemoryError):
+    """A Monte Carlo estimator cannot allocate the arrays its sample count needs."""

@@ -167,6 +167,14 @@ def _sorted_distinct(values):
     return ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
 
 
+def _sorted_distinct_rows(rows):
+    """np.unique(rows, axis=0) of a 2-D float array without np.unique: the
+    rows in lexicographic order, each kept where it differs from the one
+    before."""
+    ordered = rows[np.lexsort(rows.T[::-1])]
+    return ordered[np.concatenate(([True], np.any(ordered[1:] != ordered[:-1], axis=1)))]
+
+
 # ---------------------------------------------------------------------------
 # Interval masses of Gamma and Beta laws
 # ---------------------------------------------------------------------------
@@ -551,7 +559,7 @@ class NormalFamily(Family):
 
     def distinct(self):
         n, d = self.means.shape
-        rows = np.unique(np.concatenate([self.means, self._member_covs.reshape(n, d * d)], axis=1), axis=0)
+        rows = _sorted_distinct_rows(np.concatenate([self.means, self._member_covs.reshape(n, d * d)], axis=1))
         return NormalFamily(rows[:, :d], rows[:, d:].reshape(-1, d, d))
 
     # Inverse / sqrt / logdet are computed lazily so that a nearly singular

@@ -23,10 +23,11 @@ themselves.  Estimators:
                 weight is the importance measure, so no reweighting is
                 needed); ctx.fill_log_ratio draws SUM_MC_CHUNK block sums
                 at a time from one generator, which continues a single
-                stream, and writes log rho at them straight into that
-                chunk of the one sample buffer; expm1, abs, the mean and
-                the standard error then run in place, so a row holds one
-                samples-long array plus the temporaries of one chunk;
+                stream, and writes log rho at them straight into one
+                chunk-sized buffer; expm1, abs and the chunk's sum and
+                centred sum of squares then run in place, and the chunks'
+                moments are merged at the end (_mean_and_se), so a row
+                holds one chunk and its temporaries whatever samples is;
   * joint_mc  - Monte Carlo in the k*d-dimensional joint space,
                 E_{x ~ tilted product} |q_cond(x)/p_tilted(x) - 1|, an
                 independent route that must agree with the sum-statistic
@@ -47,12 +48,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conditional import RatioContext, _check_block, _solved_theta
-from .errors import UnsupportedFamilyError
+from .errors import SampleMemoryError, UnsupportedFamilyError
 from .numerics import as_vector
 
 DEFAULT_SUM_SAMPLES = 10**6
 DEFAULT_JOINT_SAMPLES = 10**5
-# Block sums per chunk in tv_sum_mc; the estimate does not depend on it.
+# Values per chunk in both Monte Carlo estimators; the draws do not depend
+# on it, the mean and standard error only through rounding.
 SUM_MC_CHUNK = 1 << 16
 
 
@@ -107,10 +109,11 @@ def tv_scheffe(family, k, a, theta=None):
 
 def tv_sum_mc(family, k, a, samples=DEFAULT_SUM_SAMPLES, rng=None, theta=None):
     """Monte Carlo TV over the block-sum statistic: mean of |rho(T) - 1|
-    with T drawn from the tilted block-sum law ctx.block.  Each chunk of the
-    samples-long buffer is filled with log rho at fresh draws
-    (ctx.fill_log_ratio) and turned into |rho - 1| in place; the values are
-    those of one draw of all samples from rng, whatever SUM_MC_CHUNK is."""
+    with T drawn from the tilted block-sum law ctx.block.  One chunk-sized
+    buffer is filled with log rho at fresh draws (ctx.fill_log_ratio),
+    turned into |rho - 1| in place and reduced to its moments, chunk after
+    chunk; the values are those of one draw of all samples from rng,
+    whatever SUM_MC_CHUNK is, and memory does not grow with samples."""
     _check_samples(samples)
     n = len(family)
     a = as_vector(a, family.dim)
@@ -119,12 +122,15 @@ def tv_sum_mc(family, k, a, samples=DEFAULT_SUM_SAMPLES, rng=None, theta=None):
     gen = _as_rng(rng)
     ctx = RatioContext(family, k, a, theta=theta)
 
-    vals = np.empty(samples)
-    for start in range(0, samples, SUM_MC_CHUNK):
-        chunk = vals[start : start + SUM_MC_CHUNK]
-        ctx.fill_log_ratio(gen, chunk)
-        np.abs(np.expm1(chunk, out=chunk), out=chunk)
-    value, std_error = _mean_and_se(vals)
+    buffer = np.empty(min(samples, SUM_MC_CHUNK))
+
+    def chunks():
+        for start in range(0, samples, SUM_MC_CHUNK):
+            chunk = buffer[: samples - start]
+            ctx.fill_log_ratio(gen, chunk)
+            yield np.abs(np.expm1(chunk, out=chunk), out=chunk)
+
+    value, std_error = _mean_and_se(chunks())
     return TVEstimate(value, std_error, "sum_mc", n, ctx.k, tuple(a), samples)
 
 
@@ -146,24 +152,47 @@ def tv_joint_mc(family, k, a, samples=DEFAULT_JOINT_SAMPLES, rng=None, theta=Non
     gen = _as_rng(rng)
 
     tilted = family[:k].tilt(theta)
-    total = np.zeros((samples, d))
-    for j in range(k):
-        total += tilted[j].sample(gen, samples)
-    vals = _joint_log_ratio(family, k, n * a, theta, total)
+    try:
+        total = np.zeros((samples, d))
+        for j in range(k):
+            total += tilted[j].sample(gen, samples)
+        vals = _joint_log_ratio(family, k, n * a, theta, total)
+    except MemoryError as exc:
+        raise SampleMemoryError(
+            f"joint_mc keeps the block sum of every sample and cannot hold samples = {samples}: {exc}"
+        ) from exc
     np.abs(np.expm1(vals, out=vals), out=vals)
-    value, std_error = _mean_and_se(vals)
+    chunks = (vals[start : start + SUM_MC_CHUNK] for start in range(0, samples, SUM_MC_CHUNK))
+    value, std_error = _mean_and_se(chunks)
     return TVEstimate(value, std_error, "joint_mc", n, k, tuple(a), samples)
 
 
-def _mean_and_se(vals):
-    """(mean, standard error of the mean) of vals as floats, bit for bit
-    np.mean(vals) and np.std(vals, ddof=1) / sqrt(N); vals is overwritten
-    (centred and squared in place) instead of copied."""
-    mean = np.mean(vals)
-    vals -= mean
-    np.square(vals, out=vals)
-    variance = np.add.reduce(vals) / (len(vals) - 1)
-    return float(mean), float(np.sqrt(variance) / math.sqrt(len(vals)))
+def _mean_and_se(chunks):
+    """(mean, standard error of the mean) as floats of the values in chunks,
+    an iterable of 1-D arrays that are overwritten (centred and squared in
+    place) as they come.  Each chunk gives its count n_c, sum S_c and centred
+    sum of squares M2_c, merged by the pairwise update of Chan, Golub and
+    LeVeque (1979):
+
+        mean = sum S_c / N,   M2 = sum M2_c + sum n_c (S_c / n_c - mean)^2,
+
+    and se = sqrt(M2 / (N - 1)) / sqrt(N).  With one chunk the second sum is
+    exactly 0, so the result is bit for bit np.mean and
+    np.std(ddof=1) / sqrt(N).  Ufunc reductions only: BLAS dot products on
+    1-D chunks start threads that contend with the sweep's workers."""
+    counts, sums, m2s = [], [], []
+    for chunk in chunks:
+        total = np.add.reduce(chunk)
+        chunk -= total / len(chunk)
+        np.square(chunk, out=chunk)
+        counts.append(len(chunk))
+        sums.append(total)
+        m2s.append(np.add.reduce(chunk))
+    counts, sums = np.array(counts, dtype=float), np.array(sums)
+    count = np.add.reduce(counts)
+    mean = np.add.reduce(sums) / count
+    m2 = np.add.reduce(m2s) + np.add.reduce(counts * np.square(sums / counts - mean))
+    return float(mean), float(np.sqrt(m2 / (count - 1)) / math.sqrt(count))
 
 
 def _joint_log_ratio(family, k, na, theta, total):

@@ -229,6 +229,8 @@ BAD_INPUTS = [
     ("scheffe", 5000, ["ratio", "--n", "50", "--k", "5", "--a", "6;7"], 2),
     ("scheffe", 5000, ["edgeworth", "--a", "6;7"], 2),
     ("scheffe", 5000, ["edgeworth", "--theta", "0.1;0.2"], 2),
+    # joint_mc holds every sample's block sum: 8 PB exceed any address space
+    ("scheffe", 5000, ["tv", "--n", "50", "--k", "5", "--a", "6.0", "--method", "joint_mc", "--samples", str(10**15)], 1),
 ]
 
 
@@ -341,3 +343,16 @@ def test_cli_import_loads_neither_optimize_nor_integrate():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "[]"
+
+
+def test_normal_check_imports_no_numpy_ma():
+    # NormalFamily.distinct sorts its rows without np.unique, whose first
+    # call imports numpy.ma
+    cfg = SHIPPED / "normal_df.cfg"
+    code = ("import sys; from tiltedsums.cli import main; before = set(sys.modules); "
+            f"code = main(['check', '--config', {str(cfg)!r}]); "
+            "print(code, sorted(m for m in set(sys.modules) - before if m.split('.')[:2] == ['numpy', 'ma']))")
+    src = str(Path(tiltedsums.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip().splitlines()[-1] == "0 []"

@@ -312,6 +312,25 @@ def test_normal_sample_is_affine_map_of_standard_draws(dim):
     np.testing.assert_allclose(draws, mean + z @ sym_sqrt(cov), rtol=0.0, atol=1e-14)
 
 
+@pytest.mark.parametrize("shared", [True, False])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_normal_distinct_rows_match_np_unique(dim, shared):
+    # 40 members over 3 means and 3 covariances, so rows repeat and rows
+    # with equal means are ordered by their covariance columns
+    rng = np.random.default_rng(20 * dim + shared)
+    means = rng.normal(size=(3, dim))[rng.integers(0, 3, size=40)]
+    covs = _spd_stack(rng, 1 if shared else 3, dim)
+    family = normal_family(means, covs if shared else covs[rng.integers(0, 3, size=40)])
+
+    def rows(fam):
+        return np.concatenate([fam.means, fam.member_hess(np.zeros(dim)).reshape(len(fam), dim * dim)], axis=1)
+
+    expected = np.unique(rows(family), axis=0)
+    got = rows(family.distinct())
+    assert len(expected) < len(family)
+    assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
 def test_near_singular_covariance_raises_from_log_density():
     # positive definite, so it can be built and inspected, but too ill
     # conditioned to whiten
