@@ -47,7 +47,7 @@ from .errors import (
     UndefinedConditionalError,
     UnsupportedFamilyError,
 )
-from .families import AllSpace, Family, GammaFamily, HalfLine, NormalFamily, gamma_family, normal_family
+from .families import Family, GammaFamily, NormalFamily, gamma_family, normal_family
 from .sweep import ScalingFit, SweepRow, emit_report, fit_scaling, run_sweep
 from .tilting import TiltingSolution, mean_cgf, solve_tilt, tilt_oracle
 from .tv import TVEstimate, df_gamma_constant, tv_joint_mc, tv_scheffe, tv_sum_mc
@@ -55,7 +55,6 @@ from .tv import TVEstimate, df_gamma_constant, tv_joint_mc, tv_scheffe, tv_sum_m
 __version__ = "0.1.0"
 
 __all__ = [
-    "AllSpace",
     "AssumptionReport",
     "CheckResult",
     "ConditioningError",
@@ -66,7 +65,6 @@ __all__ = [
     "Family",
     "FamilySpec",
     "GammaFamily",
-    "HalfLine",
     "NonConvergenceError",
     "NormalFamily",
     "OutOfDomainError",

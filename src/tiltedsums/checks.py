@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import UnsupportedFamilyError
-from .families import GammaFamily, HalfLine
+from .families import GammaFamily
 
 EIG_FLOOR, EIG_CEILING = 1e-8, 1e12
 AM4_CEILING = 1e6
@@ -42,7 +42,7 @@ AM4_CEILING = 1e6
 # many linear radii in [beta, R_MAX] and bounds the rest by C_K / R_MAX.
 R_MIN, R_MAX, R_POINTS = 1.0, 100.0, 512
 # A box from solved tilts grows by BOX_INFLATE times its extent (at least 1)
-# and stays BOUNDARY_MARGIN inside a half-line domain.
+# and stays BOUNDARY_MARGIN below a finite theta_upper.
 BOX_INFLATE, BOUNDARY_MARGIN = 0.2, 1e-3
 
 
@@ -74,16 +74,15 @@ class ThetaBox:
 
 def theta_box_from_solutions(thetas, family):
     """Bounding box of observed tilt parameters, inflated and clipped
-    strictly inside the domain (margin from a half-line boundary)."""
+    strictly inside the domain (margin from a finite theta_upper)."""
     arr = np.atleast_2d(np.asarray(thetas, dtype=float))
     lo = arr.min(axis=0)
     hi = arr.max(axis=0)
     pad = BOX_INFLATE * np.maximum(hi - lo, 1.0)
     lo = lo - pad
     hi = hi + pad
-    dom = family.domain
-    if isinstance(dom, HalfLine):
-        hi = np.minimum(hi, dom.upper - BOUNDARY_MARGIN)
+    if math.isfinite(family.theta_upper):
+        hi = np.minimum(hi, family.theta_upper - BOUNDARY_MARGIN)
         lo = np.minimum(lo, hi - 1e-9)
     return ThetaBox(tuple(lo), tuple(hi))
 
@@ -140,7 +139,7 @@ def _thetas(laws, box):
         return box.center[None, :]
     ends = np.array([box.lo, box.hi])
     for theta in ends:
-        if not laws.domain.contains(theta):
+        if not laws.in_domain(theta):
             raise ValueError(f"box end {theta} is outside the cgf domain")
     return ends
 

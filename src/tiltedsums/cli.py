@@ -260,7 +260,7 @@ def cmd_check(args):
     if box is not None:
         if box.dim != family.dim:
             raise ConfigError(f"--box is {box.dim}-dimensional, the members are {family.dim}-dimensional")
-        if not (family.domain.contains(box.lo) and family.domain.contains(box.hi)):
+        if not (family.in_domain(box.lo) and family.in_domain(box.hi)):
             raise ConfigError(f"--box {box.lo[0]:g}:{box.hi[0]:g} leaves the open domain of the {family.kind} cgf")
     else:
         thetas = []

@@ -114,7 +114,6 @@ class ExperimentConfig:
         for a in self.a_values:
             if len(a) != self.family.dim:
                 raise ConfigError(f"a={a} does not match family dimension {self.family.dim}")
-        _validate_k_rule(self.k_rule)
         for n in self.n_values:
             k = k_for(self.k_rule, n)
             if not 1 <= k < n:
@@ -133,9 +132,12 @@ class ExperimentConfig:
         return cfg
 
 
-def _validate_k_rule(rule):
+def k_for(rule, n):
+    """Block size for a sweep point: fixed, ceil(sqrt(n)), or ceil(n^alpha).
+
+    Raises ConfigError for an unknown rule or an exponent outside (0, 1)."""
     if rule == "sqrt":
-        return
+        return math.ceil(math.sqrt(n))
     if rule.startswith("pow:"):
         try:
             alpha = float(rule[4:])
@@ -143,20 +145,11 @@ def _validate_k_rule(rule):
             raise ConfigError(f"bad k rule {rule!r}") from exc
         if not 0.0 < alpha < 1.0:
             raise ConfigError(f"k rule exponent must lie in (0, 1), got {alpha}")
-        return
+        return math.ceil(n ** alpha)
     try:
-        int(rule)
+        return int(rule)
     except ValueError as exc:
         raise ConfigError(f"unknown k rule {rule!r}") from exc
-
-
-def k_for(rule, n):
-    """Block size for a sweep point: fixed, ceil(sqrt(n)), or ceil(n^alpha)."""
-    if rule == "sqrt":
-        return math.ceil(math.sqrt(n))
-    if rule.startswith("pow:"):
-        return math.ceil(n ** float(rule[4:]))
-    return int(rule)
 
 
 # ---------------------------------------------------------------------------

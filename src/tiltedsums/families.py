@@ -42,7 +42,6 @@ log T for the Gamma, logit(T / s) for the Beta.  Normal laws use erfc.
 """
 
 import math
-from dataclasses import dataclass
 from functools import cache, cached_property
 
 import numpy as np
@@ -62,46 +61,13 @@ from .numerics import (
 
 
 # ---------------------------------------------------------------------------
-# Domain of finiteness of the cgf
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class AllSpace:
-    """Theta = R^d (Normal members)."""
-
-    dim: int
-
-    def contains(self, theta, margin=0.0):
-        t = as_vector(theta, self.dim)
-        return bool(np.all(np.isfinite(t)))
-
-    def boundary_distance(self, theta):
-        return math.inf
-
-
-@dataclass(frozen=True)
-class HalfLine:
-    """Theta = (-inf, upper), strictly (Gamma members, upper = 1/scale)."""
-
-    upper: float
-
-    def contains(self, theta, margin=0.0):
-        t = as_vector(theta, 1)
-        return bool(np.isfinite(t[0]) and t[0] < self.upper - margin)
-
-    def boundary_distance(self, theta):
-        t = as_vector(theta, 1)
-        return self.upper - float(t[0])
-
-
-# ---------------------------------------------------------------------------
 # Shared plumbing
 # ---------------------------------------------------------------------------
 
 class Family:
     """Base of the array-backed families.
 
-    Subclasses provide kind, dim, domain, __len__, _take(slice), the average
+    Subclasses provide kind, dim, __len__, _take(slice), the average
     cgf calculus (cgf, cgf_grad, cgf_hess), tilt, convolve, distinct, the
     single-law operations (log_density, cdf, sample, cdf_given_sum,
     interval_masses, log_ratio_given_sum, log_ratio_sampler, ratio_roots) and
@@ -109,7 +75,14 @@ class Family:
     fourth_central_moment, char_fn_modulus_sup, density_partial_l1), plus
     third_central_moment_tensor averaged over the family for the Edgeworth
     expansion.
+
+    The cgf domain is Theta = {finite theta : theta[0] < theta_upper}, and a
+    target mean needs a[0] > mean_lower, the lower end of the members'
+    support hull; a kind with a bounded side overrides the infinite defaults.
     """
+
+    theta_upper = math.inf
+    mean_lower = -math.inf
 
     def __getitem__(self, index):
         """The family of a block of members; an integer gives one member."""
@@ -125,9 +98,14 @@ class Family:
         out = np.exp(self.log_density(x))
         return float(out) if np.ndim(out) == 0 else out
 
+    def in_domain(self, theta):
+        """Whether theta lies in the open cgf domain Theta."""
+        t = as_vector(theta, self.dim).tolist()
+        return all(map(math.isfinite, t)) and t[0] < self.theta_upper
+
     def _check_theta(self, theta):
         t = as_vector(theta, self.dim)
-        if not self.domain.contains(t):
+        if not self.in_domain(t):
             raise OutOfDomainError(
                 f"theta={t} outside the open domain of the {self.kind} cgf"
             )
@@ -158,13 +136,6 @@ class Family:
 def _nonempty(count):
     if count == 0:
         raise ValueError("member sequence is empty")
-
-
-def _sorted_distinct(values):
-    """np.unique of a 1-D float array without np.unique, whose first call
-    imports numpy.ma (about 10 ms)."""
-    ordered = np.sort(values)
-    return ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
 
 
 def _sorted_distinct_rows(rows):
@@ -286,6 +257,7 @@ class GammaFamily(Family):
 
     kind = "gamma"
     dim = 1
+    mean_lower = 0.0
 
     def __init__(self, shapes, scale):
         shapes = np.asarray(shapes, dtype=float).reshape(-1)
@@ -296,10 +268,10 @@ class GammaFamily(Family):
             raise ValueError(f"gamma scale must be positive, got {scale}")
         self.shapes = shapes
         # A numpy scale makes an overflowing power (scale**2, u**4) inf, where
-        # a Python float raises; a subnormal scale still gives upper = inf
-        # without a warning.
+        # a Python float raises; a subnormal scale still gives
+        # theta_upper = inf without a warning.
         self.scale = np.float64(scale)
-        self.domain = HalfLine(1.0 / float(scale))
+        self.theta_upper = 1.0 / float(scale)
         self._kbar = float(shapes.mean())
 
     def __len__(self):
@@ -327,14 +299,14 @@ class GammaFamily(Family):
         return GammaFamily([self.shapes.sum()], self.scale)
 
     def distinct(self):
-        return GammaFamily(_sorted_distinct(self.shapes), self.scale)
+        return GammaFamily(_sorted_distinct_rows(self.shapes[:, None])[:, 0], self.scale)
 
     # -- single law (or one point per member for log_density) ---------------
 
     @cached_property
     def _lgamma_shapes(self):
         """lgamma of every shape, evaluated once per distinct shape."""
-        distinct = _sorted_distinct(self.shapes)
+        distinct = _sorted_distinct_rows(self.shapes[:, None])[:, 0]
         return np.array([lgamma(k) for k in distinct.tolist()])[np.searchsorted(distinct, self.shapes)]
 
     @cached_property
@@ -522,7 +494,6 @@ class NormalFamily(Family):
         self.means = means
         self.covs = covs
         self.dim = d
-        self.domain = AllSpace(d)
         self._mean = means.mean(axis=0)
         self._cov = covs.mean(axis=0)
 

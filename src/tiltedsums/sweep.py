@@ -90,22 +90,12 @@ def run_sweep(config, threads=1, timing=False):
         return [f.result() for f in futures]
 
 
-def _usable(rows):
-    out = []
-    for row in rows:
-        if isinstance(row, SweepRow):
-            if row.error is None and row.tv > 0.0 and math.isfinite(row.tv):
-                out.append((row.n, row.k, row.tv))
-        else:
-            n, k, tv = row
-            if tv > 0.0 and math.isfinite(tv):
-                out.append((int(n), int(k), float(tv)))
-    return out
-
-
 def fit_scaling(rows):
-    """Ordinary least squares of log tv against log(k/n)."""
-    points = _usable(rows)
+    """Ordinary least squares of log tv against log(k/n) over the SweepRows
+    without an error and with a finite positive tv."""
+    points = [
+        (row.n, row.k, row.tv) for row in rows if row.error is None and row.tv > 0.0 and math.isfinite(row.tv)
+    ]
     if len(points) < 3:
         raise ValueError(f"need at least 3 rows with positive tv, got {len(points)}")
     x = np.array([math.log(k / n) for n, k, _ in points])

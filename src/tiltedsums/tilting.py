@@ -29,6 +29,7 @@ Closed forms used as oracles in the test suite:
     Gamma, shared scale:   theta = (1 - kbar t / a) / t,  kbar = mean shape
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,8 +41,8 @@ from .numerics import as_vector, guarded_eigh
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 100
 
-# Iterates must stay strictly inside the domain; for a half-line boundary b
-# this keeps theta < b - 1e-14 * max(1, |b|).
+# Iterates must stay strictly inside the domain; a finite theta_upper b
+# keeps theta[0] < b - 1e-14 * max(1, |b|).
 BOUNDARY_MARGIN = 1e-14
 
 MAX_HALVINGS = 60
@@ -62,16 +63,15 @@ def mean_cgf(family, theta):
 
 def _check_target(family, a):
     """a must lie in the interior of the convex support hull."""
-    if isinstance(family, GammaFamily) and a[0] <= 0.0:
-        raise OutOfDomainError(f"target mean a={a[0]} outside (0, inf) for gamma members")
+    lower = family.mean_lower
+    if math.isfinite(lower) and a[0] <= lower:
+        raise OutOfDomainError(f"target mean a={a[0]} outside ({lower:g}, inf) for {family.kind} members")
 
 
 def _in_domain(family, theta):
-    margin = 0.0
-    dom = family.domain
-    if hasattr(dom, "upper"):
-        margin = BOUNDARY_MARGIN * max(1.0, abs(dom.upper))
-    return dom.contains(theta, margin=margin)
+    upper = family.theta_upper
+    margin = BOUNDARY_MARGIN * max(1.0, abs(upper)) if math.isfinite(upper) else 0.0
+    return family.in_domain(theta) and theta[0] < upper - margin
 
 
 # A target far out (|a| ~ 1e300) squares to inf in the merit and the norms.
@@ -130,7 +130,7 @@ def solve_tilt(family, a, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, callback=N
 
 
 def _step_small(family, theta, step, tol):
-    scale = min(max(1.0, np.linalg.norm(theta)), family.domain.boundary_distance(theta))
+    scale = min(max(1.0, np.linalg.norm(theta)), family.theta_upper - float(theta[0]))
     return bool(np.linalg.norm(step) <= tol * scale)
 
 

@@ -16,7 +16,7 @@ if str(SRC) not in sys.path:
     except ImportError:
         sys.path.insert(0, str(SRC))
 
-from tiltedsums.families import AllSpace, Family  # noqa: E402
+from tiltedsums.families import Family  # noqa: E402
 
 
 class PointMassFamily(Family):
@@ -34,7 +34,6 @@ class PointMassFamily(Family):
 
     kind = "point_mass"
     dim = 1
-    domain = AllSpace(1)
 
     def __init__(self, location=1.0, count=1):
         self.location = float(location)

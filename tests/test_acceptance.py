@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from tiltedsums import (
+    SweepRow,
     ThetaBox,
     build_model,
     check_am4,
@@ -173,7 +174,7 @@ def test_criterion_5_tv_scaling_law():
             k = math.ceil(math.sqrt(n))
             shapes = [shape_cycle[j % len(shape_cycle)] for j in range(n)]
             est = tv_scheffe(gamma_family(shapes, 1.0), k, 6.0)
-            rows.append((n, k, est.value))
+            rows.append(SweepRow(len(rows), n, k, (6.0,), (), "scheffe", est.value, 0.0, 0.0))
         results[label] = fit_scaling(rows)
     elapsed = time.perf_counter() - start
     ok = all(0.9 <= f.exponent <= 1.1 and f.r_squared >= 0.98 for f in results.values())

@@ -285,7 +285,7 @@ def _grid_thetas(laws, box):
         return box.center[None, :]
     grid = tensor_grid(box.lo, box.hi, 33)
     for theta in grid:
-        if not laws.domain.contains(theta):
+        if not laws.in_domain(theta):
             raise ValueError(f"grid point {theta} is outside the cgf domain")
     return grid
 

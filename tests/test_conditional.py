@@ -34,9 +34,9 @@ def test_public_api_resolves():
 
     assert [name for name in tiltedsums.__all__ if not hasattr(tiltedsums, name)] == []
     # sum laws come from family.tilt(theta).convolve(), ratios and coordinates from RatioContext,
-    # the order-1 Edgeworth factor from the cumulant tensor
+    # the order-1 Edgeworth factor from the cumulant tensor, the cgf domain from theta_upper
     removed = ("sum_density", "EdgeworthSumDensity", "density_ratio", "normalized_coords", "NormalizedCoords",
-               "hermite3", "multi_indices")
+               "hermite3", "multi_indices", "AllSpace", "HalfLine")
     assert [name for name in removed if hasattr(tiltedsums, name) or name in tiltedsums.__all__] == []
 
 

@@ -102,7 +102,7 @@ def _fd_step(member, theta, i):
     # near the domain boundary the cgf derivatives blow up, so the step must
     # shrink with the remaining distance
     h = 1e-4 * (1.0 + abs(theta[i]))
-    return min(h, 1e-3 * member.domain.boundary_distance(theta))
+    return min(h, 1e-3 * (member.theta_upper - theta[0]))
 
 
 def _finite_diff_grad(member, theta):
@@ -437,6 +437,31 @@ def test_out_of_domain_raises_not_nan():
             member.cgf_hess(bad)
         with pytest.raises(OutOfDomainError):
             member.tilt(bad)
+
+
+def test_gamma_domain_is_open_at_theta_upper():
+    member = gamma_member(3.0, 2.0)
+    assert member.theta_upper == 0.5 and member.mean_lower == 0.0
+    assert not member.in_domain(member.theta_upper)
+    assert member.in_domain(np.nextafter(member.theta_upper, -np.inf))
+    assert member.in_domain(-1e300)
+
+
+def test_normal_domain_is_every_finite_theta():
+    for d in (1, 2, 3):
+        member = normal_member(np.zeros(d), np.eye(d))
+        assert member.theta_upper == math.inf and member.mean_lower == -math.inf
+        for theta in (np.zeros(d), np.full(d, 1e300), np.full(d, -1e300), np.arange(d) - 0.5):
+            assert member.in_domain(theta)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_theta_is_outside_the_domain(bad):
+    assert not gamma_member(3.0, 2.0).in_domain(bad)
+    for d in (1, 2):
+        theta = np.zeros(d)
+        theta[-1] = bad
+        assert not normal_member(np.zeros(d), np.eye(d)).in_domain(theta)
 
 
 def test_invalid_parameters_rejected():

@@ -98,8 +98,15 @@ def test_run_row_seed_isolation():
 # scaling fit
 # ---------------------------------------------------------------------------
 
+def scheffe_rows(points):
+    """SweepRows carrying the given (n, k, tv) triples."""
+    return [SweepRow(i, n, k, (6.0,), (0.5,), "scheffe", tv, 0.0, 0.0) for i, (n, k, tv) in enumerate(points)]
+
+
 def test_fit_exact_linear_law():
-    rows = [(n, math.ceil(math.sqrt(n)), 0.5 * math.ceil(math.sqrt(n)) / n) for n in (100, 200, 400, 900)]
+    rows = scheffe_rows(
+        [(n, math.ceil(math.sqrt(n)), 0.5 * math.ceil(math.sqrt(n)) / n) for n in (100, 200, 400, 900)]
+    )
     fit = fit_scaling(rows)
     assert fit.exponent == pytest.approx(1.0, abs=1e-12)
     assert fit.log_constant == pytest.approx(math.log(0.5), abs=1e-12)
@@ -107,16 +114,16 @@ def test_fit_exact_linear_law():
 
 
 def test_fit_quadratic_law():
-    rows = [(n, int(math.sqrt(n)), (int(math.sqrt(n)) / n) ** 2) for n in (100, 400, 1600)]
+    rows = scheffe_rows([(n, int(math.sqrt(n)), (int(math.sqrt(n)) / n) ** 2) for n in (100, 400, 1600)])
     fit = fit_scaling(rows)
     assert fit.exponent == pytest.approx(2.0, abs=1e-12)
 
 
 def test_fit_requires_three_usable_rows():
     with pytest.raises(ValueError):
-        fit_scaling([(100, 10, 0.1), (200, 10, 0.05)])
+        fit_scaling(scheffe_rows([(100, 10, 0.1), (200, 10, 0.05)]))
     with pytest.raises(ValueError):
-        fit_scaling([(100, 10, 0.1), (200, 10, 0.0), (400, 10, 0.0)])
+        fit_scaling(scheffe_rows([(100, 10, 0.1), (200, 10, 0.0), (400, 10, 0.0)]))
 
 
 def test_fit_skips_failed_sweep_rows():

@@ -226,6 +226,17 @@ def test_singular_hessian_raises_conditioning_error():
         solve_tilt(members, np.array([1.0, 1.0]))
 
 
+def test_subnormal_gamma_scale_has_no_upper_bound_and_raises_conditioning_error():
+    # 1 / scale overflows, so theta_upper is inf as for normal members; the
+    # Hessian kbar scale^2 rounds to 0 and the first Newton step fails
+    from tiltedsums import ConditioningError
+
+    members = gamma_family([3.0] * 4, 1e-320)
+    assert members.theta_upper == np.inf
+    with pytest.raises(ConditioningError):
+        solve_tilt(members, 6.0)
+
+
 @given(a=st.floats(0.5, 40.0))
 @settings(max_examples=50, deadline=None)
 def test_legendre_round_trip(a):
