@@ -27,7 +27,7 @@ from .conditional import (
     normalized_exact_density,
     tilting_invariance_check,
 )
-from .config import ExperimentConfig, FamilySpec, k_for, parse_config, parse_config_file, serialize_config
+from .config import ExperimentConfig, FamilySpec, k_for, parse_config, parse_config_file
 from .edgeworth import (
     EdgeworthModel,
     build_model,
@@ -100,7 +100,6 @@ __all__ = [
     "parse_config_file",
     "run_assumption_checks",
     "run_sweep",
-    "serialize_config",
     "solve_tilt",
     "theta_box_from_solutions",
     "third_cumulant",

@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Subcommands: tilt, edgeworth, ratio, tv, check, sweep.  Results go to
-standard output or files; logging goes to standard error.  Exit codes:
-0 success, 1 any sweep row failed (or a computation raised a toolkit
-error, such as non-convergence), 2 configuration or argument error.
+Subcommands: tilt, edgeworth, ratio, tv, check, sweep; each takes only
+the flags it reads, and tv is row 0 of the one-row sweep (n, k, a).
+Results go to standard output or files; logging goes to standard error.
+Exit codes: 0 success, 1 any sweep row failed (or a computation raised a
+toolkit error, such as non-convergence), 2 configuration or argument error.
 """
 
 import argparse
@@ -11,18 +12,17 @@ import logging
 import math
 import os
 import sys
-import time
+from dataclasses import replace
 
 import numpy as np
 
 from . import checks as checks_mod
-from .config import ConfigError, parse_config_file
+from .config import ConfigError, _vector, parse_config_file
 from .conditional import RatioContext, _solved_theta, normalized_exact_density
 from .edgeworth import build_model, edgeworth_density
 from .errors import TiltedSumsError
-from .sweep import emit_report, fit_scaling, run_sweep
+from .sweep import _vec, emit_report, fit_scaling, run_row, run_sweep
 from .tilting import solve_tilt
-from .tv import tv_joint_mc, tv_scheffe, tv_sum_mc
 
 logger = logging.getLogger("tiltedsums")
 
@@ -30,10 +30,10 @@ THREADS_ENV = "TILTEDSUMS_THREADS"
 
 
 def _vector_arg(text):
-    v = np.array([float(p) for p in text.split(";")])
-    if not np.all(np.isfinite(v)):
-        raise argparse.ArgumentTypeError(f"non-finite vector {text!r}")
-    return v
+    try:
+        return _vector(text)
+    except ConfigError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _seed_arg(text):
@@ -74,12 +74,10 @@ def _default_threads():
         return 1
 
 
-def _add_common(parser, need_config=True):
-    parser.add_argument("--config", required=need_config, help="experiment config file")
-    parser.add_argument("--seed", type=_seed_arg, default=None, help="override the config seed")
-    parser.add_argument("--threads", type=int, default=None,
-                        help=f"worker threads (default ${THREADS_ENV} or 1)")
-    parser.add_argument("--out", default=None, help="output file or directory")
+def _subcommand(sub, name, help):
+    p = sub.add_parser(name, help=help)
+    p.add_argument("--config", required=True, help="experiment config file")
+    return p
 
 
 def build_parser():
@@ -87,53 +85,52 @@ def build_parser():
                                      description="tilted measures, Edgeworth expansions, and "
                                                  "conditional TV distances for independent sums")
     sub = parser.add_subparsers(dest="command", required=True)
+    to_file = "output file (default: standard output)"
 
-    p = sub.add_parser("tilt", help="solve the tilting equation and print the result")
-    _add_common(p)
+    p = _subcommand(sub, "tilt", "solve the tilting equation and print the result")
     p.add_argument("--n", type=int, default=None, help="number of members (default: largest sweep n)")
     p.add_argument("--a", type=_vector_arg, default=None, help="target mean, ';' between components")
 
-    p = sub.add_parser("edgeworth", help="CSV of exact vs Edgeworth normalized sum densities (d = 1)")
-    _add_common(p)
+    p = _subcommand(sub, "edgeworth", "CSV of exact vs Edgeworth normalized sum densities (d = 1)")
+    p.add_argument("--out", default=None, help=to_file)
     p.add_argument("--count", type=int, default=64, help="number of summands")
     p.add_argument("--a", type=_vector_arg, default=None, help="tilt the members to this mean")
     p.add_argument("--theta", type=_vector_arg, default=None, help="explicit tilt parameter")
     p.add_argument("--grid", type=_grid_arg, default=(-6.0, 6.0, 241), help="lo:hi:points")
 
-    p = sub.add_parser("ratio", help="CSV of exact vs Edgeworth density ratio over a t grid (d = 1)")
-    _add_common(p)
+    p = _subcommand(sub, "ratio", "CSV of exact vs Edgeworth density ratio over a t grid (d = 1)")
+    p.add_argument("--out", default=None, help=to_file)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--a", type=_vector_arg, required=True)
     p.add_argument("--t-grid", type=_grid_arg, default=(-3.0, 3.0, 61),
                    help="grid in normalized t_tilde units, lo:hi:points")
 
-    p = sub.add_parser("tv", help="one total-variation estimate as a CSV row")
-    _add_common(p)
+    p = _subcommand(sub, "tv", "one total-variation estimate as a CSV row (row 0 of a one-row sweep)")
+    p.add_argument("--seed", type=_seed_arg, default=None, help="override the config seed")
+    p.add_argument("--out", default=None, help=to_file)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--a", type=_vector_arg, required=True)
     p.add_argument("--method", choices=("scheffe", "sum_mc", "joint_mc"), default="scheffe")
-    p.add_argument("--samples", type=int, default=None)
+    p.add_argument("--samples", type=int, default=None, help="default: the config's samples")
 
-    p = sub.add_parser("check", help="run the assumption battery and print the report")
-    _add_common(p)
+    p = _subcommand(sub, "check", "run the assumption battery and print the report")
+    p.add_argument("--out", default=None, help="CSV report file (default: none)")
     p.add_argument("--n", type=int, default=None, help="number of members (default: largest sweep n)")
     p.add_argument("--beta", type=_beta_arg, default=0.5, help="cf separation threshold")
     p.add_argument("--box", type=_box_arg, default=None,
                    help="theta box lo:hi (d = 1); default derives from the sweep")
 
-    p = sub.add_parser("sweep", help="run the configured sweep and write results.csv / scaling.csv")
-    _add_common(p)
+    p = _subcommand(sub, "sweep", "run the configured sweep and write results.csv / scaling.csv")
+    p.add_argument("--seed", type=_seed_arg, default=None, help="override the config seed")
+    p.add_argument("--threads", type=int, default=None,
+                   help=f"worker threads (default ${THREADS_ENV} or 1)")
+    p.add_argument("--out", default=None, help="output directory (default: the config's out)")
     p.add_argument("--timing", action="store_true",
                    help="record wall-clock seconds per row (voids byte reproducibility)")
 
     return parser
-
-
-def _load(args):
-    cfg = parse_config_file(args.config)
-    return cfg.with_overrides(seed=args.seed, out=args.out)
 
 
 def _family_for(cfg, n):
@@ -168,21 +165,20 @@ def _emit(text, out_path):
 
 
 def cmd_tilt(args):
-    cfg = _load(args)
+    cfg = parse_config_file(args.config)
     family = _family_for(cfg, args.n)
     _check_vectors(args, family, "a")
-    a = args.a if args.a is not None else np.array(cfg.a_values[0])
+    a = args.a if args.a is not None else cfg.a_values[0]
     sol = solve_tilt(family, a)
-    theta = ";".join(f"{v:.17g}" for v in sol.theta)
     sys.stdout.write(
-        f"theta={theta} residual_norm={sol.residual_norm:.6e} "
+        f"theta={_vec(sol.theta)} residual_norm={sol.residual_norm:.6e} "
         f"iterations={sol.iterations} converged={sol.converged}\n"
     )
     return 0 if sol.converged else 1
 
 
 def cmd_edgeworth(args):
-    cfg = _load(args)
+    cfg = parse_config_file(args.config)
     family = _family_for(cfg, args.count)
     if family.dim != 1:
         raise ConfigError("the edgeworth subcommand handles one-dimensional members")
@@ -209,7 +205,7 @@ def cmd_edgeworth(args):
 
 
 def cmd_ratio(args):
-    cfg = _load(args)
+    cfg = parse_config_file(args.config)
     family = cfg.family.build(args.n)
     if family.dim != 1:
         raise ConfigError("the ratio subcommand handles one-dimensional members")
@@ -230,31 +226,25 @@ def cmd_ratio(args):
 
 
 def cmd_tv(args):
-    cfg = _load(args)
-    family = cfg.family.build(args.n)
-    _check_vectors(args, family, "a")
-    a = args.a
+    """Row 0 of the one-row sweep (n, k, a) under --method: the same value,
+    standard error and random stream as that sweep's results.csv row."""
+    cfg = parse_config_file(args.config).with_overrides(seed=args.seed)
+    _check_vectors(args, cfg.family, "a")
     samples = args.samples if args.samples is not None else cfg.samples
-    if args.method != "scheffe" and samples < 2:
-        raise ConfigError(f"method {args.method} needs at least 2 samples, got {samples}")
-    start = time.perf_counter()
-    if args.method == "scheffe":
-        est = tv_scheffe(family, args.k, a)
-    else:
-        mc = tv_sum_mc if args.method == "sum_mc" else tv_joint_mc
-        est = mc(family, args.k, a, samples=samples, rng=cfg.seed)
-    seconds = time.perf_counter() - start
-    a_txt = ";".join(f"{v:.17g}" for v in np.atleast_1d(a))
+    cfg = replace(cfg, method=args.method, samples=samples)
+    row = run_row(cfg, 0, args.n, args.k, args.a, timing=True)
+    if row.error is not None:
+        return 1
     lines = [
         "n,k,a,method,value,std_error,seconds",
-        f"{est.n},{est.k},{a_txt},{est.method},{est.value:.17g},{est.std_error:.17g},{seconds:.3f}",
+        f"{row.n},{row.k},{_vec(row.a)},{row.method},{row.tv:.17g},{row.std_error:.17g},{row.seconds:.3f}",
     ]
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
 def cmd_check(args):
-    cfg = _load(args)
+    cfg = parse_config_file(args.config)
     family = _family_for(cfg, args.n)
     box = args.box
     if box is not None:
@@ -278,7 +268,7 @@ def cmd_check(args):
 
 
 def cmd_sweep(args):
-    cfg = _load(args)
+    cfg = parse_config_file(args.config).with_overrides(seed=args.seed, out=args.out)
     threads = args.threads if args.threads is not None else _default_threads()
     rows = run_sweep(cfg, threads=threads, timing=args.timing)
     fit = None

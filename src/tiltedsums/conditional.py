@@ -36,9 +36,16 @@ from functools import cached_property
 import numpy as np
 
 from .edgeworth import build_model, edgeworth_density
-from .errors import NonConvergenceError, UndefinedConditionalError
+from .errors import ConditioningError, NonConvergenceError, UndefinedConditionalError
 from .numerics import LOG_2PI, as_vector, sym_inv, sym_inv_sqrt, sym_logdet
 from .tilting import solve_tilt
+
+# Largest float spacing at the conditioning point, eps max_i |n a_i|, as a
+# share of the block sum's smallest standard deviation.  The Normal pair
+# methods work in absolute block-sum coordinates, where that spacing
+# quantizes the Scheffe roots, the conditional mean and the whitened shift;
+# the Scheffe error is about its square, so at most 1e-10 relative here.
+SPACING_LIMIT = 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -63,6 +70,20 @@ def _zero_density(law, point):
     evaluated."""
     log_kernel = law.log_density(np.reshape(np.asarray(point, dtype=float), (1, -1)), normalized=False)
     return not np.isfinite(log_kernel[0])
+
+
+def _check_spacing(na, k, block_hess):
+    """Raise ConditioningError unless float resolves the block sum at n a:
+    eps max_i |n a_i| at most SPACING_LIMIT times sqrt(k lambda_min), the
+    smallest standard deviation of a block of k members whose averaged
+    covariance is block_hess."""
+    spacing = np.finfo(float).eps * float(np.max(np.abs(na)))
+    spread = math.sqrt(k * float(np.linalg.eigvalsh(block_hess)[0]))
+    if not spacing <= SPACING_LIMIT * spread:
+        raise ConditioningError(
+            f"float cannot resolve the block sum at n a = {na}: the spacing there, {spacing:.3e}, "
+            f"exceeds {SPACING_LIMIT:g} of the block sum's standard deviation {spread:.3e}"
+        )
 
 
 def _solved_theta(family, a):
@@ -120,7 +141,9 @@ class RatioContext:
 
         members = family[: self.k]
         self.block_mean = self.k * members.cgf_grad(self.theta)
-        self.block_B = sym_inv_sqrt(members.cgf_hess(self.theta))
+        block_hess = members.cgf_hess(self.theta)
+        self.block_B = sym_inv_sqrt(block_hess)
+        _check_spacing(self.na, self.k, block_hess)
 
         tilted = family.tilt(self.theta)
         self.block = tilted[: self.k].convolve()
@@ -205,11 +228,10 @@ def gibbs_density(family, k, theta, x):
     return math.exp(log_val) if np.isfinite(log_val) else 0.0
 
 
-def normalized_exact_density(family, theta, model=None):
+def normalized_exact_density(family, theta, model):
     """Exact density of the normalized (tilted) sum in the coordinates of the
-    Edgeworth model; the oracle for weighted sup error tests."""
-    if model is None:
-        model = build_model(family, theta, order=1)
+    Edgeworth model `model` (of family at theta); the oracle for weighted sup
+    error tests."""
     exact = family.tilt(theta).convolve()
     back = sym_inv(model.B) * math.sqrt(model.count)
     log_jac = 0.5 * model.dim * math.log(model.count) - 0.5 * sym_logdet(model.B @ model.B)

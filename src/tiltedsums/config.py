@@ -337,45 +337,3 @@ def parse_config_file(path):
             return parse_config(fh.read())
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-
-
-# ---------------------------------------------------------------------------
-# Serialization (round-trips through parse_config)
-# ---------------------------------------------------------------------------
-
-def _fmt(x):
-    return f"{float(x):.17g}"
-
-
-def _fmt_vector(v):
-    return ";".join(_fmt(c) for c in v)
-
-
-def _fmt_matrix(m):
-    return "|".join(";".join(_fmt(c) for c in row) for row in m)
-
-
-def serialize_config(cfg):
-    lines = ["[family]"]
-    if cfg.family.kind == "gamma":
-        lines.append("kind = gamma")
-        lines.append(f"scale = {_fmt(cfg.family.scale)}")
-        lines.append("shapes = " + ", ".join(_fmt(s) for s in cfg.family.shapes))
-    else:
-        if len(cfg.family.covs) == 1:
-            lines.append("kind = normal")
-            lines.append("means = " + ", ".join(_fmt_vector(m) for m in cfg.family.means))
-            lines.append("cov = " + _fmt_matrix(cfg.family.covs[0]))
-        else:
-            for mean, cov in zip(cfg.family.means, cfg.family.covs):
-                lines.append(f"member = normal mean={_fmt_vector(mean)} cov={_fmt_matrix(cov)}")
-    lines.append("")
-    lines.append("[sweep]")
-    lines.append("n = " + ", ".join(str(n) for n in cfg.n_values))
-    lines.append(f"k = {cfg.k_rule}")
-    lines.append("a = " + ", ".join(_fmt_vector(a) for a in cfg.a_values))
-    lines.append(f"method = {cfg.method}")
-    lines.append(f"samples = {cfg.samples}")
-    lines.append(f"seed = {cfg.seed}")
-    lines.append(f"out = {cfg.out}")
-    return "\n".join(lines) + "\n"

@@ -46,7 +46,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .errors import OutOfDomainError
+from .errors import ConditioningError, OutOfDomainError
 from .numerics import (
     LOG_2PI,
     as_vector,
@@ -465,6 +465,15 @@ class GammaFamily(Family):
 # Normal families
 # ---------------------------------------------------------------------------
 
+# Largest eps |log f_{X+Y}(s)| that the Normal log rho takes: it subtracts
+# two log densities of about that size, so each value carries a rounding
+# error of about eps |log f_{X+Y}(s)|.  Untilted sums conditioned far from
+# their means (tv_joint_mc's) reach it: on normal_df.cfg at n = 200, k = 15
+# the joint_mc TV moved by 1 to 9 times that share relative, so by at most
+# about 1e-5 under this limit.
+LOG_DENSITY_LIMIT = 1e-6
+
+
 def _ndtr(x):
     """Standard normal cdf 0.5 erfc(-x / sqrt(2)), elementwise over an array."""
     x = np.asarray(x)
@@ -605,9 +614,17 @@ class NormalFamily(Family):
         return float(out[0]) if single else out
 
     def _log_sum_density(self, rest, s):
-        """log f_{X+Y}(s) for X = self, Y = rest."""
+        """log f_{X+Y}(s) for X = self, Y = rest.  Both callers subtract it from
+        a log density of about its size, so it raises ConditioningError where
+        eps |log f_{X+Y}(s)| exceeds LOG_DENSITY_LIMIT."""
         full = NormalFamily(self.means + rest.means, self.covs + rest.covs)
-        return full.log_density(np.reshape(s, (1, -1)))[0]
+        log_sum = full.log_density(np.reshape(s, (1, -1)))[0]
+        if not np.finfo(float).eps * abs(log_sum) <= LOG_DENSITY_LIMIT:
+            raise ConditioningError(
+                f"log rho at s = {s} subtracts log densities of size {abs(log_sum):.3e}, "
+                f"more than {LOG_DENSITY_LIMIT:g} / eps"
+            )
+        return log_sum
 
     def log_ratio_sampler(self, rest, s):
         """fill(rng, out): draws len(out) values T = m_x + L z of X = self on

@@ -18,6 +18,8 @@ from .errors import DegenerateCovarianceError
 
 # Eigenvalues below REL_EIG_FLOOR * lambda_max are treated as a hard error.
 REL_EIG_FLOOR = 1e-12
+# Relative and absolute tolerance of check_symmetric.
+SYMMETRY_TOL = 1e-10
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -88,11 +90,11 @@ def _square(m):
     return a
 
 
-def check_symmetric(m, tol=1e-10):
+def check_symmetric(m):
     """Coerce a scalar, matrix or stack of matrices to a float array of shape
-    (..., d, d) and check that every matrix is symmetric."""
+    (..., d, d) and check that every matrix is symmetric to SYMMETRY_TOL."""
     a = _square(m)
-    if not np.allclose(a, np.swapaxes(a, -1, -2), rtol=tol, atol=tol):
+    if not np.allclose(a, np.swapaxes(a, -1, -2), rtol=SYMMETRY_TOL, atol=SYMMETRY_TOL):
         raise ValueError("matrix is not symmetric")
     return a
 

@@ -38,8 +38,15 @@ themselves.  Estimators:
 
 All three report the plain L1 integral (twice the sup-over-sets distance);
 in the k = o(n) regimes exercised here its value is far below 1.  For
-i.i.d. one-dimensional members with k = 1 the distance scales like
-gamma_df / n where gamma_df = E|1 - Z^2| / 2 = 2 phi(1) ~= 0.4839.
+i.i.d. one-dimensional Normal members with k = 1, and for any members as
+k grows, n TV / k tends to gamma_df = E|1 - Z^2| / 2 = 2 phi(1) ~= 0.4839.
+At fixed k other members add their skewness at the same order: for i.i.d.
+Gamma(3, 1) at k = 1 the limit is E|1 - Z^2 + 2 Z / sqrt(3)| / 2 ~= 0.5394,
+Z the standardized Gamma(3).
+
+A Normal target so far from the members' means that float cannot resolve
+the sums raises ConditioningError (conditional.SPACING_LIMIT and, for the
+untilted sums of joint_mc, families.LOG_DENSITY_LIMIT).
 """
 
 import math
@@ -47,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conditional import RatioContext, _check_block, _solved_theta
+from .conditional import RatioContext, _check_block, _check_spacing, _solved_theta
 from .errors import SampleMemoryError, UnsupportedFamilyError
 from .numerics import as_vector
 
@@ -149,6 +156,7 @@ def tv_joint_mc(family, k, a, samples=DEFAULT_JOINT_SAMPLES, rng=None, theta=Non
         return _zero_estimate("joint_mc", n, a, samples)
     k = _check_block(family, k)
     theta = as_vector(_solved_theta(family, a) if theta is None else theta, d)
+    _check_spacing(n * a, k, family[:k].cgf_hess(theta))
     gen = _as_rng(rng)
 
     tilted = family[:k].tilt(theta)

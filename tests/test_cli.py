@@ -231,6 +231,13 @@ BAD_INPUTS = [
     ("scheffe", 5000, ["edgeworth", "--theta", "0.1;0.2"], 2),
     # joint_mc holds every sample's block sum: 8 PB exceed any address space
     ("scheffe", 5000, ["tv", "--n", "50", "--k", "5", "--a", "6.0", "--method", "joint_mc", "--samples", str(10**15)], 1),
+    # each subcommand takes only the flags it reads
+    ("scheffe", 5000, ["tilt", "--out", "x"], 2),
+    ("scheffe", 5000, ["tilt", "--seed", "1"], 2),
+    ("scheffe", 5000, ["edgeworth", "--threads", "2"], 2),
+    ("scheffe", 5000, ["ratio", "--n", "50", "--k", "5", "--a", "6.0", "--seed", "1"], 2),
+    ("scheffe", 5000, ["tv", "--n", "50", "--k", "5", "--a", "6.0", "--threads", "2"], 2),
+    ("scheffe", 5000, ["check", "--n", "20", "--seed", "1"], 2),
 ]
 
 
@@ -250,6 +257,30 @@ def test_bad_inputs_exit_with_message(method, samples, argv, code, cfg_path, cap
     assert "Traceback" not in err
     logged = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
     assert "error:" in err or logged
+
+
+# one-row configs: (family section, a); n = 200 and k = 15
+ONE_ROW_FAMILIES = {
+    "gamma_iid": ("kind = gamma\nscale = 1.0\nshapes = 3.0", "6.0"),
+    "normal2d": ("kind = normal\nmeans = 0;0, 0.5;0.5\ncov = 1;0.2|0.2;2", "0.6;0.6"),
+}
+
+
+@pytest.mark.parametrize("method", ["sum_mc", "joint_mc"])
+@pytest.mark.parametrize("name", list(ONE_ROW_FAMILIES))
+def test_tv_prints_row_0_of_the_one_row_sweep(name, method, tmp_path, capsys):
+    family, a = ONE_ROW_FAMILIES[name]
+    path = tmp_path / "one_row.cfg"
+    path.write_text(f"[family]\n{family}\n\n[sweep]\nn = 200\nk = 15\na = {a}\nmethod = {method}\n"
+                    f"samples = 20000\nseed = 7\nout = {tmp_path / 'sweep'}\n")
+    assert main(["sweep", "--config", str(path)]) == 0
+    row = (tmp_path / "sweep" / "results.csv").read_text().strip().split("\n")[1].split(",")
+    capsys.readouterr()
+    assert main(["tv", "--config", str(path), "--n", "200", "--k", "15", "--a", a, "--method", method]) == 0
+    line = capsys.readouterr().out.strip().split("\n")[1].split(",")
+    # tv: n,k,a,method,value,std_error,seconds; results.csv: n,k,a,theta,method,tv,std_error,seconds
+    assert line[:4] == [row[0], row[1], row[2], row[4]]
+    assert line[4:6] == row[5:7]
 
 
 # configs whose family parameters or numbers are invalid: (family section, a)

@@ -6,6 +6,8 @@ import tracemalloc
 import warnings
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,11 +17,13 @@ from scipy.special import gammaincc, ndtr
 
 from tiltedsums import (
     RatioContext,
+    TiltedSumsError,
     UnsupportedFamilyError,
     conditional_density,
     df_gamma_constant,
     gamma_family,
     normal_family,
+    parse_config_file,
     solve_tilt,
     tilt_oracle,
     tv_joint_mc,
@@ -103,6 +107,23 @@ def test_df_gamma_fixed_node_convergence():
 
 def test_df_gamma_sanity_band():
     assert 0.4 < df_gamma_constant() < 0.6
+
+
+@pytest.mark.parametrize("n", [1000, 10_000])
+def test_iid_gamma_k1_constant_is_not_two_phi_of_one(n):
+    # For i.i.d. Gamma(3, 1) at k = 1, n TV tends to C_1 = E|1 - Z^2 + 2 Z / sqrt(3)| / 2, Z the
+    # standardized Gamma(3): the skewness term 2 / sqrt(3) enters at the same order as 1 - Z^2.
+    # The quadratic's zeros are Z = -1/sqrt(3) and sqrt(3), i.e. G = 2 and G = 6.  Measured
+    # n TV / C_1 - 1 = 0.61 / n.
+    def integrand(g):
+        z = (g - 3.0) / math.sqrt(3.0)
+        return 0.5 * abs(1.0 - z * z + 2.0 * z / math.sqrt(3.0)) * g * g * math.exp(-g) / 2.0
+
+    c1 = sum(quad(integrand, lo, hi, epsabs=1e-14, epsrel=1e-13)[0] for lo, hi in ((0, 2), (2, 6), (6, math.inf)))
+    assert c1 == pytest.approx(0.539364245350945, rel=1e-12)
+    scaled = n * tv_scheffe(gamma_family([3.0] * n, 1.0), 1, 6.0).value
+    assert abs(scaled / c1 - 1.0) <= 1.0 / n
+    assert abs(scaled / df_gamma_constant() - 1.0) > 0.1
 
 
 # ---------------------------------------------------------------------------
@@ -601,3 +622,50 @@ def test_cdf_given_sum_against_trapezoid(members, k, a):
 def test_cdf_given_sum_gamma_needs_one_scale():
     with pytest.raises(ValueError):
         gamma_family([3.0], 1.0).cdf_given_sum(gamma_family([4.0], 2.0), 10.0, 5.0)
+
+
+# ---------------------------------------------------------------------------
+# Far targets: the TV of these families does not depend on a
+# ---------------------------------------------------------------------------
+
+SHIPPED = Path(__file__).resolve().parents[1] / "scripts" / "configs"
+FAR_FAMILIES = {
+    "normal_df": (parse_config_file(SHIPPED / "normal_df.cfg").family.build(200), 0.5),
+    "normal2d": (normal_family([[0.0, 0.0], [0.5, 0.5]] * 100, [[1.0, 0.2], [0.2, 2.0]]), (0.6, 0.6)),
+    "gamma_iid": (parse_config_file(SHIPPED / "gamma_iid_sweep.cfg").family.build(200), 6.0),
+}
+FAR_METHODS = {
+    "scheffe": tv_scheffe,
+    "sum_mc": lambda members, k, a: tv_sum_mc(members, k, a, samples=20_000, rng=1),
+    "joint_mc": lambda members, k, a: tv_joint_mc(members, k, a, samples=20_000, rng=1),
+}
+FAR_CASES = (
+    [("normal_df", method, 10.0**j) for method in FAR_METHODS for j in range(0, 301, 2)]
+    + [("normal2d", "sum_mc", 10.0**j) for j in range(0, 301, 2)]
+    + [("gamma_iid", method, 10.0**j) for method in FAR_METHODS for j in range(-12, 7)]
+)
+
+
+@cache
+def far_reference(name, method):
+    members, a = FAR_FAMILIES[name]
+    return FAR_METHODS[method](members, 15, np.array(a, dtype=float))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name,method,a", FAR_CASES, ids=[f"{n}-{m}-{a:g}" for n, m, a in FAR_CASES])
+def test_far_target_gives_the_shipped_target_value_or_a_typed_error(name, method, a):
+    # n = 200, k = 15, a = 10^j in every coordinate: the same value as at the shipped target (1e-9
+    # relative for Scheffe, 0.01 of the standard error for the same draws), or a TiltedSumsError
+    # where float cannot resolve the sums
+    members, _ = FAR_FAMILIES[name]
+    reference = far_reference(name, method)
+    try:
+        est = FAR_METHODS[method](members, 15, np.full(members.dim, a))
+    except TiltedSumsError:
+        return
+    if method == "scheffe":
+        assert abs(est.value - reference.value) <= 1e-9 * reference.value
+    else:
+        assert math.isfinite(est.std_error)
+        assert abs(est.value - reference.value) <= 0.01 * est.std_error
