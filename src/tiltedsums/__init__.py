@@ -27,7 +27,7 @@ from .conditional import (
     normalized_exact_density,
     tilting_invariance_check,
 )
-from .config import ExperimentConfig, FamilySpec, k_for, parse_config, parse_config_file
+from .config import ExperimentConfig, k_for, parse_config, parse_config_file
 from .edgeworth import (
     EdgeworthModel,
     build_model,
@@ -49,7 +49,7 @@ from .errors import (
 )
 from .families import Family, GammaFamily, NormalFamily, gamma_family, normal_family
 from .sweep import ScalingFit, SweepRow, emit_report, fit_scaling, run_sweep
-from .tilting import TiltingSolution, mean_cgf, solve_tilt, tilt_oracle
+from .tilting import TiltingSolution, solve_tilt, tilt_oracle
 from .tv import TVEstimate, df_gamma_constant, tv_joint_mc, tv_scheffe, tv_sum_mc
 
 __version__ = "0.1.0"
@@ -63,7 +63,6 @@ __all__ = [
     "EdgeworthModel",
     "ExperimentConfig",
     "Family",
-    "FamilySpec",
     "GammaFamily",
     "NonConvergenceError",
     "NormalFamily",
@@ -93,7 +92,6 @@ __all__ = [
     "gamma_family",
     "gibbs_density",
     "k_for",
-    "mean_cgf",
     "normal_family",
     "normalized_exact_density",
     "parse_config",

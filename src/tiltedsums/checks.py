@@ -19,13 +19,13 @@ Common support and positivity of the member densities hold by construction
 "supp" entry rather than a numeric one.  Every sup and inf runs over the
 family's distinct member laws, so repeated members cost nothing.
 
-No check scans K.  Tilting a normal member moves only its mean, so the
-normal hooks do not depend on theta and the box center stands for all of K.
-Every gamma hook is a monotone function of the tilted scale
-u = t / (1 - theta t), which increases with theta, so each sup and inf over
+No check scans K.  Every hook is monotone in theta over K: tilting a normal
+member moves only its mean, so the normal hooks do not depend on theta, and
+every gamma hook is a monotone function of the tilted scale
+u = t / (1 - theta t), which increases with theta.  So each sup and inf over
 K sits at one of the box's two ends, and those are the only tilts
-evaluated.  Thresholds and radius grids are fixed constants, so identical
-inputs give identical witnesses.
+evaluated, for every kind.  Thresholds and radius grids are fixed
+constants, so identical inputs give identical witnesses.
 """
 
 import math
@@ -66,10 +66,6 @@ class ThetaBox:
     @property
     def dim(self):
         return len(self.lo)
-
-    @property
-    def center(self):
-        return np.array([(l + h) / 2.0 for l, h in zip(self.lo, self.hi)])
 
 
 def theta_box_from_solutions(thetas, family):
@@ -122,21 +118,16 @@ class AssumptionReport:
 
 
 def _thetas(laws, box):
-    """The tilt parameters a check evaluates, as an (N, d) array.
-
-    Tilting a normal member shifts its mean only, so its covariance, moments,
-    cf modulus and density-derivative norms do not depend on theta; the box
-    center suffices.  Other kinds give the box's two ends, which must lie
-    inside the cgf domain.  That needs every hook (member_hess,
+    """The tilt parameters a check evaluates: the box's two ends, as a (2, d)
+    array, both inside the cgf domain.  That needs every hook (member_hess,
     fourth_central_moment, char_fn_modulus_sup at each radius,
     density_partial_l1, and the gamma mean) to be monotone in theta over the
-    box, so that its sup and inf over K are taken at an end.  Gamma members
-    satisfy it: each hook is monotone in the tilted scale u = t / (1 - theta t),
-    and u increases with theta."""
+    box, so that its sup and inf over K are taken at an end.  Tilting a
+    normal member shifts its mean only, so its hooks do not depend on theta
+    at all.  Each gamma hook is monotone in the tilted scale
+    u = t / (1 - theta t), and u increases with theta."""
     if box.dim != laws.dim:
         raise ValueError("box dimension does not match the members")
-    if laws.kind == "normal":
-        return box.center[None, :]
     ends = np.array([box.lo, box.hi])
     for theta in ends:
         if not laws.in_domain(theta):

@@ -135,6 +135,8 @@ def build_parser():
 
 def _family_for(cfg, n):
     count = n if n is not None else max(cfg.n_values)
+    if count < 1:
+        raise ConfigError(f"family length must be at least 1, got {count}")
     return cfg.family.build(count)
 
 

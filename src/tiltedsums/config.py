@@ -20,76 +20,27 @@ two-dimensional target means.  Example:
 
 Normal families take "means" and "cov" (shared) or repeated
 "member = normal mean=0;0 cov=1;0|0;1" lines; gamma members may likewise be
-given as "member = gamma shape=3 scale=1".  Parameter sequences are cycled
-to the sweep length, so shapes = 2.5, 4.0 alternates the two shapes.
+given as "member = gamma shape=3 scale=1".  A key, field or section not
+named here is an error.  parse_config(text).family is the family of the
+declared rows, and family.build(n) cycles them to n members, so
+shapes = 2.5, 4.0 alternates the two shapes.
 """
 
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigError
-from .families import gamma_family, normal_family
+from .families import Family, gamma_family, normal_family
 
 _LINSPACE_RE = re.compile(r"^linspace\(\s*([^,()]+)\s*,\s*([^,()]+)\s*,\s*(\d+)\s*\)$")
 
 
 @dataclass(frozen=True)
-class FamilySpec:
-    """Declarative family sequence; build(n) materializes n members."""
-
-    kind: str
-    scale: float = 1.0
-    shapes: tuple = ()
-    means: tuple = ()
-    covs: tuple = ()
-
-    def __post_init__(self):
-        if self.kind not in ("gamma", "normal"):
-            raise ConfigError(f"unknown family kind {self.kind!r}")
-        if self.kind == "gamma" and not self.shapes:
-            raise ConfigError("gamma families need at least one shape")
-        if self.kind == "normal" and (not self.means or not self.covs):
-            raise ConfigError("normal families need means and covariances")
-        # the declared rows, built once, carry every check the family makes
-        try:
-            if self.kind == "gamma":
-                gamma_family(self.shapes, self.scale)
-            else:
-                normal_family(self.means, self.covs)
-        except ValueError as exc:
-            raise ConfigError(f"bad {self.kind} family parameters: {exc}") from exc
-
-    @property
-    def dim(self):
-        return 1 if self.kind == "gamma" else len(self.means[0])
-
-    def build(self, n):
-        """The family of n members, parameters cycled in declaration order.
-
-        Member j takes parameter row j mod len(rows); the rows are repeated
-        by one np.tile copy.
-        """
-        if n < 1:
-            raise ConfigError(f"family length must be at least 1, got {n}")
-        if self.kind == "gamma":
-            return gamma_family(_cycle(self.shapes, n), self.scale)
-        covs = self.covs if len(self.covs) == 1 else _cycle(self.covs, n)
-        return normal_family(_cycle(self.means, n), covs)
-
-
-def _cycle(rows, n):
-    """The first n rows of rows repeated end to end."""
-    rows = np.asarray(rows)
-    copies = -(-n // len(rows))
-    return np.tile(rows, (copies,) + (1,) * (rows.ndim - 1))[:n]
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
-    family: FamilySpec
+    family: Family
     n_values: tuple
     k_rule: str
     a_values: tuple
@@ -233,6 +184,8 @@ def _sections(text):
             continue
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1].strip()
+            if current not in ("family", "sweep"):
+                raise ConfigError(f"unknown section [{current}]; a config has [family] and [sweep]")
             sections.setdefault(current, [])
             continue
         if "=" not in line or current is None:
@@ -242,69 +195,78 @@ def _sections(text):
     return sections
 
 
+def _keyed(pairs, required, optional, where):
+    """The (key, value) pairs as a dict; a repeated, unknown or missing key
+    is a ConfigError."""
+    fields = {}
+    for key, value in pairs:
+        if key in fields:
+            raise ConfigError(f"duplicate {where} key {key!r}")
+        if key not in required and key not in optional:
+            raise ConfigError(f"unknown {where} key {key!r}")
+        fields[key] = value
+    missing = [key for key in required if key not in fields]
+    if missing:
+        raise ConfigError(f"{where} is missing {missing}")
+    return fields
+
+
+# The fields of a member line, per kind.
+_MEMBER_FIELDS = {"gamma": ("shape", "scale"), "normal": ("mean", "cov")}
+
+
 def _parse_member_line(value):
     parts = value.split()
     if not parts:
         raise ConfigError("empty member line")
-    kind, fields = parts[0], {}
+    kind, pairs = parts[0], []
+    if kind not in _MEMBER_FIELDS:
+        raise ConfigError(f"unknown member kind {kind!r}")
     for part in parts[1:]:
         if "=" not in part:
             raise ConfigError(f"bad member field {part!r}")
         key, val = part.split("=", 1)
-        fields[key.strip()] = val.strip()
-    return kind, fields
+        pairs.append((key.strip(), val.strip()))
+    return kind, _keyed(pairs, _MEMBER_FIELDS[kind], (), f"{kind} member")
 
 
 def _parse_family(pairs):
-    plain = {}
-    member_lines = []
-    for key, value in pairs:
-        if key == "member":
-            member_lines.append(value)
-        elif key in plain:
-            raise ConfigError(f"duplicate family key {key!r}")
-        else:
-            plain[key] = value
-
-    if member_lines:
-        if set(plain) - {"kind"}:
+    """The declared member rows as a family: one row per member line, or the
+    rows of a kind = gamma | normal stanza."""
+    lines = [value for key, value in pairs if key == "member"]
+    stanza = [(key, value) for key, value in pairs if key != "member"]
+    if lines:
+        if any(key != "kind" for key, _ in stanza):
             raise ConfigError("member lines cannot be mixed with sequence stanzas")
-        kinds = set()
-        shapes, means, covs, scales = [], [], [], []
-        for line in member_lines:
-            kind, fields = _parse_member_line(line)
-            kinds.add(kind)
-            if kind == "gamma":
-                shapes.append(_scalar(fields["shape"]))
-                scales.append(_scalar(fields["scale"]))
-            elif kind == "normal":
-                means.append(_vector(fields["mean"]))
-                covs.append(_matrix(fields["cov"]))
-            else:
-                raise ConfigError(f"unknown member kind {kind!r}")
+        members = [_parse_member_line(line) for line in lines]
+        kinds = {kind for kind, _ in members} | set(_keyed(stanza, (), ("kind",), "family").values())
         if len(kinds) != 1:
-            raise ConfigError("member lines must share one kind")
-        if shapes:
-            if len(set(scales)) != 1:
+            raise ConfigError("member lines must share one kind, that of the kind line")
+        (kind,) = kinds
+        rows = [fields for _, fields in members]
+        if kind == "gamma":
+            scales = {_scalar(row["scale"]) for row in rows}
+            if len(scales) != 1:
                 raise ConfigError("gamma members must share one scale")
-            return FamilySpec("gamma", scale=scales[0], shapes=tuple(shapes))
-        return FamilySpec("normal", means=tuple(means), covs=tuple(covs))
-
-    kind = plain.get("kind")
-    if kind is None:
-        raise ConfigError("family section needs a kind or member lines")
-    if kind == "gamma":
-        if "shapes" not in plain:
-            raise ConfigError("gamma family needs shapes")
-        return FamilySpec(
-            "gamma", scale=_scalar(plain.get("scale", "1.0")), shapes=_scalar_list(plain["shapes"])
-        )
-    if kind == "normal":
-        if "means" not in plain or "cov" not in plain:
-            raise ConfigError("normal family needs means and cov")
-        means = _vector_list(plain["means"])
-        return FamilySpec("normal", means=means, covs=(_matrix(plain["cov"]),))
-    raise ConfigError(f"unknown family kind {kind!r}")
+            args = [_scalar(row["shape"]) for row in rows], scales.pop()
+        else:
+            args = [_vector(row["mean"]) for row in rows], [_matrix(row["cov"]) for row in rows]
+    else:
+        kind = dict(stanza).get("kind")
+        if kind == "gamma":
+            fields = _keyed(stanza, ("kind", "shapes"), ("scale",), "gamma family")
+            args = _scalar_list(fields["shapes"]), _scalar(fields.get("scale", "1.0"))
+        elif kind == "normal":
+            fields = _keyed(stanza, ("kind", "means", "cov"), (), "normal family")
+            args = _vector_list(fields["means"]), [_matrix(fields["cov"])]
+        elif kind is None:
+            raise ConfigError("family section needs a kind or member lines")
+        else:
+            raise ConfigError(f"unknown family kind {kind!r}")
+    try:
+        return (gamma_family if kind == "gamma" else normal_family)(*args)
+    except ValueError as exc:
+        raise ConfigError(f"bad {kind} family parameters: {exc}") from exc
 
 
 def parse_config(text):
@@ -312,12 +274,7 @@ def parse_config(text):
     if "family" not in sections or "sweep" not in sections:
         raise ConfigError("config needs [family] and [sweep] sections")
     family = _parse_family(sections["family"])
-    sweep = dict(sections["sweep"])
-    if len(sweep) != len(sections["sweep"]):
-        raise ConfigError("duplicate sweep keys")
-    missing = {"n", "k", "a"} - set(sweep)
-    if missing:
-        raise ConfigError(f"sweep section is missing {sorted(missing)}")
+    sweep = _keyed(sections["sweep"], ("n", "k", "a"), ("method", "samples", "seed", "out"), "sweep")
     n_values = tuple(_count(v, "n") for v in _scalar_list(sweep["n"]))
     return ExperimentConfig(
         family=family,

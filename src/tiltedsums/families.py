@@ -67,8 +67,8 @@ from .numerics import (
 class Family:
     """Base of the array-backed families.
 
-    Subclasses provide kind, dim, __len__, _take(slice), the average
-    cgf calculus (cgf, cgf_grad, cgf_hess), tilt, convolve, distinct, the
+    Subclasses provide kind, dim, __len__, _take(slice or index array), the
+    average cgf calculus (cgf, cgf_grad, cgf_hess), tilt, convolve, distinct, the
     single-law operations (log_density, cdf, sample, cdf_given_sum,
     interval_masses, log_ratio_given_sum, log_ratio_sampler, ratio_roots) and
     the per-member hooks of the assumption checks (member_hess,
@@ -93,6 +93,14 @@ class Family:
         if not isinstance(index, slice):
             raise TypeError("families are indexed by an integer or a slice")
         return self._take(index)
+
+    def build(self, n):
+        """The family of n members: member j is row j mod len(self), the row
+        indices repeated end to end by one np.tile."""
+        if n < 1:
+            raise ValueError(f"a family needs at least one member, got {n}")
+        rows = len(self)
+        return self._take(np.tile(np.arange(rows), -(-n // rows))[:n])
 
     def density(self, x):
         out = np.exp(self.log_density(x))

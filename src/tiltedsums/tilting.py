@@ -8,10 +8,11 @@ tilt parameter associated with a target mean a is the unique solution of
 kbar_n is strictly convex and steep on the open convex domain Theta, so a
 damped Newton iteration started at theta = 0 converges globally: each step
 solves Hess kbar_n(theta) p = -(grad kbar_n(theta) - a) and halves the step
-until the iterate is strictly inside Theta and the residual merit
-0.5 ||grad - a||^2 decreases.  Halving stops once the candidate
-theta + lam p rounds to theta: every shorter step gives the same point and
-merit, so no decrease can follow.  The result is the one 60 halvings give,
+until the iterate is strictly inside Theta and the residual norm
+||grad - a||, the merit, decreases; the norm is taken without squaring, so
+it stays finite for every finite residual.  Halving stops once the
+candidate theta + lam p rounds to theta: every shorter step gives the same
+point and merit, so no decrease can follow.  The result is the one 60 halvings give,
 and a converged solve costs about one evaluation per Newton step plus one.
 
 The iteration stops after an accepted step p with
@@ -56,11 +57,6 @@ class TiltingSolution:
     converged: bool
 
 
-def mean_cgf(family, theta):
-    """(kbar_n, grad kbar_n, Hess kbar_n) at theta, as arithmetic means."""
-    return family.cgf(theta), family.cgf_grad(theta), family.cgf_hess(theta)
-
-
 def _check_target(family, a):
     """a must lie in the interior of the convex support hull."""
     lower = family.mean_lower
@@ -74,8 +70,8 @@ def _in_domain(family, theta):
     return family.in_domain(theta) and theta[0] < upper - margin
 
 
-# A target far out (|a| ~ 1e300) squares to inf in the merit and the norms.
-# That inf is the answer (no decrease, not converged), not a fault to warn of.
+# A huge gamma scale (1e300) overflows the Hessian to inf.  That inf is a
+# singular Hessian (ConditioningError), not a fault to warn of.
 @np.errstate(over="ignore")
 def solve_tilt(family, a, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, callback=None):
     """Damped Newton iteration for grad kbar_n(theta) = a.
@@ -90,9 +86,8 @@ def solve_tilt(family, a, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, callback=N
     _check_target(family, a)
 
     theta = np.zeros(family.dim)
-    _, grad, hess = mean_cgf(family, theta)
-    resid = grad - a
-    merit = 0.5 * float(resid @ resid)
+    resid, hess = family.cgf_grad(theta) - a, family.cgf_hess(theta)
+    merit = math.hypot(*resid)
     iterations = 0
     converged = False
 
@@ -107,9 +102,8 @@ def solve_tilt(family, a, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, callback=N
             if np.array_equal(cand, theta):
                 break  # every shorter step rounds to theta too
             if _in_domain(family, cand):
-                _, grad_c, hess_c = mean_cgf(family, cand)
-                resid_c = grad_c - a
-                merit_c = 0.5 * float(resid_c @ resid_c)
+                resid_c, hess_c = family.cgf_grad(cand) - a, family.cgf_hess(cand)
+                merit_c = math.hypot(*resid_c)
                 if merit_c < merit:
                     accepted = True
                     break
@@ -121,17 +115,17 @@ def solve_tilt(family, a, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, callback=N
         theta, resid, hess, merit = cand, resid_c, hess_c, merit_c
         iterations += 1
         if callback is not None:
-            callback(theta.copy(), float(np.linalg.norm(resid)))
+            callback(theta.copy(), merit)
         converged = _step_small(family, theta, step, tol)
         if converged:
             break
 
-    return TiltingSolution(theta, float(np.linalg.norm(resid)), iterations, converged)
+    return TiltingSolution(theta, merit, iterations, converged)
 
 
 def _step_small(family, theta, step, tol):
-    scale = min(max(1.0, np.linalg.norm(theta)), family.theta_upper - float(theta[0]))
-    return bool(np.linalg.norm(step) <= tol * scale)
+    scale = min(max(1.0, math.hypot(*theta)), family.theta_upper - float(theta[0]))
+    return math.hypot(*step) <= tol * scale
 
 
 def _guarded_hessian(hess):

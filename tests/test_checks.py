@@ -254,9 +254,10 @@ def test_report_depends_on_distinct_laws_only(gamma_box):
     assert many.csv_rows() == two.csv_rows()
 
 
-def test_normal_checks_evaluate_one_theta(monkeypatch):
-    """Normal covariances and moments do not depend on theta, so a 3-d box
-    costs one evaluation, not 33^3; the witnesses are those of the full grid."""
+def test_normal_checks_evaluate_the_box_ends(monkeypatch):
+    """Normal covariances and moments do not depend on theta, so they are
+    monotone over K and a 3-d box costs its two ends, as for every kind, not
+    33^3 grid points; the witnesses are those of the full grid."""
     members = normal_family([np.zeros(3), np.array([0.5, -0.5, 1.0])] * 2,
                             [np.array([[1.0, 0.2, 0.1], [0.2, 2.0, 0.3], [0.1, 0.3, 1.5]])])
     calls = []
@@ -267,8 +268,9 @@ def test_normal_checks_evaluate_one_theta(monkeypatch):
         return real_hess(self, theta)
 
     monkeypatch.setattr(NormalFamily, "member_hess", counting_hess)
-    report = run_assumption_checks(members, ThetaBox((-1.0,) * 3, (1.0,) * 3))
-    assert len(calls) == 1
+    box = ThetaBox((-1.0, -2.0, -3.0), (1.0, 2.0, 3.0))
+    report = run_assumption_checks(members, box)
+    assert [tuple(theta) for theta in calls] == [box.lo, box.hi]
     assert [(e.name, e.passed, e.witnesses) for e in report.entries] == [
         ("supp", True, {}),
         ("cv", True, {"lambda_min": 0.9576748571757885, "lambda_max": 2.1827601656659157}),
@@ -279,10 +281,8 @@ def test_normal_checks_evaluate_one_theta(monkeypatch):
 
 
 def _grid_thetas(laws, box):
-    """Reference theta list: the box center for normal members, otherwise the
-    full 33-point grid over the box, every point inside the cgf domain."""
-    if laws.kind == "normal":
-        return box.center[None, :]
+    """Reference theta list: the full 33-point grid over the box, every point
+    inside the cgf domain."""
     grid = tensor_grid(box.lo, box.hi, 33)
     for theta in grid:
         if not laws.in_domain(theta):

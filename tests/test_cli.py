@@ -238,6 +238,10 @@ BAD_INPUTS = [
     ("scheffe", 5000, ["ratio", "--n", "50", "--k", "5", "--a", "6.0", "--seed", "1"], 2),
     ("scheffe", 5000, ["tv", "--n", "50", "--k", "5", "--a", "6.0", "--threads", "2"], 2),
     ("scheffe", 5000, ["check", "--n", "20", "--seed", "1"], 2),
+    # a family of fewer than one member: a config error line, not a traceback
+    ("scheffe", 5000, ["tilt", "--n", "0"], 2),
+    ("scheffe", 5000, ["check", "--n", "-1"], 2),
+    ("scheffe", 5000, ["edgeworth", "--count", "0"], 2),
 ]
 
 
@@ -283,7 +287,7 @@ def test_tv_prints_row_0_of_the_one_row_sweep(name, method, tmp_path, capsys):
     assert line[4:6] == row[5:7]
 
 
-# configs whose family parameters or numbers are invalid: (family section, a)
+# configs whose family parameters, numbers or keys are invalid: (family section, a)
 BAD_CONFIGS = {
     "gamma-shape": ("kind = gamma\nscale = 1.0\nshapes = 1.5", "6.0"),
     "gamma-scale": ("kind = gamma\nscale = -1.0\nshapes = 3.0", "6.0"),
@@ -292,6 +296,15 @@ BAD_CONFIGS = {
     "nan-target": ("kind = gamma\nscale = 1.0\nshapes = 3.0", "nan"),
     "inf-scale": ("kind = gamma\nscale = inf\nshapes = 3.0", "6.0"),
     "inf-shape": ("kind = gamma\nscale = 1.0\nshapes = inf", "6.0"),
+    # incomplete member lines, and keys, fields or sections the format does not name
+    "gamma-member-no-scale": ("member = gamma shape=3", "6.0"),
+    "normal-member-no-cov": ("member = normal mean=0;0", "0;0"),
+    "member-repeated-field": ("member = gamma shape=3 scale=1 scale=2", "6.0"),
+    "member-unknown-field": ("member = gamma shape=3 scale=1 extra=5", "6.0"),
+    "gamma-scales-key": ("kind = gamma\nscales = 2\nshapes = 3.0", "6.0"),
+    "normal-covs-key": ("kind = normal\nmeans = 0;0\ncov = 1;0|0;1\ncovs = 4", "0;0"),
+    "sweep-methd-key": ("kind = gamma\nscale = 1.0\nshapes = 3.0\n\n[sweep]\nmethd = sum_mc", "6.0"),
+    "unknown-section": ("kind = gamma\nscale = 1.0\nshapes = 3.0\n\n[output]\nformat = csv", "6.0"),
 }
 
 
@@ -327,10 +340,10 @@ SHIPPED = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_far_target_exits_1_without_overflow_warning(capsys, caplog):
-    # |a| = 1e300 squares to inf in the tilt solver's merit and norms
+    # |a| = 1e300: the tilt solver's norms stay finite and no step is accepted
     cfg = str(SHIPPED / "gamma_iid_sweep.cfg")
     assert main(["tilt", "--config", cfg, "--a", "1e300"]) == 1
-    assert capsys.readouterr().out == "theta=0 residual_norm=inf iterations=0 converged=False\n"
+    assert capsys.readouterr().out == "theta=0 residual_norm=1.000000e+300 iterations=0 converged=False\n"
     cfg = str(SHIPPED / "normal_df.cfg")
     assert main(["tv", "--config", cfg, "--n", "500", "--k", "1", "--a", "1e300"]) == 1
     assert any(r.levelname == "ERROR" for r in caplog.records)

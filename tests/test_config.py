@@ -5,10 +5,11 @@ import pytest
 
 from tiltedsums import (
     ConfigError,
-    FamilySpec,
     GammaFamily,
     NormalFamily,
+    gamma_family,
     k_for,
+    normal_family,
     parse_config,
 )
 
@@ -32,7 +33,8 @@ out = results
 
 def test_parse_gamma_config():
     cfg = parse_config(GAMMA_CFG)
-    assert cfg.family == FamilySpec("gamma", scale=1.0, shapes=(2.5, 4.0))
+    assert isinstance(cfg.family, GammaFamily)
+    assert (cfg.family.shapes.tolist(), cfg.family.scale) == ([2.5, 4.0], 1.0)
     assert cfg.n_values == (200, 400)
     assert cfg.k_rule == "sqrt"
     assert cfg.a_values == ((6.0,),)
@@ -111,7 +113,7 @@ k = 1
 a = 3.0
 """
     )
-    assert cfg.family.shapes == (2.5, 3.0, 3.5, 4.0)
+    assert cfg.family.shapes.tolist() == [2.5, 3.0, 3.5, 4.0]
 
 
 def test_k_rules():
@@ -171,31 +173,48 @@ def test_config_rejections():
     assert parse_config(GAMMA_CFG.replace("samples = 1000", "samples = 1e6")).samples == 10**6
 
 
-# parameter rows cycled by FamilySpec.build: L = 3 rows each
-CYCLED_SPECS = {
-    "gamma": FamilySpec("gamma", scale=1.5, shapes=(2.5, 3.0, 4.0)),
-    "normal-shared-cov": FamilySpec(
-        "normal", means=((0.0, 0.0), (0.5, -0.5), (1.0, 2.0)), covs=(((1.0, 0.2), (0.2, 2.0)),)
-    ),
-    "normal-member-covs": FamilySpec(
-        "normal",
-        means=((0.0, 0.0), (0.5, -0.5), (1.0, 2.0)),
-        covs=(((1.0, 0.0), (0.0, 1.0)), ((2.0, 0.3), (0.3, 2.0)), ((1.5, -0.1), (-0.1, 0.7))),
-    ),
+# declared member rows, cycled by Family.build: L = 3 rows each
+MEANS = [[0.0, 0.0], [0.5, -0.5], [1.0, 2.0]]
+MEMBER_COVS = [[[1.0, 0.0], [0.0, 1.0]], [[2.0, 0.3], [0.3, 2.0]], [[1.5, -0.1], [-0.1, 0.7]]]
+CYCLED_ROWS = {
+    "gamma": gamma_family([2.5, 3.0, 4.0], 1.5),
+    "normal-shared-cov": normal_family(MEANS, [[1.0, 0.2], [0.2, 2.0]]),
+    "normal-member-covs": normal_family(MEANS, MEMBER_COVS),
 }
+# the normal-member-covs rows as member lines
+MEMBER_LINES = """
+[family]
+member = normal mean=0;0 cov=1;0|0;1
+member = normal mean=0.5;-0.5 cov=2;0.3|0.3;2
+member = normal mean=1;2 cov=1.5;-0.1|-0.1;0.7
+
+[sweep]
+n = 10
+k = 1
+a = 0.5;0.5
+"""
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 12801])
-@pytest.mark.parametrize("name", list(CYCLED_SPECS))
+@pytest.mark.parametrize("name", list(CYCLED_ROWS))
 def test_build_cycles_parameters_like_resize(name, n):
-    spec = CYCLED_SPECS[name]
-    family = spec.build(n)
-    if spec.kind == "gamma":
-        pairs = [(family.shapes, np.resize(spec.shapes, n))]
+    rows = CYCLED_ROWS[name]
+    family = rows.build(n)
+    if isinstance(rows, GammaFamily):
+        pairs = [(family.shapes, np.resize(rows.shapes, n))]
     else:
-        d = spec.dim
-        covs = np.resize(spec.covs, (n, d, d)) if len(spec.covs) > 1 else np.asarray(spec.covs)
-        pairs = [(family.means, np.resize(spec.means, (n, d))), (family.covs, covs)]
+        d = rows.dim
+        covs = np.resize(rows.covs, (n, d, d)) if len(rows.covs) > 1 else rows.covs
+        pairs = [(family.means, np.resize(rows.means, (n, d))), (family.covs, covs)]
+    if name == "normal-member-covs":
+        parsed = parse_config(MEMBER_LINES).family.build(n)
+        pairs += [(parsed.means, family.means), (parsed.covs, family.covs)]
     for got, want in pairs:
         assert (got.dtype, got.shape) == (want.dtype, want.shape)
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_build_needs_a_member(n):
+    with pytest.raises(ValueError):
+        CYCLED_ROWS["gamma"].build(n)

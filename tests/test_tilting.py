@@ -6,15 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tiltedsums import (
+    GammaFamily,
     OutOfDomainError,
     UnsupportedFamilyError,
     gamma_family,
-    mean_cgf,
     normal_family,
     solve_tilt,
     tilt_oracle,
 )
-from tiltedsums import tilting
 
 
 def iid_normals(n, mean=0.0, var=1.0):
@@ -22,34 +21,33 @@ def iid_normals(n, mean=0.0, var=1.0):
 
 
 # ---------------------------------------------------------------------------
-# mean_cgf
+# mean cgf: the family's cgf_grad and cgf_hess
 # ---------------------------------------------------------------------------
 
 def test_mean_cgf_grad_is_mean_of_means():
     members = normal_family([np.array([0.0]), np.array([2.0])], [np.eye(1)])
-    _, grad, _ = mean_cgf(members, 0.0)
-    assert grad[0] == pytest.approx(1.0)
+    assert members.cgf_grad(0.0)[0] == pytest.approx(1.0)
 
 
 def test_mean_cgf_gamma_tilted():
     for n in (1, 3, 17):
         members = gamma_family([3.0] * n, 1.0)
-        _, grad, _ = mean_cgf(members, 0.5)
-        assert grad[0] == pytest.approx(6.0, rel=1e-14)
+        assert members.cgf_grad(0.5)[0] == pytest.approx(6.0, rel=1e-14)
 
 
 def test_mean_cgf_hessian_mixed_normals():
     members = normal_family([np.zeros(1)] * 2, [np.array([[1.0]]), np.array([[3.0]])])
     for theta in (0.0, 1.7, -4.0):
-        _, _, hess = mean_cgf(members, theta)
-        assert hess[0, 0] == pytest.approx(2.0)
+        assert members.cgf_hess(theta)[0, 0] == pytest.approx(2.0)
 
 
 def test_mean_cgf_rejects_empty_and_out_of_domain():
     with pytest.raises(ValueError):
-        mean_cgf(gamma_family([], 1.0), 0.0)
-    with pytest.raises(OutOfDomainError):
-        mean_cgf(gamma_family([3.0], 1.0), 1.0)
+        gamma_family([], 1.0).cgf_grad(0.0)
+    members = gamma_family([3.0], 1.0)
+    for evaluate in (members.cgf, members.cgf_grad, members.cgf_hess):
+        with pytest.raises(OutOfDomainError):
+            evaluate(1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -70,13 +68,11 @@ def test_solve_iid_gamma():
 
 def test_solve_at_untilted_mean_gives_zero():
     members = gamma_family([2.7, 3.3, 4.1], 0.7)
-    _, grad0, _ = mean_cgf(members, 0.0)
-    sol = solve_tilt(members, grad0)
+    sol = solve_tilt(members, members.cgf_grad(0.0))
     assert sol.converged and abs(sol.theta[0]) <= 1e-12
 
     members = normal_family([np.array([0.4, -0.2])] * 4, [np.array([[1.0, 0.2], [0.2, 1.5]])])
-    _, grad0, _ = mean_cgf(members, np.zeros(2))
-    sol = solve_tilt(members, grad0)
+    sol = solve_tilt(members, members.cgf_grad(np.zeros(2)))
     assert sol.converged and np.linalg.norm(sol.theta) <= 1e-12
 
 
@@ -168,7 +164,7 @@ def test_theta_bounds_degenerate_iid():
 
 def test_theta_bounds_contain_zero_at_untilted_mean():
     members = gamma_family([2.5, 3.5], 2.0)
-    a = float(mean_cgf(members, 0.0)[1][0])
+    a = float(members.cgf_grad(0.0)[0])
     lo, hi = theta_bounds_1d(members, a)
     assert lo <= 0.0 <= hi
 
@@ -243,7 +239,7 @@ def test_legendre_round_trip(a):
     members = gamma_family([2.6, 3.4, 4.2], 1.3)
     sol = solve_tilt(members, a)
     assert sol.converged
-    _, grad, _ = mean_cgf(members, sol.theta)
+    grad = members.cgf_grad(sol.theta)
     assert abs(grad[0] - a) <= 1e-10 * (1 + abs(a))
 
 
@@ -254,7 +250,7 @@ def test_legendre_round_trip_normal_2d():
     )
     for a in (np.array([1.0, -2.0]), np.array([0.0, 3.0])):
         sol = solve_tilt(members, a)
-        _, grad, _ = mean_cgf(members, sol.theta)
+        grad = members.cgf_grad(sol.theta)
         assert np.linalg.norm(grad - a) <= 1e-10 * (1 + np.linalg.norm(a))
 
 
@@ -271,12 +267,13 @@ def test_converged_solve_costs_about_one_evaluation_per_step(members, monkeypatc
     # the last Newton step lies below one ulp of theta, so no halving of it
     # can be accepted; 60 of them would make 67 and 62 evaluations here
     calls = []
+    real_grad = GammaFamily.cgf_grad
 
     def counted(family, theta):
         calls.append(theta)
-        return mean_cgf(family, theta)
+        return real_grad(family, theta)
 
-    monkeypatch.setattr(tilting, "mean_cgf", counted)
+    monkeypatch.setattr(GammaFamily, "cgf_grad", counted)
     sol = solve_tilt(members, 6.0)
     assert sol.converged
     assert len(calls) <= 10
@@ -284,18 +281,19 @@ def test_converged_solve_costs_about_one_evaluation_per_step(members, monkeypatc
 
 # (family, a, repr(theta), repr(residual_norm), iterations, converged) as
 # solved with the full 60 halvings before every failed line search; at
-# a = 1e300 the residual squares to inf, which must raise no overflow warning
+# a = 1e300 no step is accepted, and the residual norm 1e300 must raise no
+# overflow warning
 PINNED = [
     (ALTERNATING, 1e-12, "-3249999999999.0", "0.0", 47, True),
     (ALTERNATING, 6.0, "0.45833333333333337", "0.0", 5, True),
     (ALTERNATING, 1e7, "0.999999675", "0.0007145646959543228", 13, True),
     (ALTERNATING, 1e12, "0.99999999999675", "13581727.469848633", 14, False),
-    (ALTERNATING, 1e300, "0.0", "inf", 0, False),
+    (ALTERNATING, 1e300, "0.0", "1e+300", 0, False),
     (IID, 1e-12, "-2999999999999.0005", "2.0194839173657902e-28", 47, True),
     (IID, 6.0, "0.5", "0.0", 1, True),
     (IID, 1e7, "0.9999997", "0.0015628151595592499", 12, False),
     (IID, 1e12, "0.999999999997", "14885492.451538086", 14, False),
-    (IID, 1e300, "0.0", "inf", 0, False),
+    (IID, 1e300, "0.0", "1e+300", 0, False),
 ]
 
 
@@ -317,8 +315,10 @@ def test_solve_tilt_pinned_results(members, a, theta, residual, iterations, conv
     "a,theta,residual,iterations,converged",
     [
         ((1.0, -2.0), ["1.4090909090909092", "-2.9696969696969697"], "0.0", 1, True),
-        ((1e300, -1e300), ["0.0", "0.0"], "inf", 0, False),
+        ((1e300, -1e300), ["1.212121212121212e+300", "-1.515151515151515e+300"], "1.487016908477783e+284",
+         1, True),
     ],
+    ids=["1,-2", "1e300,-1e300"],
 )
 def test_solve_tilt_pinned_results_normal_2d(a, theta, residual, iterations, converged):
     members = normal_family(
@@ -328,3 +328,25 @@ def test_solve_tilt_pinned_results_normal_2d(a, theta, residual, iterations, con
     sol = solve_tilt(members, np.array(a))
     assert [repr(float(v)) for v in sol.theta] == theta
     assert (repr(sol.residual_norm), sol.iterations, sol.converged) == (residual, iterations, converged)
+
+
+# the benchmark's two-dimensional family: the residual norm never squares past
+# the float range, so the solve converges on targets out to 1e300
+NORMAL_2D = normal_family([[0.0, 0.0], [0.5, 0.5]], [[1.0, 0.2], [0.2, 2.0]])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("j", range(0, 301, 10))
+def test_solve_tilt_converges_on_far_normal_2d_targets(j, sign):
+    a = np.array([10.0**j, sign * 10.0**j])
+    sol = solve_tilt(NORMAL_2D, a)
+    oracle = tilt_oracle(NORMAL_2D, a)
+    assert sol.converged
+    assert np.max(np.abs(sol.theta - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_solve_tilt_far_gamma_target_stays_unconverged():
+    sol = solve_tilt(gamma_family([3.0], 1.0), 1e300)
+    assert not sol.converged and sol.theta[0] == 0.0 and sol.residual_norm == 1e300
