@@ -10,7 +10,6 @@ toolkit error, such as non-convergence), 2 configuration or argument error.
 import argparse
 import logging
 import math
-import os
 import sys
 from dataclasses import replace
 
@@ -25,8 +24,6 @@ from .sweep import _vec, emit_report, fit_scaling, run_row, run_sweep
 from .tilting import solve_tilt
 
 logger = logging.getLogger("tiltedsums")
-
-THREADS_ENV = "TILTEDSUMS_THREADS"
 
 
 def _vector_arg(text):
@@ -64,14 +61,6 @@ def _beta_arg(text):
     if not (math.isfinite(beta) and beta > 0.0):
         raise argparse.ArgumentTypeError(f"beta must be finite and positive, got {text!r}")
     return beta
-
-
-def _default_threads():
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _subcommand(sub, name, help):
@@ -124,8 +113,7 @@ def build_parser():
 
     p = _subcommand(sub, "sweep", "run the configured sweep and write results.csv / scaling.csv")
     p.add_argument("--seed", type=_seed_arg, default=None, help="override the config seed")
-    p.add_argument("--threads", type=int, default=None,
-                   help=f"worker threads (default ${THREADS_ENV} or 1)")
+    p.add_argument("--threads", type=int, default=1, help="worker threads")
     p.add_argument("--out", default=None, help="output directory (default: the config's out)")
     p.add_argument("--timing", action="store_true",
                    help="record wall-clock seconds per row (voids byte reproducibility)")
@@ -152,10 +140,8 @@ def _check_vectors(args, family, *names):
 
 def _check_args(parser, args):
     """Reject argument combinations the estimators cannot take (exit code 2)."""
-    if args.command in ("tv", "ratio"):
-        lowest = 0 if args.command == "tv" else 1
-        if not lowest <= args.k < args.n:
-            parser.error(f"argument --k: {args.k} must satisfy {lowest} <= k < n = {args.n}")
+    if args.command in ("tv", "ratio") and not 1 <= args.k < args.n:
+        parser.error(f"argument --k: {args.k} must satisfy 1 <= k < n = {args.n}")
 
 
 def _emit(text, out_path):
@@ -271,8 +257,7 @@ def cmd_check(args):
 
 def cmd_sweep(args):
     cfg = parse_config_file(args.config).with_overrides(seed=args.seed, out=args.out)
-    threads = args.threads if args.threads is not None else _default_threads()
-    rows = run_sweep(cfg, threads=threads, timing=args.timing)
+    rows = run_sweep(cfg, threads=args.threads, timing=args.timing)
     fit = None
     try:
         fit = fit_scaling(rows)

@@ -7,7 +7,7 @@ two-dimensional target means.  Example:
     [family]
     kind = gamma
     scale = 1.0
-    shapes = 2.5, 4.0            # cycled to length n; linspace(lo,hi,m) allowed
+    shapes = 2.5, 4.0            # one row per shape, cycled to length n
 
     [sweep]
     n = 200, 400, 800, 1600
@@ -18,28 +18,27 @@ two-dimensional target means.  Example:
     seed = 7
     out = results
 
-Normal families take "means" and "cov" (shared) or repeated
-"member = normal mean=0;0 cov=1;0|0;1" lines; gamma members may likewise be
-given as "member = gamma shape=3 scale=1".  A key, field or section not
+Each [family] key is one argument of the family's constructor: kind = gamma
+takes shapes and scale (gamma_family), kind = normal takes means and cov
+(normal_family), where cov is one matrix shared by every row or a list of
+one matrix per means row, "cov = 1;0|0;1, 2;0|0;2".  A key or section not
 named here is an error.  parse_config(text).family is the family of the
 declared rows, and family.build(n) cycles them to n members, so
 shapes = 2.5, 4.0 alternates the two shapes.
 """
 
 import math
-import re
 from dataclasses import dataclass, replace
-
-import numpy as np
 
 from .errors import ConfigError
 from .families import Family, gamma_family, normal_family
 
-_LINSPACE_RE = re.compile(r"^linspace\(\s*([^,()]+)\s*,\s*([^,()]+)\s*,\s*(\d+)\s*\)$")
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExperimentConfig:
+    """A parsed config.  Configs compare by identity: a Family has no value
+    equality, so two parses of one text are different configs."""
+
     family: Family
     n_values: tuple
     k_rule: str
@@ -124,34 +123,8 @@ def _scalar(text):
     return value
 
 
-def _split_top_level(text):
-    """Split on commas outside parentheses, so generator calls stay whole."""
-    items, depth, current = [], 0, []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "," and depth == 0:
-            items.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-    items.append("".join(current))
-    return [item.strip() for item in items]
-
-
 def _scalar_list(text):
-    """Comma list of scalars; linspace(lo, hi, count) items are expanded."""
-    out = []
-    for item in _split_top_level(text):
-        m = _LINSPACE_RE.match(item)
-        if m:
-            lo, hi, count = _scalar(m.group(1)), _scalar(m.group(2)), int(m.group(3))
-            out.extend(float(v) for v in np.linspace(lo, hi, count))
-        else:
-            out.append(_scalar(item))
-    return tuple(out)
+    return tuple(_scalar(item.strip()) for item in text.split(","))
 
 
 def _count(value, key):
@@ -211,58 +184,20 @@ def _keyed(pairs, required, optional, where):
     return fields
 
 
-# The fields of a member line, per kind.
-_MEMBER_FIELDS = {"gamma": ("shape", "scale"), "normal": ("mean", "cov")}
-
-
-def _parse_member_line(value):
-    parts = value.split()
-    if not parts:
-        raise ConfigError("empty member line")
-    kind, pairs = parts[0], []
-    if kind not in _MEMBER_FIELDS:
-        raise ConfigError(f"unknown member kind {kind!r}")
-    for part in parts[1:]:
-        if "=" not in part:
-            raise ConfigError(f"bad member field {part!r}")
-        key, val = part.split("=", 1)
-        pairs.append((key.strip(), val.strip()))
-    return kind, _keyed(pairs, _MEMBER_FIELDS[kind], (), f"{kind} member")
-
-
 def _parse_family(pairs):
-    """The declared member rows as a family: one row per member line, or the
-    rows of a kind = gamma | normal stanza."""
-    lines = [value for key, value in pairs if key == "member"]
-    stanza = [(key, value) for key, value in pairs if key != "member"]
-    if lines:
-        if any(key != "kind" for key, _ in stanza):
-            raise ConfigError("member lines cannot be mixed with sequence stanzas")
-        members = [_parse_member_line(line) for line in lines]
-        kinds = {kind for kind, _ in members} | set(_keyed(stanza, (), ("kind",), "family").values())
-        if len(kinds) != 1:
-            raise ConfigError("member lines must share one kind, that of the kind line")
-        (kind,) = kinds
-        rows = [fields for _, fields in members]
-        if kind == "gamma":
-            scales = {_scalar(row["scale"]) for row in rows}
-            if len(scales) != 1:
-                raise ConfigError("gamma members must share one scale")
-            args = [_scalar(row["shape"]) for row in rows], scales.pop()
-        else:
-            args = [_vector(row["mean"]) for row in rows], [_matrix(row["cov"]) for row in rows]
+    """The declared member rows as a family: the shapes and scale of a
+    kind = gamma stanza, or the means and covs of a kind = normal one."""
+    kind = dict(pairs).get("kind")
+    if kind == "gamma":
+        fields = _keyed(pairs, ("kind", "shapes"), ("scale",), "gamma family")
+        args = _scalar_list(fields["shapes"]), _scalar(fields.get("scale", "1.0"))
+    elif kind == "normal":
+        fields = _keyed(pairs, ("kind", "means", "cov"), (), "normal family")
+        args = _vector_list(fields["means"]), [_matrix(c.strip()) for c in fields["cov"].split(",")]
+    elif kind is None:
+        raise ConfigError("family section needs a kind")
     else:
-        kind = dict(stanza).get("kind")
-        if kind == "gamma":
-            fields = _keyed(stanza, ("kind", "shapes"), ("scale",), "gamma family")
-            args = _scalar_list(fields["shapes"]), _scalar(fields.get("scale", "1.0"))
-        elif kind == "normal":
-            fields = _keyed(stanza, ("kind", "means", "cov"), (), "normal family")
-            args = _vector_list(fields["means"]), [_matrix(fields["cov"])]
-        elif kind is None:
-            raise ConfigError("family section needs a kind or member lines")
-        else:
-            raise ConfigError(f"unknown family kind {kind!r}")
+        raise ConfigError(f"unknown family kind {kind!r}")
     try:
         return (gamma_family if kind == "gamma" else normal_family)(*args)
     except ValueError as exc:

@@ -54,9 +54,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conditional import RatioContext, _check_block, _check_spacing, _solved_theta
+from .conditional import RatioContext
 from .errors import SampleMemoryError, UnsupportedFamilyError
-from .numerics import as_vector
 
 DEFAULT_SUM_SAMPLES = 10**6
 DEFAULT_JOINT_SAMPLES = 10**5
@@ -89,10 +88,6 @@ def _check_samples(samples):
         raise ValueError(f"samples must be at least 2 for a standard error, got {samples}")
 
 
-def _zero_estimate(method, n, a, samples=0):
-    return TVEstimate(0.0, 0.0, method, n, 0, tuple(np.atleast_1d(a).astype(float)), samples)
-
-
 def df_gamma_constant():
     """gamma_df = 0.5 E|1 - Z^2| for standard normal Z.  Since
     (z^2 - 1) phi(z) = d/dz[-z phi(z)], it equals 2 phi(1)."""
@@ -102,16 +97,12 @@ def df_gamma_constant():
 def tv_scheffe(family, k, a, theta=None):
     """Exact block TV for one-dimensional closed-form families by Scheffe's
     identity, split at the zeros of log rho; std_error is reported as 0."""
-    n = len(family)
     if family.dim != 1:
         raise UnsupportedFamilyError("Scheffe TV is implemented for d = 1 only")
-    a = as_vector(a, 1)
-    if k == 0:
-        return _zero_estimate("scheffe", n, a)
     ctx = RatioContext(family, k, a, theta=theta)
     roots = ctx.block.ratio_roots(ctx.rest, ctx.na)
     given_sum, block = ctx.block.interval_masses(ctx.rest, ctx.na, *roots)
-    return TVEstimate(2.0 * (given_sum - block), 0.0, "scheffe", n, ctx.k, tuple(a), 0)
+    return TVEstimate(2.0 * (given_sum - block), 0.0, "scheffe", ctx.n, ctx.k, tuple(ctx.a), 0)
 
 
 def tv_sum_mc(family, k, a, samples=DEFAULT_SUM_SAMPLES, rng=None, theta=None):
@@ -122,10 +113,6 @@ def tv_sum_mc(family, k, a, samples=DEFAULT_SUM_SAMPLES, rng=None, theta=None):
     chunk; the values are those of one draw of all samples from rng,
     whatever SUM_MC_CHUNK is, and memory does not grow with samples."""
     _check_samples(samples)
-    n = len(family)
-    a = as_vector(a, family.dim)
-    if k == 0:
-        return _zero_estimate("sum_mc", n, a, samples)
     gen = _as_rng(rng)
     ctx = RatioContext(family, k, a, theta=theta)
 
@@ -138,7 +125,7 @@ def tv_sum_mc(family, k, a, samples=DEFAULT_SUM_SAMPLES, rng=None, theta=None):
             yield np.abs(np.expm1(chunk, out=chunk), out=chunk)
 
     value, std_error = _mean_and_se(chunks())
-    return TVEstimate(value, std_error, "sum_mc", n, ctx.k, tuple(a), samples)
+    return TVEstimate(value, std_error, "sum_mc", ctx.n, ctx.k, tuple(ctx.a), samples)
 
 
 def tv_joint_mc(family, k, a, samples=DEFAULT_JOINT_SAMPLES, rng=None, theta=None):
@@ -147,24 +134,19 @@ def tv_joint_mc(family, k, a, samples=DEFAULT_JOINT_SAMPLES, rng=None, theta=Non
     conditional density of the block given {S_1n = n a} and p the tilted
     product density.  The member densities cancel pointwise in q/p, so only
     the block sum of each draw is kept (_joint_log_ratio).  By sufficiency
-    this equals the sum-statistic TV; no tilted sum law is shared."""
+    this equals the sum-statistic TV.  RatioContext conditions the family
+    (block size, tilt, float spacing, zero sum density), and only its k,
+    theta and n a are read: its tilted sum laws are not used."""
     _check_samples(samples)
-    n = len(family)
-    d = family.dim
-    a = as_vector(a, d)
-    if k == 0:
-        return _zero_estimate("joint_mc", n, a, samples)
-    k = _check_block(family, k)
-    theta = as_vector(_solved_theta(family, a) if theta is None else theta, d)
-    _check_spacing(n * a, k, family[:k].cgf_hess(theta))
+    ctx = RatioContext(family, k, a, theta=theta)
     gen = _as_rng(rng)
 
-    tilted = family[:k].tilt(theta)
+    tilted = family[: ctx.k].tilt(ctx.theta)
     try:
-        total = np.zeros((samples, d))
-        for j in range(k):
+        total = np.zeros((samples, ctx.d))
+        for j in range(ctx.k):
             total += tilted[j].sample(gen, samples)
-        vals = _joint_log_ratio(family, k, n * a, theta, total)
+        vals = _joint_log_ratio(family, ctx.k, ctx.na, ctx.theta, total)
     except MemoryError as exc:
         raise SampleMemoryError(
             f"joint_mc keeps the block sum of every sample and cannot hold samples = {samples}: {exc}"
@@ -172,7 +154,7 @@ def tv_joint_mc(family, k, a, samples=DEFAULT_JOINT_SAMPLES, rng=None, theta=Non
     np.abs(np.expm1(vals, out=vals), out=vals)
     chunks = (vals[start : start + SUM_MC_CHUNK] for start in range(0, samples, SUM_MC_CHUNK))
     value, std_error = _mean_and_se(chunks)
-    return TVEstimate(value, std_error, "joint_mc", n, k, tuple(a), samples)
+    return TVEstimate(value, std_error, "joint_mc", ctx.n, ctx.k, tuple(ctx.a), samples)
 
 
 def _mean_and_se(chunks):

@@ -168,17 +168,6 @@ def test_failed_rows_written_to_failures_csv(tmp_path, capsys):
     assert not (tmp_path / "both" / "failures.csv").exists()
 
 
-def test_threads_env_var_default(cfg_path, tmp_path, monkeypatch):
-    monkeypatch.setenv("TILTEDSUMS_THREADS", "3")
-    out_env = tmp_path / "env"
-    path = cfg_path(method="sum_mc")
-    assert main(["sweep", "--config", path, "--out", str(out_env)]) == 0
-    monkeypatch.setenv("TILTEDSUMS_THREADS", "not-a-number")
-    out_bad = tmp_path / "envbad"
-    assert main(["sweep", "--config", path, "--out", str(out_bad)]) == 0
-    assert (out_env / "results.csv").read_bytes() == (out_bad / "results.csv").read_bytes()
-
-
 def test_check_with_explicit_box(cfg_path, capsys):
     assert main(["check", "--config", cfg_path(), "--n", "10", "--box=-1.0:0.9"]) == 0
     assert "PASS" in capsys.readouterr().out
@@ -242,6 +231,7 @@ BAD_INPUTS = [
     ("scheffe", 5000, ["tilt", "--n", "0"], 2),
     ("scheffe", 5000, ["check", "--n", "-1"], 2),
     ("scheffe", 5000, ["edgeworth", "--count", "0"], 2),
+    ("scheffe", 5000, ["tv", "--n", "50", "--k", "0", "--a", "6.0"], 2),
 ]
 
 
@@ -296,11 +286,12 @@ BAD_CONFIGS = {
     "nan-target": ("kind = gamma\nscale = 1.0\nshapes = 3.0", "nan"),
     "inf-scale": ("kind = gamma\nscale = inf\nshapes = 3.0", "6.0"),
     "inf-shape": ("kind = gamma\nscale = 1.0\nshapes = inf", "6.0"),
-    # incomplete member lines, and keys, fields or sections the format does not name
-    "gamma-member-no-scale": ("member = gamma shape=3", "6.0"),
-    "normal-member-no-cov": ("member = normal mean=0;0", "0;0"),
-    "member-repeated-field": ("member = gamma shape=3 scale=1 scale=2", "6.0"),
-    "member-unknown-field": ("member = gamma shape=3 scale=1 extra=5", "6.0"),
+    # a member line, a list generator, a cov list of the wrong length, and
+    # keys or sections the format does not name
+    "member-line": ("kind = normal\nmeans = 0;0\ncov = 1;0|0;1\nmember = normal mean=0;0 cov=1;0|0;1", "0;0"),
+    "member-line-no-kind": ("member = gamma shape=3 scale=1", "6.0"),
+    "linspace-shapes": ("kind = gamma\nscale = 1.0\nshapes = linspace(2.5, 4.0, 4)", "6.0"),
+    "normal-cov-list-length": ("kind = normal\nmeans = 0;0, 0.5;-0.5, 1;2\ncov = 1;0|0;1, 2;0|0;2", "0;0"),
     "gamma-scales-key": ("kind = gamma\nscales = 2\nshapes = 3.0", "6.0"),
     "normal-covs-key": ("kind = normal\nmeans = 0;0\ncov = 1;0|0;1\ncovs = 4", "0;0"),
     "sweep-methd-key": ("kind = gamma\nscale = 1.0\nshapes = 3.0\n\n[sweep]\nmethd = sum_mc", "6.0"),

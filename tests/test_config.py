@@ -66,12 +66,13 @@ method = sum_mc
     np.testing.assert_allclose(family[0].covs[0], [[1.0, 0.2], [0.2, 2.0]])
 
 
-def test_parse_member_lines():
+def test_parse_cov_list():
     cfg = parse_config(
         """
 [family]
-member = normal mean=0;0 cov=1;0|0;1
-member = normal mean=1;1 cov=2;0|0;2
+kind = normal
+means = 0;0, 1;1
+cov = 1;0|0;1, 2;0|0;2
 
 [sweep]
 n = 10
@@ -83,37 +84,10 @@ a = 0.5;0.5
     np.testing.assert_allclose(family[3].covs[0], 2 * np.eye(2))
 
 
-def test_parse_gamma_member_lines_share_scale():
-    with pytest.raises(ConfigError):
-        parse_config(
-            """
-[family]
-member = gamma shape=3 scale=1
-member = gamma shape=4 scale=2
-
-[sweep]
-n = 10
-k = 1
-a = 3.0
-"""
-        )
-
-
-def test_linspace_expansion():
-    cfg = parse_config(
-        """
-[family]
-kind = gamma
-scale = 1.0
-shapes = linspace(2.5, 4.0, 4)
-
-[sweep]
-n = 10
-k = 1
-a = 3.0
-"""
-    )
-    assert cfg.family.shapes.tolist() == [2.5, 3.0, 3.5, 4.0]
+def test_configs_compare_by_identity():
+    cfg = parse_config(GAMMA_CFG)
+    assert cfg == cfg
+    assert parse_config(GAMMA_CFG) != parse_config(GAMMA_CFG)
 
 
 def test_k_rules():
@@ -181,12 +155,12 @@ CYCLED_ROWS = {
     "normal-shared-cov": normal_family(MEANS, [[1.0, 0.2], [0.2, 2.0]]),
     "normal-member-covs": normal_family(MEANS, MEMBER_COVS),
 }
-# the normal-member-covs rows as member lines
-MEMBER_LINES = """
+# the normal-member-covs rows as a stanza with one cov per means row
+MEMBER_COVS_CFG = """
 [family]
-member = normal mean=0;0 cov=1;0|0;1
-member = normal mean=0.5;-0.5 cov=2;0.3|0.3;2
-member = normal mean=1;2 cov=1.5;-0.1|-0.1;0.7
+kind = normal
+means = 0;0, 0.5;-0.5, 1;2
+cov = 1;0|0;1, 2;0.3|0.3;2, 1.5;-0.1|-0.1;0.7
 
 [sweep]
 n = 10
@@ -207,7 +181,7 @@ def test_build_cycles_parameters_like_resize(name, n):
         covs = np.resize(rows.covs, (n, d, d)) if len(rows.covs) > 1 else rows.covs
         pairs = [(family.means, np.resize(rows.means, (n, d))), (family.covs, covs)]
     if name == "normal-member-covs":
-        parsed = parse_config(MEMBER_LINES).family.build(n)
+        parsed = parse_config(MEMBER_COVS_CFG).family.build(n)
         pairs += [(parsed.means, family.means), (parsed.covs, family.covs)]
     for got, want in pairs:
         assert (got.dtype, got.shape) == (want.dtype, want.shape)
