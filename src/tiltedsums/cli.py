@@ -63,64 +63,6 @@ def _beta_arg(text):
     return beta
 
 
-def _subcommand(sub, name, help):
-    p = sub.add_parser(name, help=help)
-    p.add_argument("--config", required=True, help="experiment config file")
-    return p
-
-
-def build_parser():
-    parser = argparse.ArgumentParser(prog="tiltedsums",
-                                     description="tilted measures, Edgeworth expansions, and "
-                                                 "conditional TV distances for independent sums")
-    sub = parser.add_subparsers(dest="command", required=True)
-    to_file = "output file (default: standard output)"
-
-    p = _subcommand(sub, "tilt", "solve the tilting equation and print the result")
-    p.add_argument("--n", type=int, default=None, help="number of members (default: largest sweep n)")
-    p.add_argument("--a", type=_vector_arg, default=None, help="target mean, ';' between components")
-
-    p = _subcommand(sub, "edgeworth", "CSV of exact vs Edgeworth normalized sum densities (d = 1)")
-    p.add_argument("--out", default=None, help=to_file)
-    p.add_argument("--count", type=int, default=64, help="number of summands")
-    p.add_argument("--a", type=_vector_arg, default=None, help="tilt the members to this mean")
-    p.add_argument("--theta", type=_vector_arg, default=None, help="explicit tilt parameter")
-    p.add_argument("--grid", type=_grid_arg, default=(-6.0, 6.0, 241), help="lo:hi:points")
-
-    p = _subcommand(sub, "ratio", "CSV of exact vs Edgeworth density ratio over a t grid (d = 1)")
-    p.add_argument("--out", default=None, help=to_file)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--a", type=_vector_arg, required=True)
-    p.add_argument("--t-grid", type=_grid_arg, default=(-3.0, 3.0, 61),
-                   help="grid in normalized t_tilde units, lo:hi:points")
-
-    p = _subcommand(sub, "tv", "one total-variation estimate as a CSV row (row 0 of a one-row sweep)")
-    p.add_argument("--seed", type=_seed_arg, default=None, help="override the config seed")
-    p.add_argument("--out", default=None, help=to_file)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--a", type=_vector_arg, required=True)
-    p.add_argument("--method", choices=("scheffe", "sum_mc", "joint_mc"), default="scheffe")
-    p.add_argument("--samples", type=int, default=None, help="default: the config's samples")
-
-    p = _subcommand(sub, "check", "run the assumption battery and print the report")
-    p.add_argument("--out", default=None, help="CSV report file (default: none)")
-    p.add_argument("--n", type=int, default=None, help="number of members (default: largest sweep n)")
-    p.add_argument("--beta", type=_beta_arg, default=0.5, help="cf separation threshold")
-    p.add_argument("--box", type=_box_arg, default=None,
-                   help="theta box lo:hi (d = 1); default derives from the sweep")
-
-    p = _subcommand(sub, "sweep", "run the configured sweep and write results.csv / scaling.csv")
-    p.add_argument("--seed", type=_seed_arg, default=None, help="override the config seed")
-    p.add_argument("--threads", type=int, default=1, help="worker threads")
-    p.add_argument("--out", default=None, help="output directory (default: the config's out)")
-    p.add_argument("--timing", action="store_true",
-                   help="record wall-clock seconds per row (voids byte reproducibility)")
-
-    return parser
-
-
 def _family_for(cfg, n):
     count = n if n is not None else max(cfg.n_values)
     if count < 1:
@@ -142,6 +84,8 @@ def _check_args(parser, args):
     """Reject argument combinations the estimators cannot take (exit code 2)."""
     if args.command in ("tv", "ratio") and not 1 <= args.k < args.n:
         parser.error(f"argument --k: {args.k} must satisfy 1 <= k < n = {args.n}")
+    if args.command == "sweep" and args.threads < 1:
+        parser.error(f"argument --threads: {args.threads} must be at least 1")
 
 
 def _emit(text, out_path):
@@ -274,23 +218,87 @@ def cmd_sweep(args):
     return 1 if any(r.error is not None for r in rows) else 0
 
 
-_COMMANDS = {
-    "tilt": cmd_tilt,
-    "edgeworth": cmd_edgeworth,
-    "ratio": cmd_ratio,
-    "tv": cmd_tv,
-    "check": cmd_check,
-    "sweep": cmd_sweep,
+_TO_FILE = "output file (default: standard output)"
+_N_DEFAULT = "number of members (default: largest sweep n)"
+
+# name -> (handler, help, flags after --config as (flag, add_argument keywords))
+_SUBCOMMANDS = {
+    "tilt": (cmd_tilt, "solve the tilting equation and print the result", (
+        ("--n", dict(type=int, default=None, help=_N_DEFAULT)),
+        ("--a", dict(type=_vector_arg, default=None, help="target mean, ';' between components")),
+    )),
+    "edgeworth": (cmd_edgeworth, "CSV of exact vs Edgeworth normalized sum densities (d = 1)", (
+        ("--out", dict(default=None, help=_TO_FILE)),
+        ("--count", dict(type=int, default=64, help="number of summands")),
+        ("--a", dict(type=_vector_arg, default=None, help="tilt the members to this mean")),
+        ("--theta", dict(type=_vector_arg, default=None, help="explicit tilt parameter")),
+        ("--grid", dict(type=_grid_arg, default=(-6.0, 6.0, 241), help="lo:hi:points")),
+    )),
+    "ratio": (cmd_ratio, "CSV of exact vs Edgeworth density ratio over a t grid (d = 1)", (
+        ("--out", dict(default=None, help=_TO_FILE)),
+        ("--n", dict(type=int, required=True)),
+        ("--k", dict(type=int, required=True)),
+        ("--a", dict(type=_vector_arg, required=True)),
+        ("--t-grid", dict(type=_grid_arg, default=(-3.0, 3.0, 61),
+                          help="grid in normalized t_tilde units, lo:hi:points")),
+    )),
+    "tv": (cmd_tv, "one total-variation estimate as a CSV row (row 0 of a one-row sweep)", (
+        ("--seed", dict(type=_seed_arg, default=None, help="override the config seed")),
+        ("--out", dict(default=None, help=_TO_FILE)),
+        ("--n", dict(type=int, required=True)),
+        ("--k", dict(type=int, required=True)),
+        ("--a", dict(type=_vector_arg, required=True)),
+        ("--method", dict(choices=("scheffe", "sum_mc", "joint_mc"), default="scheffe")),
+        ("--samples", dict(type=int, default=None, help="default: the config's samples")),
+    )),
+    "check": (cmd_check, "run the assumption battery and print the report", (
+        ("--out", dict(default=None, help="CSV report file (default: none)")),
+        ("--n", dict(type=int, default=None, help=_N_DEFAULT)),
+        ("--beta", dict(type=_beta_arg, default=0.5, help="cf separation threshold")),
+        ("--box", dict(type=_box_arg, default=None,
+                       help="theta box lo:hi (d = 1); default derives from the sweep")),
+    )),
+    "sweep": (cmd_sweep, "run the configured sweep and write results.csv / scaling.csv", (
+        ("--seed", dict(type=_seed_arg, default=None, help="override the config seed")),
+        ("--threads", dict(type=int, default=1, help="worker threads")),
+        ("--out", dict(default=None, help="output directory (default: the config's out)")),
+        ("--timing", dict(action="store_true",
+                          help="record wall-clock seconds per row (voids byte reproducibility)")),
+    )),
 }
+
+
+def build_parser(command=None):
+    """The tiltedsums parser.  When command names a subcommand, only that
+    subcommand's parser is built, which is all that parsing an argv starting
+    with it reads; otherwise all six are.  Every add_argument builds a help
+    formatter, so all six cost a few milliseconds, more than a Scheffe row."""
+    names = [command] if command in _SUBCOMMANDS else list(_SUBCOMMANDS)
+    parser = argparse.ArgumentParser(prog="tiltedsums",
+                                     description="tilted measures, Edgeworth expansions, and "
+                                                 "conditional TV distances for independent sums")
+    # The usage line lists every subcommand however many are built.  A
+    # metavar would also rename the positional in argparse's own errors
+    # ("argument command: invalid choice"), which only the full parser raises.
+    metavar = "{" + ",".join(_SUBCOMMANDS) + "}" if len(names) == 1 else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        _, summary, flags = _SUBCOMMANDS[name]
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--config", required=True, help="experiment config file")
+        for flag, options in flags:
+            p.add_argument(flag, **options)
+    return parser
 
 
 def main(argv=None):
     logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(levelname)s %(message)s")
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv else None)
     args = parser.parse_args(argv)
     _check_args(parser, args)
     try:
-        return _COMMANDS[args.command](args)
+        return _SUBCOMMANDS[args.command][0](args)
     except ConfigError as exc:
         logger.error("config error: %s", exc)
         return 2

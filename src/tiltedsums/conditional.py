@@ -121,12 +121,12 @@ class RatioContext:
     """The family conditioned on {S_1n = n a}, tilted by theta (the solved
     tilt unless given): the block-sum law `block` (of X_1+..+X_k) and the
     rest-sum law `rest` (of X_{k+1}+..+X_n), both closed-form convolutions,
-    the full-sum log density at n a, and the normalization of the block.
-    Given the sum, the block sum has density rho(t) block(t).  The Edgeworth
-    model of the rest sum is built on first use, so the exact ratio never
-    pays for it.  The full sum needs no model: rho is evaluated where the
-    full sum's normalized coordinate is 0, and P1(0) = 0 leaves its order-1
-    density there at (2 pi)^(-d/2)."""
+    and the normalization of the block (block_mean, block_B).  Given the
+    sum, the block sum has density rho(t) block(t).  The normalization and
+    the Edgeworth model of the rest sum are built on first use, so the exact
+    ratio never pays for them.  The full sum needs no model: rho is
+    evaluated where the full sum's normalized coordinate is 0, and P1(0) = 0
+    leaves its order-1 density there at (2 pi)^(-d/2)."""
 
     def __init__(self, family, k, a, theta=None):
         self.n = len(family)
@@ -139,17 +139,23 @@ class RatioContext:
         self.theta = as_vector(theta, self.d)
         self.family = family
 
-        members = family[: self.k]
-        self.block_mean = self.k * members.cgf_grad(self.theta)
-        block_hess = members.cgf_hess(self.theta)
-        self.block_B = sym_inv_sqrt(block_hess)
-        _check_spacing(self.na, self.k, block_hess)
+        _check_spacing(self.na, self.k, family[: self.k].cgf_hess(self.theta))
 
         tilted = family.tilt(self.theta)
         self.block = tilted[: self.k].convolve()
         self.rest = tilted[self.k :].convolve()
         if _zero_density(tilted.convolve(), self.na):
             raise UndefinedConditionalError(f"zero sum density at s={self.na}")
+
+    @cached_property
+    def block_mean(self):
+        """Mean of the tilted block sum."""
+        return self.k * self.family[: self.k].cgf_grad(self.theta)
+
+    @cached_property
+    def block_B(self):
+        """Inverse square root of the block's averaged tilted covariance."""
+        return sym_inv_sqrt(self.family[: self.k].cgf_hess(self.theta))
 
     @cached_property
     def comp_model(self):

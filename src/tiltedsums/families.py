@@ -141,6 +141,25 @@ class Family:
         raise ValueError(f"cannot interpret array of shape {a.shape} as points")
 
 
+class _Scratch:
+    """Arrays that a log_ratio_sampler fill reuses from call to call:
+    take(slot, shape, dtype) is a C-contiguous array of that shape over the
+    first items of one flat array per slot, reallocated only when a call
+    needs more.  Fresh temporaries per chunk are returned to the system and
+    page-faulted in again on the next chunk; a reused buffer is not.  A fill
+    holding one is not safe to call from two threads at once."""
+
+    def __init__(self):
+        self._flat = {}
+
+    def take(self, slot, shape, dtype=float):
+        size = math.prod(shape)
+        flat = self._flat.get(slot)
+        if flat is None or flat.size < size:
+            flat = self._flat[slot] = np.empty(size, dtype=dtype)
+        return flat[:size].reshape(shape)
+
+
 def _nonempty(count):
     if count == 0:
         raise ValueError("member sequence is empty")
@@ -270,8 +289,9 @@ class GammaFamily(Family):
     def __init__(self, shapes, scale):
         shapes = np.asarray(shapes, dtype=float).reshape(-1)
         _nonempty(shapes.size)
-        if not np.all(shapes > 2.0):
-            raise ValueError(f"gamma shape must exceed 2, got {np.min(shapes)}")
+        lowest = shapes.min()
+        if not lowest > 2.0:
+            raise ValueError(f"gamma shape must exceed 2, got {lowest}")
         if not (scale > 0.0):
             raise ValueError(f"gamma scale must be positive, got {scale}")
         self.shapes = shapes
@@ -280,7 +300,9 @@ class GammaFamily(Family):
         # theta_upper = inf without a warning.
         self.scale = np.float64(scale)
         self.theta_upper = 1.0 / float(scale)
-        self._kbar = float(shapes.mean())
+        # np.mean's arithmetic, without its wrapper: every slice, tilt and
+        # convolution builds a family, several per sweep row
+        self._kbar = float(np.add.reduce(shapes) / shapes.size)
 
     def __len__(self):
         return self.shapes.shape[0]
@@ -409,11 +431,30 @@ class GammaFamily(Family):
 
     def log_ratio_sampler(self, rest, s):
         """fill(rng, out): draws len(out) values of X = self on rng, as sample
-        does, and writes log rho at them into out (Y = rest, sum s)."""
-        self._bridge(rest)
+        does, and writes log rho at them into out (Y = rest, sum s), a
+        C-contiguous float vector.  The draws go straight into out as
+        scale * standard_gamma, which is how numpy's gamma draws, and
+        log_ratio_given_sum's arithmetic runs in place in the same order, so
+        the bits are those of log_ratio_given_sum(rest, s, sample(rng, len(out))).
+        Its terms are computed once here, and its two temporaries are
+        buffers that every fill reuses."""
+        s, m, lam, c = self._log_ratio_terms(rest, s)
+        shape, scale = self.shapes[0], self.scale
+        scratch = _Scratch()
 
         def fill(rng, out):
-            out[:] = self.log_ratio_given_sum(rest, s, self.sample(rng, len(out)))
+            log_term, beyond = scratch.take(0, out.shape), scratch.take(1, out.shape, bool)
+            rng.standard_gamma(shape, out=out)
+            out *= scale
+            out /= s
+            np.greater_equal(out, 1.0, out=beyond)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                np.log1p(np.negative(out, out=log_term), out=log_term)
+            log_term *= m
+            out *= lam
+            out += log_term
+            out += c
+            np.copyto(out, -np.inf, where=beyond)
 
         return fill
 
@@ -641,17 +682,20 @@ class NormalFamily(Family):
         W (s - T - m_y) (W = cov_y^(-1/2)) is c - A z with A = W L and
         c = W (s - m_x - m_y), so the two affine maps are composed once here
         and a fill costs one (d, d) by (d, len(out)) product; T is never
-        formed.  Temporaries are z and one (d, len(out)) array."""
+        formed.  z and the (d, len(out)) product are buffers that every fill
+        reuses."""
         self._single("log_ratio_sampler", rest)
         s = as_vector(s, self.dim)
         w = rest._inv_sqrt[0]
         a_map = w @ sym_sqrt(self.covs[0])
         shift = (w @ (s - self.means[0] - rest.means[0]))[:, None]
         const = -0.5 * (self.dim * LOG_2PI + rest._logdet[0]) - self._log_sum_density(rest, s)
+        scratch = _Scratch()
 
         def fill(rng, out):
-            z = rng.standard_normal((len(out), self.dim))
-            white = a_map @ z.T
+            z, white = scratch.take(0, (len(out), self.dim)), scratch.take(1, (self.dim, len(out)))
+            rng.standard_normal(out=z)
+            np.matmul(a_map, z.T, out=white)
             np.subtract(shift, white, out=white)
             np.einsum("in,in->n", white, white, out=out)
             out *= -0.5

@@ -108,8 +108,15 @@ def guarded_eigh(mat):
     construction, and eigh reads only the lower triangle.  Raises
     DegenerateCovarianceError when a spectrum is not usable for square
     roots / inverses: not finite, or lambda_min < REL_EIG_FLOOR * lambda_max.
+    A 1 x 1 matrix is its own eigendecomposition, eigenvalue the entry and
+    eigenvector 1, which are the bits LAPACK returns for it; that case skips
+    the LAPACK call.
     """
-    w, q = np.linalg.eigh(_square(mat))
+    a = _square(mat)
+    if a.shape[-1] == 1:
+        w, q = a[..., 0].copy(), np.ones_like(a)
+    else:
+        w, q = np.linalg.eigh(a)
     lo, hi = w[..., 0], w[..., -1]
     if (~np.isfinite(w).all(axis=-1) | (hi <= 0.0) | (lo < REL_EIG_FLOOR * hi)).any():
         raise DegenerateCovarianceError(

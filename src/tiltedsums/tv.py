@@ -24,10 +24,12 @@ themselves.  Estimators:
                 needed); ctx.fill_log_ratio draws SUM_MC_CHUNK block sums
                 at a time from one generator, which continues a single
                 stream, and writes log rho at them straight into one
-                chunk-sized buffer; expm1, abs and the chunk's sum and
-                centred sum of squares then run in place, and the chunks'
-                moments are merged at the end (_mean_and_se), so a row
-                holds one chunk and its temporaries whatever samples is;
+                chunk-sized buffer, keeping its own temporaries in buffers
+                that every chunk of the row reuses; expm1, abs and the
+                chunk's sum and centred sum of squares then run in place,
+                and the chunks' moments are merged at the end
+                (_mean_and_se), so a row holds one chunk and its
+                temporaries whatever samples is;
   * joint_mc  - Monte Carlo in the k*d-dimensional joint space,
                 E_{x ~ tilted product} |q_cond(x)/p_tilted(x) - 1|, an
                 independent route that must agree with the sum-statistic
@@ -108,10 +110,11 @@ def tv_scheffe(family, k, a, theta=None):
 def tv_sum_mc(family, k, a, samples=DEFAULT_SUM_SAMPLES, rng=None, theta=None):
     """Monte Carlo TV over the block-sum statistic: mean of |rho(T) - 1|
     with T drawn from the tilted block-sum law ctx.block.  One chunk-sized
-    buffer is filled with log rho at fresh draws (ctx.fill_log_ratio),
-    turned into |rho - 1| in place and reduced to its moments, chunk after
-    chunk; the values are those of one draw of all samples from rng,
-    whatever SUM_MC_CHUNK is, and memory does not grow with samples."""
+    buffer is filled with log rho at fresh draws (ctx.fill_log_ratio, whose
+    temporaries are allocated once per row), turned into |rho - 1| in place
+    and reduced to its moments, chunk after chunk; the values are those of
+    one draw of all samples from rng, whatever SUM_MC_CHUNK is, and memory
+    does not grow with samples."""
     _check_samples(samples)
     gen = _as_rng(rng)
     ctx = RatioContext(family, k, a, theta=theta)

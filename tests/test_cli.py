@@ -1,5 +1,7 @@
 """Command-line interface: subcommand behaviour and exit codes."""
 
+import argparse
+import json
 import os
 import subprocess
 import sys
@@ -29,10 +31,10 @@ out = {out}
 
 @pytest.fixture
 def cfg_path(tmp_path):
-    def write(method="scheffe", out=None):
+    def write(method="scheffe", out=None, samples=5000):
         out = out or str(tmp_path / "results")
         path = tmp_path / "exp.cfg"
-        path.write_text(GAMMA_CFG.format(method=method, out=out))
+        path.write_text(GAMMA_CFG.format(method=method, out=out).replace("samples = 5000", f"samples = {samples}"))
         return str(path)
 
     return write
@@ -232,16 +234,15 @@ BAD_INPUTS = [
     ("scheffe", 5000, ["check", "--n", "-1"], 2),
     ("scheffe", 5000, ["edgeworth", "--count", "0"], 2),
     ("scheffe", 5000, ["tv", "--n", "50", "--k", "0", "--a", "6.0"], 2),
+    # a worker count below one is malformed, like --samples below two
+    ("scheffe", 5000, ["sweep", "--threads", "0"], 2),
+    ("scheffe", 5000, ["sweep", "--threads", "-3"], 2),
 ]
 
 
 @pytest.mark.parametrize("method,samples,argv,code", BAD_INPUTS)
 def test_bad_inputs_exit_with_message(method, samples, argv, code, cfg_path, capsys, caplog):
-    path = cfg_path(method=method)
-    with open(path) as fh:
-        text = fh.read().replace("samples = 5000", f"samples = {samples}")
-    with open(path, "w") as fh:
-        fh.write(text)
+    path = cfg_path(method=method, samples=samples)
     try:
         result = main([argv[0], "--config", path, *argv[1:]])
     except SystemExit as exc:
@@ -251,6 +252,72 @@ def test_bad_inputs_exit_with_message(method, samples, argv, code, cfg_path, cap
     assert "Traceback" not in err
     logged = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
     assert "error:" in err or logged
+
+
+# [method, samples, argv, exit code, stdout, stderr, logged warnings and
+# errors] of every BAD_INPUTS argv up to --k 0, then of no argument, -h, a
+# misspelt subcommand and each subcommand's -h, as the parser that built all
+# six subcommands printed them at 80 columns; argv omits "--config <file>"
+# after the subcommand, and <tmp> stands for the test's directory
+RECORDED_CLI_TEXT = json.loads((Path(__file__).parent / "cli_messages.json").read_text())
+
+
+@pytest.mark.parametrize("method,samples,argv,code,stdout,stderr,logged", RECORDED_CLI_TEXT,
+                         ids=["_".join(entry[2]) or "no-argument" for entry in RECORDED_CLI_TEXT])
+def test_cli_text_matches_the_all_subcommand_parser(method, samples, argv, code, stdout, stderr, logged,
+                                                    cfg_path, tmp_path, capsys, caplog, monkeypatch):
+    # building one subparser changes no help or error byte, and the usage
+    # line still lists all six subcommands
+    monkeypatch.setenv("COLUMNS", "80")
+    if method is not None:
+        argv = [argv[0], "--config", cfg_path(method=method, samples=samples), *argv[1:]]
+    try:
+        result = main(argv)
+    except SystemExit as exc:
+        result = exc.code
+    captured = capsys.readouterr()
+    texts = [captured.out, captured.err,
+             *(r.getMessage() for r in caplog.records if r.levelname in ("WARNING", "ERROR"))]
+    out, err, *messages = (text.replace(str(tmp_path), "<tmp>") for text in texts)
+    assert (result, out, err, messages) == (code, stdout, stderr, logged)
+
+
+@pytest.mark.parametrize("argv,built", [
+    (["tilt", "--n", "50"], 1),
+    (["sweep", "--threads", "0"], 1),
+    (["tv", "-h"], 1),
+    (["-h"], 6),
+    (["tvv"], 6),
+    ([], 6),
+])
+def test_main_builds_the_named_subcommand_only(argv, built, cfg_path, capsys, monkeypatch):
+    names = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counted(self, name, **kwargs):
+        names.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    if argv and argv[0] in ("tilt", "sweep"):
+        argv = [argv[0], "--config", cfg_path(), *argv[1:]]
+    try:
+        main(argv)
+    except SystemExit:
+        pass
+    capsys.readouterr()
+    assert len(names) == built
+    if built == 1:
+        assert names == argv[:1]
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_sweep_threads_below_one_is_an_argument_error(threads, cfg_path, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--config", cfg_path(), "--threads", threads])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"tiltedsums: error: argument --threads: {threads} must be at least 1\n")
+    assert not (tmp_path / "results").exists()
 
 
 # one-row configs: (family section, a); n = 200 and k = 15

@@ -184,21 +184,31 @@ def test_edgeworth_models_built_only_on_first_use(monkeypatch):
         calls.append(args)
         return real_build(*args, **kwargs)
 
+    # and so is the block normalization (block_mean, block_B), which only the
+    # coordinates read
+    normalizations = []
+    real_inv_sqrt = conditional.sym_inv_sqrt
+
+    def counting_inv_sqrt(mat):
+        normalizations.append(mat)
+        return real_inv_sqrt(mat)
+
     monkeypatch.setattr(conditional, "build_model", counting_build)
+    monkeypatch.setattr(conditional, "sym_inv_sqrt", counting_inv_sqrt)
     family = gamma_family([2.5, 4.0] * 50, 1.0)
     tv_scheffe(family, 10, 6.0)
     tv_sum_mc(family, 10, 6.0, samples=100, rng=np.random.default_rng(0))
     tv_joint_mc(family, 10, 6.0, samples=100, rng=np.random.default_rng(0))
-    assert calls == []
+    assert calls == [] and normalizations == []
     ctx = RatioContext(gamma_family([2.5, 4.0] * 20, 1.0), 3, 5.5)
-    assert calls == []
+    assert calls == [] and normalizations == []
     values = ctx.edgeworth(np.array([[10.0], [16.5], [25.0]]))
     # the rest sum's model only: P1(0) = 0 leaves the full sum's density at 0 Gaussian
-    assert len(calls) == 1
+    assert len(calls) == 1 and len(normalizations) == 1
     # values of the eager construction
     np.testing.assert_allclose(values, [0.9716174055884229, 1.0405165191339747, 0.942314871190284], rtol=1e-14)
     ctx.edgeworth(np.array([[12.0]]))
-    assert len(calls) == 1
+    assert len(calls) == 1 and len(normalizations) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -353,6 +353,32 @@ def test_guarded_eigh_checks_shape_and_spectrum():
             guarded_eigh(degenerate)
 
 
+ONE_BY_ONE = [[[4.0]], [[5e-324]], [[1.7e308]], [[[2.5]], [[1e-300]], [[3e300]]], [[[1.0]]] * 7]
+
+
+@pytest.mark.parametrize("mat", ONE_BY_ONE)
+def test_guarded_eigh_one_by_one_is_lapack_bitwise(mat):
+    # closed form for 1 x 1: the entry and 1, the bits LAPACK returns
+    mat = np.array(mat)
+    w, q = guarded_eigh(mat)
+    ref_w, ref_q = np.linalg.eigh(mat)
+    for got, ref in ((w, ref_w), (q, ref_q)):
+        assert got.shape == ref.shape and got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("entry", [0.0, -0.0, -2.0, -np.inf, np.inf, np.nan])
+@pytest.mark.parametrize("stacked", [False, True])
+def test_guarded_eigh_one_by_one_raises_lapack_text(entry, stacked):
+    # the guard reads the same spectrum as through LAPACK, so the message is
+    # the one the guard gives on np.linalg.eigh's eigenvalues
+    mat = np.array([[[2.0]], [[entry]], [[0.5]]]) if stacked else np.array([[entry]])
+    ref_w, _ = np.linalg.eigh(mat)
+    text = f"matrix numerically singular: eigenvalues in [{np.min(ref_w[..., 0]):.3e}, {np.max(ref_w[..., -1]):.3e}]"
+    with pytest.raises(DegenerateCovarianceError) as exc:
+        guarded_eigh(mat)
+    assert str(exc.value) == text
+
+
 @pytest.mark.parametrize("mat", [[[np.inf]], [[np.nan]], np.diag([np.nan, 1.0])])
 def test_guarded_eigh_rejects_non_finite_spectrum(mat):
     # an overflowed Hessian must not pass as a usable spectrum
