@@ -206,14 +206,9 @@ def tilting_invariance_check(family, k, a, t):
     t given {S_1n = n a} twice: from the untilted members (theta = 0) and
     from the members tilted to mean a.  The two numbers agree identically in
     exact arithmetic; both are returned for comparison."""
-    untilted = RatioContext(family, k, a, theta=np.zeros(family.dim))
-    tilted = RatioContext(family, k, a, theta=_solved_theta(family, untilted.a))
-    t = as_vector(t, untilted.d).reshape(1, -1)
-
-    def density(ctx):
-        return float(np.exp(ctx.block.log_density(t) + ctx.log_ratio_exact(t))[0])
-
-    return density(untilted), density(tilted)
+    contexts = RatioContext(family, k, a, theta=np.zeros(family.dim)), RatioContext(family, k, a)
+    t = as_vector(t, family.dim).reshape(1, -1)
+    return tuple(float(np.exp(ctx.block.log_density(t) + ctx.log_ratio_exact(t))[0]) for ctx in contexts)
 
 
 def gibbs_density(family, k, theta, x):

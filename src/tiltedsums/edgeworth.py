@@ -100,11 +100,9 @@ def weighted_sup_error(model, exact_density, grid):
     return float(np.max(weight * np.abs(exact - approx)))
 
 
-def default_grid(dim, lo=-6.0, hi=6.0, points_per_axis=241, rng=None, mc_points=100_000):
-    """Evaluation grid for sup errors: a tensor grid for dim <= 2, Gaussian
-    Monte Carlo points beyond that."""
-    if dim <= 2:
-        return tensor_grid([lo] * dim, [hi] * dim, points_per_axis)
-    if rng is None:
-        rng = np.random.default_rng(0)
-    return rng.standard_normal((mc_points, dim))
+def default_grid(dim, points_per_axis=241):
+    """Evaluation grid for sup errors: the tensor grid of points_per_axis
+    points per axis on [-6, 6]^dim, for dim <= 2."""
+    if dim > 2:
+        raise ValueError(f"default_grid covers dim <= 2, got dim = {dim}")
+    return tensor_grid([-6.0] * dim, [6.0] * dim, points_per_axis)

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conditional import _solved_theta
 from .tv import tv_joint_mc, tv_scheffe, tv_sum_mc
 
 logger = logging.getLogger(__name__)
@@ -57,17 +56,15 @@ def run_row(config, index, n, k, a, timing=False):
     start = time.perf_counter()
     try:
         family = config.family.build(n)
-        theta = _solved_theta(family, np.array(a))
         if config.method == "scheffe":
-            est = tv_scheffe(family, k, np.array(a), theta=theta)
+            est = tv_scheffe(family, k, a)
         else:
             mc = tv_sum_mc if config.method == "sum_mc" else tv_joint_mc
-            rng = _row_rng(config.seed, index)
-            est = mc(family, k, np.array(a), samples=config.samples, rng=rng, theta=theta)
+            est = mc(family, k, a, samples=config.samples, rng=_row_rng(config.seed, index))
         elapsed = time.perf_counter() - start
         logger.info("row %d: n=%d k=%d tv=%.6g (%.2fs)", index, n, k, est.value, elapsed)
         return SweepRow(
-            index, n, k, tuple(a), tuple(float(v) for v in theta), config.method,
+            index, n, k, tuple(a), est.theta, config.method,
             est.value, est.std_error, elapsed if timing else 0.0,
         )
     except Exception as exc:

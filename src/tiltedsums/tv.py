@@ -38,6 +38,7 @@ themselves.  Estimators:
                 pointwise in q/p it evaluates one untilted sum-density ratio
                 and Gibbs factor per sample.
 
+Each estimate reports the a and theta of its RatioContext as floats.
 All three report the plain L1 integral (twice the sup-over-sets distance);
 in the k = o(n) regimes exercised here its value is far below 1.  For
 i.i.d. one-dimensional Normal members with k = 1, and for any members as
@@ -74,6 +75,7 @@ class TVEstimate:
     n: int
     k: int
     a: tuple
+    theta: tuple
     samples: int = 0
 
 
@@ -104,7 +106,7 @@ def tv_scheffe(family, k, a, theta=None):
     ctx = RatioContext(family, k, a, theta=theta)
     roots = ctx.block.ratio_roots(ctx.rest, ctx.na)
     given_sum, block = ctx.block.interval_masses(ctx.rest, ctx.na, *roots)
-    return TVEstimate(2.0 * (given_sum - block), 0.0, "scheffe", ctx.n, ctx.k, tuple(ctx.a), 0)
+    return _estimate(ctx, "scheffe", 2.0 * (given_sum - block), 0.0, 0)
 
 
 def tv_sum_mc(family, k, a, samples=DEFAULT_SUM_SAMPLES, rng=None, theta=None):
@@ -128,7 +130,7 @@ def tv_sum_mc(family, k, a, samples=DEFAULT_SUM_SAMPLES, rng=None, theta=None):
             yield np.abs(np.expm1(chunk, out=chunk), out=chunk)
 
     value, std_error = _mean_and_se(chunks())
-    return TVEstimate(value, std_error, "sum_mc", ctx.n, ctx.k, tuple(ctx.a), samples)
+    return _estimate(ctx, "sum_mc", value, std_error, samples)
 
 
 def tv_joint_mc(family, k, a, samples=DEFAULT_JOINT_SAMPLES, rng=None, theta=None):
@@ -136,19 +138,16 @@ def tv_joint_mc(family, k, a, samples=DEFAULT_JOINT_SAMPLES, rng=None, theta=Non
     members, one member at a time, and averages |q(x)/p(x) - 1| with q the
     conditional density of the block given {S_1n = n a} and p the tilted
     product density.  The member densities cancel pointwise in q/p, so only
-    the block sum of each draw is kept (_joint_log_ratio).  By sufficiency
-    this equals the sum-statistic TV.  RatioContext conditions the family
-    (block size, tilt, float spacing, zero sum density), and only its k,
-    theta and n a are read: its tilted sum laws are not used."""
+    the block sum of each draw is kept: the tilted block's sample, where
+    _joint_log_ratio is evaluated.  By sufficiency this equals the
+    sum-statistic TV.  RatioContext conditions the family (block size, tilt,
+    float spacing, zero sum density); its tilted sum laws are not used."""
     _check_samples(samples)
     ctx = RatioContext(family, k, a, theta=theta)
     gen = _as_rng(rng)
 
-    tilted = family[: ctx.k].tilt(ctx.theta)
     try:
-        total = np.zeros((samples, ctx.d))
-        for j in range(ctx.k):
-            total += tilted[j].sample(gen, samples)
+        total = family[: ctx.k].tilt(ctx.theta).sample(gen, samples)
         vals = _joint_log_ratio(family, ctx.k, ctx.na, ctx.theta, total)
     except MemoryError as exc:
         raise SampleMemoryError(
@@ -157,7 +156,12 @@ def tv_joint_mc(family, k, a, samples=DEFAULT_JOINT_SAMPLES, rng=None, theta=Non
     np.abs(np.expm1(vals, out=vals), out=vals)
     chunks = (vals[start : start + SUM_MC_CHUNK] for start in range(0, samples, SUM_MC_CHUNK))
     value, std_error = _mean_and_se(chunks)
-    return TVEstimate(value, std_error, "joint_mc", ctx.n, ctx.k, tuple(ctx.a), samples)
+    return _estimate(ctx, "joint_mc", value, std_error, samples)
+
+
+def _estimate(ctx, method, value, std_error, samples):
+    a, theta = tuple(ctx.a.tolist()), tuple(ctx.theta.tolist())
+    return TVEstimate(value, std_error, method, ctx.n, ctx.k, a, theta, samples)
 
 
 def _mean_and_se(chunks):

@@ -239,4 +239,5 @@ def test_weighted_sup_error_rejects_empty_grid():
 def test_default_grid_shapes():
     assert default_grid(1).shape == (241, 1)
     assert default_grid(2, points_per_axis=41).shape == (41 * 41, 2)
-    assert default_grid(3, mc_points=1000, rng=np.random.default_rng(0)).shape == (1000, 3)
+    with pytest.raises(ValueError, match="dim <= 2"):
+        default_grid(3)

@@ -517,6 +517,17 @@ def test_gamma_sampling_clt_bound(rng):
     assert abs(draws.mean() - 3.0) <= 4.0 * math.sqrt(3.0) / 1e3
 
 
+def test_one_member_sample_draws_the_law_itself():
+    # bit for bit the generator's gamma draw and (S z^T + m)^T, S = cov^(1/2)
+    draws = gamma_member(2.5, 1.5).sample(np.random.default_rng(4), 500)
+    assert draws.tobytes() == np.random.default_rng(4).gamma(2.5, 1.5, size=(500, 1)).tobytes()
+    mean, cov = np.array([1.0, -1.0]), np.array([[1.0, 0.6], [0.6, 2.0]])
+    z = np.random.default_rng(4).standard_normal((500, 2))
+    draws = normal_member(mean, cov).sample(np.random.default_rng(4), 500)
+    assert draws.shape == (500, 2)
+    assert draws.tobytes() == np.ascontiguousarray((sym_sqrt(cov) @ z.T + mean[:, None]).T).tobytes()
+
+
 def test_sample_count_zero_returns_empty(rng):
     assert gamma_member(3.0, 1.0).sample(rng, 0).shape == (0, 1)
     assert normal_member(np.zeros(2), np.eye(2)).sample(rng, 0).shape == (0, 2)

@@ -14,6 +14,7 @@ from tiltedsums import (
     run_sweep,
     tv_scheffe,
 )
+from tiltedsums import conditional
 from tiltedsums.sweep import SweepRow, emit_report, render_results, run_row
 
 
@@ -92,6 +93,32 @@ def test_run_row_seed_isolation():
     assert row_a.tv != row_b.tv  # different substreams
     again = run_row(cfg, 0, 50, 8, (6.0,))
     assert again.tv == row_a.tv
+
+
+@pytest.mark.parametrize("method", ["scheffe", "sum_mc", "joint_mc"])
+def test_run_sweep_solves_the_tilt_once_per_row(method, monkeypatch):
+    # the row's theta is the one its estimator's RatioContext solved for
+    solve, calls = conditional.solve_tilt, []
+
+    def counting_solve(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(conditional, "solve_tilt", counting_solve)
+    rows = run_sweep(make_config(method=method, n="50, 80", samples=200))
+    assert len(calls) == len(rows) == 2
+    assert all(r.error is None and r.theta == (0.5,) for r in rows)
+
+
+def test_scheffe_row_on_vector_members_fails_before_a_tilt_solve(monkeypatch):
+    monkeypatch.setattr(conditional, "solve_tilt", None)
+    cfg = parse_config(
+        "[family]\nkind = normal\nmeans = 0;0\ncov = 1;0|0;1\n\n"
+        "[sweep]\nn = 50\nk = 5\na = 0.5;0.5\nmethod = scheffe\nsamples = 100\nseed = 1\n"
+    )
+    (row,) = run_sweep(cfg)
+    assert row.error == "Scheffe TV is implemented for d = 1 only"
+    assert row.theta == ()
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from tiltedsums import (
     tv_sum_mc,
 )
 from tiltedsums import families
+from tiltedsums.numerics import sym_sqrt
 from tiltedsums.tv import SUM_MC_CHUNK, _joint_log_ratio, _mean_and_se
 
 
@@ -542,6 +543,58 @@ def test_joint_log_ratio_is_conditional_over_tilted_product(kind):
         assert abs(reduced[0] - full) <= 1e-12
 
 
+def _member_draws(family, gen, count):
+    """count draws of each member in turn, from raw generator calls."""
+    if family.kind == "gamma":
+        return [gen.gamma(shape, family.scale, size=(count, 1)) for shape in family.shapes]
+    covs = np.broadcast_to(family.covs, (len(family), family.dim, family.dim))
+    return [
+        (sym_sqrt(cov) @ gen.standard_normal((count, family.dim)).T + mean[:, None]).T
+        for cov, mean in zip(covs, family.means)
+    ]
+
+
+SAMPLE_FAMILIES = {
+    "gamma": joint_case("gamma")[0],
+    "normal_shared": normal_family([[0.0, 0.0], [0.5, 0.5]] * 20, [[1.0, 0.2], [0.2, 2.0]]),
+    "normal": joint_case("normal")[0],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLE_FAMILIES))
+def test_family_sample_is_the_member_by_member_sum(name):
+    # every draw of member 0, then of member 1, ..., added in member order
+    # into zeros, on one generator state
+    family = SAMPLE_FAMILIES[name]
+    expected = np.zeros((300, family.dim))
+    for draws in _member_draws(family, np.random.default_rng(17), 300):
+        expected += draws
+    got = family.sample(np.random.default_rng(17), 300)
+    assert got.shape == (300, family.dim)
+    assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["gamma", "normal"])
+def test_joint_mc_builds_as_many_families_at_any_block_size(kind, monkeypatch):
+    # the tilted block is drawn as one family, not one family per member
+    family, _, a = joint_case(kind)
+    family = family.build(80)
+    cls = type(family)
+    init, built = cls.__init__, []
+
+    def counting_init(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(cls, "__init__", counting_init)
+    counts = []
+    for k in (5, 40):
+        built.clear()
+        tv_joint_mc(family, k, a, samples=100, rng=3)
+        counts.append(len(built))
+    assert counts[0] == counts[1] > 0
+
+
 @pytest.mark.parametrize(
     "kind, seed, value, std_error",
     [
@@ -594,6 +647,15 @@ def test_mc_reproducible_for_fixed_seed():
     e1 = tv_sum_mc(members, 2, 6.0, samples=5_000, rng=99)
     e2 = tv_sum_mc(members, 2, 6.0, samples=5_000, rng=99)
     assert e1 == e2
+
+
+@pytest.mark.parametrize("method", sorted(ESTIMATORS))
+def test_estimate_reports_the_solved_tilt_as_floats(method):
+    members = gamma_family([2.5, 4.0] * 10, 1.0)
+    est = ESTIMATORS[method](members, 3)
+    assert np.array(est.theta).tobytes() == solve_tilt(members, 6.0).theta.tobytes()
+    assert est.a == (6.0,)
+    assert all(type(v) is float for v in est.a + est.theta)
 
 
 # ---------------------------------------------------------------------------
