@@ -21,14 +21,14 @@ sum of the members:
 
 Slicing gives the family of a block (family[:k], family[k:]), a single member
 is a family of length 1, and convolve() returns the law of the sum as a
-family of length 1.  sample draws the members' sum, member after member.
-Densities and cdf are those of a single law X, and so are P(X <= x | X +
-Y = s), the probabilities of an interval given the sum and unconditioned,
-log rho(t) = log f_Y(s - t) - log f_{X+Y}(s), its values at fresh draws of
-X and the two zeros of log rho (cdf_given_sum, interval_masses,
-log_ratio_given_sum, log_ratio_sampler and ratio_roots, given Y = rest);
-log_density also evaluates member j at point j when given one point per
-member.  The per-member hooks of the assumption checks return one row each.
+family of length 1.  Densities, cdf and sample are those of a single law
+X, and so are P(X <= x | X + Y = s), the probabilities of an interval
+given the sum and unconditioned, log rho(t) = log f_Y(s - t) - log
+f_{X+Y}(s), its values at fresh draws of X and the two zeros of log rho
+(cdf_given_sum, interval_masses, log_ratio_given_sum, log_ratio_sampler and
+ratio_roots, given Y = rest); log_density also evaluates member j at point
+j when given one point per member.  The per-member hooks of the assumption
+checks return one row each.
 
 Gamma members require shape > 2 so densities are C^1 and fourth moments stay
 uniformly controlled under tilting; a gamma family shares a single scale t.
@@ -69,9 +69,9 @@ class Family:
 
     Subclasses provide kind, dim, __len__, _take(slice or index array), the
     average cgf calculus (cgf, cgf_grad, cgf_hess), tilt, convolve, distinct,
-    sample (of the members' sum), the single-law operations (log_density, cdf,
-    cdf_given_sum, interval_masses, log_ratio_given_sum, log_ratio_sampler,
-    ratio_roots) and the per-member hooks of the assumption checks (member_hess,
+    the single-law operations (log_density, cdf, sample, cdf_given_sum,
+    interval_masses, log_ratio_given_sum, log_ratio_sampler, ratio_roots)
+    and the per-member hooks of the assumption checks (member_hess,
     fourth_central_moment, char_fn_modulus_sup, density_partial_l1), plus
     third_central_moment_tensor averaged over the family for the Edgeworth
     expansion.
@@ -364,12 +364,9 @@ class GammaFamily(Family):
         return _interval_masses([c], [v], -np.inf, d[..., None])[..., 0]
 
     def sample(self, rng, count):
-        """count draws of the members' sum, shape (count, 1): count draws of
-        each member in turn, added in member order."""
-        total = np.zeros((count, 1))
-        for shape in self.shapes.tolist():
-            total += rng.gamma(shape, self.scale, size=(count, 1))
-        return total
+        """count draws of the law, shape (count, 1)."""
+        self._single("sample")
+        return rng.gamma(self.shapes[0], self.scale, size=(count, 1))
 
     def _bridge(self, rest):
         """Shapes (K_x, K_y) of single laws X = self, Y = rest of one scale."""
@@ -636,14 +633,10 @@ class NormalFamily(Family):
         return _ndtr((np.asarray(x, dtype=float) - self.means[0, 0]) / self._sd())
 
     def sample(self, rng, count):
-        """count draws of the members' sum, shape (count, d): count draws
-        (S z^T + m)^T of each member in turn, added in member order."""
-        roots = sym_sqrt(self.covs)
-        total = np.zeros((count, self.dim))
-        for j, mean in enumerate(self.means):
-            z = rng.standard_normal((count, self.dim))
-            total += (roots[j % len(roots)] @ z.T + mean[:, None]).T
-        return total
+        """count draws (S z^T + m)^T of the law, S = cov^(1/2), shape (count, d)."""
+        self._single("sample")
+        z = rng.standard_normal((count, self.dim))
+        return (sym_sqrt(self.covs[0]) @ z.T + self.means[0][:, None]).T
 
     def cdf_given_sum(self, rest, s, x):
         """P(X <= x | X + Y = s) for one-dimensional X = self, Y = rest:

@@ -31,12 +31,14 @@ themselves.  Estimators:
                 (_mean_and_se), so a row holds one chunk and its
                 temporaries whatever samples is;
   * joint_mc  - Monte Carlo in the k*d-dimensional joint space,
-                E_{x ~ tilted product} |q_cond(x)/p_tilted(x) - 1|, an
-                independent route that must agree with the sum-statistic
-                estimators because the block sum is sufficient; it draws
-                the tilted members one by one, and as their densities cancel
-                pointwise in q/p it evaluates one untilted sum-density ratio
-                and Gibbs factor per sample.
+                E_{x ~ tilted product} |q_cond(x)/p_tilted(x) - 1|.  The
+                member densities cancel pointwise in q/p, which depends on x
+                only through its block sum T, so it draws T once per sample
+                from ctx.block, as sum_mc does, and evaluates the untilted
+                sum-density ratio and the Gibbs factor at it: the other side
+                of the change-of-measure identity.  At one seed it reads the
+                draws of sum_mc, and the two differ only by the rounding of
+                the two formulas for log rho.
 
 Each estimate reports the a and theta of its RatioContext as floats.
 All three report the plain L1 integral (twice the sup-over-sets distance);
@@ -134,20 +136,20 @@ def tv_sum_mc(family, k, a, samples=DEFAULT_SUM_SAMPLES, rng=None, theta=None):
 
 
 def tv_joint_mc(family, k, a, samples=DEFAULT_JOINT_SAMPLES, rng=None, theta=None):
-    """Monte Carlo TV in the joint block space: draws x ~ product of tilted
-    members, one member at a time, and averages |q(x)/p(x) - 1| with q the
-    conditional density of the block given {S_1n = n a} and p the tilted
-    product density.  The member densities cancel pointwise in q/p, so only
-    the block sum of each draw is kept: the tilted block's sample, where
-    _joint_log_ratio is evaluated.  By sufficiency this equals the
-    sum-statistic TV.  RatioContext conditions the family (block size, tilt,
-    float spacing, zero sum density); its tilted sum laws are not used."""
+    """Monte Carlo TV in the joint block space: averages |q(x)/p(x) - 1| over
+    x ~ product of tilted members, with q the conditional density of the
+    block given {S_1n = n a} and p the tilted product density.  The member
+    densities cancel pointwise in q/p, so q/p depends on x only through its
+    block sum T, whose law is the tilted block-sum law ctx.block: one draw
+    of it per sample (the stream sum_mc's fills read), where
+    _joint_log_ratio is evaluated.  The block sum of every sample is held
+    at once."""
     _check_samples(samples)
     ctx = RatioContext(family, k, a, theta=theta)
     gen = _as_rng(rng)
 
     try:
-        total = family[: ctx.k].tilt(ctx.theta).sample(gen, samples)
+        total = ctx.block.sample(gen, samples)
         vals = _joint_log_ratio(family, ctx.k, ctx.na, ctx.theta, total)
     except MemoryError as exc:
         raise SampleMemoryError(

@@ -14,6 +14,7 @@ import pytest
 from scipy.integrate import quad, trapezoid
 from scipy.optimize import brentq
 from scipy.special import gammaincc, ndtr
+from scipy.stats import kstest
 
 from tiltedsums import (
     RatioContext,
@@ -496,14 +497,6 @@ def test_fill_log_ratio_reuses_its_buffers(kind, members, k, a):
     assert kept < 1024 and peak < 4096, (kept, peak)
 
 
-def test_joint_mc_k1_matches_sum_mc():
-    members = gamma_family([3.0] * 40, 1.0)
-    sum_est = tv_sum_mc(members, 1, 6.0, samples=100_000, rng=13)
-    joint_est = tv_joint_mc(members, 1, 6.0, samples=100_000, rng=13)
-    scale = math.hypot(sum_est.std_error, joint_est.std_error)
-    assert abs(sum_est.value - joint_est.value) <= 3.0 * scale
-
-
 def test_joint_mc_agrees_with_scheffe_gaussian():
     members = iid_normals(100)
     sch = tv_scheffe(members, 2, 0.5)
@@ -562,21 +555,52 @@ SAMPLE_FAMILIES = {
 
 
 @pytest.mark.parametrize("name", sorted(SAMPLE_FAMILIES))
-def test_family_sample_is_the_member_by_member_sum(name):
-    # every draw of member 0, then of member 1, ..., added in member order
-    # into zeros, on one generator state
+def test_single_law_sample_is_the_raw_generator_draw(name):
+    # a member, the block sum and the tilted block sum draw what one raw
+    # gamma or standard-normal call gives, byte for byte
     family = SAMPLE_FAMILIES[name]
-    expected = np.zeros((300, family.dim))
-    for draws in _member_draws(family, np.random.default_rng(17), 300):
-        expected += draws
-    got = family.sample(np.random.default_rng(17), 300)
-    assert got.shape == (300, family.dim)
-    assert got.tobytes() == expected.tobytes()
+    theta = solve_tilt(family, joint_case(family.kind)[2]).theta
+    for law in (family[0], family[1], family[:5].convolve(), family[:5].tilt(theta).convolve()):
+        (expected,) = _member_draws(law, np.random.default_rng(17), 300)
+        got = law.sample(np.random.default_rng(17), 300)
+        assert got.shape == (300, family.dim)
+        assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLE_FAMILIES))
+def test_sample_of_several_members_raises(name):
+    family, gen = SAMPLE_FAMILIES[name], np.random.default_rng(17)
+    state = gen.bit_generator.state
+    with pytest.raises(ValueError, match="sample needs single laws"):
+        family.sample(gen, 300)
+    assert gen.bit_generator.state == state
+
+
+@pytest.mark.parametrize("kind", ["gamma", "normal"])
+def test_member_by_member_sum_follows_the_convolved_law(kind):
+    # the tilted members drawn one by one from raw generator calls and added
+    # up follow the closed-form law of their sum, which joint_mc and sum_mc
+    # draw the block sum from
+    family, k, a = joint_case(kind)
+    k, count = 2 * k + 1, 40_000
+    tilted = family[:k].tilt(solve_tilt(family, a).theta)
+    total = sum(_member_draws(tilted, np.random.default_rng(31), count))
+    law = tilted.convolve()
+    if kind == "gamma":
+        # Kolmogorov-Smirnov against the closed-form cdf; P(p < 1e-4) = 1e-4
+        assert kstest(total[:, 0], law.cdf).pvalue > 1e-4
+        return
+    # the sum's mean and covariance, each entry within 5 standard errors
+    # (Var of a Gaussian sample covariance entry: (S_ii S_jj + S_ij^2) / N)
+    mean, cov = law.means[0], law.covs[0]
+    np.testing.assert_array_less(np.abs(total.mean(axis=0) - mean), 5.0 * np.sqrt(np.diag(cov) / count))
+    cov_se = np.sqrt((np.outer(np.diag(cov), np.diag(cov)) + cov**2) / count)
+    np.testing.assert_array_less(np.abs(np.cov(total, rowvar=False) - cov), 5.0 * cov_se)
 
 
 @pytest.mark.parametrize("kind", ["gamma", "normal"])
 def test_joint_mc_builds_as_many_families_at_any_block_size(kind, monkeypatch):
-    # the tilted block is drawn as one family, not one family per member
+    # the block sum is drawn from its law, not member by member
     family, _, a = joint_case(kind)
     family = family.build(80)
     cls = type(family)
@@ -595,19 +619,76 @@ def test_joint_mc_builds_as_many_families_at_any_block_size(kind, monkeypatch):
     assert counts[0] == counts[1] > 0
 
 
-@pytest.mark.parametrize(
-    "kind, seed, value, std_error",
-    [
-        ("gamma", 5, 0.05219820183147601, 0.0003607236410929044),
-        ("normal", 9, 0.0774918936820324, 0.00044929714231097966),
-    ],
-)
-def test_joint_mc_keeps_the_member_product_values(kind, seed, value, std_error):
-    # values of the estimator that evaluated every member density, so the
-    # draws and their order are unchanged
-    family, k, a = joint_case(kind)
-    est = tv_joint_mc(family, k, a, samples=20_000, rng=seed)
-    np.testing.assert_allclose([est.value, est.std_error], [value, std_error], rtol=1e-12, atol=0.0)
+def _log_rho_term_sizes(family, k, a, total):
+    """For each block sum T (rows of total), the summed sizes of the terms
+    that joint_mc's and sum_mc's formulas add up to log rho(T).  joint_mc:
+    <theta, T>, k kappa(theta) and the untilted block and rest sums' terms;
+    sum_mc: the tilted sums' terms.  Gamma terms are m log1p(-x), lam x and c
+    of log rho(s x) = m log1p(-x) + lam x + c; Normal terms are the rest
+    and full sums' quadratic forms and log normalizers."""
+    ctx = RatioContext(family, k, a)
+    sizes = np.abs(total @ ctx.theta) + abs(k * family[:k].cgf(ctx.theta))
+    for block, rest in ((family[:k].convolve(), family[k:].convolve()), (ctx.block, ctx.rest)):
+        if family.kind == "gamma":
+            s, m, lam, c = block._log_ratio_terms(rest, ctx.na)
+            x = total[:, 0] / s
+            sizes = sizes + np.abs(m * np.log1p(-x)) + np.abs(lam * x) + abs(c)
+            continue
+        full = families.NormalFamily(block.means + rest.means, block.covs + rest.covs)
+        for law, y in ((rest, ctx.na - total), (full, ctx.na[None, :])):
+            kernel = law.log_density(y, normalized=False)
+            sizes = sizes + np.abs(kernel) + np.abs(kernel - law.log_density(y))
+    return sizes
+
+
+def joint_sum_parity_bound(family, k, a, samples, seed, value):
+    """Largest relative difference of joint_mc and sum_mc values at one seed
+    that rounding explains.  Both draw the same block sums T_i, take
+    |rho - 1| at them and average the same chunks.  Each formula adds a few
+    terms for log rho(T_i), each within 8 roundings (u = 2^-53) of its own
+    size; sum_mc forms T = m + L z of a Normal block only through W L, which
+    rounds like the quadratic form.  So the two log rho differ by
+    |delta_i| <= 8 u S_i, S_i the summed term sizes of both formulas
+    (_log_rho_term_sizes), and |rho_i - 1| by at most
+    rho_i |delta_i| (1 + |delta_i|) + 2 u |rho_i - 1| (expm1, abs): with
+    |delta_i| < 1 that is under 16 u rho_i S_i + 2 u |rho_i - 1|.  Each mean
+    of nonnegative values lies within (log2 N + 42) u of its exact value
+    (assert_exact_within_rounding), so relative to the value
+
+        |joint / sum - 1| <= 16 u mean(rho S) / value + 2 (log2 N + 43) u."""
+    ctx = RatioContext(family, k, a)
+    total = ctx.block.sample(np.random.default_rng(seed), samples)
+    rho = np.exp(ctx.log_ratio_exact(total))
+    u = 2.0**-53
+    spread = np.mean(rho * _log_rho_term_sizes(family, k, a, total))
+    return 16.0 * u * spread / value + 2.0 * (math.ceil(math.log2(samples)) + 43) * u
+
+
+# i.i.d. Gamma(3, 1) at n = 200, k = 15 is the CI row: `tv --config
+# scripts/configs/gamma_iid_sweep.cfg` draws from the one-row sweep's
+# generator, entropy 7 and spawn key 0
+PARITY_CASES = [
+    (*joint_case("gamma"), 20_000, 5),
+    (*joint_case("normal"), 20_000, 9),
+    (gamma_family([3.0], 1.0).build(200), 15, 6.0, 20_000, np.random.SeedSequence(7, spawn_key=(0,))),
+    (gamma_family([3.0], 1.0).build(1600), 40, 6.0, 20_000, 1),
+    (gamma_family([3.0], 1.0).build(40), 1, 6.0, 100_000, 13),
+    (gamma_family([2.5, 4.0] * 50, 1.0), 10, 6.0, 3 * SUM_MC_CHUNK + 7, 17),
+    (normal_family([[0.0, 0.0], [0.5, 0.5]] * 200, [[1.0, 0.2], [0.2, 2.0]]), 20, [0.6, 0.6], 3 * SUM_MC_CHUNK + 7, 17),
+]
+
+
+@pytest.mark.parametrize("family, k, a, samples, seed", PARITY_CASES)
+def test_joint_mc_matches_sum_mc_at_one_seed(family, k, a, samples, seed):
+    # the change-of-measure identity at the same draws: the joint formula
+    # (untilted sums and the Gibbs factor) against the tilted ratio, on one
+    # stream that sum_mc reads in SUM_MC_CHUNK fills and joint_mc in one draw
+    joint = tv_joint_mc(family, k, a, samples=samples, rng=np.random.default_rng(seed))
+    summed = tv_sum_mc(family, k, a, samples=samples, rng=np.random.default_rng(seed))
+    bound = joint_sum_parity_bound(family, k, a, samples, seed, summed.value)
+    assert bound < 1e-9
+    assert abs(joint.value / summed.value - 1.0) <= bound, (joint.value, summed.value, bound)
+    assert joint.samples == summed.samples == samples
 
 
 ESTIMATORS = {
