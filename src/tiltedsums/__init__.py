@@ -42,7 +42,6 @@ from .errors import (
     DegenerateCovarianceError,
     NonConvergenceError,
     OutOfDomainError,
-    SampleMemoryError,
     TiltedSumsError,
     UndefinedConditionalError,
     UnsupportedFamilyError,
@@ -68,7 +67,6 @@ __all__ = [
     "NormalFamily",
     "OutOfDomainError",
     "RatioContext",
-    "SampleMemoryError",
     "ScalingFit",
     "SweepRow",
     "ThetaBox",

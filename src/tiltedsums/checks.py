@@ -17,7 +17,7 @@ the cgf domain and reports a pass flag plus witness numbers:
 Common support and positivity of the member densities hold by construction
 (homogeneous kinds, open supports), so the report carries a structural
 "supp" entry rather than a numeric one.  Every sup and inf runs over the
-family's distinct member laws, so repeated members cost nothing.
+family's parameter rows, so n members cycling r rows cost what r members do.
 
 No check scans K.  Every hook is monotone in theta over K: tilting a normal
 member moves only its mean, so the normal hooks do not depend on theta, and
@@ -117,7 +117,7 @@ class AssumptionReport:
         return all(e.passed for e in self.entries)
 
 
-def _thetas(laws, box):
+def _thetas(family, box):
     """The tilt parameters a check evaluates: the box's two ends, as a (2, d)
     array, both inside the cgf domain.  That needs every hook (member_hess,
     fourth_central_moment, char_fn_modulus_sup at each radius,
@@ -126,20 +126,19 @@ def _thetas(laws, box):
     normal member shifts its mean only, so its hooks do not depend on theta
     at all.  Each gamma hook is monotone in the tilted scale
     u = t / (1 - theta t), and u increases with theta."""
-    if box.dim != laws.dim:
+    if box.dim != family.dim:
         raise ValueError("box dimension does not match the members")
     ends = np.array([box.lo, box.hi])
     for theta in ends:
-        if not laws.in_domain(theta):
+        if not family.in_domain(theta):
             raise ValueError(f"box end {theta} is outside the cgf domain")
     return ends
 
 
 def check_cv(family, box):
     """Covariance eigenvalues of tilted members over K."""
-    laws = family.distinct()
-    thetas = _thetas(laws, box)
-    eigs = np.array([np.linalg.eigvalsh(laws.member_hess(theta)) for theta in thetas])
+    thetas = _thetas(family, box)
+    eigs = np.array([np.linalg.eigvalsh(family.member_hess(theta)) for theta in thetas])
     lam_min = float(np.min(eigs[..., 0]))
     lam_max = float(np.max(eigs[..., -1]))
     passed = EIG_FLOOR < lam_min <= lam_max < EIG_CEILING
@@ -148,30 +147,28 @@ def check_cv(family, box):
 
 def check_am4(family, box):
     """Fourth absolute central moments of tilted members over K."""
-    laws = family.distinct()
-    thetas = _thetas(laws, box)
-    worst = max(float(np.max(laws.fourth_central_moment(theta))) for theta in thetas)
+    thetas = _thetas(family, box)
+    worst = max(float(np.max(family.fourth_central_moment(theta))) for theta in thetas)
     passed = math.isfinite(worst) and worst < AM4_CEILING
     return CheckResult("am4", passed, {"max_fourth_moment": worst, "ceiling": AM4_CEILING})
 
 
-def _sup_partial_l1(laws, thetas):
+def _sup_partial_l1(family, thetas):
     return max(
-        float(np.max(laws.density_partial_l1(theta, axis)))
+        float(np.max(family.density_partial_l1(theta, axis)))
         for theta in thetas
-        for axis in range(laws.dim)
+        for axis in range(family.dim)
     )
 
 
 def check_cf_decay(family, box):
     """Characteristic-function decay |cf(t)| <= C_K / ||t|| on ||t|| in
     [R_MIN, R_MAX] = [1, 100], with C_K = sup of L1 norms of density partials."""
-    laws = family.distinct()
-    thetas = _thetas(laws, box)
-    c_k = _sup_partial_l1(laws, thetas)
+    thetas = _thetas(family, box)
+    c_k = _sup_partial_l1(family, thetas)
     radii = np.geomspace(R_MIN, R_MAX, R_POINTS)
     worst_ratio = max(
-        float(np.max(laws.char_fn_modulus_sup(theta, radii) * radii / c_k)) for theta in thetas
+        float(np.max(family.char_fn_modulus_sup(theta, radii) * radii / c_k)) for theta in thetas
     )
     passed = worst_ratio <= 1.0 + 1e-9
     return CheckResult("cf_decay", passed, {"c_k": c_k, "max_bound_ratio": worst_ratio})
@@ -183,11 +180,10 @@ def check_cf3(family, box, beta=0.5):
     C_K / R_MAX bound beyond."""
     if beta <= 0.0:
         raise ValueError("beta must be positive")
-    laws = family.distinct()
-    thetas = _thetas(laws, box)
+    thetas = _thetas(family, box)
     radii = np.linspace(beta, R_MAX, R_POINTS)
-    eps = max(float(np.max(laws.char_fn_modulus_sup(theta, radii))) for theta in thetas)
-    eps = max(eps, _sup_partial_l1(laws, thetas) / R_MAX)
+    eps = max(float(np.max(family.char_fn_modulus_sup(theta, radii))) for theta in thetas)
+    eps = max(eps, _sup_partial_l1(family, thetas) / R_MAX)
     return CheckResult("cf3", eps < 1.0, {"epsilon": eps, "beta": beta})
 
 
@@ -202,15 +198,14 @@ def check_uf(family, shape_lo=None, shape_hi=None):
     if not isinstance(family, GammaFamily):
         raise UnsupportedFamilyError("envelope check is defined for gamma members only")
     t = family.scale
-    laws = family.distinct()
-    thetas = _thetas(laws, ThetaBox((-2.0 / t,), (1.0 / t - BOUNDARY_MARGIN,)))
-    k_lo = float(laws.shapes.min()) if shape_lo is None else float(shape_lo)
-    k_hi = float(laws.shapes.max()) if shape_hi is None else float(shape_hi)
+    thetas = _thetas(family, ThetaBox((-2.0 / t,), (1.0 / t - BOUNDARY_MARGIN,)))
+    k_lo = float(family.shapes.min()) if shape_lo is None else float(shape_lo)
+    k_hi = float(family.shapes.max()) if shape_hi is None else float(shape_hi)
 
     # Same operation order as the member gradient, so equal shapes give an
     # exactly zero margin.
     denom = 1.0 - thetas[:, :1] * t
-    means = laws.shapes * t / denom
+    means = family.shapes * t / denom
     worst = float(np.min(np.minimum(means - k_lo * t / denom, k_hi * t / denom - means)))
     return CheckResult("uf", worst >= 0.0, {"worst_margin": worst, "shape_lo": k_lo, "shape_hi": k_hi})
 

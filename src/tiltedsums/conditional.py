@@ -122,11 +122,11 @@ class RatioContext:
     tilt unless given): the block-sum law `block` (of X_1+..+X_k) and the
     rest-sum law `rest` (of X_{k+1}+..+X_n), both closed-form convolutions,
     and the normalization of the block (block_mean, block_B).  Given the
-    sum, the block sum has density rho(t) block(t).  The normalization and
-    the Edgeworth model of the rest sum are built on first use, so the exact
-    ratio never pays for them.  The full sum needs no model: rho is
-    evaluated where the full sum's normalized coordinate is 0, and P1(0) = 0
-    leaves its order-1 density there at (2 pi)^(-d/2)."""
+    sum, the block sum has density rho(t) block(t).  The rest-sum law, the
+    normalization and the Edgeworth model of the rest sum are built on first
+    use, so each estimator pays only for what it reads.  The full sum needs
+    no model: rho is evaluated where the full sum's normalized coordinate is
+    0, and P1(0) = 0 leaves its order-1 density there at (2 pi)^(-d/2)."""
 
     def __init__(self, family, k, a, theta=None):
         self.n = len(family)
@@ -141,11 +141,15 @@ class RatioContext:
 
         _check_spacing(self.na, self.k, family[: self.k].cgf_hess(self.theta))
 
-        tilted = family.tilt(self.theta)
-        self.block = tilted[: self.k].convolve()
-        self.rest = tilted[self.k :].convolve()
-        if _zero_density(tilted.convolve(), self.na):
+        self._tilted = family.tilt(self.theta)
+        self.block = self._tilted[: self.k].convolve()
+        if _zero_density(self._tilted.convolve(), self.na):
             raise UndefinedConditionalError(f"zero sum density at s={self.na}")
+
+    @cached_property
+    def rest(self):
+        """The tilted rest-sum law."""
+        return self._tilted[self.k :].convolve()
 
     @cached_property
     def block_mean(self):

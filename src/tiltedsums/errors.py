@@ -33,7 +33,3 @@ class ConfigError(TiltedSumsError, ValueError):
 
 class NonConvergenceError(TiltedSumsError, RuntimeError):
     """The damped Newton iteration for the tilting equation did not converge."""
-
-
-class SampleMemoryError(TiltedSumsError, MemoryError):
-    """A Monte Carlo estimator cannot allocate the arrays its sample count needs."""

@@ -1,7 +1,8 @@
 """Columnar member families and exponential tilting.
 
 A *family* holds the laws of an independent (not necessarily identically
-distributed) sequence X_1..X_n as parameter arrays with one row per member.
+distributed) sequence X_1..X_n as r parameter rows and the length n, member
+j having the law of row j mod r (a list of member parameters is r = n rows).
 It knows the average cumulant generating function
 
     kbar(theta) = (1/n) sum_j kappa_j(theta),    kappa_j = log E[exp(<theta, X_j>)],
@@ -27,8 +28,8 @@ given the sum and unconditioned, log rho(t) = log f_Y(s - t) - log
 f_{X+Y}(s), its values at fresh draws of X and the two zeros of log rho
 (cdf_given_sum, interval_masses, log_ratio_given_sum, log_ratio_sampler and
 ratio_roots, given Y = rest); log_density also evaluates member j at point
-j when given one point per member.  The per-member hooks of the assumption
-checks return one row each.
+j when given one point per member.  The hooks of the assumption checks
+return one entry per row (per row of covs for Normal).
 
 Gamma members require shape > 2 so densities are C^1 and fourth moments stay
 uniformly controlled under tilting; a gamma family shares a single scale t.
@@ -65,15 +66,18 @@ from .numerics import (
 # ---------------------------------------------------------------------------
 
 class Family:
-    """Base of the array-backed families.
+    """Base of the families of r parameter rows cycled to n members.
 
-    Subclasses provide kind, dim, __len__, _take(slice or index array), the
-    average cgf calculus (cgf, cgf_grad, cgf_hess), tilt, convolve, distinct,
-    the single-law operations (log_density, cdf, sample, cdf_given_sum,
+    A subclass constructor takes one row per member and sets _n = _r = r;
+    _cycled(n, *rows) is the family of those constructor arguments cycled to
+    n members.  Subclasses provide kind, dim, _rotated(shift, count) (the
+    arguments of rows shift, shift + 1, ... mod r, at most count), the
+    average cgf calculus (cgf, cgf_grad, cgf_hess), tilt, convolve, the
+    single-law operations (log_density, cdf, sample, cdf_given_sum,
     interval_masses, log_ratio_given_sum, log_ratio_sampler, ratio_roots)
-    and the per-member hooks of the assumption checks (member_hess,
+    and the hooks of the assumption checks (member_hess,
     fourth_central_moment, char_fn_modulus_sup, density_partial_l1), plus
-    third_central_moment_tensor averaged over the family for the Edgeworth
+    third_central_moment_tensor averaged over the members for the Edgeworth
     expansion.
 
     The cgf domain is Theta = {finite theta : theta[0] < theta_upper}, and a
@@ -84,23 +88,46 @@ class Family:
     theta_upper = math.inf
     mean_lower = -math.inf
 
+    def __len__(self):
+        return self._n
+
+    @property
+    def counts(self):
+        """Members per row, as floats: row i stands for n // r + (i < n % r)."""
+        q, rem = divmod(self._n, self._r)
+        return np.concatenate((np.full(rem, q + 1.0), np.full(self._r - rem, float(q))))
+
     def __getitem__(self, index):
         """The family of a block of members; an integer gives one member."""
-        if isinstance(index, (int, np.integer)):
-            if not -len(self) <= index < len(self):
-                raise IndexError(f"member {index} out of range for {len(self)} members")
-            index = slice(index, index + 1 or None)
-        if not isinstance(index, slice):
-            raise TypeError("families are indexed by an integer or a slice")
-        return self._take(index)
+        members = range(len(self))[index]
+        if isinstance(members, int):
+            members = range(members, members + 1)
+        if members.step != 1:
+            raise ValueError("families take contiguous slices only")
+        return self._cycled(len(members), *self._rotated(members.start % self._r, len(members)))
 
     def build(self, n):
-        """The family of n members: member j is row j mod len(self), the row
-        indices repeated end to end by one np.tile."""
-        if n < 1:
-            raise ValueError(f"a family needs at least one member, got {n}")
-        rows = len(self)
-        return self._take(np.tile(np.arange(rows), -(-n // rows))[:n])
+        """The family of n members cycling the rows: member j is row j mod r."""
+        return self._cycled(n, *self._rotated(0, n))
+
+    def _cycled(self, n, *rows):
+        _nonempty(n)
+        family = type(self)(*rows)
+        family._n = n
+        return family
+
+    def _member_sum(self, column):
+        """The members' sum of a column with one entry per row, or one shared
+        by all: n // rows times the rows' sum, plus the first n % rows rows."""
+        q, rem = divmod(self._n, len(column))
+        return q * np.add.reduce(column, axis=0) + np.add.reduce(column[:rem], axis=0)
+
+    def _at_points(self, count, column):
+        """A row column at count points: the one law's row at every point,
+        or member j's row at point j when there is one point per member."""
+        if len(self) != 1 and count != len(self):
+            raise ValueError(f"{count} points for {len(self)} members; give one point per member")
+        return column if len(column) in (1, count) else np.resize(column, (count,) + column.shape[1:])
 
     def density(self, x):
         out = np.exp(self.log_density(x))
@@ -161,16 +188,8 @@ class _Scratch:
 
 
 def _nonempty(count):
-    if count == 0:
-        raise ValueError("member sequence is empty")
-
-
-def _sorted_distinct_rows(rows):
-    """np.unique(rows, axis=0) of a 2-D float array without np.unique: the
-    rows in lexicographic order, each kept where it differs from the one
-    before."""
-    ordered = rows[np.lexsort(rows.T[::-1])]
-    return ordered[np.concatenate(([True], np.any(ordered[1:] != ordered[:-1], axis=1)))]
+    if count < 1:
+        raise ValueError(f"a family needs at least one member, got {count}")
 
 
 # ---------------------------------------------------------------------------
@@ -295,20 +314,19 @@ class GammaFamily(Family):
         if not (scale > 0.0):
             raise ValueError(f"gamma scale must be positive, got {scale}")
         self.shapes = shapes
+        self._n = self._r = shapes.size
         # A numpy scale makes an overflowing power (scale**2, u**4) inf, where
         # a Python float raises; a subnormal scale still gives
         # theta_upper = inf without a warning.
         self.scale = np.float64(scale)
         self.theta_upper = 1.0 / float(scale)
-        # np.mean's arithmetic, without its wrapper: every slice, tilt and
-        # convolution builds a family, several per sweep row
-        self._kbar = float(np.add.reduce(shapes) / shapes.size)
 
-    def __len__(self):
-        return self.shapes.shape[0]
+    def _rotated(self, shift, count):
+        return np.concatenate((self.shapes[shift:], self.shapes[:shift]))[:count], self.scale
 
-    def _take(self, index):
-        return GammaFamily(self.shapes[index], self.scale)
+    @cached_property
+    def _kbar(self):
+        return float(self._member_sum(self.shapes) / self._n)
 
     def _denom(self, theta):
         return 1.0 - float(self._check_theta(theta)[0]) * self.scale
@@ -323,21 +341,18 @@ class GammaFamily(Family):
         return np.array([[self._kbar * self.scale**2 / self._denom(theta) ** 2]])
 
     def tilt(self, theta):
-        return GammaFamily(self.shapes, self.scale / self._denom(theta))
+        return self._cycled(self._n, self.shapes, self.scale / self._denom(theta))
 
     def convolve(self):
-        return GammaFamily([self.shapes.sum()], self.scale)
-
-    def distinct(self):
-        return GammaFamily(_sorted_distinct_rows(self.shapes[:, None])[:, 0], self.scale)
+        return GammaFamily([self._member_sum(self.shapes)], self.scale)
 
     # -- single law (or one point per member for log_density) ---------------
 
     @cached_property
     def _lgamma_shapes(self):
-        """lgamma of every shape, evaluated once per distinct shape."""
-        distinct = _sorted_distinct_rows(self.shapes[:, None])[:, 0]
-        return np.array([lgamma(k) for k in distinct.tolist()])[np.searchsorted(distinct, self.shapes)]
+        """lgamma of every row's shape, evaluated once per distinct shape."""
+        values = {k: lgamma(k) for k in set(self.shapes.tolist())}
+        return np.array([values[k] for k in self.shapes.tolist()])
 
     @cached_property
     def _log_norm(self):
@@ -347,8 +362,10 @@ class GammaFamily(Family):
         """log p(x); without the log normalizer lgamma(k) + k log(scale) unless normalized."""
         pts, single = self._points(x)
         v = pts[:, 0]
+        shapes = self._at_points(len(v), self.shapes)
+        norm = self._at_points(len(v), self._log_norm) if normalized else 0.0
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = (self.shapes - 1.0) * np.log(v) - v / self.scale - (self._log_norm if normalized else 0.0)
+            out = (shapes - 1.0) * np.log(v) - v / self.scale - norm
         out = np.where(v > 0.0, out, -np.inf)
         return float(out[0]) if single else out
 
@@ -481,7 +498,7 @@ class GammaFamily(Family):
                 return s * np.array([lower, upper])
             lower, upper = (new_lower if move_lower else lower), (new_upper if move_upper else upper)
 
-    # -- hooks: one entry per member -----------------------------------------
+    # -- hooks: one entry per row --------------------------------------------
 
     def member_hess(self, theta):
         return (self.shapes * self.scale**2 / self._denom(theta) ** 2).reshape(-1, 1, 1)
@@ -533,7 +550,7 @@ def _ndtr(x):
 class NormalFamily(Family):
     """Multivariate normal members N(means[j], covs[j]); covs holds one
     symmetric positive definite matrix shared by every member (shape
-    (1, d, d)) or one per member (shape (n, d, d))."""
+    (1, d, d)) or one per row (shape (r, d, d))."""
 
     kind = "normal"
 
@@ -552,18 +569,19 @@ class NormalFamily(Family):
         self.means = means
         self.covs = covs
         self.dim = d
-        self._mean = means.mean(axis=0)
-        self._cov = covs.mean(axis=0)
+        self._n = self._r = n
 
-    def __len__(self):
-        return self.means.shape[0]
+    def _rotated(self, shift, count):
+        # a shared covariance, one row, rotates to itself
+        return [np.concatenate((rows[shift:], rows[:shift]))[:count] for rows in (self.means, self.covs)]
 
-    def _take(self, index):
-        return NormalFamily(self.means[index], self.covs if self.covs.shape[0] == 1 else self.covs[index])
+    @cached_property
+    def _mean(self):
+        return self._member_sum(self.means) / self._n
 
-    @property
-    def _member_covs(self):
-        return np.broadcast_to(self.covs, (len(self), self.dim, self.dim))
+    @cached_property
+    def _cov(self):
+        return self.covs[0] if self.covs.shape[0] == 1 else self._member_sum(self.covs) / self._n
 
     def cgf(self, theta):
         t = self._check_theta(theta)
@@ -579,17 +597,10 @@ class NormalFamily(Family):
 
     def tilt(self, theta):
         t = self._check_theta(theta)
-        return NormalFamily(self.means + self.covs @ t, self.covs)
+        return self._cycled(self._n, self.means + self.covs @ t, self.covs)
 
     def convolve(self):
-        return NormalFamily(
-            self.means.sum(axis=0, keepdims=True), self._member_covs.sum(axis=0, keepdims=True)
-        )
-
-    def distinct(self):
-        n, d = self.means.shape
-        rows = _sorted_distinct_rows(np.concatenate([self.means, self._member_covs.reshape(n, d * d)], axis=1))
-        return NormalFamily(rows[:, :d], rows[:, d:].reshape(-1, d, d))
+        return NormalFamily(self._member_sum(self.means)[None], self._member_sum(self.covs)[None])
 
     # Inverse / sqrt / logdet are computed lazily so that a nearly singular
     # covariance can still be *inspected* (eigenvalues, Hessian) even though
@@ -614,13 +625,13 @@ class NormalFamily(Family):
         # The quadratic form is the squared norm of the whitened residual,
         # formed as (d, N) rows so that every pass runs along the points.
         pts, single = self._points(x)
-        diff = (pts - self.means).T
+        diff = (pts - self._at_points(len(pts), self.means)).T
         if self.covs.shape[0] == 1:
             white = self._inv_sqrt[0] @ diff
         else:
-            white = np.einsum("nij,jn->in", self._inv_sqrt, diff)
+            white = np.einsum("nij,jn->in", self._at_points(len(pts), self._inv_sqrt), diff)
         quad = np.einsum("in,in->n", white, white)
-        out = -0.5 * ((self.dim * LOG_2PI + self._logdet if normalized else 0.0) + quad)
+        out = -0.5 * ((self.dim * LOG_2PI + self._at_points(len(pts), self._logdet) if normalized else 0.0) + quad)
         return float(out[0]) if single else out
 
     def _sd(self):
@@ -711,29 +722,28 @@ class NormalFamily(Family):
         half = math.sqrt(v_y * (z2 - math.log1p(-v_x / (v_x + v_y))))
         return s - rest.means[0, 0] + np.array([-half, half])
 
-    # -- hooks: one entry per member -----------------------------------------
+    # -- hooks: one entry per row of covs, the only parameter they read -----
 
     def member_hess(self, theta):
         self._check_theta(theta)
-        return self._member_covs
+        return self.covs
 
     def fourth_central_moment(self, theta):
         self._check_theta(theta)
-        g = self._member_covs
+        g = self.covs
         return 2.0 * np.einsum("nij,nji->n", g, g) + np.trace(g, axis1=1, axis2=2) ** 2
 
     def char_fn_modulus_sup(self, theta, radii):
         self._check_theta(theta)
         r = np.asarray(radii, dtype=float)
-        lam_min = np.linalg.eigvalsh(self._member_covs)[:, 0]
+        lam_min = np.linalg.eigvalsh(self.covs)[:, 0]
         return np.exp(-0.5 * lam_min[:, None] * r * r)
 
     def density_partial_l1(self, theta, axis):
         # d p/dx_l = -(cov^{-1}(x - mu))_l p(x), and (cov^{-1}(X - mu))_l is
         # N(0, v) with v = (cov^{-1})_{ll}, so the L1 norm is E|N(0, v)|.
         self._check_theta(theta)
-        v = np.broadcast_to(self._inv[:, axis, axis], (len(self),))
-        return np.sqrt(2.0 * v / math.pi)
+        return np.sqrt(2.0 * self._inv[:, axis, axis] / math.pi)
 
     def third_central_moment_tensor(self, theta):
         self._check_theta(theta)

@@ -140,17 +140,19 @@ def tilt_oracle(family, a):
 
     Normal: solve mean(Gamma_j) theta = a - mean(mu_j).  Gamma (shared scale):
     the average gradient kbar t/(1-theta t) depends on shapes only through
-    their mean, so theta = (1 - kbar t / a)/t for any shape sequence.
+    their mean, so theta = (1 - kbar t / a)/t for any shape sequence.  Each
+    row weighs as many members as it stands for (family.counts).
     """
     a = as_vector(a, family.dim)
+    counts, n = family.counts, len(family)
     if isinstance(family, NormalFamily):
-        mu = family.means.mean(axis=0)
-        gam = family.covs.mean(axis=0)
+        mu, covs = np.add.reduce(counts[:, None] * family.means, axis=0) / n, family.covs
+        gam = covs[0] if len(covs) == 1 else np.add.reduce(counts[:, None, None] * covs, axis=0) / n
         w, q = _guarded_hessian(gam)
         return q @ ((q.T @ (a - mu)) / w)
     if isinstance(family, GammaFamily):
         _check_target(family, a)
         t = family.scale
-        kbar = float(family.shapes.mean())
+        kbar = float(np.add.reduce(counts * family.shapes) / n)
         return np.array([(1.0 - kbar * t / a[0]) / t])
     raise UnsupportedFamilyError(f"no closed-form tilt for kind {family.kind!r}")

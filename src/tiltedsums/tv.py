@@ -21,15 +21,9 @@ themselves.  Estimators:
   * sum_mc    - Monte Carlo mean of |rho - 1| over draws of the tilted
                 block sum from its closed-form law (the integrand's own
                 weight is the importance measure, so no reweighting is
-                needed); ctx.fill_log_ratio draws SUM_MC_CHUNK block sums
-                at a time from one generator, which continues a single
-                stream, and writes log rho at them straight into one
-                chunk-sized buffer, keeping its own temporaries in buffers
-                that every chunk of the row reuses; expm1, abs and the
-                chunk's sum and centred sum of squares then run in place,
-                and the chunks' moments are merged at the end
-                (_mean_and_se), so a row holds one chunk and its
-                temporaries whatever samples is;
+                needed), drawn and evaluated by ctx.fill_log_ratio, which
+                keeps its temporaries in buffers that every chunk of the
+                row reuses;
   * joint_mc  - Monte Carlo in the k*d-dimensional joint space,
                 E_{x ~ tilted product} |q_cond(x)/p_tilted(x) - 1|.  The
                 member densities cancel pointwise in q/p, which depends on x
@@ -39,6 +33,13 @@ themselves.  Estimators:
                 of the change-of-measure identity.  At one seed it reads the
                 draws of sum_mc, and the two differ only by the rounding of
                 the two formulas for log rho.
+
+Both Monte Carlo estimators run one chunk loop (_mc_estimate): SUM_MC_CHUNK
+block sums at a time from one generator, which continues a single stream,
+with log rho at them written straight into one chunk-sized buffer; expm1,
+abs and the chunk's sum and centred sum of squares then run in place, and
+the chunks' moments are merged at the end (_mean_and_se), so a row holds
+one chunk whatever samples is.
 
 Each estimate reports the a and theta of its RatioContext as floats.
 All three report the plain L1 integral (twice the sup-over-sets distance);
@@ -60,7 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conditional import RatioContext
-from .errors import SampleMemoryError, UnsupportedFamilyError
+from .errors import UnsupportedFamilyError
 
 DEFAULT_SUM_SAMPLES = 10**6
 DEFAULT_JOINT_SAMPLES = 10**5
@@ -113,26 +114,12 @@ def tv_scheffe(family, k, a, theta=None):
 
 def tv_sum_mc(family, k, a, samples=DEFAULT_SUM_SAMPLES, rng=None, theta=None):
     """Monte Carlo TV over the block-sum statistic: mean of |rho(T) - 1|
-    with T drawn from the tilted block-sum law ctx.block.  One chunk-sized
-    buffer is filled with log rho at fresh draws (ctx.fill_log_ratio, whose
-    temporaries are allocated once per row), turned into |rho - 1| in place
-    and reduced to its moments, chunk after chunk; the values are those of
-    one draw of all samples from rng, whatever SUM_MC_CHUNK is, and memory
-    does not grow with samples."""
+    with T drawn from the tilted block-sum law ctx.block by
+    ctx.fill_log_ratio; the values are those of one draw of all samples
+    from rng, whatever SUM_MC_CHUNK is."""
     _check_samples(samples)
-    gen = _as_rng(rng)
     ctx = RatioContext(family, k, a, theta=theta)
-
-    buffer = np.empty(min(samples, SUM_MC_CHUNK))
-
-    def chunks():
-        for start in range(0, samples, SUM_MC_CHUNK):
-            chunk = buffer[: samples - start]
-            ctx.fill_log_ratio(gen, chunk)
-            yield np.abs(np.expm1(chunk, out=chunk), out=chunk)
-
-    value, std_error = _mean_and_se(chunks())
-    return _estimate(ctx, "sum_mc", value, std_error, samples)
+    return _mc_estimate(ctx, "sum_mc", samples, rng, ctx.fill_log_ratio)
 
 
 def tv_joint_mc(family, k, a, samples=DEFAULT_JOINT_SAMPLES, rng=None, theta=None):
@@ -142,28 +129,33 @@ def tv_joint_mc(family, k, a, samples=DEFAULT_JOINT_SAMPLES, rng=None, theta=Non
     densities cancel pointwise in q/p, so q/p depends on x only through its
     block sum T, whose law is the tilted block-sum law ctx.block: one draw
     of it per sample (the stream sum_mc's fills read), where
-    _joint_log_ratio is evaluated.  The block sum of every sample is held
-    at once."""
+    _joint_log_ratio is evaluated, a chunk of samples at a time."""
     _check_samples(samples)
     ctx = RatioContext(family, k, a, theta=theta)
-    gen = _as_rng(rng)
-
-    try:
-        total = ctx.block.sample(gen, samples)
-        vals = _joint_log_ratio(family, ctx.k, ctx.na, ctx.theta, total)
-    except MemoryError as exc:
-        raise SampleMemoryError(
-            f"joint_mc keeps the block sum of every sample and cannot hold samples = {samples}: {exc}"
-        ) from exc
-    np.abs(np.expm1(vals, out=vals), out=vals)
-    chunks = (vals[start : start + SUM_MC_CHUNK] for start in range(0, samples, SUM_MC_CHUNK))
-    value, std_error = _mean_and_se(chunks)
-    return _estimate(ctx, "joint_mc", value, std_error, samples)
+    log_ratio = _joint_log_ratio(family, ctx.k, ctx.na, ctx.theta)
+    return _mc_estimate(ctx, "joint_mc", samples, rng,
+                        lambda gen, out: np.copyto(out, log_ratio(ctx.block.sample(gen, len(out)))))
 
 
 def _estimate(ctx, method, value, std_error, samples):
     a, theta = tuple(ctx.a.tolist()), tuple(ctx.theta.tolist())
     return TVEstimate(value, std_error, method, ctx.n, ctx.k, a, theta, samples)
+
+
+def _mc_estimate(ctx, method, samples, rng, fill):
+    """The mean of |rho - 1| over samples draws, by the chunk loop of the
+    module docstring: fill(gen, chunk) writes log rho at draws on gen."""
+    gen = _as_rng(rng)
+    buffer = np.empty(min(samples, SUM_MC_CHUNK))
+
+    def chunks():
+        for start in range(0, samples, SUM_MC_CHUNK):
+            chunk = buffer[: samples - start]
+            fill(gen, chunk)
+            yield np.abs(np.expm1(chunk, out=chunk), out=chunk)
+
+    value, std_error = _mean_and_se(chunks())
+    return _estimate(ctx, method, value, std_error, samples)
 
 
 def _mean_and_se(chunks):
@@ -194,12 +186,13 @@ def _mean_and_se(chunks):
     return float(mean), float(np.sqrt(m2 / (count - 1)) / math.sqrt(count))
 
 
-def _joint_log_ratio(family, k, na, theta, total):
-    """log q(x)/p(x) at block points x with sums T = total, shape (N, d):
+def _joint_log_ratio(family, k, na, theta):
+    """log q(x)/p(x) as a function of the block sums T = total, shape (N, d):
 
         log f0_rest(n a - T) - log f0_full(n a) - <theta, T> + sum_{j<=k} kappa_j(theta),
 
     the untilted sum-density ratio (log_ratio_given_sum of the block and
-    rest sums) and the Gibbs factor; prod_j p_j(x_j) cancels."""
-    log_ratio = family[:k].convolve().log_ratio_given_sum(family[k:].convolve(), na, total)
-    return log_ratio - total @ theta + k * family[:k].cgf(theta)
+    rest sums, built here once) and the Gibbs factor; prod_j p_j(x_j) cancels."""
+    block, rest = family[:k].convolve(), family[k:].convolve()
+    gibbs = k * family[:k].cgf(theta)
+    return lambda total: block.log_ratio_given_sum(rest, na, total) - total @ theta + gibbs

@@ -1,5 +1,6 @@
 """Shared fixtures, including the documented negative-control family that
-the assumption checks must reject.
+the assumption checks must reject, and the explicit-list form of a cycled
+family.
 """
 
 import math
@@ -16,7 +17,7 @@ if str(SRC) not in sys.path:
     except ImportError:
         sys.path.insert(0, str(SRC))
 
-from tiltedsums.families import Family  # noqa: E402
+from tiltedsums.families import Family, gamma_family, normal_family  # noqa: E402
 
 
 class PointMassFamily(Family):
@@ -30,6 +31,7 @@ class PointMassFamily(Family):
     separation sup |cf| < 1 genuinely fail.  density_partial_l1 returns a
     vacuous finite placeholder (there is no density to differentiate) so
     the validators can run to their failure verdicts instead of erroring.
+    Its one parameter row, the location, stands for every member.
     """
 
     kind = "point_mass"
@@ -37,13 +39,10 @@ class PointMassFamily(Family):
 
     def __init__(self, location=1.0, count=1):
         self.location = float(location)
-        self.count = int(count)
+        self._r, self._n = 1, int(count)
 
-    def __len__(self):
-        return self.count
-
-    def _take(self, index):
-        return PointMassFamily(self.location, len(range(self.count)[index]))
+    def _rotated(self, shift, count):
+        return (self.location,)
 
     def cgf(self, theta):
         return float(self._check_theta(theta)[0]) * self.location
@@ -61,10 +60,7 @@ class PointMassFamily(Family):
         return self
 
     def convolve(self):
-        return PointMassFamily(self.count * self.location)
-
-    def distinct(self):
-        return PointMassFamily(self.location)
+        return PointMassFamily(len(self) * self.location)
 
     def log_density(self, x):
         pts, single = self._points(x)
@@ -76,19 +72,34 @@ class PointMassFamily(Family):
         return np.full((count, 1), self.location)
 
     def member_hess(self, theta):
-        return np.zeros((self.count, 1, 1))
+        return np.zeros((1, 1, 1))
 
     def fourth_central_moment(self, theta):
-        return np.zeros(self.count)
+        return np.zeros(1)
 
     def char_fn_modulus_sup(self, theta, radii):
-        return np.ones((self.count, np.size(radii)))
+        return np.ones((1, np.size(radii)))
 
     def density_partial_l1(self, theta, axis):
-        return np.ones(self.count)
+        return np.ones(1)
 
     def third_central_moment_tensor(self, theta):
         return np.zeros((1, 1, 1))
+
+
+def explicit_family(rows, n):
+    """The n members that rows.build(n) cycles, as an explicit-list family
+    with one row per member: the parameter rows repeated by np.resize."""
+    if rows.kind == "gamma":
+        return gamma_family(np.resize(rows.shapes, n), rows.scale)
+    d = rows.dim
+    covs = rows.covs if len(rows.covs) == 1 else np.resize(rows.covs, (n, d, d))
+    return normal_family(np.resize(rows.means, (n, d)), covs)
+
+
+def law_parameters(law):
+    """The parameter arrays of a single law."""
+    return (law.shapes, np.array(law.scale)) if law.kind == "gamma" else (law.means, law.covs)
 
 
 @pytest.fixture

@@ -220,8 +220,6 @@ BAD_INPUTS = [
     ("scheffe", 5000, ["ratio", "--n", "50", "--k", "5", "--a", "6;7"], 2),
     ("scheffe", 5000, ["edgeworth", "--a", "6;7"], 2),
     ("scheffe", 5000, ["edgeworth", "--theta", "0.1;0.2"], 2),
-    # joint_mc holds every sample's block sum: 8 PB exceed any address space
-    ("scheffe", 5000, ["tv", "--n", "50", "--k", "5", "--a", "6.0", "--method", "joint_mc", "--samples", str(10**15)], 1),
     # each subcommand takes only the flags it reads
     ("scheffe", 5000, ["tilt", "--out", "x"], 2),
     ("scheffe", 5000, ["tilt", "--seed", "1"], 2),
@@ -448,8 +446,8 @@ def test_cli_import_loads_neither_optimize_nor_integrate():
 
 
 def test_normal_check_imports_no_numpy_ma():
-    # NormalFamily.distinct sorts its rows without np.unique, whose first
-    # call imports numpy.ma
+    # the checks read the family's rows as they are: no np.unique, whose
+    # first call imports numpy.ma
     cfg = SHIPPED / "normal_df.cfg"
     code = ("import sys; from tiltedsums.cli import main; before = set(sys.modules); "
             f"code = main(['check', '--config', {str(cfg)!r}]); "
@@ -458,3 +456,19 @@ def test_normal_check_imports_no_numpy_ma():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip().splitlines()[-1] == "0 []"
+
+
+@pytest.mark.parametrize("argv", [["tilt"], ["check"]])
+def test_a_trillion_members_print_what_two_do(argv):
+    # the alternating family's rows and counts give the mean shape 3.25
+    # exactly at every even n, and the checks read the two rows, so the
+    # tilt line and the report at n = 1e12 are those at n = 2
+    cfg = str(SHIPPED / "gamma_alternating_sweep.cfg")
+    src = str(Path(tiltedsums.__file__).resolve().parents[1])
+    outputs = [
+        subprocess.run([sys.executable, "-m", "tiltedsums.cli", *argv, "--config", cfg, "--n", n],
+                       capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        for n in ("2", "1000000000000")
+    ]
+    assert [(out.returncode, out.stderr) for out in outputs] == [(0, "")] * 2
+    assert outputs[0].stdout and outputs[1].stdout == outputs[0].stdout

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import explicit_family, law_parameters
 from tiltedsums import (
     ConfigError,
     GammaFamily,
@@ -41,7 +42,7 @@ def test_parse_gamma_config():
     assert cfg.method == "scheffe"
     family = cfg.family.build(5)
     assert isinstance(family, GammaFamily)
-    assert family.shapes.tolist() == [2.5, 4.0, 2.5, 4.0, 2.5]
+    assert [family[j].shapes[0] for j in range(len(family))] == [2.5, 4.0, 2.5, 4.0, 2.5]
 
 
 def test_parse_normal_config_with_matrix():
@@ -61,8 +62,8 @@ method = sum_mc
     )
     family = cfg.family.build(3)
     assert isinstance(family, NormalFamily)
-    np.testing.assert_allclose(family.means[1], [0.5, 0.5])
-    np.testing.assert_allclose(family.means[2], [0.0, 0.0])
+    np.testing.assert_allclose(family[1].means[0], [0.5, 0.5])
+    np.testing.assert_allclose(family[2].means[0], [0.0, 0.0])
     np.testing.assert_allclose(family[0].covs[0], [[1.0, 0.2], [0.2, 2.0]])
 
 
@@ -169,23 +170,44 @@ a = 0.5;0.5
 """
 
 
+def _sums_and_averages(family):
+    """The members' parameter sums (convolve) and averages (cgf_grad at 0 is
+    the average mean, cgf_hess the average covariance)."""
+    zero = np.zeros(family.dim)
+    return [*law_parameters(family.convolve()), family.cgf_grad(zero), family.cgf_hess(zero)]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 12801])
 @pytest.mark.parametrize("name", list(CYCLED_ROWS))
 def test_build_cycles_parameters_like_resize(name, n):
+    # build(n) and its slices hold the members of the explicit list
+    # np.resize(rows, n), with the same sums and averages: bit for bit for
+    # the dyadic gamma shapes and normal means and for a shared covariance
+    # (n cov on both sides), and for the other per-member covariances within
+    # 2 (n + r) u of the same sums of |entries|: the list sums its n terms
+    # ((n - 1) u), the cycle takes n // r times the sum of the r rows plus
+    # the first n % r rows (2 r u)
     rows = CYCLED_ROWS[name]
-    family = rows.build(n)
-    if isinstance(rows, GammaFamily):
-        pairs = [(family.shapes, np.resize(rows.shapes, n))]
-    else:
-        d = rows.dim
-        covs = np.resize(rows.covs, (n, d, d)) if len(rows.covs) > 1 else rows.covs
-        pairs = [(family.means, np.resize(rows.means, (n, d))), (family.covs, covs)]
+    family, explicit = rows.build(n), explicit_family(rows, n)
+    slices = [(i, j) for i, j in ((1, n), (0, n - 1), (n // 3, n // 2 + 1)) if i < j]
+    pairs = [(family, explicit)] + [(family[i:j], explicit[i:j]) for i, j in slices]
     if name == "normal-member-covs":
-        parsed = parse_config(MEMBER_COVS_CFG).family.build(n)
-        pairs += [(parsed.means, family.means), (parsed.covs, family.covs)]
+        pairs.append((parse_config(MEMBER_COVS_CFG).family.build(n), explicit))
     for got, want in pairs:
-        assert (got.dtype, got.shape) == (want.dtype, want.shape)
-        assert got.tobytes() == want.tobytes()
+        m = len(want)
+        assert len(got) == m
+        for j in sorted({0, 1, 2, m // 2, m - 2, m - 1} & set(range(m))):
+            for a, b in zip(law_parameters(got[j]), law_parameters(want[j])):
+                assert (a.shape, a.tobytes()) == (b.shape, b.tobytes())
+        got_values, want_values = _sums_and_averages(got), _sums_and_averages(want)
+        if name != "normal-member-covs":
+            assert [(a.shape, a.tobytes()) for a in got_values] == [(b.shape, b.tobytes()) for b in want_values]
+            continue
+        means, covs = np.abs(want.means), np.abs(want.covs)
+        sizes = [means.sum(axis=0, keepdims=True), covs.sum(axis=0, keepdims=True), means.mean(axis=0), covs.mean(axis=0)]
+        for a, b, size in zip(got_values, want_values, sizes):
+            assert a.shape == b.shape
+            assert np.all(np.abs(a - b) <= 2.0 * (m + len(rows)) * 2.0**-53 * size)
 
 
 @pytest.mark.parametrize("n", [0, -1])

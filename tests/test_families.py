@@ -11,11 +11,13 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import multivariate_normal
 
+from conftest import explicit_family, law_parameters
 from tiltedsums import (
     DegenerateCovarianceError,
     OutOfDomainError,
     gamma_family,
     normal_family,
+    tilt_oracle,
 )
 from tiltedsums.numerics import guarded_eigh, lgamma, sym_sqrt
 
@@ -312,23 +314,107 @@ def test_normal_sample_is_affine_map_of_standard_draws(dim):
     np.testing.assert_allclose(draws, mean + z @ sym_sqrt(cov), rtol=0.0, atol=1e-14)
 
 
-@pytest.mark.parametrize("shared", [True, False])
-@pytest.mark.parametrize("dim", [1, 2, 3])
-def test_normal_distinct_rows_match_np_unique(dim, shared):
-    # 40 members over 3 means and 3 covariances, so rows repeat and rows
-    # with equal means are ordered by their covariance columns
-    rng = np.random.default_rng(20 * dim + shared)
-    means = rng.normal(size=(3, dim))[rng.integers(0, 3, size=40)]
-    covs = _spd_stack(rng, 1 if shared else 3, dim)
-    family = normal_family(means, covs if shared else covs[rng.integers(0, 3, size=40)])
+# unit roundoff
+U = 2.0**-53
 
-    def rows(fam):
-        return np.concatenate([fam.means, fam.member_hess(np.zeros(dim)).reshape(len(fam), dim * dim)], axis=1)
 
-    expected = np.unique(rows(family), axis=0)
-    got = rows(family.distinct())
-    assert len(expected) < len(family)
-    assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+@st.composite
+def cycled_cases(draw):
+    """(rows, n, i, j, theta, exact): r in {1, 2, 3} parameter rows of one
+    kind, a length n with n % r != 0 when r > 1, a slice [i:j] of it and a
+    tilt.  With exact, every row entry and theta is a small dyadic rational,
+    so every sum of them is exact in float; otherwise every entry and theta
+    entry is positive, so no sum cancels."""
+    kind = draw(st.sampled_from(["gamma", "normal-shared", "normal"]))
+    r = draw(st.integers(1, 3))
+    n = r * draw(st.integers(0, 40)) + draw(st.integers(1, max(r - 1, 40 * (r == 1))))
+    i = draw(st.integers(0, n - 1))
+    j = draw(st.integers(i + 1, n))
+    exact = draw(st.booleans())
+    value = st.sampled_from([0.25, 0.5, 0.75, 1.5]) if exact else st.floats(0.1, 1.5)
+    if kind == "gamma":
+        # theta < 1 / scale = 2 / 3
+        rows = gamma_family([2.0 + draw(value) for _ in range(r)], 1.5)
+        return rows, n, i, j, np.array([draw(value) - 0.9]), exact
+
+    def cov():
+        off = draw(value) / 4.0
+        return [[1.0 + draw(value), off], [off, 1.0 + draw(value)]]
+
+    means = [[draw(value), draw(value)] for _ in range(r)]
+    rows = normal_family(means, cov() if kind == "normal-shared" else [cov() for _ in range(r)])
+    return rows, n, i, j, np.array([draw(value), draw(value)]), exact
+
+
+def _averages_and_sums(family, theta):
+    return [
+        family.cgf(theta), family.cgf_grad(theta), family.cgf_hess(theta),
+        *law_parameters(family.convolve()), *law_parameters(family.tilt(theta).convolve()),
+    ]
+
+
+@given(case=cycled_cases())
+@settings(max_examples=150, deadline=None)
+def test_cycled_family_matches_explicit_list(case):
+    # a slice of rows.build(n) and the same slice of the explicit list
+    # np.resize(rows, n) hold the same members, before and after a tilt, and
+    # the same cgf calculus and sum laws: bit for bit for dyadic rows, else
+    # within 2 (n + r + 8) u relative.  Each side sums at most n positive
+    # terms, member by member ((n - 1) u) or as n // r times the sum of the
+    # r rows plus the first n % r rows (2 r u), divides once by the length
+    # and evaluates one formula of positive terms (3 u) on the result.
+    rows, n, i, j, theta, exact = case
+    family, explicit = rows.build(n)[i:j], explicit_family(rows, n)[i:j]
+    assert len(family) == len(explicit) == j - i
+    for got, want in ((family, explicit), (family.tilt(theta), explicit.tilt(theta))):
+        for m in range(j - i):
+            assert [a.tobytes() for a in law_parameters(got[m])] == [b.tobytes() for b in law_parameters(want[m])]
+    # one point per member: member m's law at point m
+    points = explicit.cgf_grad(np.zeros(rows.dim)) + np.linspace(0.5, 1.5, j - i)[:, None]
+    assert family.log_density(points).tobytes() == explicit.log_density(points).tobytes()
+    for got, want in zip(_averages_and_sums(family, theta), _averages_and_sums(explicit, theta)):
+        got, want = np.asarray(got), np.asarray(want)
+        assert got.shape == want.shape
+        if exact:
+            assert got.tobytes() == want.tobytes()
+        else:
+            np.testing.assert_allclose(got, want, rtol=2.0 * (n + len(rows) + 8) * U, atol=0.0)
+
+
+@pytest.mark.parametrize("rows,a", [
+    (gamma_family([2.5, 4.0], 1.0), 6.0),
+    (normal_family([[0.0, 0.0], [0.5, 0.5]], [[1.0, 0.25], [0.25, 2.0]]), [0.75, 0.75]),
+    (normal_family([[0.0, 0.0], [0.5, 0.5], [1.0, -0.5]],
+                   [[[1.0, 0.25], [0.25, 2.0]], [[2.0, -0.5], [-0.5, 1.0]], [[1.5, 0.0], [0.0, 0.75]]]), [0.75, 0.75]),
+])
+def test_tilt_oracle_averages_the_members(rows, a):
+    # five members of two or three rows: the oracle weighs each row by the
+    # members it stands for, which a plain mean over the rows would not
+    family = rows.build(5)
+    want = tilt_oracle(explicit_family(rows, 5), a)
+    assert tilt_oracle(family, a).tobytes() == want.tobytes()
+    assert not np.array_equal(tilt_oracle(rows, a), want)
+
+
+def test_shared_covariance_sums_to_n_times_cov():
+    # the sum law of n members sharing one covariance has n cov, one
+    # rounding, not n roundings of a running sum
+    cov = np.array([[1.0, 0.2], [0.2, 2.0]])
+    for n in (400, 10**12):
+        total = normal_family([[0.0, 0.0], [0.5, 0.5]], cov).build(n).convolve()
+        assert total.covs[0].tobytes() == (n * cov).tobytes()
+    running = np.zeros((2, 2))
+    for _ in range(400):
+        running = running + cov
+    assert not np.array_equal(running, 400 * cov)
+
+
+def test_stepped_slices_raise():
+    family = gamma_family([2.5, 4.0], 1.0).build(10)
+    with pytest.raises(ValueError, match="contiguous"):
+        family[::2]
+    with pytest.raises(ValueError, match="at least one member"):
+        family[5:5]
 
 
 def test_near_singular_covariance_raises_from_log_density():

@@ -530,7 +530,7 @@ def test_joint_log_ratio_is_conditional_over_tilted_product(kind):
     gen = np.random.default_rng(29)
     for _ in range(5):
         x = np.concatenate([tilted[j].sample(gen, 1) for j in range(k)])
-        reduced = _joint_log_ratio(family, k, n * a, theta, x.sum(axis=0, keepdims=True))
+        reduced = _joint_log_ratio(family, k, n * a, theta)(x.sum(axis=0, keepdims=True))
         full = math.log(conditional_density(family, k, x, n * a)) - np.sum(tilted.log_density(x))
         assert reduced.shape == (1,)
         assert abs(reduced[0] - full) <= 1e-12
@@ -820,3 +820,44 @@ def test_far_target_gives_the_shipped_target_value_or_a_typed_error(name, method
     else:
         assert math.isfinite(est.std_error)
         assert abs(est.value - reference.value) <= 0.01 * est.std_error
+
+
+def test_scheffe_at_a_billion_members_costs_what_a_few_rows_cost():
+    # a family is its rows and a length, so n = 1e9 members hold two shapes;
+    # at k = 31623 n TV / k sits within about 0.12 / k of 2 phi(1)
+    n, k = 10**9, 31623
+    family = gamma_family([2.5, 4.0], 1.0).build(n)
+    tracemalloc.start()
+    try:
+        est = tv_scheffe(family, k, 6.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert abs(n * est.value / k - df_gamma_constant()) <= 1e-3
+
+
+@pytest.mark.parametrize("estimator", [tv_scheffe, tv_sum_mc, tv_joint_mc])
+def test_only_the_tilted_ratio_builds_the_rest_law(estimator, monkeypatch):
+    # ctx.rest is built on first use: scheffe and sum_mc read it, joint_mc
+    # evaluates the untilted sums and never does; the values are those the
+    # rest law built up front gave
+    n, k = 400, 20
+    family = gamma_family([2.5, 4.0], 1.0).build(n)
+    convolved, convolve = [], families.GammaFamily.convolve
+
+    def counting_convolve(self):
+        convolved.append((len(self), float(self.scale)))
+        return convolve(self)
+
+    monkeypatch.setattr(families.GammaFamily, "convolve", counting_convolve)
+    kwargs = {} if estimator is tv_scheffe else {"samples": 20_000, "rng": 3}
+    est = estimator(family, k, 6.0, **kwargs)
+    tilted_rest = (n - k, float(family.tilt(est.theta).scale))
+    assert (tilted_rest in convolved) == (estimator is not tv_joint_mc)
+    expected = {
+        "scheffe": (0.02497587622843711, 0.0),
+        "sum_mc": (0.02492284121616719, 0.00017910881682360513),
+        "joint_mc": (0.02492284121616734, 0.0001791088168236068),
+    }
+    assert (est.value, est.std_error) == expected[est.method]
