@@ -25,8 +25,8 @@ def main():
         members = gamma_family([args.shape] * m, 1.0)
         errs = {}
         for order in (0, 1):
-            model = build_model(members, 0.0, order=order)
-            exact = normalized_exact_density(members, 0.0, model=model)
+            model = build_model(members, order=order)
+            exact = normalized_exact_density(members, model=model)
             errs[order] = weighted_sup_error(model, exact, grid)
         r0 = prev[0] / errs[0] if prev else float("nan")
         r1 = prev[1] / errs[1] if prev else float("nan")

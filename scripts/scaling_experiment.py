@@ -7,6 +7,7 @@ results.csv / scaling.csv pair per sweep under --out.
 """
 
 import argparse
+from dataclasses import replace
 from pathlib import Path
 
 from tiltedsums import emit_report, fit_scaling, parse_config_file, run_sweep
@@ -23,7 +24,7 @@ def main():
     for name in ("gamma_iid_sweep.cfg", "gamma_alternating_sweep.cfg"):
         cfg = parse_config_file(CONFIG_DIR / name)
         label = name.replace("_sweep.cfg", "")
-        cfg = cfg.with_overrides(out=str(Path(args.out) / label))
+        cfg = replace(cfg, out=str(Path(args.out) / label))
         rows = run_sweep(cfg, threads=args.threads)
         fit = fit_scaling(rows)
         emit_report(rows, fit, cfg.out)

@@ -12,7 +12,8 @@ the cgf domain and reports a pass flag plus witness numbers:
   cf3       sup over ||t|| > beta of |cf(t)| stays strictly below 1
             (radius scan plus the analytic C_K / R_MAX tail bound);
   uf        one-dimensional gamma means are squeezed between the envelope
-            functions shape_lo t/(1-theta t) and shape_hi t/(1-theta t).
+            functions shape_lo u and shape_hi u, u = t/(1-theta t) the
+            tilted scale.
 
 Common support and positivity of the member densities hold by construction
 (homogeneous kinds, open supports), so the report carries a structural
@@ -23,9 +24,10 @@ No check scans K.  Every hook is monotone in theta over K: tilting a normal
 member moves only its mean, so the normal hooks do not depend on theta, and
 every gamma hook is a monotone function of the tilted scale
 u = t / (1 - theta t), which increases with theta.  So each sup and inf over
-K sits at one of the box's two ends, and those are the only tilts
-evaluated, for every kind.  Thresholds and radius grids are fixed
-constants, so identical inputs give identical witnesses.
+K sits at one of the box's two ends, and each check reads the hooks of the
+two tilted families family.tilt(lo) and family.tilt(hi), for every kind.
+Thresholds and radius grids are fixed constants, so identical inputs give
+identical witnesses.
 """
 
 import math
@@ -117,28 +119,24 @@ class AssumptionReport:
         return all(e.passed for e in self.entries)
 
 
-def _thetas(family, box):
-    """The tilt parameters a check evaluates: the box's two ends, as a (2, d)
-    array, both inside the cgf domain.  That needs every hook (member_hess,
-    fourth_central_moment, char_fn_modulus_sup at each radius,
-    density_partial_l1, and the gamma mean) to be monotone in theta over the
-    box, so that its sup and inf over K are taken at an end.  Tilting a
-    normal member shifts its mean only, so its hooks do not depend on theta
-    at all.  Each gamma hook is monotone in the tilted scale
-    u = t / (1 - theta t), and u increases with theta."""
+def _tilted_ends(family, box):
+    """The laws a check evaluates: the family tilted to the box's two ends
+    (tilt raises OutOfDomainError, a ValueError, for an end outside the cgf
+    domain).  That needs every hook (member_hess, fourth_central_moment,
+    char_fn_modulus_sup at each radius, density_partial_l1, and the gamma
+    mean) to be monotone in theta over the box, so that its sup and inf over
+    K are taken at an end.  Tilting a normal member shifts its mean only, so
+    its hooks do not depend on theta at all.  Each gamma hook is monotone in
+    the tilted scale u = t / (1 - theta t), and u increases with theta."""
     if box.dim != family.dim:
         raise ValueError("box dimension does not match the members")
-    ends = np.array([box.lo, box.hi])
-    for theta in ends:
-        if not family.in_domain(theta):
-            raise ValueError(f"box end {theta} is outside the cgf domain")
-    return ends
+    return family.tilt(box.lo), family.tilt(box.hi)
 
 
 def check_cv(family, box):
     """Covariance eigenvalues of tilted members over K."""
-    thetas = _thetas(family, box)
-    eigs = np.array([np.linalg.eigvalsh(family.member_hess(theta)) for theta in thetas])
+    laws = _tilted_ends(family, box)
+    eigs = np.array([np.linalg.eigvalsh(law.member_hess()) for law in laws])
     lam_min = float(np.min(eigs[..., 0]))
     lam_max = float(np.max(eigs[..., -1]))
     passed = EIG_FLOOR < lam_min <= lam_max < EIG_CEILING
@@ -147,29 +145,23 @@ def check_cv(family, box):
 
 def check_am4(family, box):
     """Fourth absolute central moments of tilted members over K."""
-    thetas = _thetas(family, box)
-    worst = max(float(np.max(family.fourth_central_moment(theta))) for theta in thetas)
+    laws = _tilted_ends(family, box)
+    worst = max(float(np.max(law.fourth_central_moment())) for law in laws)
     passed = math.isfinite(worst) and worst < AM4_CEILING
     return CheckResult("am4", passed, {"max_fourth_moment": worst, "ceiling": AM4_CEILING})
 
 
-def _sup_partial_l1(family, thetas):
-    return max(
-        float(np.max(family.density_partial_l1(theta, axis)))
-        for theta in thetas
-        for axis in range(family.dim)
-    )
+def _sup_partial_l1(laws):
+    return max(float(np.max(law.density_partial_l1(axis))) for law in laws for axis in range(law.dim))
 
 
 def check_cf_decay(family, box):
     """Characteristic-function decay |cf(t)| <= C_K / ||t|| on ||t|| in
     [R_MIN, R_MAX] = [1, 100], with C_K = sup of L1 norms of density partials."""
-    thetas = _thetas(family, box)
-    c_k = _sup_partial_l1(family, thetas)
+    laws = _tilted_ends(family, box)
+    c_k = _sup_partial_l1(laws)
     radii = np.geomspace(R_MIN, R_MAX, R_POINTS)
-    worst_ratio = max(
-        float(np.max(family.char_fn_modulus_sup(theta, radii) * radii / c_k)) for theta in thetas
-    )
+    worst_ratio = max(float(np.max(law.char_fn_modulus_sup(radii) * radii / c_k)) for law in laws)
     passed = worst_ratio <= 1.0 + 1e-9
     return CheckResult("cf_decay", passed, {"c_k": c_k, "max_bound_ratio": worst_ratio})
 
@@ -180,33 +172,33 @@ def check_cf3(family, box, beta=0.5):
     C_K / R_MAX bound beyond."""
     if beta <= 0.0:
         raise ValueError("beta must be positive")
-    thetas = _thetas(family, box)
+    laws = _tilted_ends(family, box)
     radii = np.linspace(beta, R_MAX, R_POINTS)
-    eps = max(float(np.max(family.char_fn_modulus_sup(theta, radii))) for theta in thetas)
-    eps = max(eps, _sup_partial_l1(family, thetas) / R_MAX)
+    eps = max(float(np.max(law.char_fn_modulus_sup(radii))) for law in laws)
+    eps = max(eps, _sup_partial_l1(laws) / R_MAX)
     return CheckResult("cf3", eps < 1.0, {"epsilon": eps, "beta": beta})
 
 
 def check_uf(family, shape_lo=None, shape_hi=None):
     """Envelope squeeze for one-dimensional gamma means.
 
-    With f_lo(theta) = shape_lo t/(1-theta t) and f_hi the same with
-    shape_hi, verifies f_lo <= m_j <= f_hi over theta in
-    [-2/t, 1/t - BOUNDARY_MARGIN]; the witness is the worst margin
+    With f_lo(theta) = shape_lo u and f_hi the same with shape_hi, u the
+    scale of the family tilted by theta, verifies f_lo <= m_j <= f_hi over
+    theta in [-2/t, 1/t - BOUNDARY_MARGIN]; the witness is the worst margin
     (nonnegative means the squeeze holds).
     """
     if not isinstance(family, GammaFamily):
         raise UnsupportedFamilyError("envelope check is defined for gamma members only")
     t = family.scale
-    thetas = _thetas(family, ThetaBox((-2.0 / t,), (1.0 / t - BOUNDARY_MARGIN,)))
+    laws = _tilted_ends(family, ThetaBox((-2.0 / t,), (1.0 / t - BOUNDARY_MARGIN,)))
     k_lo = float(family.shapes.min()) if shape_lo is None else float(shape_lo)
     k_hi = float(family.shapes.max()) if shape_hi is None else float(shape_hi)
 
-    # Same operation order as the member gradient, so equal shapes give an
-    # exactly zero margin.
-    denom = 1.0 - thetas[:, :1] * t
-    means = family.shapes * t / denom
-    worst = float(np.min(np.minimum(means - k_lo * t / denom, k_hi * t / denom - means)))
+    # Every mean and envelope is a shape times the tilted scale, so equal
+    # shapes give an exactly zero margin.
+    u = np.array([[law.scale] for law in laws])
+    means = family.shapes * u
+    worst = float(np.min(np.minimum(means - k_lo * u, k_hi * u - means)))
     return CheckResult("uf", worst >= 0.0, {"worst_margin": worst, "shape_lo": k_lo, "shape_hi": k_hi})
 
 

@@ -121,9 +121,10 @@ def cmd_edgeworth(args):
         theta = _solved_theta(family, args.a)
     else:
         theta = np.zeros(1)
-    model1 = build_model(family, theta, order=1)
-    model0 = build_model(family, theta, order=0)
-    exact = normalized_exact_density(family, theta, model=model1)
+    tilted = family.tilt(theta)
+    model1 = build_model(tilted, order=1)
+    model0 = build_model(tilted, order=0)
+    exact = normalized_exact_density(tilted, model=model1)
     lo, hi, pts = args.grid
     xs = np.linspace(lo, hi, pts)
     exact_vals = exact(xs.reshape(-1, 1))
@@ -160,10 +161,10 @@ def cmd_ratio(args):
 def cmd_tv(args):
     """Row 0 of the one-row sweep (n, k, a) under --method: the same value,
     standard error and random stream as that sweep's results.csv row."""
-    cfg = parse_config_file(args.config).with_overrides(seed=args.seed)
+    cfg = parse_config_file(args.config)
     _check_vectors(args, cfg.family, "a")
-    samples = args.samples if args.samples is not None else cfg.samples
-    cfg = replace(cfg, method=args.method, samples=samples)
+    samples = cfg.samples if args.samples is None else args.samples
+    cfg = replace(cfg, method=args.method, samples=samples, seed=cfg.seed if args.seed is None else args.seed)
     row = run_row(cfg, 0, args.n, args.k, args.a, timing=True)
     if row.error is not None:
         return 1
@@ -200,7 +201,9 @@ def cmd_check(args):
 
 
 def cmd_sweep(args):
-    cfg = parse_config_file(args.config).with_overrides(seed=args.seed, out=args.out)
+    cfg = parse_config_file(args.config)
+    cfg = replace(cfg, seed=cfg.seed if args.seed is None else args.seed,
+                  out=cfg.out if args.out is None else args.out)
     rows = run_sweep(cfg, threads=args.threads, timing=args.timing)
     fit = None
     try:

@@ -11,9 +11,10 @@ evaluated with every member tilted by the same theta returns identical
 values, which this module exposes as a testable identity.
 
 RatioContext is the one object that conditions a family on {S_1n = n a}.
-With theta solved so that the average tilted mean equals a, it holds the
-tilted block-sum law ctx.block and rest-sum law ctx.rest (closed-form
-convolutions), and the ratio
+With theta solved so that the average tilted mean equals a, it tilts the
+family once and reads only the tilted laws: the block-sum law ctx.block and
+rest-sum law ctx.rest (closed-form convolutions), the normalizations and the
+Edgeworth models, and the ratio
 
     rho(t) = f_rest(n a - t) / f_full(n a)
 
@@ -36,16 +37,9 @@ from functools import cached_property
 import numpy as np
 
 from .edgeworth import build_model, edgeworth_density
-from .errors import ConditioningError, NonConvergenceError, UndefinedConditionalError
+from .errors import NonConvergenceError, UndefinedConditionalError
 from .numerics import LOG_2PI, as_vector, sym_inv, sym_inv_sqrt, sym_logdet
 from .tilting import solve_tilt
-
-# Largest float spacing at the conditioning point, eps max_i |n a_i|, as a
-# share of the block sum's smallest standard deviation.  The Normal pair
-# methods work in absolute block-sum coordinates, where that spacing
-# quantizes the Scheffe roots, the conditional mean and the whitened shift;
-# the Scheffe error is about its square, so at most 1e-10 relative here.
-SPACING_LIMIT = 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -65,25 +59,11 @@ def _scalar_log(density, point):
 
 
 def _zero_density(law, point):
-    """Whether law has zero density at point.  The normalizer of a valid law
-    is finite, so the unnormalized log density decides, and no lgamma is
-    evaluated."""
-    log_kernel = law.log_density(np.reshape(np.asarray(point, dtype=float), (1, -1)), normalized=False)
-    return not np.isfinite(log_kernel[0])
-
-
-def _check_spacing(na, k, block_hess):
-    """Raise ConditioningError unless float resolves the block sum at n a:
-    eps max_i |n a_i| at most SPACING_LIMIT times sqrt(k lambda_min), the
-    smallest standard deviation of a block of k members whose averaged
-    covariance is block_hess."""
-    spacing = np.finfo(float).eps * float(np.max(np.abs(na)))
-    spread = math.sqrt(k * float(np.linalg.eigvalsh(block_hess)[0]))
-    if not spacing <= SPACING_LIMIT * spread:
-        raise ConditioningError(
-            f"float cannot resolve the block sum at n a = {na}: the spacing there, {spacing:.3e}, "
-            f"exceeds {SPACING_LIMIT:g} of the block sum's standard deviation {spread:.3e}"
-        )
+    """Whether law has zero density at point: point[0] at or below the lower
+    end of its support, law.mean_lower.  No arithmetic touches the point, so
+    a Normal target too far out for float reaches the pair methods' guards
+    instead of overflowing a log density here."""
+    return not float(np.ravel(point)[0]) > law.mean_lower
 
 
 def _solved_theta(family, a):
@@ -122,11 +102,12 @@ class RatioContext:
     tilt unless given): the block-sum law `block` (of X_1+..+X_k) and the
     rest-sum law `rest` (of X_{k+1}+..+X_n), both closed-form convolutions,
     and the normalization of the block (block_mean, block_B).  Given the
-    sum, the block sum has density rho(t) block(t).  The rest-sum law, the
-    normalization and the Edgeworth model of the rest sum are built on first
-    use, so each estimator pays only for what it reads.  The full sum needs
-    no model: rho is evaluated where the full sum's normalized coordinate is
-    0, and P1(0) = 0 leaves its order-1 density there at (2 pi)^(-d/2)."""
+    sum, the block sum has density rho(t) block(t).  All are read from the
+    tilted family, and the rest-sum law, the normalization and the
+    Edgeworth model of the rest sum are built on first use, so each
+    estimator pays only for what it reads.  The full sum needs no model:
+    rho is evaluated where the full sum's normalized coordinate is 0, and
+    P1(0) = 0 leaves its order-1 density there at (2 pi)^(-d/2)."""
 
     def __init__(self, family, k, a, theta=None):
         self.n = len(family)
@@ -137,10 +118,6 @@ class RatioContext:
         if theta is None:
             theta = _solved_theta(family, self.a)
         self.theta = as_vector(theta, self.d)
-        self.family = family
-
-        _check_spacing(self.na, self.k, family[: self.k].cgf_hess(self.theta))
-
         self._tilted = family.tilt(self.theta)
         self.block = self._tilted[: self.k].convolve()
         if _zero_density(self._tilted.convolve(), self.na):
@@ -154,23 +131,23 @@ class RatioContext:
     @cached_property
     def block_mean(self):
         """Mean of the tilted block sum."""
-        return self.k * self.family[: self.k].cgf_grad(self.theta)
+        return self.k * self._tilted[: self.k].cgf_grad(np.zeros(self.d))
 
     @cached_property
     def block_B(self):
         """Inverse square root of the block's averaged tilted covariance."""
-        return sym_inv_sqrt(self.family[: self.k].cgf_hess(self.theta))
+        return sym_inv_sqrt(self._tilted[: self.k].cgf_hess(np.zeros(self.d)))
 
     @cached_property
     def comp_model(self):
-        return build_model(self.family[self.k :], self.theta, order=1)
+        return build_model(self._tilted[self.k :], order=1)
 
     @cached_property
     def log_det_ratio(self):
         """log of det(Cov S_full)^(1/2) / det(Cov S_comp)^(1/2), Cov = count * V."""
         return 0.5 * (
             self.d * math.log(self.n / (self.n - self.k))
-            + sym_logdet(self.family.cgf_hess(self.theta))
+            + sym_logdet(self._tilted.cgf_hess(np.zeros(self.d)))
             - sym_logdet(self.comp_model.avg_cov)
         )
 
@@ -233,11 +210,12 @@ def gibbs_density(family, k, theta, x):
     return math.exp(log_val) if np.isfinite(log_val) else 0.0
 
 
-def normalized_exact_density(family, theta, model):
-    """Exact density of the normalized (tilted) sum in the coordinates of the
-    Edgeworth model `model` (of family at theta); the oracle for weighted sup
-    error tests."""
-    exact = family.tilt(theta).convolve()
+def normalized_exact_density(family, model):
+    """Exact density of the normalized sum of family's members in the
+    coordinates of their Edgeworth model `model` (build_model(family)); the
+    oracle for weighted sup error tests.  Pass family.tilt(theta) for the
+    tilted sum."""
+    exact = family.convolve()
     back = sym_inv(model.B) * math.sqrt(model.count)
     log_jac = 0.5 * model.dim * math.log(model.count) - 0.5 * sym_logdet(model.B @ model.B)
 

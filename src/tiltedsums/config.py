@@ -28,7 +28,7 @@ shapes = 2.5, 4.0 alternates the two shapes.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import ConfigError
 from .families import Family, gamma_family, normal_family
@@ -72,14 +72,6 @@ class ExperimentConfig:
     def rows(self):
         """(n, k, a) triples in declaration order (n-major)."""
         return [(n, k_for(self.k_rule, n), a) for n in self.n_values for a in self.a_values]
-
-    def with_overrides(self, seed=None, out=None):
-        cfg = self
-        if seed is not None:
-            cfg = replace(cfg, seed=int(seed))
-        if out is not None:
-            cfg = replace(cfg, out=str(out))
-        return cfg
 
 
 def k_for(rule, n):

@@ -1,7 +1,7 @@
 """Order-1 Edgeworth approximation for densities of normalized sums.
 
-Given independent (possibly tilted) members X_1..X_m with means m_j and
-covariances C_j, let V = (1/m) sum C_j, B = V^{-1/2} and
+Given independent members X_1..X_m with means m_j and covariances C_j, let
+V = (1/m) sum C_j, B = V^{-1/2} and
 
     Z = m^{-1/2} B (S - sum_j m_j),    S = X_1 + ... + X_m.
 
@@ -19,7 +19,8 @@ the weighted sup error max (1 + ||x||^4) |exact - approx|, which decays
 like 1/m at order 1.
 
 The averaged cumulants are kept as one symmetric (d, d, d) array, and P1
-is two einsum contractions of it.
+is two einsum contractions of it.  The expansion at a tilt theta is that of
+family.tilt(theta).
 """
 
 import math
@@ -27,12 +28,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import LOG_2PI, as_vector, sym_inv_sqrt, tensor_grid
+from .numerics import LOG_2PI, sym_inv_sqrt, tensor_grid
 
 
-def third_cumulant(family, theta, B):
+def third_cumulant(family, B):
     """The (d, d, d) array kappa_ijk: the family average of
-    E[(B (X_tilted - mean))_i (...)_j (...)_k].
+    E[(B (X - mean))_i (...)_j (...)_k].
 
     Third cumulants of a centered vector equal its third moments, so the
     averaged central third-moment tensor contracted with rows of B gives
@@ -40,7 +41,7 @@ def third_cumulant(family, theta, B):
     """
     d = family.dim
     B = np.asarray(B, dtype=float).reshape(d, d)
-    tensor = family.third_central_moment_tensor(theta)
+    tensor = family.third_central_moment_tensor()
     return np.einsum("ia,jb,kc,abc->ijk", B, B, B, tensor)
 
 
@@ -55,16 +56,17 @@ class EdgeworthModel:
     order: int
 
 
-def build_model(family, theta, order=1):
-    """Assemble the normalization and cumulant data for a member block."""
+def build_model(family, order=1):
+    """Assemble the normalization and cumulant data for a member block, from
+    the members' own laws; build_model(family.tilt(theta)) expands at theta."""
     if order not in (0, 1):
         raise ValueError("order must be 0 or 1")
-    theta = as_vector(theta, family.dim)
     m = len(family)
-    mean_sum = m * family.cgf_grad(theta)
-    avg_cov = family.cgf_hess(theta)
+    origin = np.zeros(family.dim)
+    mean_sum = m * family.cgf_grad(origin)
+    avg_cov = family.cgf_hess(origin)
     B = sym_inv_sqrt(avg_cov)
-    kappa = third_cumulant(family, theta, B)
+    kappa = third_cumulant(family, B)
     return EdgeworthModel(family.dim, m, mean_sum, avg_cov, B, kappa, order)
 
 
@@ -100,9 +102,12 @@ def weighted_sup_error(model, exact_density, grid):
     return float(np.max(weight * np.abs(exact - approx)))
 
 
-def default_grid(dim, points_per_axis=241):
-    """Evaluation grid for sup errors: the tensor grid of points_per_axis
-    points per axis on [-6, 6]^dim, for dim <= 2."""
+GRID_POINTS = 241
+
+
+def default_grid(dim):
+    """Evaluation grid for sup errors: the tensor grid of GRID_POINTS points
+    per axis on [-6, 6]^dim, for dim <= 2."""
     if dim > 2:
         raise ValueError(f"default_grid covers dim <= 2, got dim = {dim}")
-    return tensor_grid([-6.0] * dim, [6.0] * dim, points_per_axis)
+    return tensor_grid([-6.0] * dim, [6.0] * dim, GRID_POINTS)

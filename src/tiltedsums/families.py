@@ -29,7 +29,8 @@ f_{X+Y}(s), its values at fresh draws of X and the two zeros of log rho
 (cdf_given_sum, interval_masses, log_ratio_given_sum, log_ratio_sampler and
 ratio_roots, given Y = rest); log_density also evaluates member j at point
 j when given one point per member.  The hooks of the assumption checks
-return one entry per row (per row of covs for Normal).
+return one entry per row (per row of covs for Normal) and describe the
+family as it is: theta reaches the members through tilt alone.
 
 Gamma members require shape > 2 so densities are C^1 and fourth moments stay
 uniformly controlled under tilting; a gamma family shares a single scale t.
@@ -78,7 +79,7 @@ class Family:
     and the hooks of the assumption checks (member_hess,
     fourth_central_moment, char_fn_modulus_sup, density_partial_l1), plus
     third_central_moment_tensor averaged over the members for the Edgeworth
-    expansion.
+    expansion; none of these takes theta.
 
     The cgf domain is Theta = {finite theta : theta[0] < theta_upper}, and a
     target mean needs a[0] > mean_lower, the lower end of the members'
@@ -350,9 +351,7 @@ class GammaFamily(Family):
 
     @cached_property
     def _lgamma_shapes(self):
-        """lgamma of every row's shape, evaluated once per distinct shape."""
-        values = {k: lgamma(k) for k in set(self.shapes.tolist())}
-        return np.array([values[k] for k in self.shapes.tolist()])
+        return np.array([lgamma(k) for k in self.shapes.tolist()])
 
     @cached_property
     def _log_norm(self):
@@ -500,37 +499,42 @@ class GammaFamily(Family):
 
     # -- hooks: one entry per row --------------------------------------------
 
-    def member_hess(self, theta):
-        return (self.shapes * self.scale**2 / self._denom(theta) ** 2).reshape(-1, 1, 1)
+    def member_hess(self):
+        return (self.shapes * self.scale**2).reshape(-1, 1, 1)
 
-    def fourth_central_moment(self, theta):
-        k, u = self.shapes, self.scale / self._denom(theta)
+    def fourth_central_moment(self):
+        k, u = self.shapes, self.scale
         return 3.0 * k * (k + 2.0) * u**4
 
-    def char_fn_modulus_sup(self, theta, radii):
-        u = self.scale / self._denom(theta)
+    def char_fn_modulus_sup(self, radii):
         r = np.asarray(radii, dtype=float)
-        return (1.0 + (u * r) ** 2) ** (-0.5 * self.shapes[:, None])
+        return (1.0 + (self.scale * r) ** 2) ** (-0.5 * self.shapes[:, None])
 
-    def density_partial_l1(self, theta, axis):
+    def density_partial_l1(self, axis):
         # p' changes sign once, at the mode (k - 1) u, so the L1 norm of p'
         # is 2 p(mode).
         if axis != 0:
             raise ValueError("gamma members are one-dimensional")
-        k, u = self.shapes, self.scale / self._denom(theta)
+        k, u = self.shapes, self.scale
         log_mode = (k - 1.0) * np.log((k - 1.0) * u) - (k - 1.0) - self._lgamma_shapes - k * math.log(u)
         return 2.0 * np.exp(log_mode)
 
-    def third_central_moment_tensor(self, theta):
-        """Third central moment 2 k u^3 of the tilted members, averaged."""
-        u = self.scale / self._denom(theta)
-        return np.array([[[2.0 * self._kbar * u**3]]])
+    def third_central_moment_tensor(self):
+        """Third central moment 2 k u^3 of the members, averaged."""
+        return np.array([[[2.0 * self._kbar * self.scale**3]]])
 
 
 # ---------------------------------------------------------------------------
 # Normal families
 # ---------------------------------------------------------------------------
 
+# The float-resolution limits of the Normal pair methods (Gamma pairs work
+# relative to the sum).  Largest float spacing at the sum, eps max_i |s_i|,
+# as a share of the smallest standard deviation of X: in absolute
+# coordinates that spacing quantizes the Scheffe roots, the conditional mean
+# and the whitened shift, and the Scheffe error, about its square, stays
+# below 1e-10 relative.
+SPACING_LIMIT = 1e-5
 # Largest eps |log f_{X+Y}(s)| that the Normal log rho takes: it subtracts
 # two log densities of about that size, so each value carries a rounding
 # error of about eps |log f_{X+Y}(s)|.  Untilted sums conditioned far from
@@ -570,6 +574,7 @@ class NormalFamily(Family):
         self.covs = covs
         self.dim = d
         self._n = self._r = n
+        self._lam_min = lam_min
 
     def _rotated(self, shift, count):
         # a shared covariance, one row, rotates to itself
@@ -653,6 +658,7 @@ class NormalFamily(Family):
         """P(X <= x | X + Y = s) for one-dimensional X = self, Y = rest:
         N(m_x + w (s - m_x - m_y), w v_y) with w = v_x / (v_x + v_y)."""
         sd_x, sd_y = self._sd(), rest._sd()
+        self._check_spacing(s)
         w = sd_x**2 / (sd_x**2 + sd_y**2)
         mean = self.means[0, 0] + w * (s - self.means[0, 0] - rest.means[0, 0])
         return _ndtr((np.asarray(x, dtype=float) - mean) / (sd_y * math.sqrt(w)))
@@ -668,9 +674,21 @@ class NormalFamily(Family):
         """log f_Y(s - t) - log f_{X+Y}(s) for single laws X = self, Y = rest."""
         self._single("log_ratio_given_sum", rest)
         s = as_vector(s, self.dim)
+        self._check_spacing(s)
         pts, single = self._points(t)
         out = rest.log_density(s - pts) - self._log_sum_density(rest, s)
         return float(out[0]) if single else out
+
+    def _check_spacing(self, s):
+        """Raise ConditioningError unless eps max_i |s_i| is at most
+        SPACING_LIMIT times the smallest standard deviation of X = self."""
+        spacing = np.finfo(float).eps * float(np.max(np.abs(s)))
+        spread = math.sqrt(self._lam_min)
+        if not spacing <= SPACING_LIMIT * spread:
+            raise ConditioningError(
+                f"float cannot resolve the block sum at s = {s}: the spacing there, {spacing:.3e}, "
+                f"exceeds {SPACING_LIMIT:g} of the block sum's standard deviation {spread:.3e}"
+            )
 
     def _log_sum_density(self, rest, s):
         """log f_{X+Y}(s) for X = self, Y = rest.  Both callers subtract it from
@@ -696,6 +714,7 @@ class NormalFamily(Family):
         reuses."""
         self._single("log_ratio_sampler", rest)
         s = as_vector(s, self.dim)
+        self._check_spacing(s)
         w = rest._inv_sqrt[0]
         a_map = w @ sym_sqrt(self.covs[0])
         shift = (w @ (s - self.means[0] - rest.means[0]))[:, None]
@@ -718,35 +737,31 @@ class NormalFamily(Family):
         one-dimensional X = self, Y = rest; v_f = v_x + v_y, z = (s - m_x - m_y) / sqrt(v_f)."""
         v_x, v_y = self._sd() ** 2, rest._sd() ** 2
         (s,) = as_vector(s, 1)
+        self._check_spacing(s)
         z2 = (s - self.means[0, 0] - rest.means[0, 0]) ** 2 / (v_x + v_y)
         half = math.sqrt(v_y * (z2 - math.log1p(-v_x / (v_x + v_y))))
         return s - rest.means[0, 0] + np.array([-half, half])
 
     # -- hooks: one entry per row of covs, the only parameter they read -----
 
-    def member_hess(self, theta):
-        self._check_theta(theta)
+    def member_hess(self):
         return self.covs
 
-    def fourth_central_moment(self, theta):
-        self._check_theta(theta)
+    def fourth_central_moment(self):
         g = self.covs
         return 2.0 * np.einsum("nij,nji->n", g, g) + np.trace(g, axis1=1, axis2=2) ** 2
 
-    def char_fn_modulus_sup(self, theta, radii):
-        self._check_theta(theta)
+    def char_fn_modulus_sup(self, radii):
         r = np.asarray(radii, dtype=float)
         lam_min = np.linalg.eigvalsh(self.covs)[:, 0]
         return np.exp(-0.5 * lam_min[:, None] * r * r)
 
-    def density_partial_l1(self, theta, axis):
+    def density_partial_l1(self, axis):
         # d p/dx_l = -(cov^{-1}(x - mu))_l p(x), and (cov^{-1}(X - mu))_l is
         # N(0, v) with v = (cov^{-1})_{ll}, so the L1 norm is E|N(0, v)|.
-        self._check_theta(theta)
         return np.sqrt(2.0 * self._inv[:, axis, axis] / math.pi)
 
-    def third_central_moment_tensor(self, theta):
-        self._check_theta(theta)
+    def third_central_moment_tensor(self):
         return np.zeros((self.dim, self.dim, self.dim))
 
 

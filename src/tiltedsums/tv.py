@@ -51,8 +51,9 @@ Gamma(3, 1) at k = 1 the limit is E|1 - Z^2 + 2 Z / sqrt(3)| / 2 ~= 0.5394,
 Z the standardized Gamma(3).
 
 A Normal target so far from the members' means that float cannot resolve
-the sums raises ConditioningError (conditional.SPACING_LIMIT and, for the
-untilted sums of joint_mc, families.LOG_DENSITY_LIMIT).
+the sums raises ConditioningError from the Normal pair methods
+(families.SPACING_LIMIT and, for the untilted sums of joint_mc,
+families.LOG_DENSITY_LIMIT).
 """
 
 import math
@@ -192,7 +193,9 @@ def _joint_log_ratio(family, k, na, theta):
         log f0_rest(n a - T) - log f0_full(n a) - <theta, T> + sum_{j<=k} kappa_j(theta),
 
     the untilted sum-density ratio (log_ratio_given_sum of the block and
-    rest sums, built here once) and the Gibbs factor; prod_j p_j(x_j) cancels."""
-    block, rest = family[:k].convolve(), family[k:].convolve()
-    gibbs = k * family[:k].cgf(theta)
-    return lambda total: block.log_ratio_given_sum(rest, na, total) - total @ theta + gibbs
+    rest sums, built here once) and the Gibbs factor; prod_j p_j(x_j) cancels.
+    The ratio is evaluated first, so that a pair's float-resolution guard
+    raises before the Gibbs factor of a far target can overflow."""
+    members = family[:k]
+    block, rest = members.convolve(), family[k:].convolve()
+    return lambda total: block.log_ratio_given_sum(rest, na, total) - total @ theta + k * members.cgf(theta)

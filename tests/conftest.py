@@ -71,19 +71,19 @@ class PointMassFamily(Family):
         self._single("sample")
         return np.full((count, 1), self.location)
 
-    def member_hess(self, theta):
+    def member_hess(self):
         return np.zeros((1, 1, 1))
 
-    def fourth_central_moment(self, theta):
+    def fourth_central_moment(self):
         return np.zeros(1)
 
-    def char_fn_modulus_sup(self, theta, radii):
+    def char_fn_modulus_sup(self, radii):
         return np.ones((1, np.size(radii)))
 
-    def density_partial_l1(self, theta, axis):
+    def density_partial_l1(self, axis):
         return np.ones(1)
 
-    def third_central_moment_tensor(self, theta):
+    def third_central_moment_tensor(self):
         return np.zeros((1, 1, 1))
 
 

@@ -104,8 +104,8 @@ def test_criterion_2_edgeworth_decay():
     errors = {}
     for m in (64, 128, 256, 512):
         members = gamma_family([3.0] * m, 1.0)
-        model = build_model(members, 0.0)
-        exact = normalized_exact_density(members, 0.0, model=model)
+        model = build_model(members)
+        exact = normalized_exact_density(members, model=model)
         errors[m] = weighted_sup_error(model, exact, grid)
     ratios = [errors[m] / errors[2 * m] for m in (64, 128, 256)]
     elapsed = time.perf_counter() - start
@@ -131,9 +131,10 @@ def test_criterion_3_gaussian_exactness():
             covs.append(A @ A.T + 0.4 * np.eye(d))
         members = normal_family(means, covs)
         theta = rng.uniform(-0.8, 0.8, d)
-        model1 = build_model(members, theta, order=1)
-        model0 = build_model(members, theta, order=0)
-        exact = normalized_exact_density(members, theta, model=model1)
+        tilted = members.tilt(theta)
+        model1 = build_model(tilted, order=1)
+        model0 = build_model(tilted, order=0)
+        exact = normalized_exact_density(tilted, model=model1)
         grid = np.linspace(-6, 6, 241).reshape(-1, 1) if d == 1 else rng.standard_normal((241, d))
         exact_vals = exact(grid)
         for model in (model0, model1):

@@ -2,6 +2,9 @@
 closed-form vs quadrature cross-checks for every witness."""
 
 import math
+from decimal import Decimal
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +27,11 @@ from tiltedsums import (
     theta_box_from_solutions,
 )
 from tiltedsums import checks as checks_mod
+from tiltedsums.cli import main
 from tiltedsums.numerics import tensor_grid
+
+
+SHIPPED = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 
 
 @pytest.fixture
@@ -138,8 +145,8 @@ def test_cf_decay_gamma_modulus_is_bounded():
     # |cf| of Gamma(3, u) is (1 + u^2 r^2)^{-3/2} <= C/r for every r >= 1
     member = gamma_family([3.0], 1.0)
     radii = np.geomspace(1.0, 100.0, 200)
-    modulus = member.char_fn_modulus_sup(0.0, radii)[0]
-    c = member.density_partial_l1(0.0, 0)[0]
+    modulus = member.char_fn_modulus_sup(radii)[0]
+    c = member.density_partial_l1(0)[0]
     assert np.all(modulus <= c / radii + 1e-12)
 
 
@@ -257,20 +264,21 @@ def test_report_depends_on_distinct_laws_only(gamma_box):
 def test_normal_checks_evaluate_the_box_ends(monkeypatch):
     """Normal covariances and moments do not depend on theta, so they are
     monotone over K and a 3-d box costs its two ends, as for every kind, not
-    33^3 grid points; the witnesses are those of the full grid."""
+    33^3 grid points: each of the four checks tilts the family to the two
+    ends only.  The witnesses are those of the full grid."""
     members = normal_family([np.zeros(3), np.array([0.5, -0.5, 1.0])] * 2,
                             [np.array([[1.0, 0.2, 0.1], [0.2, 2.0, 0.3], [0.1, 0.3, 1.5]])])
     calls = []
-    real_hess = NormalFamily.member_hess
+    real_tilt = NormalFamily.tilt
 
-    def counting_hess(self, theta):
-        calls.append(theta)
-        return real_hess(self, theta)
+    def counting_tilt(self, theta):
+        calls.append(tuple(theta))
+        return real_tilt(self, theta)
 
-    monkeypatch.setattr(NormalFamily, "member_hess", counting_hess)
+    monkeypatch.setattr(NormalFamily, "tilt", counting_tilt)
     box = ThetaBox((-1.0, -2.0, -3.0), (1.0, 2.0, 3.0))
     report = run_assumption_checks(members, box)
-    assert [tuple(theta) for theta in calls] == [box.lo, box.hi]
+    assert calls == [box.lo, box.hi] * 4
     assert [(e.name, e.passed, e.witnesses) for e in report.entries] == [
         ("supp", True, {}),
         ("cv", True, {"lambda_min": 0.9576748571757885, "lambda_max": 2.1827601656659157}),
@@ -280,14 +288,14 @@ def test_normal_checks_evaluate_the_box_ends(monkeypatch):
     ]
 
 
-def _grid_thetas(laws, box):
-    """Reference theta list: the full 33-point grid over the box, every point
-    inside the cgf domain."""
+def _grid_laws(family, box):
+    """Reference laws: the family tilted to every point of the full 33-point
+    grid over the box, every point inside the cgf domain."""
     grid = tensor_grid(box.lo, box.hi, 33)
     for theta in grid:
-        if not laws.in_domain(theta):
+        if not family.in_domain(theta):
             raise ValueError(f"grid point {theta} is outside the cgf domain")
-    return grid
+    return [family.tilt(theta) for theta in grid]
 
 
 def _random_gamma_cases():
@@ -322,7 +330,7 @@ def test_box_ends_reproduce_the_grid(monkeypatch):
     for family, boxes in _random_gamma_cases():
         reports = [run_assumption_checks(family, box) for box in boxes] + _uf_reports(family)
         outputs.append([(r.csv_rows(), r.to_text()) for r in reports])
-    monkeypatch.setattr(checks_mod, "_thetas", _grid_thetas)
+    monkeypatch.setattr(checks_mod, "_tilted_ends", _grid_laws)
     for (family, boxes), got in zip(_random_gamma_cases(), outputs):
         reports = [run_assumption_checks(family, box) for box in boxes] + _uf_reports(family)
         assert got == [(r.csv_rows(), r.to_text()) for r in reports]
@@ -330,15 +338,15 @@ def test_box_ends_reproduce_the_grid(monkeypatch):
 
 def test_gamma_cv_evaluates_the_two_box_ends(monkeypatch, gamma_members, gamma_box):
     calls = []
-    real_hess = GammaFamily.member_hess
+    real_tilt = GammaFamily.tilt
 
-    def counting_hess(self, theta):
-        calls.append(float(theta[0]))
-        return real_hess(self, theta)
+    def counting_tilt(self, theta):
+        calls.append(tuple(theta))
+        return real_tilt(self, theta)
 
-    monkeypatch.setattr(GammaFamily, "member_hess", counting_hess)
+    monkeypatch.setattr(GammaFamily, "tilt", counting_tilt)
     check_cv(gamma_members, gamma_box)
-    assert calls == [-1.0, 0.9]
+    assert calls == [(-1.0,), (0.9,)]
 
 
 def test_report_csv_shape(gamma_members, gamma_box):
@@ -360,3 +368,32 @@ def test_theta_box_from_solutions_clipping():
     assert box.lo[0] < 0.5
     norm_box = theta_box_from_solutions([np.zeros(2)], normal_family([np.zeros(2)], [np.eye(2)]))
     assert norm_box.lo[0] < 0.0 < norm_box.hi[0]
+
+
+# The cv witnesses k (t / (1 - theta t))^2 of the shipped Gamma configs at the
+# box ends `check` derives from their sweeps (0.3 and 0.7 for
+# gamma_iid_sweep.cfg; 0.25833333333333336 and 0.6583333333333334 for
+# gamma_alternating_sweep.cfg), evaluated at those floats in 60-digit mpmath.
+# The hooks square the tilted scale u, the float nearest t / (1 - theta t),
+# so u's rounding enters twice: an ulp, not a correct rounding, is the bound.
+CV_REFERENCES = {
+    "gamma_iid_sweep.cfg": (
+        "6.1224489795918365404857682871446331176306451779816",
+        "33.333333333333323464684225554166276403566342002846",
+    ),
+    "gamma_alternating_sweep.cfg": (
+        "4.5448806968817071726855532150088447519741357174571",
+        "34.265318262938747732246416801303323648346130600903",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CV_REFERENCES))
+def test_gamma_cv_witnesses_are_within_an_ulp_of_their_exact_values(name, tmp_path, capsys):
+    out = tmp_path / "check.csv"
+    assert main(["check", "--config", str(SHIPPED / name), "--out", str(out)]) == 0
+    capsys.readouterr()
+    (row,) = [line.split(",") for line in out.read_text().splitlines() if line.startswith("cv,")]
+    for text, reference in zip(row[2:], CV_REFERENCES[name]):
+        exact = Fraction(Decimal(reference))
+        assert abs(Fraction(float(text)) - exact) <= Fraction(math.ulp(float(exact)))

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import pytest
 
 import tiltedsums
 from tiltedsums.cli import main
+from tiltedsums.tv import df_gamma_constant
 
 GAMMA_CFG = """
 [family]
@@ -472,3 +474,19 @@ def test_a_trillion_members_print_what_two_do(argv):
     ]
     assert [(out.returncode, out.stderr) for out in outputs] == [(0, "")] * 2
     assert outputs[0].stdout and outputs[1].stdout == outputs[0].stdout
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", ["tv", "ratio"])
+def test_gamma_rows_at_a_trillion_members_need_no_spacing_guard(command, capsys):
+    # Gamma pairs compute relative to the sum, so the float-resolution guard
+    # of the Normal pair methods never reaches them: at n = 1e12, k = 1000 the
+    # Scheffe row gives n TV / k within about 0.12 / k of 2 phi(1)
+    cfg = str(SHIPPED / "gamma_alternating_sweep.cfg")
+    argv = [command, "--config", cfg, "--n", "1000000000000", "--k", "1000", "--a", "6.0"]
+    assert main(argv) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.strip().split("\n")[1:]]
+    if command == "tv":
+        assert abs(1e12 * float(rows[0][4]) / 1000 - df_gamma_constant()) <= 1e-3
+    else:
+        assert len(rows) == 61 and all(math.isfinite(float(v)) for row in rows for v in row)

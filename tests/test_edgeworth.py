@@ -30,7 +30,7 @@ from tiltedsums.edgeworth import skew_correction
 
 def test_third_cumulant_normal_vanishes():
     member = normal_family([np.array([1.0, -2.0])], np.array([[1.0, 0.3], [0.3, 2.0]]))
-    out = third_cumulant(member, np.zeros(2), np.eye(2))
+    out = third_cumulant(member, np.eye(2))
     assert out.shape == (2, 2, 2)
     assert not out.any()
 
@@ -38,7 +38,7 @@ def test_third_cumulant_normal_vanishes():
 def test_third_cumulant_gamma_example():
     member = gamma_family([3.0], 1.0)
     b = np.array([[3.0**-0.5]])
-    out = third_cumulant(member, 0.0, b)
+    out = third_cumulant(member, b)
     # third central moment of Gamma(3,1) is 2*k*t^3 = 6, scaled by B^3
     assert out[0, 0, 0] == pytest.approx(6.0 * 3.0**-1.5, rel=1e-13)
     assert out[0, 0, 0] == pytest.approx(1.1547005383792517, rel=1e-12)
@@ -51,13 +51,13 @@ def test_third_cumulant_gamma_quadrature_oracle():
         mean = tilted.shapes[0] * tilted.scale
         mom, _ = quad(lambda x: (x - mean) ** 3 * tilted.density(x), 0.0, 600.0, limit=500)
         b = 0.7
-        closed = third_cumulant(member, theta, np.array([[b]]))[0, 0, 0]
+        closed = third_cumulant(tilted, np.array([[b]]))[0, 0, 0]
         assert closed == pytest.approx(b**3 * mom, rel=1e-8)
 
 
 def test_mixed_third_moments_vanish_for_product_members():
     member = normal_family([np.zeros(2)], np.diag([1.0, 4.0]))
-    out = third_cumulant(member, np.zeros(2), np.diag([1.0, 0.5]))
+    out = third_cumulant(member, np.diag([1.0, 0.5]))
     assert out[0, 0, 1] == 0.0 and out[0, 1, 1] == 0.0
 
 
@@ -67,7 +67,7 @@ def test_mixed_third_moments_vanish_for_product_members():
 
 def test_build_model_normal_all_cumulants_zero():
     members = normal_family([np.array([0.2, -0.1])] * 5, [np.array([[1.0, 0.2], [0.2, 0.8]])])
-    model = build_model(members, np.array([0.3, 0.0]))
+    model = build_model(members.tilt(np.array([0.3, 0.0])))
     assert not model.avg_third_cumulants.any()
     ident = model.B @ model.avg_cov @ model.B
     np.testing.assert_allclose(ident, np.eye(2), atol=1e-10)
@@ -75,12 +75,12 @@ def test_build_model_normal_all_cumulants_zero():
 
 def test_build_model_gamma_skewness():
     members = gamma_family([3.0] * 16, 1.0)
-    model = build_model(members, 0.0)
+    model = build_model(members)
     assert model.avg_third_cumulants[0, 0, 0] == pytest.approx(2.0 / math.sqrt(3.0), rel=1e-12)
 
 
 def test_build_model_single_standard_normal():
-    model = build_model(normal_family([np.zeros(1)], np.eye(1)), 0.0)
+    model = build_model(normal_family([np.zeros(1)], np.eye(1)))
     assert model.count == 1
     assert model.B[0, 0] == pytest.approx(1.0)
     assert model.mean_sum[0] == 0.0
@@ -89,7 +89,7 @@ def test_build_model_single_standard_normal():
 def test_build_model_degenerate_covariance_error():
     members = normal_family([np.zeros(2)] * 3, np.diag([1.0, 1e-15]))
     with pytest.raises(DegenerateCovarianceError):
-        build_model(members, np.zeros(2))
+        build_model(members)
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +166,7 @@ def test_order1_density_has_its_defining_moments(d):
 
 def test_density_is_gaussian_when_cumulants_vanish():
     members = normal_family([np.array([0.5])] * 7, [np.array([[2.0]])])
-    model = build_model(members, 0.0)
+    model = build_model(members)
     xs = np.linspace(-4, 4, 17)
     phi = np.exp(-0.5 * xs**2) / math.sqrt(2 * math.pi)
     np.testing.assert_allclose(edgeworth_density(model, xs), phi, rtol=1e-14)
@@ -175,16 +175,16 @@ def test_density_is_gaussian_when_cumulants_vanish():
 def test_density_at_origin_is_gaussian_for_any_model():
     members = gamma_family([2.5, 4.5] * 8, 1.0)
     for order in (0, 1):
-        model = build_model(members, 0.3, order=order)
+        model = build_model(members.tilt(0.3), order=order)
         assert edgeworth_density(model, 0.0) == pytest.approx((2 * math.pi) ** -0.5, rel=1e-14)
     members2 = normal_family([np.zeros(2)] * 4, np.eye(2))
-    model2 = build_model(members2, np.zeros(2))
+    model2 = build_model(members2)
     assert edgeworth_density(model2, np.zeros(2)) == pytest.approx((2 * math.pi) ** -1.0, rel=1e-14)
 
 
 def test_order1_integrates_to_one():
     members = gamma_family([3.0] * 9, 1.0)
-    model = build_model(members, 0.2)
+    model = build_model(members.tilt(0.2))
     mass, _ = quad(lambda x: edgeworth_density(model, x), -np.inf, np.inf)
     assert mass == pytest.approx(1.0, abs=1e-8)
 
@@ -194,8 +194,8 @@ def test_gamma_octave_decay_weighted_sup_error():
     errors = {}
     for m in (64, 128, 256, 512):
         members = gamma_family([3.0] * m, 1.0)
-        model = build_model(members, 0.0)
-        exact = normalized_exact_density(members, 0.0, model=model)
+        model = build_model(members)
+        exact = normalized_exact_density(members, model=model)
         errors[m] = weighted_sup_error(model, exact, grid)
     for m in (64, 128, 256):
         assert 1.6 <= errors[m] / errors[2 * m] <= 2.4
@@ -206,8 +206,8 @@ def test_heterogeneous_gamma_decay():
     errors = {}
     for m in (64, 128, 256, 512):
         members = gamma_family([2.5, 4.0] * (m // 2), 1.0)
-        model = build_model(members, 0.0)
-        exact = normalized_exact_density(members, 0.0, model=model)
+        model = build_model(members)
+        exact = normalized_exact_density(members, model=model)
         errors[m] = weighted_sup_error(model, exact, grid)
     for m in (64, 128, 256):
         assert 1.6 <= errors[m] / errors[2 * m] <= 2.4
@@ -215,29 +215,30 @@ def test_heterogeneous_gamma_decay():
 
 def test_weighted_sup_error_zero_against_itself():
     members = gamma_family([3.0] * 4, 1.0)
-    model = build_model(members, 0.0)
-    grid = default_grid(1, points_per_axis=101)
+    model = build_model(members)
+    grid = default_grid(1)
     err = weighted_sup_error(model, lambda pts: edgeworth_density(model, pts), grid)
     assert err == 0.0
 
 
 def test_weighted_sup_error_gaussian_exactness():
     members = normal_family([np.array([1.0])] * 6, [np.array([[0.7]])])
-    model = build_model(members, 0.4)
-    exact = normalized_exact_density(members, 0.4, model=model)
+    tilted = members.tilt(0.4)
+    model = build_model(tilted)
+    exact = normalized_exact_density(tilted, model=model)
     err = weighted_sup_error(model, exact, default_grid(1))
     assert err <= 1e-12
 
 
 def test_weighted_sup_error_rejects_empty_grid():
     members = gamma_family([3.0] * 4, 1.0)
-    model = build_model(members, 0.0)
+    model = build_model(members)
     with pytest.raises(ValueError):
         weighted_sup_error(model, lambda pts: np.zeros(len(pts)), np.zeros((0, 1)))
 
 
 def test_default_grid_shapes():
     assert default_grid(1).shape == (241, 1)
-    assert default_grid(2, points_per_axis=41).shape == (41 * 41, 2)
+    assert default_grid(2).shape == (241 * 241, 2)
     with pytest.raises(ValueError, match="dim <= 2"):
         default_grid(3)

@@ -17,6 +17,7 @@ from scipy.special import gammaincc, ndtr
 from scipy.stats import kstest
 
 from tiltedsums import (
+    ConditioningError,
     RatioContext,
     TiltedSumsError,
     UnsupportedFamilyError,
@@ -820,6 +821,17 @@ def test_far_target_gives_the_shipped_target_value_or_a_typed_error(name, method
     else:
         assert math.isfinite(est.std_error)
         assert abs(est.value - reference.value) <= 0.01 * est.std_error
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name,method", [("normal_df", "scheffe"), ("normal_df", "sum_mc"),
+                                         ("normal_df", "joint_mc"), ("normal2d", "sum_mc")])
+def test_far_normal_target_raises_the_spacing_error_first(name, method):
+    # at a = 1e300 the Normal pair methods' spacing guard fires before any
+    # arithmetic on the sum can overflow into another verdict
+    members, _ = FAR_FAMILIES[name]
+    with pytest.raises(ConditioningError, match="float cannot resolve the block sum"):
+        FAR_METHODS[method](members, 15, np.full(members.dim, 1e300))
 
 
 def test_scheffe_at_a_billion_members_costs_what_a_few_rows_cost():
