@@ -151,6 +151,14 @@ class Family:
         if any(len(law) != 1 for law in (self, *others)):
             raise ValueError(f"{what} needs single laws; index or convolve the family first")
 
+    def _gibbs_terms(self, gibbs):
+        """(law, theta, log_mgf) of log_ratio_sampler; called after the pair's
+        guards, so that a far target raises before log_mgf can overflow."""
+        if not gibbs:
+            return self, None, None
+        law, theta, members = gibbs
+        return law, theta, len(members) * members.cgf(theta)
+
     def _points(self, x):
         """Normalize x to an (N, d) array; report whether input was a single point."""
         a = np.asarray(x, dtype=float)
@@ -445,23 +453,27 @@ class GammaFamily(Family):
             out = np.where(x < 1.0, m * np.log1p(-x) + lam * x + c, -np.inf)
         return float(out[0]) if single else out
 
-    def log_ratio_sampler(self, rest, s):
-        """fill(rng, out): draws len(out) values of X = self on rng, as sample
-        does, and writes log rho at them into out (Y = rest, sum s), a
-        C-contiguous float vector.  The draws go straight into out as
-        scale * standard_gamma, which is how numpy's gamma draws, and
-        log_ratio_given_sum's arithmetic runs in place in the same order, so
-        the bits are those of log_ratio_given_sum(rest, s, sample(rng, len(out))).
-        Its terms are computed once here, and its two temporaries are
-        buffers that every fill reuses."""
+    def log_ratio_sampler(self, rest, s, gibbs=None):
+        """fill(rng, out): draws len(out) values T of X = self on rng, as
+        sample does, and writes log rho(T) into out (Y = rest, sum s), a
+        C-contiguous float vector; with gibbs = (law, theta, members), T of
+        law, X tilted by theta, and log rho(T) - <theta, T> + sum_j
+        kappa_j(theta) over the members whose sum X is.  T goes into out as
+        scale * standard_gamma, as numpy's gamma draws it, and the arithmetic
+        of log_ratio_given_sum(rest, s, T) - T @ theta + len(members) *
+        members.cgf(theta) runs in place in the same order, to the same
+        bits.  Temporaries are buffers that every fill reuses."""
         s, m, lam, c = self._log_ratio_terms(rest, s)
-        shape, scale = self.shapes[0], self.scale
+        law, theta, log_mgf = self._gibbs_terms(gibbs)
+        shape, scale = law.shapes[0], law.scale
         scratch = _Scratch()
 
         def fill(rng, out):
             log_term, beyond = scratch.take(0, out.shape), scratch.take(1, out.shape, bool)
             rng.standard_gamma(shape, out=out)
             out *= scale
+            if gibbs:
+                gibbs_term = np.multiply(out, theta, out=scratch.take(2, out.shape))
             out /= s
             np.greater_equal(out, 1.0, out=beyond)
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -471,6 +483,9 @@ class GammaFamily(Family):
             out += log_term
             out += c
             np.copyto(out, -np.inf, where=beyond)
+            if gibbs:
+                out -= gibbs_term
+                out += log_mgf
 
         return fill
 
@@ -703,22 +718,25 @@ class NormalFamily(Family):
             )
         return log_sum
 
-    def log_ratio_sampler(self, rest, s):
-        """fill(rng, out): draws len(out) values T = m_x + L z of X = self on
-        rng, as sample does (L = cov_x^(1/2), z standard normal), and writes
-        log rho(T) into out (Y = rest, sum s).  The whitened rest residual
-        W (s - T - m_y) (W = cov_y^(-1/2)) is c - A z with A = W L and
-        c = W (s - m_x - m_y), so the two affine maps are composed once here
-        and a fill costs one (d, d) by (d, len(out)) product; T is never
-        formed.  z and the (d, len(out)) product are buffers that every fill
-        reuses."""
+    def log_ratio_sampler(self, rest, s, gibbs=None):
+        """fill(rng, out) as for Gamma, T = m + L z drawn as sample draws it
+        (L = cov^(1/2) of X, or of law with gibbs; z standard normal).  The
+        whitened rest residual W (s - T - m_y) (W = cov_y^(-1/2)) is c - A z
+        with A = W L and c = W (s - m - m_y), and <theta, T> is
+        <theta, m> + <L^T theta, z>, so the maps are composed once here and
+        a fill costs one (d, d) by (d, len(out)) product, plus one
+        (len(out), d) by (d,) product with gibbs; T is never formed.  z and
+        the products are buffers that every fill reuses."""
         self._single("log_ratio_sampler", rest)
         s = as_vector(s, self.dim)
         self._check_spacing(s)
-        w = rest._inv_sqrt[0]
-        a_map = w @ sym_sqrt(self.covs[0])
-        shift = (w @ (s - self.means[0] - rest.means[0]))[:, None]
         const = -0.5 * (self.dim * LOG_2PI + rest._logdet[0]) - self._log_sum_density(rest, s)
+        law, theta, log_mgf = self._gibbs_terms(gibbs)
+        root, w = sym_sqrt(law.covs[0]), rest._inv_sqrt[0]
+        a_map = w @ root
+        shift = (w @ (s - law.means[0] - rest.means[0]))[:, None]
+        if gibbs:
+            slope, offset = root.T @ theta, log_mgf - law.means[0] @ theta
         scratch = _Scratch()
 
         def fill(rng, out):
@@ -729,6 +747,9 @@ class NormalFamily(Family):
             np.einsum("in,in->n", white, white, out=out)
             out *= -0.5
             out += const
+            if gibbs:
+                out -= np.matmul(z, slope, out=scratch.take(2, out.shape))
+                out += offset
 
         return fill
 

@@ -21,25 +21,23 @@ themselves.  Estimators:
   * sum_mc    - Monte Carlo mean of |rho - 1| over draws of the tilted
                 block sum from its closed-form law (the integrand's own
                 weight is the importance measure, so no reweighting is
-                needed), drawn and evaluated by ctx.fill_log_ratio, which
-                keeps its temporaries in buffers that every chunk of the
-                row reuses;
+                needed), drawn and evaluated by ctx.fill_log_ratio;
   * joint_mc  - Monte Carlo in the k*d-dimensional joint space,
-                E_{x ~ tilted product} |q_cond(x)/p_tilted(x) - 1|.  The
-                member densities cancel pointwise in q/p, which depends on x
-                only through its block sum T, so it draws T once per sample
-                from ctx.block, as sum_mc does, and evaluates the untilted
-                sum-density ratio and the Gibbs factor at it: the other side
-                of the change-of-measure identity.  At one seed it reads the
-                draws of sum_mc, and the two differ only by the rounding of
-                the two formulas for log rho.
+                E_{x ~ tilted product} |q_cond(x)/p_tilted(x) - 1|.  q/p
+                depends on x only through its block sum T (the member
+                densities cancel), so it draws T from ctx.block, as sum_mc
+                does, and evaluates the untilted sums' ratio and the Gibbs
+                factor at it (_joint_fill), the other side of the
+                change-of-measure identity: at one seed the two differ
+                only by rounding.
 
-Both Monte Carlo estimators run one chunk loop (_mc_estimate): SUM_MC_CHUNK
-block sums at a time from one generator, which continues a single stream,
-with log rho at them written straight into one chunk-sized buffer; expm1,
-abs and the chunk's sum and centred sum of squares then run in place, and
-the chunks' moments are merged at the end (_mean_and_se), so a row holds
-one chunk whatever samples is.
+Both Monte Carlo estimators run one chunk loop (_mc_estimate): a fill from
+the block law's log_ratio_sampler draws SUM_MC_CHUNK block sums from one
+generator, continuing a single stream, and writes log rho at them into one
+chunk-sized buffer, with its temporaries in buffers that every chunk
+reuses; expm1, abs and the chunk's sum and centred sum of squares run in
+place, and the chunks' moments are merged at the end (_mean_and_se), so a
+row holds one chunk whatever samples is.
 
 Each estimate reports the a and theta of its RatioContext as floats.
 All three report the plain L1 integral (twice the sup-over-sets distance);
@@ -50,10 +48,9 @@ At fixed k other members add their skewness at the same order: for i.i.d.
 Gamma(3, 1) at k = 1 the limit is E|1 - Z^2 + 2 Z / sqrt(3)| / 2 ~= 0.5394,
 Z the standardized Gamma(3).
 
-A Normal target so far from the members' means that float cannot resolve
-the sums raises ConditioningError from the Normal pair methods
-(families.SPACING_LIMIT and, for the untilted sums of joint_mc,
-families.LOG_DENSITY_LIMIT).
+A Normal target so far out that float cannot resolve the sums raises
+ConditioningError from the Normal pair methods (families.SPACING_LIMIT,
+and LOG_DENSITY_LIMIT for joint_mc's untilted sums), before any draw.
 """
 
 import math
@@ -129,13 +126,10 @@ def tv_joint_mc(family, k, a, samples=DEFAULT_JOINT_SAMPLES, rng=None, theta=Non
     block given {S_1n = n a} and p the tilted product density.  The member
     densities cancel pointwise in q/p, so q/p depends on x only through its
     block sum T, whose law is the tilted block-sum law ctx.block: one draw
-    of it per sample (the stream sum_mc's fills read), where
-    _joint_log_ratio is evaluated, a chunk of samples at a time."""
+    of it per sample (the stream sum_mc's fills read), by _joint_fill."""
     _check_samples(samples)
     ctx = RatioContext(family, k, a, theta=theta)
-    log_ratio = _joint_log_ratio(family, ctx.k, ctx.na, ctx.theta)
-    return _mc_estimate(ctx, "joint_mc", samples, rng,
-                        lambda gen, out: np.copyto(out, log_ratio(ctx.block.sample(gen, len(out)))))
+    return _mc_estimate(ctx, "joint_mc", samples, rng, _joint_fill(family, ctx))
 
 
 def _estimate(ctx, method, value, std_error, samples):
@@ -187,15 +181,14 @@ def _mean_and_se(chunks):
     return float(mean), float(np.sqrt(m2 / (count - 1)) / math.sqrt(count))
 
 
-def _joint_log_ratio(family, k, na, theta):
-    """log q(x)/p(x) as a function of the block sums T = total, shape (N, d):
+def _joint_fill(family, ctx):
+    """fill(rng, out): draws len(out) block sums T from ctx.block on rng and
+    writes log q/p at them into out,
 
         log f0_rest(n a - T) - log f0_full(n a) - <theta, T> + sum_{j<=k} kappa_j(theta),
 
-    the untilted sum-density ratio (log_ratio_given_sum of the block and
-    rest sums, built here once) and the Gibbs factor; prod_j p_j(x_j) cancels.
-    The ratio is evaluated first, so that a pair's float-resolution guard
-    raises before the Gibbs factor of a far target can overflow."""
-    members = family[:k]
-    block, rest = members.convolve(), family[k:].convolve()
-    return lambda total: block.log_ratio_given_sum(rest, na, total) - total @ theta + k * members.cgf(theta)
+    the untilted block and rest sums' ratio and the Gibbs factor;
+    prod_j p_j(x_j) cancels."""
+    members = family[: ctx.k]
+    rest = family[ctx.k :].convolve()
+    return members.convolve().log_ratio_sampler(rest, ctx.na, gibbs=(ctx.block, ctx.theta, members))

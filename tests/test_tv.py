@@ -34,7 +34,7 @@ from tiltedsums import (
 )
 from tiltedsums import families
 from tiltedsums.numerics import sym_sqrt
-from tiltedsums.tv import SUM_MC_CHUNK, _joint_log_ratio, _mean_and_se
+from tiltedsums.tv import SUM_MC_CHUNK, _joint_fill, _mean_and_se
 
 
 def iid_normals(n, mean=0.0, var=1.0, dim=1):
@@ -404,12 +404,15 @@ def test_sum_mc_zero_when_ratio_forced_to_one(monkeypatch):
     assert est.value == 0.0 and est.std_error == 0.0
 
 
+@pytest.mark.parametrize("estimator", [tv_sum_mc, tv_joint_mc], ids=["sum_mc", "joint_mc"])
 @pytest.mark.parametrize("kind", ["gamma", "normal"])
-def test_sum_mc_traced_memory_is_one_buffer_plus_a_chunk(kind):
-    # a row holds one chunk-sized buffer and the temporaries of one chunk, at
+def test_sum_mc_traced_memory_is_one_buffer_plus_a_chunk(kind, estimator):
+    # a row holds one chunk-sized buffer and the buffers of its fill, at
     # most six d-wide float64 arrays of SUM_MC_CHUNK rows, whatever samples
-    # is; measured 2.57 MiB (gamma) and 2.51 MiB (normal) at both sizes, and
-    # 2^22 samples hold 4.5 KiB more than 2^20 (three floats per chunk)
+    # is; measured at both sizes 1.07 MiB (gamma) and 2.51 MiB (normal) for
+    # sum_mc, 1.57 and 3.01 MiB for joint_mc (one chunk-sized Gibbs term
+    # more), and 2^22 samples hold at most 4.8 KiB more than 2^20 (three
+    # floats per chunk)
     if kind == "gamma":
         members, k, a, d = gamma_family([2.5, 4.0] * 50, 1.0), 10, 6.0, 1
     else:
@@ -419,7 +422,7 @@ def test_sum_mc_traced_memory_is_one_buffer_plus_a_chunk(kind):
     for samples in (1 << 20, 1 << 22):
         tracemalloc.start()
         try:
-            tv_sum_mc(members, k, a, samples=samples, rng=3)
+            estimator(members, k, a, samples=samples, rng=3)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -481,17 +484,25 @@ def test_fill_log_ratio_matches_ratio_at_block_draws(kind, members, k, a, untilt
             np.testing.assert_allclose(out, expected, rtol=0.0, atol=1e-12)
 
 
+FILLS = {
+    "sum_mc": lambda members, ctx: ctx.fill_log_ratio,
+    "joint_mc": _joint_fill,
+}
+
+
+@pytest.mark.parametrize("estimator", sorted(FILLS))
 @pytest.mark.parametrize("kind,members,k,a", _sum_mc_laws())
-def test_fill_log_ratio_reuses_its_buffers(kind, members, k, a):
+def test_fill_log_ratio_reuses_its_buffers(kind, members, k, a, estimator):
     # after a warm-up fill, a chunk-sized fill allocates no array: measured
-    # 120 B kept and a peak of 0.8 KiB (gamma) or 1.6 KiB (normal) from numpy's
+    # 120 B kept and a peak of 0.8-0.9 KiB (gamma) or 1.6 KiB (normal) from numpy's
     # call overhead, against 512 KiB per float64 column of a chunk
     ctx = RatioContext(members, k, a)
+    fill = FILLS[estimator](members, ctx)
     gen, out = np.random.default_rng(5), np.empty(SUM_MC_CHUNK)
-    ctx.fill_log_ratio(gen, out)
+    fill(gen, out)
     tracemalloc.start()
     try:
-        ctx.fill_log_ratio(gen, out)
+        fill(gen, out)
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -520,6 +531,19 @@ def joint_case(kind):
     return normal_family([[0.0, 0.0], [0.5, 0.5]] * 20, covs), 4, np.array([0.6, 0.6])
 
 
+def _joint_log_ratio(family, k, na, theta):
+    """The reference of tv._joint_fill: log q(x)/p(x) as a function of the
+    block sums T = total, shape (N, d),
+
+        log f0_rest(n a - T) - log f0_full(n a) - <theta, T> + sum_{j<=k} kappa_j(theta),
+
+    from the untilted block and rest sums' log_ratio_given_sum and the Gibbs
+    factor, one fresh array per step; prod_j p_j(x_j) cancels."""
+    members = family[:k]
+    block, rest = members.convolve(), family[k:].convolve()
+    return lambda total: block.log_ratio_given_sum(rest, na, total) - total @ theta + k * members.cgf(theta)
+
+
 @pytest.mark.parametrize("kind", ["gamma", "normal"])
 def test_joint_log_ratio_is_conditional_over_tilted_product(kind):
     # the reduced ratio drops the member densities, which cancel in q/p;
@@ -535,6 +559,72 @@ def test_joint_log_ratio_is_conditional_over_tilted_product(kind):
         full = math.log(conditional_density(family, k, x, n * a)) - np.sum(tilted.log_density(x))
         assert reduced.shape == (1,)
         assert abs(reduced[0] - full) <= 1e-12
+
+
+def joint_fill_rounding_bound(family, ctx, z):
+    """Largest |fill - reference| that rounding explains for a Normal row,
+    per standard-normal draw z of T = m + L z (rows of z; L the square root
+    of ctx.block's covariance, m its mean).  Both _joint_fill and
+    _joint_log_ratio evaluate, up to the log of Gaussian normalizers
+    (log det cov_y, log f0_full(n a) and sum_j kappa_j(theta), the same
+    floats in both), one polynomial in the same floats z, L, m, W (the
+    untilted rest covariance's inverse square root), m_y, s = n a and theta:
+
+        -(|W (s - (L z + m) - m_y)|^2 + d log(2 pi) + log det cov_y) / 2
+            - log f0_full(s) - <theta, L z + m> + sum_j kappa_j(theta),
+
+    the fill regrouped as c - A z with A = W L, c = W (s - m - m_y), and
+    <theta, m> + <L^T theta, z>.  Each operation rounds once (u = 2^-53,
+    fused or not; the products by -1/2 are exact), and a monomial passes at
+    most d roundings in each of the three nested matrix-vector products (the
+    reference's L z, W . and squared norm; the fill's W L, A z and squared
+    norm) and at most 7 in the additions around them, so each formula lies
+    within gamma_{3d+7} M of the exact value (Higham, Accuracy and Stability
+    of Numerical Algorithms, lemma 3.1), gamma_j = j u / (1 - j u) and M the
+    polynomial with every input and term in absolute value.  Regrouping
+    keeps M: |W| |L| |z| = |W| (|L| |z|).  M is a sum of nonnegative terms,
+    itself computed within a relative gamma_{3d+7}, so
+
+        |fill - reference| <= 2 gamma_{3d+7} (1 + gamma_{3d+7}) M."""
+    members, d = family[: ctx.k], family.dim
+    block, rest = members.convolve(), family[ctx.k :].convolve()
+    log_sum = block._log_sum_density(rest, ctx.na)
+    root, w = np.abs(sym_sqrt(ctx.block.covs[0])), np.abs(rest._inv_sqrt[0])
+    drawn = np.abs(z) @ root.T + np.abs(ctx.block.means[0])
+    white = (np.abs(ctx.na) + np.abs(rest.means[0]) + drawn) @ w.T
+    size = (
+        0.5 * (d * families.LOG_2PI + abs(rest._logdet[0]) + np.sum(white * white, axis=1))
+        + abs(log_sum)
+        + drawn @ np.abs(ctx.theta)
+        + abs(ctx.k * members.cgf(ctx.theta))
+    )
+    u = 2.0**-53
+    gamma = (3 * d + 7) * u / (1.0 - (3 * d + 7) * u)
+    return 2.0 * gamma * (1.0 + gamma) * size
+
+
+JOINT_FILL_LAWS = [(kind, *joint_case(kind)) for kind in ("gamma", "normal")] + _sum_mc_laws()
+
+
+@pytest.mark.parametrize("kind,family,k,a", JOINT_FILL_LAWS)
+def test_joint_fill_matches_reference_at_block_draws(kind, family, k, a):
+    # joint_mc's fill draws what ctx.block.sample draws, consumes the stream
+    # alike, and writes _joint_log_ratio at those draws: byte for byte for
+    # Gamma, within the rounding bound for Normal; the second, shorter fill
+    # reuses the first one's buffers, as a last chunk does
+    ctx = RatioContext(family, k, a)
+    fill, reference = _joint_fill(family, ctx), _joint_log_ratio(family, ctx.k, ctx.na, ctx.theta)
+    gen, ref_gen, z_gen = (np.random.default_rng(29) for _ in range(3))
+    for count in (5001, 3000):
+        out = np.empty(count)
+        fill(gen, out)
+        expected = reference(ctx.block.sample(ref_gen, count))
+        assert gen.bit_generator.state == ref_gen.bit_generator.state
+        if kind == "gamma":
+            assert out.tobytes() == expected.tobytes()
+            continue
+        bound = joint_fill_rounding_bound(family, ctx, z_gen.standard_normal((count, family.dim)))
+        assert np.all(np.abs(out - expected) <= bound), np.max(np.abs(out - expected) / bound)
 
 
 def _member_draws(family, gen, count):
