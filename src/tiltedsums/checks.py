@@ -25,7 +25,9 @@ member moves only its mean, so the normal hooks do not depend on theta, and
 every gamma hook is a monotone function of the tilted scale
 u = t / (1 - theta t), which increases with theta.  So each sup and inf over
 K sits at one of the box's two ends, and each check reads the hooks of the
-two tilted families family.tilt(lo) and family.tilt(hi), for every kind.
+two tilted families family.tilt(lo) and family.tilt(hi), for every kind.  A
+report tilts to them once and hands both laws to every check (laws=); a
+check called on its own tilts itself.
 Thresholds and radius grids are fixed constants, so identical inputs give
 identical witnesses.
 """
@@ -133,9 +135,9 @@ def _tilted_ends(family, box):
     return family.tilt(box.lo), family.tilt(box.hi)
 
 
-def check_cv(family, box):
+def check_cv(family, box, laws=None):
     """Covariance eigenvalues of tilted members over K."""
-    laws = _tilted_ends(family, box)
+    laws = laws or _tilted_ends(family, box)
     eigs = np.array([np.linalg.eigvalsh(law.member_hess()) for law in laws])
     lam_min = float(np.min(eigs[..., 0]))
     lam_max = float(np.max(eigs[..., -1]))
@@ -143,9 +145,9 @@ def check_cv(family, box):
     return CheckResult("cv", passed, {"lambda_min": lam_min, "lambda_max": lam_max})
 
 
-def check_am4(family, box):
+def check_am4(family, box, laws=None):
     """Fourth absolute central moments of tilted members over K."""
-    laws = _tilted_ends(family, box)
+    laws = laws or _tilted_ends(family, box)
     worst = max(float(np.max(law.fourth_central_moment())) for law in laws)
     passed = math.isfinite(worst) and worst < AM4_CEILING
     return CheckResult("am4", passed, {"max_fourth_moment": worst, "ceiling": AM4_CEILING})
@@ -155,10 +157,10 @@ def _sup_partial_l1(laws):
     return max(float(np.max(law.density_partial_l1(axis))) for law in laws for axis in range(law.dim))
 
 
-def check_cf_decay(family, box):
+def check_cf_decay(family, box, laws=None):
     """Characteristic-function decay |cf(t)| <= C_K / ||t|| on ||t|| in
     [R_MIN, R_MAX] = [1, 100], with C_K = sup of L1 norms of density partials."""
-    laws = _tilted_ends(family, box)
+    laws = laws or _tilted_ends(family, box)
     c_k = _sup_partial_l1(laws)
     radii = np.geomspace(R_MIN, R_MAX, R_POINTS)
     worst_ratio = max(float(np.max(law.char_fn_modulus_sup(radii) * radii / c_k)) for law in laws)
@@ -166,13 +168,13 @@ def check_cf_decay(family, box):
     return CheckResult("cf_decay", passed, {"c_k": c_k, "max_bound_ratio": worst_ratio})
 
 
-def check_cf3(family, box, beta=0.5):
+def check_cf3(family, box, beta=0.5, laws=None):
     """Strict cf separation from 1: epsilon = sup over ||t|| > beta of
     |cf(t)|, combining a radius scan on [beta, R_MAX] with the analytic
     C_K / R_MAX bound beyond."""
     if beta <= 0.0:
         raise ValueError("beta must be positive")
-    laws = _tilted_ends(family, box)
+    laws = laws or _tilted_ends(family, box)
     radii = np.linspace(beta, R_MAX, R_POINTS)
     eps = max(float(np.max(law.char_fn_modulus_sup(radii))) for law in laws)
     eps = max(eps, _sup_partial_l1(laws) / R_MAX)
@@ -207,13 +209,15 @@ def check_uf(family, shape_lo=None, shape_hi=None):
 @np.errstate(over="ignore")
 def run_assumption_checks(family, box, beta=0.5):
     """Full report over a family: structural support entry plus the numeric
-    battery (and the envelope check for gamma families)."""
+    battery (and the envelope check for gamma families).  The family is
+    tilted to the box's two ends once, and every check reads those laws."""
+    laws = _tilted_ends(family, box)
     entries = [
         CheckResult("supp", True, {}),
-        check_cv(family, box),
-        check_am4(family, box),
-        check_cf_decay(family, box),
-        check_cf3(family, box, beta=beta),
+        check_cv(family, box, laws),
+        check_am4(family, box, laws),
+        check_cf_decay(family, box, laws),
+        check_cf3(family, box, beta, laws),
     ]
     if isinstance(family, GammaFamily):
         entries.append(check_uf(family))

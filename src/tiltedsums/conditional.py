@@ -11,8 +11,9 @@ evaluated with every member tilted by the same theta returns identical
 values, which this module exposes as a testable identity.
 
 RatioContext is the one object that conditions a family on {S_1n = n a}.
-With theta solved so that the average tilted mean equals a, it tilts the
-family once and reads only the tilted laws: the block-sum law ctx.block and
+It tilts the family once, to average mean a in closed form
+(family.tilt_to_mean, which also gives the theta of that law; no Newton
+solve runs), and reads only the tilted laws: the block-sum law ctx.block and
 rest-sum law ctx.rest (closed-form convolutions), the normalizations and the
 Edgeworth models, and the ratio
 
@@ -37,9 +38,8 @@ from functools import cached_property
 import numpy as np
 
 from .edgeworth import build_model, edgeworth_density
-from .errors import NonConvergenceError, UndefinedConditionalError
+from .errors import UndefinedConditionalError
 from .numerics import LOG_2PI, as_vector, sym_inv, sym_inv_sqrt, sym_logdet
-from .tilting import solve_tilt
 
 
 # ---------------------------------------------------------------------------
@@ -66,15 +66,6 @@ def _zero_density(law, point):
     return not float(np.ravel(point)[0]) > law.mean_lower
 
 
-def _solved_theta(family, a):
-    sol = solve_tilt(family, a)
-    if not sol.converged:
-        raise NonConvergenceError(
-            f"tilting equation did not converge (residual {sol.residual_norm:.3e})"
-        )
-    return sol.theta
-
-
 def conditional_density(family, k, x_block, s):
     """Density of (X_1..X_k) given {S_1n = s}, evaluated at x_block.
 
@@ -98,11 +89,12 @@ def conditional_density(family, k, x_block, s):
 # ---------------------------------------------------------------------------
 
 class RatioContext:
-    """The family conditioned on {S_1n = n a}, tilted by theta (the solved
-    tilt unless given): the block-sum law `block` (of X_1+..+X_k) and the
-    rest-sum law `rest` (of X_{k+1}+..+X_n), both closed-form convolutions,
-    and the normalization of the block (block_mean, block_B).  Given the
-    sum, the block sum has density rho(t) block(t).  All are read from the
+    """The family conditioned on {S_1n = n a}, tilted to mean a in closed
+    form, or by theta when given: the block-sum law `block` (of
+    X_1+..+X_k) and the rest-sum law `rest` (of X_{k+1}+..+X_n), both
+    closed-form convolutions, and the normalization of the block
+    (block_mean, block_B).  Given the sum, the block sum has density
+    rho(t) block(t).  All are read from the
     tilted family, and the rest-sum law, the normalization and the
     Edgeworth model of the rest sum are built on first use, so each
     estimator pays only for what it reads.  The full sum needs no model:
@@ -116,9 +108,10 @@ class RatioContext:
         self.a = as_vector(a, self.d)
         self.na = self.n * self.a
         if theta is None:
-            theta = _solved_theta(family, self.a)
+            self._tilted, theta = family.tilt_to_mean(self.a)
+        else:
+            self._tilted = family.tilt(theta)
         self.theta = as_vector(theta, self.d)
-        self._tilted = family.tilt(self.theta)
         self.block = self._tilted[: self.k].convolve()
         if _zero_density(self._tilted.convolve(), self.na):
             raise UndefinedConditionalError(f"zero sum density at s={self.na}")

@@ -20,7 +20,8 @@ class UnsupportedFamilyError(TiltedSumsError, ValueError):
 
 
 class ConditioningError(TiltedSumsError, RuntimeError):
-    """A Newton system is too ill-conditioned to solve reliably."""
+    """A Newton system is too ill-conditioned to solve reliably, or float
+    cannot resolve the terms a log ratio subtracts."""
 
 
 class UndefinedConditionalError(TiltedSumsError, ValueError):

@@ -13,7 +13,9 @@ members), and how to tilt itself: the tilted density
     p_theta(x) = exp(<theta, x>) p(x) / Phi(theta)
 
 stays inside the family for both concrete kinds shipped here, and so does the
-sum of the members:
+sum of the members; tilt_to_mean(a) gives the family tilted to average mean
+a in closed form, with its theta (Gamma keeps the shapes at scale a / kbar,
+exact where theta t rounds to 1):
 
     Normal(mu_j, Gamma_j) -> Normal(mu_j + Gamma_j theta, Gamma_j),   Theta = R^d
                              sum: Normal(sum_j mu_j, sum_j Gamma_j)
@@ -53,6 +55,7 @@ from .numerics import (
     LOG_2PI,
     as_vector,
     check_symmetric,
+    guarded_eigh,
     lgamma,
     stirling_tail,
     sym_inv,
@@ -73,7 +76,8 @@ class Family:
     _cycled(n, *rows) is the family of those constructor arguments cycled to
     n members.  Subclasses provide kind, dim, _rotated(shift, count) (the
     arguments of rows shift, shift + 1, ... mod r, at most count), the
-    average cgf calculus (cgf, cgf_grad, cgf_hess), tilt, convolve, the
+    average cgf calculus (cgf, cgf_grad, cgf_hess), tilt, tilt_to_mean
+    (where the kind has it in closed form), convolve, the
     single-law operations (log_density, cdf, sample, cdf_given_sum,
     interval_masses, log_ratio_given_sum, log_ratio_sampler, ratio_roots)
     and the hooks of the assumption checks (member_hess,
@@ -139,6 +143,16 @@ class Family:
         t = as_vector(theta, self.dim).tolist()
         return all(map(math.isfinite, t)) and t[0] < self.theta_upper
 
+    def _target(self, a):
+        """a as a vector, inside the support hull (OutOfDomainError unless
+        a[0] > mean_lower)."""
+        a = as_vector(a, self.dim)
+        if math.isfinite(self.mean_lower) and a[0] <= self.mean_lower:
+            raise OutOfDomainError(
+                f"target mean a={a[0]} outside ({self.mean_lower:g}, inf) for {self.kind} members"
+            )
+        return a
+
     def _check_theta(self, theta):
         t = as_vector(theta, self.dim)
         if not self.in_domain(t):
@@ -194,6 +208,28 @@ class _Scratch:
         if flat is None or flat.size < size:
             flat = self._flat[slot] = np.empty(size, dtype=dtype)
         return flat[:size].reshape(shape)
+
+
+# Largest eps * size that a log ratio takes when it subtracts two terms of
+# that size, so that each value carries a rounding error of about eps * size.
+# Untilted sums conditioned far from their means (tv_joint_mc's) reach it.
+# Normal: log f_{X+Y}(s); on normal_df.cfg at n = 200, k = 15 the joint_mc TV
+# moved by 1 to 9 times eps * size relative, so by at most about 1e-5 under
+# this limit.  Gamma, with the Gibbs factor: lam x and <theta, T>, both about
+# the tilted block mean over the untilted scale, K_x u / t; on Gamma rows at
+# n = 20 to 12800, k = 1 to 114 and a = 10 to 1e12 (two seeds, 2e4 samples)
+# the joint_mc TV moved by at most 0.24 eps * size absolute, so by at most
+# 2.4e-7 under this limit.
+LOG_DENSITY_LIMIT = 1e-6
+
+
+def _check_cancellation(s, size, terms):
+    """Raise ConditioningError where eps * size exceeds LOG_DENSITY_LIMIT, a
+    log ratio at the sum s subtracting `terms` of that size."""
+    if not np.finfo(float).eps * size <= LOG_DENSITY_LIMIT:
+        raise ConditioningError(
+            f"log rho at s = {s} subtracts {terms} of size {size:.3e}, more than {LOG_DENSITY_LIMIT:g} / eps"
+        )
 
 
 def _nonempty(count):
@@ -352,6 +388,13 @@ class GammaFamily(Family):
     def tilt(self, theta):
         return self._cycled(self._n, self.shapes, self.scale / self._denom(theta))
 
+    def tilt_to_mean(self, a):
+        """(the family tilted to average mean a, theta): the shapes at scale
+        a / kbar, exact however far a lies, and theta = (1 - kbar t / a) / t."""
+        (a,) = self._target(a)
+        kbar, t = self._kbar, self.scale
+        return self._cycled(self._n, self.shapes, a / kbar), np.array([(1.0 - kbar * t / a) / t])
+
     def convolve(self):
         return GammaFamily([self._member_sum(self.shapes)], self.scale)
 
@@ -462,8 +505,12 @@ class GammaFamily(Family):
         scale * standard_gamma, as numpy's gamma draws it, and the arithmetic
         of log_ratio_given_sum(rest, s, T) - T @ theta + len(members) *
         members.cgf(theta) runs in place in the same order, to the same
-        bits.  Temporaries are buffers that every fill reuses."""
+        bits.  Temporaries are buffers that every fill reuses.  With gibbs,
+        ConditioningError where the terms it subtracts, of the size of law's
+        mean over scale, pass LOG_DENSITY_LIMIT."""
         s, m, lam, c = self._log_ratio_terms(rest, s)
+        if gibbs:
+            _check_cancellation(s, gibbs[0].shapes[0] * gibbs[0].scale / self.scale, "Gibbs terms")
         law, theta, log_mgf = self._gibbs_terms(gibbs)
         shape, scale = law.shapes[0], law.scale
         scratch = _Scratch()
@@ -550,13 +597,6 @@ class GammaFamily(Family):
 # and the whitened shift, and the Scheffe error, about its square, stays
 # below 1e-10 relative.
 SPACING_LIMIT = 1e-5
-# Largest eps |log f_{X+Y}(s)| that the Normal log rho takes: it subtracts
-# two log densities of about that size, so each value carries a rounding
-# error of about eps |log f_{X+Y}(s)|.  Untilted sums conditioned far from
-# their means (tv_joint_mc's) reach it: on normal_df.cfg at n = 200, k = 15
-# the joint_mc TV moved by 1 to 9 times that share relative, so by at most
-# about 1e-5 under this limit.
-LOG_DENSITY_LIMIT = 1e-6
 
 
 def _ndtr(x):
@@ -618,6 +658,13 @@ class NormalFamily(Family):
     def tilt(self, theta):
         t = self._check_theta(theta)
         return self._cycled(self._n, self.means + self.covs @ t, self.covs)
+
+    def tilt_to_mean(self, a):
+        """(the family tilted to average mean a, theta): tilt(theta) with
+        theta = cov^-1 (a - mean), cov and mean the members' averages."""
+        w, q = guarded_eigh(self._cov)
+        theta = q @ ((q.T @ (self._target(a) - self._mean)) / w)
+        return self.tilt(theta), theta
 
     def convolve(self):
         return NormalFamily(self._member_sum(self.means)[None], self._member_sum(self.covs)[None])
@@ -711,11 +758,7 @@ class NormalFamily(Family):
         eps |log f_{X+Y}(s)| exceeds LOG_DENSITY_LIMIT."""
         full = NormalFamily(self.means + rest.means, self.covs + rest.covs)
         log_sum = full.log_density(np.reshape(s, (1, -1)))[0]
-        if not np.finfo(float).eps * abs(log_sum) <= LOG_DENSITY_LIMIT:
-            raise ConditioningError(
-                f"log rho at s = {s} subtracts log densities of size {abs(log_sum):.3e}, "
-                f"more than {LOG_DENSITY_LIMIT:g} / eps"
-            )
+        _check_cancellation(s, abs(log_sum), "log densities")
         return log_sum
 
     def log_ratio_sampler(self, rest, s, gibbs=None):

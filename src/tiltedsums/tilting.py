@@ -1,5 +1,10 @@
 """Solving the tilting equation.
 
+solve_tilt is the generic solver, for a family of any kind; the `tilt`
+subcommand prints its result.  Conditioning does not run it: both shipped
+kinds tilt to a target mean in closed form (family.tilt_to_mean), which the
+oracles below check independently.
+
 For a sequence X_1..X_n with average cgf kbar_n = (1/n) sum_j kappa_j, the
 tilt parameter associated with a target mean a is the unique solution of
 
@@ -24,7 +29,8 @@ term measures the step against the distance on which the tilted law
 depends, so a theta that float cannot place near the boundary is reported
 as not converged.
 
-Closed forms used as oracles in the test suite:
+Closed forms, used as oracles by the test suite and the benchmark
+(tilt_oracle):
 
     all Normal:            mean(Gamma_j) theta = a - mean(mu_j)
     Gamma, shared scale:   theta = (1 - kbar t / a) / t,  kbar = mean shape
@@ -35,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConditioningError, OutOfDomainError, UnsupportedFamilyError
+from .errors import ConditioningError, UnsupportedFamilyError
 from .families import GammaFamily, NormalFamily
 from .numerics import as_vector, guarded_eigh
 
@@ -57,13 +63,6 @@ class TiltingSolution:
     converged: bool
 
 
-def _check_target(family, a):
-    """a must lie in the interior of the convex support hull."""
-    lower = family.mean_lower
-    if math.isfinite(lower) and a[0] <= lower:
-        raise OutOfDomainError(f"target mean a={a[0]} outside ({lower:g}, inf) for {family.kind} members")
-
-
 def _in_domain(family, theta):
     upper = family.theta_upper
     margin = BOUNDARY_MARGIN * max(1.0, abs(upper)) if math.isfinite(upper) else 0.0
@@ -82,8 +81,7 @@ def solve_tilt(family, a, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, callback=N
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    a = as_vector(a, family.dim)
-    _check_target(family, a)
+    a = family._target(a)
 
     theta = np.zeros(family.dim)
     resid, hess = family.cgf_grad(theta) - a, family.cgf_hess(theta)
@@ -151,7 +149,7 @@ def tilt_oracle(family, a):
         w, q = _guarded_hessian(gam)
         return q @ ((q.T @ (a - mu)) / w)
     if isinstance(family, GammaFamily):
-        _check_target(family, a)
+        family._target(a)
         t = family.scale
         kbar = float(np.add.reduce(counts * family.shapes) / n)
         return np.array([(1.0 - kbar * t / a[0]) / t])

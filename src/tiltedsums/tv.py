@@ -48,9 +48,12 @@ At fixed k other members add their skewness at the same order: for i.i.d.
 Gamma(3, 1) at k = 1 the limit is E|1 - Z^2 + 2 Z / sqrt(3)| / 2 ~= 0.5394,
 Z the standardized Gamma(3).
 
-A Normal target so far out that float cannot resolve the sums raises
-ConditioningError from the Normal pair methods (families.SPACING_LIMIT,
-and LOG_DENSITY_LIMIT for joint_mc's untilted sums), before any draw.
+The tilted members come from family.tilt_to_mean in closed form, so a far
+Gamma target gives the TV of the target 6 to rounding.  A Normal target so
+far out that float cannot resolve the sums raises ConditioningError from
+the Normal pair methods (families.SPACING_LIMIT), and joint_mc's untilted
+sums raise it for either kind where their log ratio would subtract terms
+too large for float (families.LOG_DENSITY_LIMIT), before any draw.
 """
 
 import math

@@ -264,8 +264,9 @@ def test_report_depends_on_distinct_laws_only(gamma_box):
 def test_normal_checks_evaluate_the_box_ends(monkeypatch):
     """Normal covariances and moments do not depend on theta, so they are
     monotone over K and a 3-d box costs its two ends, as for every kind, not
-    33^3 grid points: each of the four checks tilts the family to the two
-    ends only.  The witnesses are those of the full grid."""
+    33^3 grid points: the report tilts the family to the two ends once, and
+    all four checks read those laws.  The witnesses are those of the full
+    grid."""
     members = normal_family([np.zeros(3), np.array([0.5, -0.5, 1.0])] * 2,
                             [np.array([[1.0, 0.2, 0.1], [0.2, 2.0, 0.3], [0.1, 0.3, 1.5]])])
     calls = []
@@ -278,7 +279,7 @@ def test_normal_checks_evaluate_the_box_ends(monkeypatch):
     monkeypatch.setattr(NormalFamily, "tilt", counting_tilt)
     box = ThetaBox((-1.0, -2.0, -3.0), (1.0, 2.0, 3.0))
     report = run_assumption_checks(members, box)
-    assert calls == [box.lo, box.hi] * 4
+    assert calls == [box.lo, box.hi]
     assert [(e.name, e.passed, e.witnesses) for e in report.entries] == [
         ("supp", True, {}),
         ("cv", True, {"lambda_min": 0.9576748571757885, "lambda_max": 2.1827601656659157}),
@@ -347,6 +348,21 @@ def test_gamma_cv_evaluates_the_two_box_ends(monkeypatch, gamma_members, gamma_b
     monkeypatch.setattr(GammaFamily, "tilt", counting_tilt)
     check_cv(gamma_members, gamma_box)
     assert calls == [(-1.0,), (0.9,)]
+
+
+def test_a_gamma_report_tilts_each_box_end_once(monkeypatch, gamma_members, gamma_box):
+    # the four battery checks read one pair of laws; uf tilts to its own box
+    calls = []
+    real_tilt = GammaFamily.tilt
+
+    def counting_tilt(self, theta):
+        calls.append(tuple(theta))
+        return real_tilt(self, theta)
+
+    monkeypatch.setattr(GammaFamily, "tilt", counting_tilt)
+    run_assumption_checks(gamma_members, gamma_box)
+    t = float(gamma_members.scale)
+    assert calls == [(-1.0,), (0.9,), (-2.0 / t,), (1.0 / t - checks_mod.BOUNDARY_MARGIN,)]
 
 
 def test_report_csv_shape(gamma_members, gamma_box):

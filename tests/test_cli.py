@@ -148,11 +148,11 @@ def test_row_failure_exit_code(tmp_path):
 
 
 def test_failed_rows_written_to_failures_csv(tmp_path, capsys):
-    # a = 1e16 is a valid target whose tilt solve does not converge; the good
-    # rows' results.csv is byte-identical to a sweep without that target
+    # a = -1 lies outside the Gamma support (0, inf), so its rows fail; the
+    # good rows' results.csv is byte-identical to a sweep without that target
     cfg = Path(__file__).resolve().parents[1] / "scripts" / "configs" / "gamma_iid_sweep.cfg"
     both, good = tmp_path / "both.cfg", tmp_path / "good.cfg"
-    both.write_text(cfg.read_text().replace("a = 6.0", "a = 6.0, 1e16"))
+    both.write_text(cfg.read_text().replace("a = 6.0", "a = 6.0, -1"))
     good.write_text(cfg.read_text())
     assert main(["sweep", "--config", str(both), "--out", str(tmp_path / "both")]) == 1
     assert f"wrote {tmp_path / 'both' / 'failures.csv'}" in capsys.readouterr().out
@@ -163,10 +163,10 @@ def test_failed_rows_written_to_failures_csv(tmp_path, capsys):
     lines = (tmp_path / "both" / "failures.csv").read_text().strip().split("\n")
     assert lines[0] == "index,n,k,a,error"
     assert [line.split(",")[:4] for line in lines[1:]] == [
-        ["1", "200", "15", "10000000000000000"], ["3", "400", "20", "10000000000000000"],
-        ["5", "800", "29", "10000000000000000"], ["7", "1600", "40", "10000000000000000"],
+        ["1", "200", "15", "-1"], ["3", "400", "20", "-1"], ["5", "800", "29", "-1"], ["7", "1600", "40", "-1"],
     ]
-    assert all("did not converge" in line for line in lines[1:])
+    # the message holds a comma, so the CSV quotes it
+    assert all(line.endswith(',"target mean a=-1.0 outside (0, inf) for gamma members"') for line in lines[1:])
     # rerun into the same directory without failures: the stale file goes
     assert main(["sweep", "--config", str(good), "--out", str(tmp_path / "both")]) == 0
     assert not (tmp_path / "both" / "failures.csv").exists()
@@ -206,12 +206,12 @@ BAD_INPUTS = [
     ("scheffe", 5000, ["tv", "--n", "50", "--k", "5", "--a", "6.0", "--method", "sum_mc", "--samples", "1"], 2),
     ("scheffe", 1, ["tv", "--n", "50", "--k", "5", "--a", "6.0", "--method", "joint_mc"], 2),
     ("sum_mc", 1, ["sweep"], 2),
-    ("scheffe", 5000, ["tv", "--n", "400", "--k", "20", "--a", "1e16"], 1),
+    ("scheffe", 5000, ["tv", "--n", "400", "--k", "20", "--a", "0"], 1),
     ("scheffe", 5000, ["check", "--n", "20", "--box", "abc"], 2),
     ("scheffe", 5000, ["check", "--n", "20", "--box", "0.5"], 2),
     ("scheffe", 5000, ["check", "--n", "20", "--box", "0.9:0.1"], 2),
     ("scheffe", 5000, ["check", "--n", "20", "--box", "0:2"], 2),
-    ("scheffe", 5000, ["edgeworth", "--count", "64", "--a", "1e16", "--grid", "0:4:3"], 1),
+    ("scheffe", 5000, ["edgeworth", "--count", "64", "--a", "0", "--grid", "0:4:3"], 1),
     ("scheffe", 5000, ["edgeworth", "--grid=-6:6:-1"], 2),
     ("scheffe", 5000, ["ratio", "--n", "50", "--k", "5", "--a", "6.0", "--t-grid=-3:3:-1"], 2),
     ("scheffe", 5000, ["check", "--n", "20", "--beta", "0"], 2),
@@ -381,16 +381,18 @@ def test_bad_family_config_exits_2(name, command, tmp_path, capsys, caplog):
     assert not (tmp_path / "out").exists()
 
 
-def test_check_unconverged_tilt_exits_1(cfg_path, capsys, caplog):
-    # the default theta box comes from the sweep's tilt solves, which fail here
+def test_check_target_outside_the_support_exits_1(cfg_path, capsys, caplog):
+    # the default theta box comes from the sweep's tilts, which fail here:
+    # a = -1 lies outside the Gamma support (0, inf)
     path = cfg_path()
     with open(path) as fh:
-        text = fh.read().replace("a = 6.0", "a = 1e16")
+        text = fh.read().replace("a = 6.0", "a = -1")
     with open(path, "w") as fh:
         fh.write(text)
     assert main(["check", "--config", path, "--n", "20"]) == 1
     assert "FAIL" not in capsys.readouterr().out
-    assert any("did not converge" in r.getMessage() for r in caplog.records if r.levelname == "ERROR")
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert errors == ["target mean a=-1.0 outside (0, inf) for gamma members"]
 
 
 SHIPPED = Path(__file__).resolve().parents[1] / "scripts" / "configs"
@@ -407,10 +409,83 @@ def test_far_target_exits_1_without_overflow_warning(capsys, caplog):
     assert any(r.levelname == "ERROR" for r in caplog.records)
 
 
+EPS = sys.float_info.epsilon
+
+
+def _csv_rows(capsys, argv):
+    assert main(argv) == 0
+    return [line.split(",") for line in capsys.readouterr().out.strip().split("\n")[1:]]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("a", ["1e7", "1e16", "1e300"])
+def test_far_gamma_tv_prints_the_shipped_target_value(a, capsys):
+    # the members tilted to a are Gamma(3, a / 3) however far a lies, and
+    # Scheffe reads them in scale-free coordinates: only the four ends of the
+    # two interval masses move, each by a few ulps in its log coordinate
+    # (n a, u, their ratio and the log), and a mass moves by that times its
+    # density there, below sqrt(K_x / (2 pi)), K_x = 60 the block's shape
+    # (the roots' own rounding cancels to first order, rho being 1 there):
+    # 64 eps sqrt(K_x) covers the four ends with a margin of four
+    cfg = str(SHIPPED / "gamma_iid_sweep.cfg")
+    argv = ["tv", "--config", cfg, "--n", "400", "--k", "20", "--a"]
+    (shipped,), (far,) = _csv_rows(capsys, argv + ["6.0"]), _csv_rows(capsys, argv + [a])
+    assert abs(float(far[4]) - float(shipped[4])) <= 64.0 * EPS * math.sqrt(60.0)
+    assert far[5] == "0"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_far_gamma_edgeworth_prints_the_shipped_target_csv(capsys):
+    # the normalized sum of 64 members tilted to a is the same law at every
+    # a; its exact density exp(L) sums terms of size at most K (|log(K u)| +
+    # 1) (K = 192, u = a / 3), and each rounds to a few ulps of its size, so
+    # the exact column moves by at most 4 eps K (2 |log(K u)| + 2) relative
+    # at either target; the Edgeworth columns read the scale-free skewness
+    # 2 / sqrt(3), which rounds to a few ulps
+    cfg = str(SHIPPED / "gamma_iid_sweep.cfg")
+    argv = ["edgeworth", "--config", cfg, "--count", "64", "--grid", "0:4:3", "--a"]
+    shipped, far = _csv_rows(capsys, argv + ["6.0"]), _csv_rows(capsys, argv + ["1e16"])
+    shape = 192.0
+    bound = sum(4.0 * EPS * shape * (2.0 * abs(math.log(shape * a / 3.0)) + 2.0) for a in (6.0, 1e16))
+    for want, got in zip(shipped, far):
+        want, got = [float(v) for v in want], [float(v) for v in got]
+        x, exact, order0, order1, err0, err1 = want
+        assert got[0] == x
+        assert abs(got[1] - exact) <= bound * exact
+        assert abs(got[2] - order0) <= 8.0 * EPS * order0 and abs(got[3] - order1) <= 8.0 * EPS * order1
+        assert abs(got[4] - err0) <= bound * exact + 8.0 * EPS * order0
+        assert abs(got[5] - err1) <= bound * exact + 8.0 * EPS * order1
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv", [["edgeworth", "--count", "64", "--grid", "0:4:3"], ["ratio", "--n", "400", "--k", "20"]])
+def test_gamma_target_near_the_float_range_exits_1_without_overflow_warning(argv, capsys, caplog):
+    # at a = 1e300 the tilted scale is 3.3e299, whose square, the covariance
+    # that normalizes the sum, is inf: a singular matrix, exit 1
+    cfg = str(SHIPPED / "gamma_iid_sweep.cfg")
+    assert main([argv[0], "--config", cfg, *argv[1:], "--a", "1e300"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert errors == ["matrix numerically singular: eigenvalues in [inf, inf]"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_huge_gamma_scale_tv_prints_the_unit_scale_value(tmp_path, capsys):
+    # Gamma(3, 1e300) members tilted to mean 6 are Gamma(3, 2), as at scale
+    # 1: the closed-form law squares no scale, and the row is the same
+    cfg = SHIPPED / "gamma_iid_sweep.cfg"
+    huge = tmp_path / "huge_scale.cfg"
+    huge.write_text(cfg.read_text().replace("scale = 1.0", "scale = 1e300"))
+    argv = ["--n", "50", "--k", "5", "--a", "6.0"]
+    rows = [_csv_rows(capsys, ["tv", "--config", str(path), *argv]) for path in (cfg, huge)]
+    assert [row[:6] for row in rows[0]] == [row[:6] for row in rows[1]]
+    assert float(rows[0][0][4]) > 0.0
+
+
 # a huge gamma scale (or box end) squares past the float range
 OVERFLOWS = {
     "tilt-huge-scale": (True, ["tilt"]),
-    "tv-huge-scale": (True, ["tv", "--n", "50", "--k", "5", "--a", "6.0"]),
     "check-far-box": (False, ["check", "--box=-1e300:0.5"]),
 }
 

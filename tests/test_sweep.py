@@ -14,7 +14,9 @@ from tiltedsums import (
     run_sweep,
     tv_scheffe,
 )
-from tiltedsums import conditional
+import tiltedsums
+from tiltedsums import cli, tilting
+from tiltedsums.families import NormalFamily
 from tiltedsums.sweep import SweepRow, emit_report, render_results, run_row
 
 
@@ -96,22 +98,22 @@ def test_run_row_seed_isolation():
 
 
 @pytest.mark.parametrize("method", ["scheffe", "sum_mc", "joint_mc"])
-def test_run_sweep_solves_the_tilt_once_per_row(method, monkeypatch):
-    # the row's theta is the one its estimator's RatioContext solved for
-    solve, calls = conditional.solve_tilt, []
+def test_a_sweep_row_makes_no_newton_solve(method, monkeypatch):
+    # each row conditions through the closed-form tilted law, and its theta
+    # is the one that law stands for; a Newton step anywhere would fail it
+    def no_newton(*args, **kwargs):
+        raise AssertionError("a sweep row ran the Newton solver")
 
-    def counting_solve(*args, **kwargs):
-        calls.append(args)
-        return solve(*args, **kwargs)
-
-    monkeypatch.setattr(conditional, "solve_tilt", counting_solve)
+    for module in (tiltedsums, tilting, cli):
+        monkeypatch.setattr(module, "solve_tilt", no_newton)
+    monkeypatch.setattr(tilting, "_guarded_hessian", no_newton)
     rows = run_sweep(make_config(method=method, n="50, 80", samples=200))
-    assert len(calls) == len(rows) == 2
+    assert len(rows) == 2
     assert all(r.error is None and r.theta == (0.5,) for r in rows)
 
 
-def test_scheffe_row_on_vector_members_fails_before_a_tilt_solve(monkeypatch):
-    monkeypatch.setattr(conditional, "solve_tilt", None)
+def test_scheffe_row_on_vector_members_fails_before_it_conditions(monkeypatch):
+    monkeypatch.setattr(NormalFamily, "tilt_to_mean", None)
     cfg = parse_config(
         "[family]\nkind = normal\nmeans = 0;0\ncov = 1;0|0;1\n\n"
         "[sweep]\nn = 50\nk = 5\na = 0.5;0.5\nmethod = scheffe\nsamples = 100\nseed = 1\n"

@@ -1,4 +1,8 @@
-"""Tilting equation: mean cgf, damped Newton solver, closed-form oracles."""
+"""Tilting equation: mean cgf, damped Newton solver, closed-form oracles,
+and the closed-form tilted law."""
+
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +18,9 @@ from tiltedsums import (
     solve_tilt,
     tilt_oracle,
 )
+from tiltedsums.config import parse_config_file
+
+EPS = np.finfo(float).eps
 
 
 def iid_normals(n, mean=0.0, var=1.0):
@@ -350,3 +357,91 @@ def test_solve_tilt_converges_on_far_normal_2d_targets(j, sign):
 def test_solve_tilt_far_gamma_target_stays_unconverged():
     sol = solve_tilt(gamma_family([3.0], 1.0), 1e300)
     assert not sol.converged and sol.theta[0] == 0.0 and sol.residual_norm == 1e300
+
+
+# ---------------------------------------------------------------------------
+# the closed-form tilted law: tilt_to_mean
+# ---------------------------------------------------------------------------
+
+SHIPPED = Path(__file__).resolve().parents[1] / "scripts" / "configs"
+NORMAL_2D_ROWS = normal_family([[0.0, 0.0], [0.5, 0.5]], [[1.0, 0.2], [0.2, 2.0]])
+
+
+def _shipped_rows():
+    for path in sorted(SHIPPED.glob("*.cfg")):
+        cfg = parse_config_file(path)
+        for n in cfg.n_values:
+            for a in cfg.a_values:
+                yield f"{path.name}-{n}-{a}", cfg.family.build(n), a
+
+
+# (family rows, a, n values): the sweep rows of the benchmark's Gamma and
+# 2-D Normal workloads, at their full and tiny sizes
+BENCH_ROWS = [
+    (gamma_family([2.5, 4.0], 1.0), 6.0, (100, 200, 400, 1600, 3200, 6400, 12800)),
+    (gamma_family([3.0], 1.0), 6.0, (100, 200, 400, 800, 1600)),
+    (NORMAL_2D_ROWS, [0.6, 0.6], (100, 200, 400, 800)),
+]
+CLOSED_FORM_CASES = list(_shipped_rows()) + [
+    (f"bench-{rows.kind}{rows.dim}-{n}", rows.build(n), a) for rows, a, ns in BENCH_ROWS for n in ns
+]
+
+
+@pytest.mark.parametrize("name,family,a", CLOSED_FORM_CASES, ids=[c[0] for c in CLOSED_FORM_CASES])
+def test_tilt_to_mean_theta_is_the_oracle(name, family, a):
+    # bitwise on every one-dimensional row; the 2-D Normal rows solve a 2 x 2
+    # system, allowed to round apart from the oracle's in the last bit
+    tilted, theta = family.tilt_to_mean(a)
+    oracle = tilt_oracle(family, a)
+    if family.dim == 1:
+        assert theta.tobytes() == oracle.tobytes()
+    else:
+        assert np.max(np.abs(theta - oracle) / np.abs(oracle)) <= 4e-16
+    assert len(tilted) == len(family)
+
+
+@pytest.mark.parametrize("name,family,a", CLOSED_FORM_CASES, ids=[c[0] for c in CLOSED_FORM_CASES])
+def test_tilt_to_mean_is_the_family_tilted_by_the_solved_theta(name, family, a):
+    # the law RatioContext conditions on is the one Newton's theta gave
+    tilted, _ = family.tilt_to_mean(a)
+    newton = family.tilt(solve_tilt(family, a).theta)
+    if family.kind == "gamma":
+        assert tilted.scale == newton.scale and tilted.shapes.tobytes() == newton.shapes.tobytes()
+    else:
+        np.testing.assert_allclose(tilted.means, newton.means, rtol=4e-16, atol=0.0)
+
+
+@given(exponent=st.floats(-6.0, 300.0))
+@settings(max_examples=200, deadline=None)
+def test_tilted_gamma_mean_is_the_target(exponent):
+    # u = fl(a / kbar), and kbar u rounds once more: at most eps relative,
+    # two ulps of a, at every target from 1e-6 to 1e300 times the mean
+    family = gamma_family([2.5, 4.0], 1.0).build(12801)
+    a = 10.0**exponent * family.cgf_grad(np.zeros(1))[0]
+    tilted, _ = family.tilt_to_mean(a)
+    assert abs(tilted.cgf_grad(np.zeros(1))[0] - a) <= 2.0 * math.ulp(a)
+
+
+@given(exponent=st.floats(-6.0, 300.0), direction=st.tuples(st.floats(0.2, 5.0), st.floats(-5.0, 5.0)))
+@settings(max_examples=200, deadline=None)
+def test_tilted_normal_mean_is_the_target(exponent, direction):
+    # mean + cov theta with theta = cov^-1 (a - mean): a - mean rounds by eps
+    # of the larger of the two, the eigen solve multiplies that by cond(cov)
+    # at most, and the tilted mean adds one rounding; 4 cond eps covers them
+    family = NORMAL_2D_ROWS.build(401)
+    mean, cov = family.cgf_grad(np.zeros(2)), family.cgf_hess(np.zeros(2))
+    a = 10.0**exponent * np.abs(mean) * np.array(direction)
+    tilted, _ = family.tilt_to_mean(a)
+    w = np.linalg.eigvalsh(cov)
+    size = max(np.max(np.abs(a)), np.max(np.abs(mean)))
+    assert np.max(np.abs(tilted.cgf_grad(np.zeros(2)) - a)) <= 4.0 * w[-1] / w[0] * EPS * size
+
+
+@pytest.mark.parametrize("a", [0.0, -1.0, -1e300])
+def test_tilt_to_mean_rejects_a_gamma_target_outside_the_support_as_the_solver_does(a):
+    family = gamma_family([2.5, 4.0], 1.0).build(10)
+    with pytest.raises(OutOfDomainError) as solver:
+        solve_tilt(family, a)
+    with pytest.raises(OutOfDomainError) as closed:
+        family.tilt_to_mean(a)
+    assert str(closed.value) == str(solver.value) == f"target mean a={float(a)} outside (0, inf) for gamma members"

@@ -884,7 +884,7 @@ FAR_METHODS = {
 FAR_CASES = (
     [("normal_df", method, 10.0**j) for method in FAR_METHODS for j in range(0, 301, 2)]
     + [("normal2d", "sum_mc", 10.0**j) for j in range(0, 301, 2)]
-    + [("gamma_iid", method, 10.0**j) for method in FAR_METHODS for j in range(-12, 7)]
+    + [("gamma_iid", method, 10.0**j) for method in FAR_METHODS for j in range(-12, 301)]
 )
 
 
@@ -899,7 +899,8 @@ def far_reference(name, method):
 def test_far_target_gives_the_shipped_target_value_or_a_typed_error(name, method, a):
     # n = 200, k = 15, a = 10^j in every coordinate: the same value as at the shipped target (1e-9
     # relative for Scheffe, 0.01 of the standard error for the same draws), or a TiltedSumsError
-    # where float cannot resolve the sums
+    # where float cannot resolve the sums.  Gamma members tilt to Gamma(3, a / 3) in closed form, so
+    # only joint_mc's untilted sums meet that limit
     members, _ = FAR_FAMILIES[name]
     reference = far_reference(name, method)
     try:
@@ -922,6 +923,18 @@ def test_far_normal_target_raises_the_spacing_error_first(name, method):
     members, _ = FAR_FAMILIES[name]
     with pytest.raises(ConditioningError, match="float cannot resolve the block sum"):
         FAR_METHODS[method](members, 15, np.full(members.dim, 1e300))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("a", [1e9, 1e16, 1e100, 1e300])
+def test_far_gamma_joint_mc_raises_the_cancellation_error_first(a, monkeypatch):
+    # joint_mc's Gibbs terms are of size k a / t = 15 a: past 1e-6 / eps
+    # (a ~ 3e8 here) the guard raises before any draw, and before theta,
+    # which rounds to 1 / t from a ~ 6e16 on, reaches the untilted cgf
+    members, _ = FAR_FAMILIES["gamma_iid"]
+    monkeypatch.setattr(families.GammaFamily, "cgf", None)
+    with pytest.raises(ConditioningError, match=r"subtracts Gibbs terms of size 1\.500e\+"):
+        tv_joint_mc(members, 15, a, samples=20_000, rng=object())  # a draw would fail on it
 
 
 def test_scheffe_at_a_billion_members_costs_what_a_few_rows_cost():
