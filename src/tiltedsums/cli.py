@@ -15,13 +15,9 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import checks as checks_mod
 from .config import ConfigError, _vector, parse_config_file
-from .conditional import RatioContext, normalized_exact_density
-from .edgeworth import build_model, edgeworth_density
 from .errors import TiltedSumsError
 from .sweep import _vec, emit_report, fit_scaling, run_row, run_sweep
-from .tilting import solve_tilt
 
 logger = logging.getLogger("tiltedsums")
 
@@ -41,9 +37,11 @@ def _seed_arg(text):
 
 
 def _box_arg(text):
+    from .checks import ThetaBox
+
     try:
         lo, hi = (float(v) for v in text.split(":"))
-        return checks_mod.ThetaBox((lo,), (hi,))
+        return ThetaBox((lo,), (hi,))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected lo:hi with lo <= hi, got {text!r}") from exc
 
@@ -97,6 +95,8 @@ def _emit(text, out_path):
 
 
 def cmd_tilt(args):
+    from .tilting import solve_tilt
+
     cfg = parse_config_file(args.config)
     family = _family_for(cfg, args.n)
     _check_vectors(args, family, "a")
@@ -114,6 +114,9 @@ def cmd_tilt(args):
 # singular (exit 1); that is the verdict, not a fault to warn of.
 @np.errstate(over="ignore")
 def cmd_edgeworth(args):
+    from .conditional import normalized_exact_density
+    from .edgeworth import build_model, edgeworth_density
+
     cfg = parse_config_file(args.config)
     family = _family_for(cfg, args.count)
     if family.dim != 1:
@@ -142,6 +145,8 @@ def cmd_edgeworth(args):
 
 @np.errstate(over="ignore")
 def cmd_ratio(args):
+    from .conditional import RatioContext
+
     cfg = parse_config_file(args.config)
     family = cfg.family.build(args.n)
     if family.dim != 1:
@@ -181,6 +186,8 @@ def cmd_tv(args):
 
 
 def cmd_check(args):
+    from . import checks as checks_mod
+
     cfg = parse_config_file(args.config)
     family = _family_for(cfg, args.n)
     box = args.box

@@ -37,7 +37,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .edgeworth import build_model, edgeworth_density
 from .errors import UndefinedConditionalError
 from .numerics import LOG_2PI, as_vector, sym_inv, sym_inv_sqrt, sym_logdet
 
@@ -107,7 +106,8 @@ class RatioContext:
         self.d = family.dim
         self.a = as_vector(a, self.d)
         self.na = self.n * self.a
-        if theta is None:
+        self._at_mean = theta is None
+        if self._at_mean:
             self._tilted, theta = family.tilt_to_mean(self.a)
         else:
             self._tilted = family.tilt(theta)
@@ -133,6 +133,8 @@ class RatioContext:
 
     @cached_property
     def comp_model(self):
+        from .edgeworth import build_model
+
         return build_model(self._tilted[self.k :], order=1)
 
     @cached_property
@@ -157,17 +159,25 @@ class RatioContext:
 
     @cached_property
     def _log_ratio_fill(self):
+        if self._at_mean:
+            return self._tilted.block_ratio_sampler(self.k, self.na)
         return self.block.log_ratio_sampler(self.rest, self.na)
 
     def fill_log_ratio(self, rng, out):
-        """Draw len(out) block sums from ctx.block on rng, consuming it as
-        ctx.block.sample does, and write log rho at them into out."""
+        """Draw len(out) block sums from ctx.block on rng and write log rho
+        at them into out.  The stream is consumed as ctx.block.sample does,
+        except where the tilted family draws rho from less than the block
+        sum (family.block_ratio_sampler: shared-covariance Normal members of
+        d >= 2 conditioned at their own mean draw one Gamma(d / 2) radius
+        per value)."""
         self._log_ratio_fill(rng, out)
 
     def exact(self, t):
         return np.exp(self.log_ratio_exact(t))
 
     def edgeworth(self, t):
+        from .edgeworth import edgeworth_density
+
         t = np.asarray(t, dtype=float).reshape(-1, self.d)
         _, t_sharp = self.coords(t)
         g_comp = np.atleast_1d(edgeworth_density(self.comp_model, t_sharp))

@@ -30,7 +30,10 @@ given the sum and unconditioned, log rho(t) = log f_Y(s - t) - log
 f_{X+Y}(s), its values at fresh draws of X and the two zeros of log rho
 (cdf_given_sum, interval_masses, log_ratio_given_sum, log_ratio_sampler and
 ratio_roots, given Y = rest); log_density also evaluates member j at point
-j when given one point per member.  The hooks of the assumption checks
+j when given one point per member.  block_ratio_sampler(k, s) is the
+log_ratio_sampler of the first k members' sum given the sum s at the
+family's own mean, which shared-covariance Normal members of d >= 2 fill
+from one Gamma(d / 2) radius per value.  The hooks of the assumption checks
 return one entry per row (per row of covs for Normal) and describe the
 family as it is: theta reaches the members through tilt alone.
 
@@ -77,9 +80,10 @@ class Family:
     n members.  Subclasses provide kind, dim, _rotated(shift, count) (the
     arguments of rows shift, shift + 1, ... mod r, at most count), the
     average cgf calculus (cgf, cgf_grad, cgf_hess), tilt, tilt_to_mean
-    (where the kind has it in closed form), convolve, the
-    single-law operations (log_density, cdf, sample, cdf_given_sum,
-    interval_masses, log_ratio_given_sum, log_ratio_sampler, ratio_roots)
+    (where the kind has it in closed form), convolve, block_ratio_sampler
+    (where the kind draws less than the block sum), the single-law
+    operations (log_density, cdf, sample, cdf_given_sum, interval_masses,
+    log_ratio_given_sum, log_ratio_sampler, ratio_roots)
     and the hooks of the assumption checks (member_hess,
     fourth_central_moment, char_fn_modulus_sup, density_partial_l1), plus
     third_central_moment_tensor averaged over the members for the Edgeworth
@@ -164,6 +168,13 @@ class Family:
     def _single(self, what, *others):
         if any(len(law) != 1 for law in (self, *others)):
             raise ValueError(f"{what} needs single laws; index or convolve the family first")
+
+    def block_ratio_sampler(self, k, s):
+        """log_ratio_sampler of the first k members' sum given the sum s of
+        all of them, for a family whose members' means add up to s (one from
+        tilt_to_mean(s / n)): a kind may use that to draw less than the block
+        sum itself."""
+        return self[:k].convolve().log_ratio_sampler(self[k:].convolve(), s)
 
     def _gibbs_terms(self, gibbs):
         """(law, theta, log_mgf) of log_ratio_sampler; called after the pair's
@@ -793,6 +804,34 @@ class NormalFamily(Family):
             if gibbs:
                 out -= np.matmul(z, slope, out=scratch.take(2, out.shape))
                 out += offset
+
+        return fill
+
+    def block_ratio_sampler(self, k, s):
+        """As for Family, unless the members share one covariance S and
+        d >= 2.  The block sum is then T = m + (k S)^(1/2) z and the rest sum
+        has mean s - m, so log rho depends on T only through G = |z|^2 / 2,
+        a Gamma(d / 2, 1) variate:
+
+            log rho(T) = (d / 2) log1p(c) - c G,    c = k / (n - k).
+
+        The fill draws G alone, by standard_gamma(d / 2), and evaluates that
+        line in place: no z, no product, no buffer.  At d = 1 one normal per
+        value costs less than one Gamma(1/2) draw.  The pair guards of
+        log_ratio_sampler run first, so a far target raises as it does there."""
+        if self.covs.shape[0] != 1 or self.dim == 1:
+            return super().block_ratio_sampler(k, s)
+        block, rest = self[:k].convolve(), self[k:].convolve()
+        s = as_vector(s, self.dim)
+        block._check_spacing(s)
+        block._log_sum_density(rest, s)
+        shape, c = 0.5 * self.dim, k / (len(self) - k)
+        const = shape * math.log1p(c)
+
+        def fill(rng, out):
+            rng.standard_gamma(shape, out=out)
+            out *= -c
+            out += const
 
         return fill
 

@@ -21,7 +21,12 @@ themselves.  Estimators:
   * sum_mc    - Monte Carlo mean of |rho - 1| over draws of the tilted
                 block sum from its closed-form law (the integrand's own
                 weight is the importance measure, so no reweighting is
-                needed), drawn and evaluated by ctx.fill_log_ratio;
+                needed), drawn and evaluated by ctx.fill_log_ratio.
+                Normal members of d >= 2 that share one covariance,
+                conditioned at their own mean, have rho a function of the
+                block's squared Mahalanobis radius alone, so their fill
+                draws one Gamma(d / 2) variate per sample instead
+                (NormalFamily.block_ratio_sampler);
   * joint_mc  - Monte Carlo in the k*d-dimensional joint space,
                 E_{x ~ tilted product} |q_cond(x)/p_tilted(x) - 1|.  q/p
                 depends on x only through its block sum T (the member
@@ -29,15 +34,16 @@ themselves.  Estimators:
                 does, and evaluates the untilted sums' ratio and the Gibbs
                 factor at it (_joint_fill), the other side of the
                 change-of-measure identity: at one seed the two differ
-                only by rounding.
+                only by rounding, except on the radial Normal laws, where
+                sum_mc reads the generator differently.
 
-Both Monte Carlo estimators run one chunk loop (_mc_estimate): a fill from
-the block law's log_ratio_sampler draws SUM_MC_CHUNK block sums from one
-generator, continuing a single stream, and writes log rho at them into one
-chunk-sized buffer, with its temporaries in buffers that every chunk
-reuses; expm1, abs and the chunk's sum and centred sum of squares run in
-place, and the chunks' moments are merged at the end (_mean_and_se), so a
-row holds one chunk whatever samples is.
+Both Monte Carlo estimators run one chunk loop (_mc_estimate): a fill
+draws SUM_MC_CHUNK values from one generator, continuing a single stream,
+and writes log rho at them into one chunk-sized buffer, with its
+temporaries in buffers that every chunk reuses; expm1, abs and the chunk's
+sum and centred sum of squares run in place, and the chunks' moments are
+merged at the end (_mean_and_se), so a row holds one chunk whatever
+samples is.
 
 Each estimate reports the a and theta of its RatioContext as floats.
 All three report the plain L1 integral (twice the sup-over-sets distance);
@@ -129,7 +135,7 @@ def tv_joint_mc(family, k, a, samples=DEFAULT_JOINT_SAMPLES, rng=None, theta=Non
     block given {S_1n = n a} and p the tilted product density.  The member
     densities cancel pointwise in q/p, so q/p depends on x only through its
     block sum T, whose law is the tilted block-sum law ctx.block: one draw
-    of it per sample (the stream sum_mc's fills read), by _joint_fill."""
+    of it per sample (ctx.block.sample's stream), by _joint_fill."""
     _check_samples(samples)
     ctx = RatioContext(family, k, a, theta=theta)
     return _mc_estimate(ctx, "joint_mc", samples, rng, _joint_fill(family, ctx))

@@ -22,7 +22,7 @@ from tiltedsums import (
     tv_scheffe,
     tv_sum_mc,
 )
-from tiltedsums import conditional
+from tiltedsums import conditional, edgeworth
 
 
 def iid_normals(n, mean=0.0, var=1.0):
@@ -178,7 +178,7 @@ def test_coords_linear_relation_heterogeneous():
 
 def test_edgeworth_models_built_only_on_first_use(monkeypatch):
     calls = []
-    real_build = conditional.build_model
+    real_build = edgeworth.build_model
 
     def counting_build(*args, **kwargs):
         calls.append(args)
@@ -193,7 +193,7 @@ def test_edgeworth_models_built_only_on_first_use(monkeypatch):
         normalizations.append(mat)
         return real_inv_sqrt(mat)
 
-    monkeypatch.setattr(conditional, "build_model", counting_build)
+    monkeypatch.setattr(edgeworth, "build_model", counting_build)
     monkeypatch.setattr(conditional, "sym_inv_sqrt", counting_inv_sqrt)
     family = gamma_family([2.5, 4.0] * 50, 1.0)
     tv_scheffe(family, 10, 6.0)

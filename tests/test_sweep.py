@@ -14,8 +14,7 @@ from tiltedsums import (
     run_sweep,
     tv_scheffe,
 )
-import tiltedsums
-from tiltedsums import cli, tilting
+from tiltedsums import tilting
 from tiltedsums.families import NormalFamily
 from tiltedsums.sweep import SweepRow, emit_report, render_results, run_row
 
@@ -104,8 +103,7 @@ def test_a_sweep_row_makes_no_newton_solve(method, monkeypatch):
     def no_newton(*args, **kwargs):
         raise AssertionError("a sweep row ran the Newton solver")
 
-    for module in (tiltedsums, tilting, cli):
-        monkeypatch.setattr(module, "solve_tilt", no_newton)
+    monkeypatch.setattr(tilting, "solve_tilt", no_newton)
     monkeypatch.setattr(tilting, "_guarded_hessian", no_newton)
     rows = run_sweep(make_config(method=method, n="50, 80", samples=200))
     assert len(rows) == 2

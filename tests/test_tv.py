@@ -14,7 +14,7 @@ import pytest
 from scipy.integrate import quad, trapezoid
 from scipy.optimize import brentq
 from scipy.special import gammaincc, ndtr
-from scipy.stats import kstest
+from scipy.stats import chi2, kstest
 
 from tiltedsums import (
     ConditioningError,
@@ -356,12 +356,43 @@ def test_sum_mc_normal_2d_against_quadrature_oracle():
     assert abs(mc.value - oracle) <= 3.0 * mc.std_error
 
 
+RADIAL_COVS = {
+    2: [[1.0, 0.2], [0.2, 2.0]],
+    3: [[1.0, 0.2, 0.1], [0.2, 2.0, 0.0], [0.1, 0.0, 0.5]],
+    4: [[2.0, 0.3, 0.0, 0.1], [0.3, 1.0, -0.2, 0.0], [0.0, -0.2, 1.5, 0.4], [0.1, 0.0, 0.4, 0.8]],
+}
+
+
+def g_d(t, d):
+    """L1 distance of N(0, c I_d) and N(0, I_d), c = 1 - t: the densities
+    cross at |x|^2 = r0^2 = d c log(1/c) / (1 - c), so it is
+    2 (Q_d(r0^2) - Q_d(r0^2 / c)), Q_d the chi-square(d) survival function."""
+    c = 1.0 - t
+    r0_sq = d * c * math.log(1.0 / c) / (1.0 - c)
+    return 2.0 * (chi2.sf(r0_sq, d) - chi2.sf(r0_sq / c, d))
+
+
+@pytest.mark.parametrize("d", sorted(RADIAL_COVS))
+def test_radial_sum_mc_within_five_se_of_g_d(d):
+    # shared-covariance Normal members conditioned at their own mean: given
+    # the sum the block sum is N(m, (1 - k/n) k S) against the tilted
+    # N(m, k S), so the TV is g_d(k / n) whatever the means and S; sum_mc
+    # draws one Gamma(d / 2) radius per sample for it
+    n, k = 200, 15
+    means = np.linspace(-1.0, 1.0, 2 * d).reshape(2, d)
+    members = normal_family(np.tile(means, (n // 2, 1)), RADIAL_COVS[d])
+    est = tv_sum_mc(members, k, np.full(d, 0.3), samples=200_000, rng=41)
+    assert abs(est.value - g_d(k / n, d)) <= 5.0 * est.std_error
+
+
 @pytest.mark.parametrize(
     "samples", [2, SUM_MC_CHUNK - 1, SUM_MC_CHUNK, SUM_MC_CHUNK + 1, 3 * SUM_MC_CHUNK + 7]
 )
 @pytest.mark.parametrize("kind", ["gamma", "normal"])
 def test_sum_mc_chunks_continue_one_stream(kind, samples):
-    # chunked evaluation must reproduce one draw of every sample in one call
+    # chunked evaluation must reproduce one draw of every sample in one call:
+    # of the Gamma block sums, or of the shared-covariance Normal radii
+    # G ~ Gamma(d / 2) through log rho = (d / 2) log1p(c) - c G
     if kind == "gamma":
         members, k, a = gamma_family([2.5, 4.0] * 50, 1.0), 10, 6.0
     else:
@@ -370,16 +401,18 @@ def test_sum_mc_chunks_continue_one_stream(kind, samples):
     gen, ref_gen = np.random.default_rng(17), np.random.default_rng(17)
     est = tv_sum_mc(members, k, a, samples=samples, rng=gen)
     ctx = RatioContext(members, k, a)
-    draws = ctx.block.sample(ref_gen, samples)
+    if kind == "gamma":
+        log_ratio = ctx.log_ratio_exact(ctx.block.sample(ref_gen, samples))
+    else:
+        c, half_d = k / (len(members) - k), members.dim / 2
+        log_ratio = ref_gen.standard_gamma(half_d, samples) * -c + half_d * math.log1p(c)
     assert gen.bit_generator.state == ref_gen.bit_generator.state
-    vals = np.abs(np.expm1(ctx.log_ratio_exact(draws)))
+    vals = np.abs(np.expm1(log_ratio))
     value, std_error = np.mean(vals), np.std(vals, ddof=1) / math.sqrt(samples)
-    if kind == "normal":
-        np.testing.assert_allclose([est.value, est.std_error], [value, std_error], rtol=1e-13, atol=0.0)
-    elif samples <= SUM_MC_CHUNK:
+    if samples <= SUM_MC_CHUNK:
         assert (est.value, est.std_error) == (value, std_error)
     else:
-        # the Gamma values are those of the full draw, byte for byte; merged
+        # the values are those of the full draw, byte for byte; merged
         # chunk moments differ from the whole-array formula by rounding only
         assert_exact_within_rounding((est.value, est.std_error), vals)
 
@@ -409,10 +442,10 @@ def test_sum_mc_zero_when_ratio_forced_to_one(monkeypatch):
 def test_sum_mc_traced_memory_is_one_buffer_plus_a_chunk(kind, estimator):
     # a row holds one chunk-sized buffer and the buffers of its fill, at
     # most six d-wide float64 arrays of SUM_MC_CHUNK rows, whatever samples
-    # is; measured at both sizes 1.07 MiB (gamma) and 2.51 MiB (normal) for
-    # sum_mc, 1.57 and 3.01 MiB for joint_mc (one chunk-sized Gibbs term
-    # more), and 2^22 samples hold at most 4.8 KiB more than 2^20 (three
-    # floats per chunk)
+    # is; measured at both sizes 1.07 MiB (gamma) and 0.51 MiB (normal, whose
+    # radial fill keeps no buffer) for sum_mc, 1.57 and 3.01 MiB for
+    # joint_mc (one chunk-sized Gibbs term more), and 2^22 samples hold at
+    # most 4.8 KiB more than 2^20 (three floats per chunk)
     if kind == "gamma":
         members, k, a, d = gamma_family([2.5, 4.0] * 50, 1.0), 10, 6.0, 1
     else:
@@ -464,19 +497,43 @@ def _sum_mc_laws():
     ]
 
 
+def _radial(family):
+    """Whether sum_mc at the tilt's own mean draws Gamma(d / 2) radii
+    (NormalFamily.block_ratio_sampler): one shared covariance and d >= 2."""
+    return family.kind == "normal" and family.covs.shape[0] == 1 and family.dim >= 2
+
+
+def _radial_block_sums(ctx, gen, count, directions):
+    """count block sums T = m + L sqrt(2 G) e from G ~ Gamma(d / 2) drawn
+    on gen, L the square root of ctx.block's covariance and m its mean, with
+    unit directions e drawn on the generator `directions`: a draw of the
+    block law that spends gen as the radial fill does."""
+    radius = np.sqrt(2.0 * gen.standard_gamma(ctx.d / 2, count))
+    e = directions.standard_normal((count, ctx.d))
+    e /= np.linalg.norm(e, axis=1, keepdims=True)
+    return ctx.block.means[0] + (radius[:, None] * e) @ sym_sqrt(ctx.block.covs[0]).T
+
+
 @pytest.mark.parametrize("untilted", [False, True])
 @pytest.mark.parametrize("kind,members,k,a", _sum_mc_laws())
 def test_fill_log_ratio_matches_ratio_at_block_draws(kind, members, k, a, untilted):
     # the fused fill draws what ctx.block.sample draws, consumes the stream
     # alike, and writes log rho at those draws; untilted, the block and rest
     # means no longer add up to n a, so the whitened shift is not 0; the
-    # second, shorter fill reuses the first one's buffers, as a last chunk does
+    # second, shorter fill reuses the first one's buffers, as a last chunk
+    # does.  Shared-covariance Normal laws of d >= 2 at the tilt's own mean
+    # draw one Gamma(d / 2) radius per value instead, and each value is log
+    # rho at a block sum of that radius, in any direction
     ctx = RatioContext(members, k, a, theta=np.zeros(members.dim) if untilted else None)
     gen, ref_gen = np.random.default_rng(29), np.random.default_rng(29)
+    directions = np.random.default_rng(31)
     for count in (5001, 3000):
         out = np.empty(count)
         ctx.fill_log_ratio(gen, out)
-        expected = ctx.log_ratio_exact(ctx.block.sample(ref_gen, len(out)))
+        if _radial(members) and not untilted:
+            expected = ctx.log_ratio_exact(_radial_block_sums(ctx, ref_gen, count, directions))
+        else:
+            expected = ctx.log_ratio_exact(ctx.block.sample(ref_gen, len(out)))
         assert gen.bit_generator.state == ref_gen.bit_generator.state
         if kind == "gamma":
             assert out.tobytes() == expected.tobytes()
@@ -507,6 +564,37 @@ def test_fill_log_ratio_reuses_its_buffers(kind, members, k, a, estimator):
     finally:
         tracemalloc.stop()
     assert kept < 1024 and peak < 4096, (kept, peak)
+
+
+def _z_path_cases():
+    shared = normal_family([[0.0, 0.0], [0.5, 0.5]] * 50, [[1.0, 0.2], [0.2, 2.0]])
+    per_row = normal_family([[0.0, 0.0], [0.5, 0.5]] * 50, [[[1.0, 0.2], [0.2, 2.0]], np.eye(2) * 0.5] * 50)
+    theta = shared.tilt_to_mean([0.6, 0.6])[1]
+    return {
+        "d1": (normal_family([[0.0], [1.0]] * 30, [[1.0]]), 7, 0.8, None, "sum_mc"),
+        "per_row": (per_row, 9, [0.6, 0.6], None, "sum_mc"),
+        "theta": (shared, 10, [0.6, 0.6], theta, "sum_mc"),
+        "joint_mc": (shared, 10, [0.6, 0.6], None, "joint_mc"),
+    }
+
+
+Z_PATH_CASES = _z_path_cases()
+
+
+@pytest.mark.parametrize("case", sorted(Z_PATH_CASES))
+def test_fills_off_the_radial_path_draw_the_block_sums(case):
+    # the radial fill is chosen by structure, never by a small whitened
+    # shift: d = 1, per-row covariances, an explicit theta (the very theta
+    # of the closed-form tilt) and joint_mc's fill draw the block sums, and
+    # spend the generator as ctx.block.sample does
+    family, k, a, theta, estimator = Z_PATH_CASES[case]
+    ctx = RatioContext(family, k, a, theta=theta)
+    if theta is not None:
+        assert ctx.theta.tobytes() == RatioContext(family, k, a).theta.tobytes()
+    gen, ref_gen = np.random.default_rng(5), np.random.default_rng(5)
+    FILLS[estimator](family, ctx)(gen, np.empty(1000))
+    ctx.block.sample(ref_gen, 1000)
+    assert gen.bit_generator.state == ref_gen.bit_generator.state
 
 
 def test_joint_mc_agrees_with_scheffe_gaussian():
@@ -775,6 +863,17 @@ def test_joint_mc_matches_sum_mc_at_one_seed(family, k, a, samples, seed):
     # (untilted sums and the Gibbs factor) against the tilted ratio, on one
     # stream that sum_mc reads in SUM_MC_CHUNK fills and joint_mc in one draw
     joint = tv_joint_mc(family, k, a, samples=samples, rng=np.random.default_rng(seed))
+    if _radial(family):
+        # sum_mc draws radii here, not block sums: the tilted ratio at the
+        # block sums that joint_mc draws, ctx.block.sample's
+        ctx = RatioContext(family, k, a)
+        total = ctx.block.sample(np.random.default_rng(seed), samples)
+        value = float(np.mean(np.abs(np.expm1(ctx.log_ratio_exact(total)))))
+        bound = joint_sum_parity_bound(family, k, a, samples, seed, value)
+        assert bound < 1e-9
+        assert abs(joint.value / value - 1.0) <= bound, (joint.value, value, bound)
+        assert joint.samples == samples
+        return
     summed = tv_sum_mc(family, k, a, samples=samples, rng=np.random.default_rng(seed))
     bound = joint_sum_parity_bound(family, k, a, samples, seed, summed.value)
     assert bound < 1e-9
