@@ -57,12 +57,13 @@ def _scalar_log(density, point):
     return float(density.log_density(np.reshape(np.asarray(point, dtype=float), (1, -1)))[0])
 
 
-def _zero_density(law, point):
-    """Whether law has zero density at point: point[0] at or below the lower
-    end of its support, law.mean_lower.  No arithmetic touches the point, so
+def _zero_density(family, point):
+    """Whether the sum of family's members has zero density at point:
+    point[0] at or below the lower end of its support, family.mean_lower,
+    which a kind shares with its sums.  No arithmetic touches the point, so
     a Normal target too far out for float reaches the pair methods' guards
     instead of overflowing a log density here."""
-    return not float(np.ravel(point)[0]) > law.mean_lower
+    return not float(np.ravel(point)[0]) > family.mean_lower
 
 
 def conditional_density(family, k, x_block, s):
@@ -75,7 +76,7 @@ def conditional_density(family, k, x_block, s):
     d = family.dim
     s = as_vector(s, d)
     x = np.asarray(x_block, dtype=float).reshape(k, d)
-    if _zero_density(family.convolve(), s):
+    if _zero_density(family, s):
         raise UndefinedConditionalError(f"conditioning point s={s} has zero sum density")
     block, rest = family[:k], family[k:].convolve()
     log_q = block.convolve().log_ratio_given_sum(rest, s, x.sum(axis=0, keepdims=True))[0]
@@ -113,7 +114,7 @@ class RatioContext:
             self._tilted = family.tilt(theta)
         self.theta = as_vector(theta, self.d)
         self.block = self._tilted[: self.k].convolve()
-        if _zero_density(self._tilted.convolve(), self.na):
+        if _zero_density(self._tilted, self.na):
             raise UndefinedConditionalError(f"zero sum density at s={self.na}")
 
     @cached_property
@@ -160,7 +161,7 @@ class RatioContext:
     @cached_property
     def _log_ratio_fill(self):
         if self._at_mean:
-            return self._tilted.block_ratio_sampler(self.k, self.na)
+            return self._tilted.block_ratio_sampler(self.k, self.na, self.block, self.rest)
         return self.block.log_ratio_sampler(self.rest, self.na)
 
     def fill_log_ratio(self, rng, out):

@@ -30,8 +30,8 @@ given the sum and unconditioned, log rho(t) = log f_Y(s - t) - log
 f_{X+Y}(s), its values at fresh draws of X and the two zeros of log rho
 (cdf_given_sum, interval_masses, log_ratio_given_sum, log_ratio_sampler and
 ratio_roots, given Y = rest); log_density also evaluates member j at point
-j when given one point per member.  block_ratio_sampler(k, s) is the
-log_ratio_sampler of the first k members' sum given the sum s at the
+j when given one point per member.  block_ratio_sampler(k, s, block, rest)
+is the log_ratio_sampler of the first k members' sum given the sum s at the
 family's own mean, which shared-covariance Normal members of d >= 2 fill
 from one Gamma(d / 2) radius per value.  The hooks of the assumption checks
 return one entry per row (per row of covs for Normal) and describe the
@@ -39,6 +39,9 @@ family as it is: theta reaches the members through tilt alone.
 
 Gamma members require shape > 2 so densities are C^1 and fourth moments stay
 uniformly controlled under tilting; a gamma family shares a single scale t.
+The constructors validate a family once; build, slices, tilts and convolve
+store arrays derived from validated ones unchecked, and a covariance that
+float made unusable raises DegenerateCovarianceError where it is used.
 Families are immutable; random number generators are always passed
 explicitly.
 
@@ -75,15 +78,16 @@ from .numerics import (
 class Family:
     """Base of the families of r parameter rows cycled to n members.
 
-    A subclass constructor takes one row per member and sets _n = _r = r;
-    _cycled(n, *rows) is the family of those constructor arguments cycled to
-    n members.  Subclasses provide kind, dim, _rotated(shift, count) (the
-    arguments of rows shift, shift + 1, ... mod r, at most count), the
-    average cgf calculus (cgf, cgf_grad, cgf_hess), tilt, tilt_to_mean
-    (where the kind has it in closed form), convolve, block_ratio_sampler
-    (where the kind draws less than the block sum), the single-law
-    operations (log_density, cdf, sample, cdf_given_sum, interval_masses,
-    log_ratio_given_sum, log_ratio_sampler, ratio_roots)
+    A subclass constructor validates one row per member and passes it to
+    _store(n, *rows), which sets fields only; every derived law (build,
+    slices, tilt, convolve) is _cycled(n, *rows), the arguments cycled to n
+    members, stored unvalidated.  Subclasses provide kind, dim,
+    _rotated(shift, count) (the arguments of rows shift, shift + 1, ... mod
+    r, at most count), the average cgf calculus (cgf, cgf_grad, cgf_hess),
+    tilt, tilt_to_mean (where the kind has it in closed form), convolve,
+    block_ratio_sampler (where the kind draws less than the block sum), the
+    single-law operations (log_density, cdf, sample, cdf_given_sum,
+    interval_masses, log_ratio_given_sum, log_ratio_sampler, ratio_roots)
     and the hooks of the assumption checks (member_hess,
     fourth_central_moment, char_fn_modulus_sup, density_partial_l1), plus
     third_central_moment_tensor averaged over the members for the Edgeworth
@@ -121,15 +125,17 @@ class Family:
 
     def _cycled(self, n, *rows):
         _nonempty(n)
-        family = type(self)(*rows)
-        family._n = n
+        family = object.__new__(type(self))
+        family._store(n, *rows)
         return family
 
     def _member_sum(self, column):
         """The members' sum of a column with one entry per row, or one shared
-        by all: n // rows times the rows' sum, plus the first n % rows rows."""
+        by all: n // rows times the rows' sum, plus the first n % rows rows;
+        inf past the float range, silently, for the laws' guards to raise on."""
         q, rem = divmod(self._n, len(column))
-        return q * np.add.reduce(column, axis=0) + np.add.reduce(column[:rem], axis=0)
+        with np.errstate(over="ignore"):
+            return q * np.add.reduce(column, axis=0) + np.add.reduce(column[:rem], axis=0)
 
     def _at_points(self, count, column):
         """A row column at count points: the one law's row at every point,
@@ -169,12 +175,12 @@ class Family:
         if any(len(law) != 1 for law in (self, *others)):
             raise ValueError(f"{what} needs single laws; index or convolve the family first")
 
-    def block_ratio_sampler(self, k, s):
-        """log_ratio_sampler of the first k members' sum given the sum s of
-        all of them, for a family whose members' means add up to s (one from
-        tilt_to_mean(s / n)): a kind may use that to draw less than the block
-        sum itself."""
-        return self[:k].convolve().log_ratio_sampler(self[k:].convolve(), s)
+    def block_ratio_sampler(self, k, s, block, rest):
+        """block.log_ratio_sampler(rest, s) for block = self[:k].convolve(),
+        rest = self[k:].convolve() and a family whose members' means add up
+        to s (one from tilt_to_mean(s / n)): a kind may use that to draw
+        less than the block sum itself."""
+        return block.log_ratio_sampler(rest, s)
 
     def _gibbs_terms(self, gibbs):
         """(law, theta, log_mgf) of log_ratio_sampler; called after the pair's
@@ -367,10 +373,13 @@ class GammaFamily(Family):
         lowest = shapes.min()
         if not lowest > 2.0:
             raise ValueError(f"gamma shape must exceed 2, got {lowest}")
-        if not (scale > 0.0):
+        self._store(shapes.size, shapes, scale)
+
+    def _store(self, n, shapes, scale):
+        if not (scale > 0.0):  # a tilted scale too can round to 0
             raise ValueError(f"gamma scale must be positive, got {scale}")
         self.shapes = shapes
-        self._n = self._r = shapes.size
+        self._n, self._r = n, shapes.size
         # A numpy scale makes an overflowing power (scale**2, u**4) inf, where
         # a Python float raises; a subnormal scale still gives
         # theta_upper = inf without a warning.
@@ -407,7 +416,7 @@ class GammaFamily(Family):
         return self._cycled(self._n, self.shapes, a / kbar), np.array([(1.0 - kbar * t / a) / t])
 
     def convolve(self):
-        return GammaFamily([self._member_sum(self.shapes)], self.scale)
+        return self._cycled(1, self._member_sum(self.shapes)[None], self.scale)
 
     # -- single law (or one point per member for log_density) ---------------
 
@@ -633,14 +642,18 @@ class NormalFamily(Family):
         n, d = means.shape
         if covs.ndim != 3 or covs.shape[1:] != (d, d) or covs.shape[0] not in (1, n):
             raise ValueError("covs must be shared or match means in length")
-        lam_min = float(np.min(np.linalg.eigvalsh(covs)[:, 0]))
-        if lam_min <= 0.0:
-            raise ValueError(f"covariance not positive definite: lambda_min={lam_min:.3e}")
-        self.means = means
-        self.covs = covs
-        self.dim = d
-        self._n = self._r = n
-        self._lam_min = lam_min
+        self._store(n, means, covs)
+        if self._lam_min <= 0.0:
+            raise ValueError(f"covariance not positive definite: lambda_min={self._lam_min:.3e}")
+
+    def _store(self, n, means, covs):
+        self.means, self.covs = means, covs
+        self._n, self._r, self.dim = n, len(means), means.shape[1]
+
+    @cached_property
+    def _lam_min(self):
+        """Smallest eigenvalue of covs; only _check_spacing reads it."""
+        return float(np.min(np.linalg.eigvalsh(self.covs)[:, 0]))
 
     def _rotated(self, shift, count):
         # a shared covariance, one row, rotates to itself
@@ -678,7 +691,7 @@ class NormalFamily(Family):
         return self.tilt(theta), theta
 
     def convolve(self):
-        return NormalFamily(self._member_sum(self.means)[None], self._member_sum(self.covs)[None])
+        return self._cycled(1, self._member_sum(self.means)[None], self._member_sum(self.covs)[None])
 
     # Inverse / sqrt / logdet are computed lazily so that a nearly singular
     # covariance can still be *inspected* (eigenvalues, Hessian) even though
@@ -767,7 +780,7 @@ class NormalFamily(Family):
         """log f_{X+Y}(s) for X = self, Y = rest.  Both callers subtract it from
         a log density of about its size, so it raises ConditioningError where
         eps |log f_{X+Y}(s)| exceeds LOG_DENSITY_LIMIT."""
-        full = NormalFamily(self.means + rest.means, self.covs + rest.covs)
+        full = self._cycled(1, self.means + rest.means, self.covs + rest.covs)
         log_sum = full.log_density(np.reshape(s, (1, -1)))[0]
         _check_cancellation(s, abs(log_sum), "log densities")
         return log_sum
@@ -807,7 +820,7 @@ class NormalFamily(Family):
 
         return fill
 
-    def block_ratio_sampler(self, k, s):
+    def block_ratio_sampler(self, k, s, block, rest):
         """As for Family, unless the members share one covariance S and
         d >= 2.  The block sum is then T = m + (k S)^(1/2) z and the rest sum
         has mean s - m, so log rho depends on T only through G = |z|^2 / 2,
@@ -816,12 +829,13 @@ class NormalFamily(Family):
             log rho(T) = (d / 2) log1p(c) - c G,    c = k / (n - k).
 
         The fill draws G alone, by standard_gamma(d / 2), and evaluates that
-        line in place: no z, no product, no buffer.  At d = 1 one normal per
-        value costs less than one Gamma(1/2) draw.  The pair guards of
-        log_ratio_sampler run first, so a far target raises as it does there."""
+        line in place: no z, no product, no buffer; at d = 2 standard_exponential
+        fills the same bits in one call, standard_gamma(1) one element at a
+        time.  At d = 1 one normal per value costs less than one Gamma(1/2)
+        draw.  The pair guards of log_ratio_sampler run first, so a far
+        target raises as it does there."""
         if self.covs.shape[0] != 1 or self.dim == 1:
-            return super().block_ratio_sampler(k, s)
-        block, rest = self[:k].convolve(), self[k:].convolve()
+            return super().block_ratio_sampler(k, s, block, rest)
         s = as_vector(s, self.dim)
         block._check_spacing(s)
         block._log_sum_density(rest, s)
@@ -829,7 +843,10 @@ class NormalFamily(Family):
         const = shape * math.log1p(c)
 
         def fill(rng, out):
-            rng.standard_gamma(shape, out=out)
+            if shape == 1.0:
+                rng.standard_exponential(out=out)
+            else:
+                rng.standard_gamma(shape, out=out)
             out *= -c
             out += const
 

@@ -26,7 +26,8 @@ themselves.  Estimators:
                 conditioned at their own mean, have rho a function of the
                 block's squared Mahalanobis radius alone, so their fill
                 draws one Gamma(d / 2) variate per sample instead
-                (NormalFamily.block_ratio_sampler);
+                (NormalFamily.block_ratio_sampler), and g_d(k / n, d) is
+                their TV in closed form;
   * joint_mc  - Monte Carlo in the k*d-dimensional joint space,
                 E_{x ~ tilted product} |q_cond(x)/p_tilted(x) - 1|.  q/p
                 depends on x only through its block sum T (the member
@@ -106,6 +107,38 @@ def df_gamma_constant():
     """gamma_df = 0.5 E|1 - Z^2| for standard normal Z.  Since
     (z^2 - 1) phi(z) = d/dz[-z phi(z)], it equals 2 phi(1)."""
     return 2.0 * math.exp(-0.5) / math.sqrt(2.0 * math.pi)
+
+
+def chi2_sf(x, d):
+    """Q_d(x) = P(chi^2_d > x) for x >= 0 and an integer d >= 1, with math
+    alone: Q_1 = erfc(sqrt(x / 2)), Q_2 = exp(-x / 2) and
+
+        Q_{j+2} = Q_j + t_j,    t_j = (x / 2)^(j / 2) exp(-x / 2) / Gamma(j / 2 + 1),
+
+    each t_{j+2} = t_j (x / 2) / (j / 2 + 1) from the one before it
+    (t_1 = sqrt(2 x / pi) exp(-x / 2), t_2 = (x / 2) exp(-x / 2)), so no
+    power or Gamma can overflow."""
+    half = 0.5 * x
+    decay = math.exp(-half)
+    if d % 2:
+        total, term = math.erfc(math.sqrt(half)), math.sqrt(2.0 * x / math.pi) * decay
+    else:
+        total, term = decay, half * decay
+    for j in range(2 - d % 2, d, 2):
+        total += term
+        term *= half / (0.5 * j + 1.0)
+    return total
+
+
+def g_d(t, d):
+    """The L1 distance of N(0, c I_d) and N(0, I_d), c = 1 - t for
+    0 < t < 1: the two densities cross at |x|^2 = r0^2 = d c log(1/c) / (1 - c),
+    so it is 2 (Q_d(r0^2) - Q_d(r0^2 / c)) (chi2_sf).  It is the TV that
+    tv_sum_mc estimates for members sharing one covariance, conditioned at
+    their own mean with k / n = t, whatever the means and the covariance."""
+    c = 1.0 - t
+    r0_sq = d * c * math.log(1.0 / c) / (1.0 - c)
+    return 2.0 * (chi2_sf(r0_sq, d) - chi2_sf(r0_sq / c, d))
 
 
 def tv_scheffe(family, k, a, theta=None):

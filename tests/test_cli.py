@@ -409,6 +409,22 @@ def test_far_target_exits_1_without_overflow_warning(capsys, caplog):
     assert any(r.levelname == "ERROR" for r in caplog.records)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("method", ["sum_mc", "joint_mc"])
+def test_overflowing_normal_sum_exits_1_without_overflow_warning(method, tmp_path, caplog):
+    # the rest sum's covariance, about 1e10 times 1e300, is inf: the
+    # conditioning raises DegenerateCovarianceError where it is used
+    path = tmp_path / "huge_cov.cfg"
+    path.write_text(
+        "[family]\nkind = normal\nmeans = 0;0, 0.5;0.5\ncov = 1e300;0|0;1e300\n\n"
+        "[sweep]\nn = 100\nk = sqrt\na = 0.6;0.6\nmethod = sum_mc\nsamples = 1000\nseed = 11\n"
+    )
+    argv = ["tv", "--config", str(path), "--n", "10000000000", "--k", "10", "--a", "0.6;0.6", "--method", method]
+    assert main(argv) == 1
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and errors[0].endswith("failed: matrix numerically singular: eigenvalues in [nan, nan]")
+
+
 EPS = sys.float_info.epsilon
 
 

@@ -15,10 +15,12 @@ from conftest import explicit_family, law_parameters
 from tiltedsums import (
     DegenerateCovarianceError,
     OutOfDomainError,
+    RatioContext,
     gamma_family,
     normal_family,
     tilt_oracle,
 )
+from tiltedsums.families import Family
 from tiltedsums.numerics import guarded_eigh, lgamma, sym_sqrt
 
 
@@ -585,6 +587,50 @@ def test_invalid_parameters_rejected():
         normal_member(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]))  # indefinite
     with pytest.raises(ValueError):
         normal_member(np.zeros(2), np.array([[1.0, 0.5], [0.4, 1.0]]))  # asymmetric
+
+
+def _fields(family):
+    """The fields family holds, with the lazily computed _lam_min of a
+    Normal family, and its dim and theta_upper, which a kind may hold as
+    class attributes."""
+    if family.kind == "normal":
+        family._lam_min
+    return {**vars(family), "dim": family.dim, "theta_upper": family.theta_upper}
+
+
+def _same(a, b):
+    return type(a) is type(b) and np.shape(a) == np.shape(b) and np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["gamma", "normal", "normal_members"])
+def test_derived_families_store_what_the_validating_constructor_stores(kind, monkeypatch):
+    # build, slices, tilt, tilt_to_mean, convolve and the Normal full sum
+    # store their arrays without re-validating them; each derived family
+    # holds, field by field, what the constructor makes of those arrays,
+    # cycled to the family's length
+    rows, a = {
+        "gamma": (gamma_family([2.5, 4.0, 3.0], 1.5), 6.0),
+        "normal": (normal_family([[0.0, 0.0], [0.5, 0.5]], [[1.0, 0.2], [0.2, 2.0]]), [0.6, 0.6]),
+        "normal_members": (
+            normal_family([[0.0, 0.0], [0.5, -0.5]], [[[1.0, 0.2], [0.2, 2.0]], [[2.0, 0.3], [0.3, 1.5]]]),
+            [0.6, 0.4],
+        ),
+    }[kind]
+    derived, cycled = [], Family._cycled
+    monkeypatch.setattr(Family, "_cycled", lambda self, n, *rows: derived.append(cycled(self, n, *rows)) or derived[-1])
+    family = rows.build(40)
+    family[3:20], family[7], family.tilt(np.full(family.dim, 0.1))
+    ctx = RatioContext(family, 6, a)
+    ctx.log_ratio_exact(ctx.block_mean)
+    ctx.fill_log_ratio(np.random.default_rng(0), np.empty(4))
+    assert len(derived) >= 8
+    for law in derived:
+        stored = (law.shapes, law.scale) if law.kind == "gamma" else (law.means, law.covs)
+        validated = type(law)(*stored)
+        got, want = _fields(law), _fields(validated)
+        assert (got.pop("_n"), want.pop("_n")) == (len(law), len(stored[0]))
+        # got may also hold what was cached on it since
+        assert all(key in got and _same(got[key], want[key]) for key in want), kind
 
 
 # ---------------------------------------------------------------------------

@@ -194,6 +194,34 @@ def test_results_golden_bytes(tmp_path):
     assert failures_path is None and not (tmp_path / "failures.csv").exists()
 
 
+# A 2-D shared-covariance sum_mc row, whose fill draws one Exp(1) radius per
+# sample; the bytes the row wrote when it drew them by standard_gamma(1.0).
+RADIAL_ROW = (
+    "200,15,0.59999999999999998;0.59999999999999998,0.32142857142857145;0.1428571428571429,"
+    "sum_mc,0.057338331353680008,0.00027977282186101914,0\n"
+)
+
+
+def test_radial_sum_mc_row_golden_bytes():
+    config = parse_config(
+        """
+[family]
+kind = normal
+means = 0;0, 0.5;0.5
+cov = 1;0.2|0.2;2
+
+[sweep]
+n = 200
+k = 15
+a = 0.6;0.6
+method = sum_mc
+samples = 30000
+seed = 11
+"""
+    )
+    assert render_results(run_sweep(config)).split("\n", 1)[1] == RADIAL_ROW
+
+
 def test_empty_rows_give_header_only(tmp_path):
     results_path, scaling_path, failures_path = emit_report([], None, tmp_path)
     with open(results_path) as fh:

@@ -34,7 +34,7 @@ from tiltedsums import (
 )
 from tiltedsums import families
 from tiltedsums.numerics import sym_sqrt
-from tiltedsums.tv import SUM_MC_CHUNK, _joint_fill, _mean_and_se
+from tiltedsums.tv import SUM_MC_CHUNK, _joint_fill, _mean_and_se, chi2_sf, g_d
 
 
 def iid_normals(n, mean=0.0, var=1.0, dim=1):
@@ -363,13 +363,86 @@ RADIAL_COVS = {
 }
 
 
-def g_d(t, d):
-    """L1 distance of N(0, c I_d) and N(0, I_d), c = 1 - t: the densities
-    cross at |x|^2 = r0^2 = d c log(1/c) / (1 - c), so it is
-    2 (Q_d(r0^2) - Q_d(r0^2 / c)), Q_d the chi-square(d) survival function."""
-    c = 1.0 - t
-    r0_sq = d * c * math.log(1.0 / c) / (1.0 - c)
-    return 2.0 * (chi2.sf(r0_sq, d) - chi2.sf(r0_sq / c, d))
+_PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494459230781640628620899862803")
+
+
+def chi2_sf_decimal(x, d):
+    """Q_d(x) = P(chi^2_d > x) in 120-digit decimal arithmetic from the
+    float x, exactly converted: e^-h sum_{j < d/2} h^j / j! (h = x / 2) for
+    even d; for odd d erfc(sqrt h) + e^-h sum_{j < (d-1)/2} h^(j+1/2) / Gamma(j + 3/2),
+    erfc = 1 - (2 / sqrt pi) e^-h sum_n 2^n y^(2n+1) / (2n+1)!! at y = sqrt h,
+    a series of positive terms.  For x <= 100 the cancellation in 1 - erf
+    costs under 30 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 120
+        h = Decimal(x) / 2
+        decay = (-h).exp()
+        if d % 2 == 0:
+            term, total = Decimal(1), Decimal(0)
+            for j in range(d // 2):
+                total += term
+                term = term * h / (j + 1)
+            return total * decay
+        y = h.sqrt()
+        term, series, n = y, Decimal(0), 0
+        while term > series * Decimal(10) ** -110 or n == 0:
+            series += term
+            n += 1
+            term = term * 2 * h / (2 * n + 1)
+        total = 1 - 2 / _PI.sqrt() * decay * series
+        term = 2 * y / _PI.sqrt() * decay  # h^(1/2) e^-h / Gamma(3/2)
+        for j in range((d - 1) // 2):
+            total += term
+            term = term * h / (j + Decimal("1.5"))
+        return total
+
+
+def chi2_sf_bound(x, d):
+    """Relative rounding bound of tv.chi2_sf(x, d), u = 2^-53, for a libm
+    erfc within 4 ulps (8 u) and exp within 1 ulp (2 u).  The start Q_1
+    carries erfc's own 8 u plus sqrt's u times erfc's condition number at
+    y = sqrt(x / 2), 2 y e^(-y^2) / (sqrt(pi) erfc y) <= 2 y^2 + 1 = x + 1
+    (Mills' ratio); Q_2 = e^(-x/2) carries 2 u.  The first added term
+    carries at most 5 u (sqrt(2 x / pi) e^(-x/2): pi, the quotient, the root
+    and the product), each recurrence step 2 u more, and the m = (d - 1) // 2
+    additions of positive terms m u in all: 8 + (x + 1) + 5 + 3 m units."""
+    return (14.0 + x + 3.0 * ((d - 1) // 2)) * 2.0**-53
+
+
+def g_d_points():
+    """(t, r0^2, r0^2 / c) for the t of the g_d tests, r0^2 = d c log(1/c) / (1 - c)
+    formed as tv.g_d forms it, keyed by d."""
+    for d in range(1, 7):
+        for t in (0.01, 0.075, 0.2, 0.5, 0.9):
+            c = 1.0 - t
+            r0_sq = d * c * math.log(1.0 / c) / (1.0 - c)
+            yield d, t, r0_sq, r0_sq / c
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_chi2_sf_within_its_rounding_bound(d):
+    xs = [0.0, 1e-8, 0.5, 1.0, 2.1, 10.0, 40.0, 100.0]
+    xs += [x for dim, _, r0_sq, r1_sq in g_d_points() if dim == d for x in (r0_sq, r1_sq)]
+    for x in xs:
+        ref, value, reference = chi2_sf_decimal(x, d), chi2_sf(x, d), chi2.sf(x, d)
+        error = abs(Decimal(value) / ref - 1)
+        assert error <= chi2_sf_bound(x, d), (x, float(error))
+        # scipy's chi2.sf is not correctly rounded (up to about 250 u at
+        # d = 1 here), so the library agrees with it up to the two errors
+        # against the decimal value
+        scipy_error = abs(Decimal(float(reference)) / ref - 1)
+        limit = (Decimal(chi2_sf_bound(x, d)) + scipy_error) / (1 - scipy_error)
+        assert abs(Decimal(value) / Decimal(float(reference)) - 1) <= limit
+
+
+def test_g_d_within_its_rounding_bound():
+    # g_d subtracts Q_d(r0^2 / c) from Q_d(r0^2): the errors of both add up,
+    # relative to their difference, plus one rounding of it
+    for d, t, r0_sq, r1_sq in g_d_points():
+        q0, q1 = chi2_sf_decimal(r0_sq, d), chi2_sf_decimal(r1_sq, d)
+        ref = 2 * (q0 - q1)
+        bound = (Decimal(chi2_sf_bound(r0_sq, d)) * q0 + Decimal(chi2_sf_bound(r1_sq, d)) * q1) / (q0 - q1)
+        assert abs(Decimal(g_d(t, d)) / ref - 1) <= bound + Decimal(2.0**-53), (d, t)
 
 
 @pytest.mark.parametrize("d", sorted(RADIAL_COVS))
@@ -383,6 +456,20 @@ def test_radial_sum_mc_within_five_se_of_g_d(d):
     members = normal_family(np.tile(means, (n // 2, 1)), RADIAL_COVS[d])
     est = tv_sum_mc(members, k, np.full(d, 0.3), samples=200_000, rng=41)
     assert abs(est.value - g_d(k / n, d)) <= 5.0 * est.std_error
+
+
+def test_radial_row_validates_nothing_and_convolves_each_sum_once(monkeypatch):
+    # the family was validated when it was made; a row builds, tilts,
+    # slices and convolves it without re-validating, and the fill reuses
+    # ctx.block and ctx.rest instead of convolving the block again
+    n, k = 200, 15
+    members = normal_family([[0.0, 0.0], [0.5, 0.5]], RADIAL_COVS[2]).build(n)
+    checked, convolved = [], []
+    check, convolve = families.check_symmetric, families.NormalFamily.convolve
+    monkeypatch.setattr(families, "check_symmetric", lambda m: checked.append(m) or check(m))
+    monkeypatch.setattr(families.NormalFamily, "convolve", lambda self: convolved.append(len(self)) or convolve(self))
+    tv_sum_mc(members, k, [0.6, 0.6], samples=1000, rng=1)
+    assert checked == [] and convolved == [k, n - k]
 
 
 @pytest.mark.parametrize(
@@ -783,13 +870,14 @@ def test_joint_mc_builds_as_many_families_at_any_block_size(kind, monkeypatch):
     family, _, a = joint_case(kind)
     family = family.build(80)
     cls = type(family)
-    init, built = cls.__init__, []
+    store, built = cls._store, []
 
-    def counting_init(self, *args):
+    def counting_store(self, *args):
         built.append(self)
-        init(self, *args)
+        store(self, *args)
 
-    monkeypatch.setattr(cls, "__init__", counting_init)
+    # every family, validated or derived, is stored by _store
+    monkeypatch.setattr(cls, "_store", counting_store)
     counts = []
     for k in (5, 40):
         built.clear()
