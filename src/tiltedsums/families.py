@@ -23,25 +23,21 @@ exact where theta t rounds to 1):
                              sum: Gamma(sum_j k_j, t)
 
 Slicing gives the family of a block (family[:k], family[k:]), a single member
-is a family of length 1, and convolve() returns the law of the sum as a
-family of length 1.  Densities, cdf and sample are those of a single law
-X, and so are P(X <= x | X + Y = s), the probabilities of an interval
-given the sum and unconditioned, log rho(t) = log f_Y(s - t) - log
-f_{X+Y}(s), its values at fresh draws of X and the two zeros of log rho
-(cdf_given_sum, interval_masses, log_ratio_given_sum, log_ratio_sampler and
-ratio_roots, given Y = rest); log_density also evaluates member j at point
-j when given one point per member.  block_ratio_sampler(k, s, block, rest)
-is the log_ratio_sampler of the first k members' sum given the sum s at the
-family's own mean, which shared-covariance Normal members of d >= 2 fill
-from one Gamma(d / 2) radius per value.  The hooks of the assumption checks
-return one entry per row (per row of covs for Normal) and describe the
-family as it is: theta reaches the members through tilt alone.
+is a family of length 1, and so is the law of the sum, convolve().
+Densities, cdf and sample are those of a single law X; given Y = rest and
+the sum s, so are P(X <= x | X + Y = s), interval masses given the sum and
+not, log rho(t) = log f_Y(s - t) - log f_{X+Y}(s), its values at fresh draws
+of X and its two zeros.  block_ratio_sampler draws log rho for the first k
+members' sum at the family's own mean, from one Gamma(d / 2) radius per
+value for shared-covariance Normal members of d >= 2.  The hooks of the
+assumption checks return one entry per row (of covs for Normal); theta
+reaches the members through tilt alone.
 
 Gamma members require shape > 2 so densities are C^1 and fourth moments stay
 uniformly controlled under tilting; a gamma family shares a single scale t.
-The constructors validate a family once; build, slices, tilts and convolve
-store arrays derived from validated ones unchecked, and a covariance that
-float made unusable raises DegenerateCovarianceError where it is used.
+The constructors validate a family once and derived laws are stored
+unchecked (Family); a covariance that float made unusable raises
+DegenerateCovarianceError where it is used.
 Families are immutable; random number generators are always passed
 explicitly.
 
@@ -212,8 +208,8 @@ class _Scratch:
     """Arrays that a log_ratio_sampler fill reuses from call to call:
     take(slot, shape, dtype) is a C-contiguous array of that shape over the
     first items of one flat array per slot, reallocated only when a call
-    needs more.  Fresh temporaries per chunk are returned to the system and
-    page-faulted in again on the next chunk; a reused buffer is not.  A fill
+    needs more.  Fresh temporaries per chunk go back to the system and are
+    page-faulted in again on the next; a reused buffer is not.  A fill
     holding one is not safe to call from two threads at once."""
 
     def __init__(self):
@@ -410,10 +406,16 @@ class GammaFamily(Family):
 
     def tilt_to_mean(self, a):
         """(the family tilted to average mean a, theta): the shapes at scale
-        a / kbar, exact however far a lies, and theta = (1 - kbar t / a) / t."""
+        a / kbar, exact however far a lies, and theta = (1 - kbar t / a) / t,
+        -inf past the float range; OutOfDomainError where a / kbar is 0."""
         (a,) = self._target(a)
         kbar, t = self._kbar, self.scale
-        return self._cycled(self._n, self.shapes, a / kbar), np.array([(1.0 - kbar * t / a) / t])
+        if not a / kbar > 0.0:
+            total = self._member_sum(self.shapes)
+            raise OutOfDomainError(f"target mean a={a} over shapes summing to {total:g} gives gamma scale 0")
+        with np.errstate(over="ignore"):
+            theta = (1.0 - kbar * t / a) / t
+        return self._cycled(self._n, self.shapes, a / kbar), np.array([theta])
 
     def convolve(self):
         return self._cycled(1, self._member_sum(self.shapes)[None], self.scale)
@@ -517,17 +519,16 @@ class GammaFamily(Family):
         return float(out[0]) if single else out
 
     def log_ratio_sampler(self, rest, s, gibbs=None):
-        """fill(rng, out): draws len(out) values T of X = self on rng, as
-        sample does, and writes log rho(T) into out (Y = rest, sum s), a
-        C-contiguous float vector; with gibbs = (law, theta, members), T of
-        law, X tilted by theta, and log rho(T) - <theta, T> + sum_j
-        kappa_j(theta) over the members whose sum X is.  T goes into out as
-        scale * standard_gamma, as numpy's gamma draws it, and the arithmetic
-        of log_ratio_given_sum(rest, s, T) - T @ theta + len(members) *
-        members.cgf(theta) runs in place in the same order, to the same
-        bits.  Temporaries are buffers that every fill reuses.  With gibbs,
-        ConditioningError where the terms it subtracts, of the size of law's
-        mean over scale, pass LOG_DENSITY_LIMIT."""
+        """fill(rng, out): draws len(out) values T of X = self on rng, as sample
+        does, and writes log rho(T) (Y = rest, sum s) into out, a C-contiguous
+        float vector; with gibbs = (law, theta, members), T of law, X tilted by
+        theta, and log rho(T) - <theta, T> + sum_j kappa_j(theta) over the
+        members whose sum X is.  T is scale * standard_gamma, as numpy's gamma
+        draws it, and log_ratio_given_sum(rest, s, T) - T @ theta +
+        len(members) * members.cgf(theta) runs in place, in reused buffers, in
+        the same order, to the same bits.  With gibbs, ConditioningError where
+        the terms it subtracts, of the size of law's mean over scale, pass
+        LOG_DENSITY_LIMIT."""
         s, m, lam, c = self._log_ratio_terms(rest, s)
         if gibbs:
             _check_cancellation(s, gibbs[0].shapes[0] * gibbs[0].scale / self.scale, "Gibbs terms")
@@ -693,20 +694,24 @@ class NormalFamily(Family):
     def convolve(self):
         return self._cycled(1, self._member_sum(self.means)[None], self._member_sum(self.covs)[None])
 
-    # Inverse / sqrt / logdet are computed lazily so that a nearly singular
-    # covariance can still be *inspected* (eigenvalues, Hessian) even though
-    # using its density or sampler raises DegenerateCovarianceError.
+    # Inverse / sqrt / logdet come lazily from one eigendecomposition: a nearly
+    # singular covariance can be *inspected* (eigenvalues, Hessian), though its
+    # density or sampler raises DegenerateCovarianceError.
+    @cached_property
+    def _eig(self):
+        return guarded_eigh(self.covs)
+
     @cached_property
     def _inv(self):
-        return sym_inv(self.covs)
+        return sym_inv(self.covs, self._eig)
 
     @cached_property
     def _inv_sqrt(self):
-        return sym_inv_sqrt(self.covs)
+        return sym_inv_sqrt(self.covs, self._eig)
 
     @cached_property
     def _logdet(self):
-        return sym_logdet(self.covs)
+        return sym_logdet(self.covs, self._eig)
 
     # -- single law (or one point per member for log_density) ---------------
 
@@ -787,13 +792,13 @@ class NormalFamily(Family):
 
     def log_ratio_sampler(self, rest, s, gibbs=None):
         """fill(rng, out) as for Gamma, T = m + L z drawn as sample draws it
-        (L = cov^(1/2) of X, or of law with gibbs; z standard normal).  The
+        (L = cov^(1/2) of X, or of law with gibbs; z standard normal): the
         whitened rest residual W (s - T - m_y) (W = cov_y^(-1/2)) is c - A z
         with A = W L and c = W (s - m - m_y), and <theta, T> is
         <theta, m> + <L^T theta, z>, so the maps are composed once here and
         a fill costs one (d, d) by (d, len(out)) product, plus one
-        (len(out), d) by (d,) product with gibbs; T is never formed.  z and
-        the products are buffers that every fill reuses."""
+        (len(out), d) by (d,) product with gibbs, in reused buffers; T is
+        never formed."""
         self._single("log_ratio_sampler", rest)
         s = as_vector(s, self.dim)
         self._check_spacing(s)
@@ -828,12 +833,11 @@ class NormalFamily(Family):
 
             log rho(T) = (d / 2) log1p(c) - c G,    c = k / (n - k).
 
-        The fill draws G alone, by standard_gamma(d / 2), and evaluates that
-        line in place: no z, no product, no buffer; at d = 2 standard_exponential
-        fills the same bits in one call, standard_gamma(1) one element at a
-        time.  At d = 1 one normal per value costs less than one Gamma(1/2)
-        draw.  The pair guards of log_ratio_sampler run first, so a far
-        target raises as it does there."""
+        The fill draws G alone, by standard_gamma(d / 2) or at d = 2 as
+        -log U (U = 0 gives rho = 0, the G = inf limit), and evaluates that
+        line in place.  At d = 1 one normal per value costs less than one
+        Gamma(1/2) draw.  The pair guards of log_ratio_sampler run first, so
+        a far target raises as it does there."""
         if self.covs.shape[0] != 1 or self.dim == 1:
             return super().block_ratio_sampler(k, s, block, rest)
         s = as_vector(s, self.dim)
@@ -844,10 +848,13 @@ class NormalFamily(Family):
 
         def fill(rng, out):
             if shape == 1.0:
-                rng.standard_exponential(out=out)
+                rng.random(out=out)
+                with np.errstate(divide="ignore"):
+                    np.log(out, out=out)
+                out *= c
             else:
                 rng.standard_gamma(shape, out=out)
-            out *= -c
+                out *= -c
             out += const
 
         return fill

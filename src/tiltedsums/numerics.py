@@ -1,12 +1,11 @@
 """Small shared numerical helpers.
 
-All symmetric-matrix functional calculus (square roots, inverses, log
-determinants) goes through a single guarded eigendecomposition so that
-near-singular covariances fail loudly in one place instead of producing
-NaNs downstream.  log Gamma comes from the Stirling series: correctly
-rounded through decimal arithmetic (lgamma) for the normalizers that do
-not cancel, and its tail S(x) in floats (stirling_tail) for differences
-of log Gammas.
+Symmetric-matrix calculus (square roots, inverses, log determinants) goes
+through one guarded eigendecomposition, so that near-singular or overflowed
+covariances fail loudly in one place, not as NaNs downstream.  log Gamma
+comes from the Stirling series: correctly rounded through decimal
+arithmetic (lgamma) for the normalizers that do not cancel, and its tail
+S(x) in floats (stirling_tail) for differences of log Gammas.
 """
 
 import decimal
@@ -63,8 +62,8 @@ def lgamma(x):
     """log Gamma(x), correctly rounded for finite x > 0 (math.lgamma
     elsewhere): (z - 1/2) log z - z + log(2 pi) / 2 + S(z) at z = x + m >= 100,
     less log(x (x + 1) .. (x + m - 1)), in 45-digit decimal arithmetic and
-    rounded once to a float.  About 0.1 ms a call, so the last 1024 distinct
-    arguments are cached for the tilted and sliced copies of a family."""
+    rounded once to a float.  About 0.1 ms a call; the last 1024 arguments
+    are cached."""
     if not 0.0 < x < math.inf:
         return math.lgamma(x)
     if x == 1.0 or x == 2.0:
@@ -106,18 +105,20 @@ def guarded_eigh(mat):
     """Eigendecomposition of a symmetric positive definite matrix, or of a
     stack of them (shape (..., d, d)).
 
-    Symmetry is not re-tested: every matrix that reaches here is a
-    covariance checked when its family was built, or a Hessian symmetric by
-    construction, and eigh reads only the lower triangle.  Raises
-    DegenerateCovarianceError when a spectrum is not usable for square
-    roots / inverses: not finite, or lambda_min < REL_EIG_FLOOR * lambda_max.
-    A 1 x 1 matrix is its own eigendecomposition, eigenvalue the entry and
-    eigenvector 1, which are the bits LAPACK returns for it; that case skips
-    the LAPACK call.
+    Symmetry is not re-tested: covariances were checked when their family
+    was built, Hessians are symmetric by construction, and eigh reads only
+    the lower triangle.  Raises DegenerateCovarianceError when a spectrum is
+    not usable for square roots / inverses: not finite, or lambda_min <
+    REL_EIG_FLOOR * lambda_max, and before LAPACK where a d >= 2 matrix is
+    not finite (overflowed).  A 1 x 1 matrix is its own eigendecomposition,
+    eigenvalue the entry and eigenvector 1, the bits LAPACK returns for it,
+    with no LAPACK call.
     """
     a = _square(mat)
     if a.shape[-1] == 1:
         w, q = a[..., 0].copy(), np.ones_like(a)
+    elif not np.isfinite(a).all():
+        raise DegenerateCovarianceError("matrix not finite: a sum or product overflowed")
     else:
         w, q = np.linalg.eigh(a)
     lo, hi = w[..., 0], w[..., -1]
@@ -134,19 +135,20 @@ def sym_sqrt(mat):
     return (q * np.sqrt(w)[..., None, :]) @ np.swapaxes(q, -1, -2)
 
 
-def sym_inv_sqrt(mat):
-    """Symmetric inverse square root B of a SPD matrix, B @ mat @ B = I."""
-    w, q = guarded_eigh(mat)
+def sym_inv_sqrt(mat, eig=None):
+    """Symmetric inverse square root B of a SPD matrix, B @ mat @ B = I; eig
+    is guarded_eigh(mat) where at hand, as in sym_inv and sym_logdet."""
+    w, q = eig or guarded_eigh(mat)
     return (q / np.sqrt(w)[..., None, :]) @ np.swapaxes(q, -1, -2)
 
 
-def sym_inv(mat):
-    w, q = guarded_eigh(mat)
+def sym_inv(mat, eig=None):
+    w, q = eig or guarded_eigh(mat)
     return (q / w[..., None, :]) @ np.swapaxes(q, -1, -2)
 
 
-def sym_logdet(mat):
-    w, _ = guarded_eigh(mat)
+def sym_logdet(mat, eig=None):
+    w, _ = eig or guarded_eigh(mat)
     return np.sum(np.log(w), axis=-1)
 
 

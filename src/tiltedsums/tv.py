@@ -24,10 +24,10 @@ themselves.  Estimators:
                 needed), drawn and evaluated by ctx.fill_log_ratio.
                 Normal members of d >= 2 that share one covariance,
                 conditioned at their own mean, have rho a function of the
-                block's squared Mahalanobis radius alone, so their fill
-                draws one Gamma(d / 2) variate per sample instead
-                (NormalFamily.block_ratio_sampler), and g_d(k / n, d) is
-                their TV in closed form;
+                block's Mahalanobis radius alone, so their fill draws one
+                Gamma(d / 2) variate per sample (-log U at d = 2,
+                NormalFamily.block_ratio_sampler), and g_d(k / n, d) is
+                their closed-form TV;
   * joint_mc  - Monte Carlo in the k*d-dimensional joint space,
                 E_{x ~ tilted product} |q_cond(x)/p_tilted(x) - 1|.  q/p
                 depends on x only through its block sum T (the member

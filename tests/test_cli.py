@@ -413,7 +413,8 @@ def test_far_target_exits_1_without_overflow_warning(capsys, caplog):
 @pytest.mark.parametrize("method", ["sum_mc", "joint_mc"])
 def test_overflowing_normal_sum_exits_1_without_overflow_warning(method, tmp_path, caplog):
     # the rest sum's covariance, about 1e10 times 1e300, is inf: the
-    # conditioning raises DegenerateCovarianceError where it is used
+    # conditioning raises DegenerateCovarianceError where it is used, and
+    # says that the matrix is not finite, not that it is singular
     path = tmp_path / "huge_cov.cfg"
     path.write_text(
         "[family]\nkind = normal\nmeans = 0;0, 0.5;0.5\ncov = 1e300;0|0;1e300\n\n"
@@ -422,7 +423,7 @@ def test_overflowing_normal_sum_exits_1_without_overflow_warning(method, tmp_pat
     argv = ["tv", "--config", str(path), "--n", "10000000000", "--k", "10", "--a", "0.6;0.6", "--method", method]
     assert main(argv) == 1
     errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
-    assert len(errors) == 1 and errors[0].endswith("failed: matrix numerically singular: eigenvalues in [nan, nan]")
+    assert len(errors) == 1 and errors[0].endswith("failed: matrix not finite: a sum or product overflowed")
 
 
 EPS = sys.float_info.epsilon
@@ -484,6 +485,43 @@ def test_gamma_target_near_the_float_range_exits_1_without_overflow_warning(argv
     assert captured.out == "" and "Traceback" not in captured.err
     errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
     assert errors == ["matrix numerically singular: eigenvalues in [inf, inf]"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_tiny_gamma_target_sweep_writes_theta_minus_inf_without_overflow_warning(tmp_path, caplog):
+    # at a = 1e-320 the tilted scale a / 3 is subnormal but positive, and
+    # theta = (1 - 3 / a) / 1 lies past the float range: -inf, silently
+    cfg = (SHIPPED / "gamma_iid_sweep.cfg").read_text()
+    path = tmp_path / "tiny_target.cfg"
+    path.write_text(cfg.replace("a = 6.0", "a = 1e-320"))
+    assert main(["sweep", "--config", str(path), "--threads", "1", "--out", str(tmp_path / "out")]) == 0
+    rows = (tmp_path / "out" / "results.csv").read_text().strip().split("\n")[1:]
+    assert len(rows) == 4 and not any(r.levelname == "ERROR" for r in caplog.records)
+    for row in rows:
+        fields = row.split(",")
+        assert fields[3] == "-inf" and 0.0 < float(fields[5]) < 1.0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "shapes,n,a,total",
+    [("1e300", "10000000000", "6.0", "inf"), ("3.0", "10", "5e-324", "30")],
+    ids=["shape_sum_overflows", "target_underflows"],
+)
+def test_gamma_scale_rounding_to_zero_is_out_of_domain(shapes, n, a, total, tmp_path, capsys, caplog):
+    # the tilted scale a / kbar is 0 where the shapes sum past the float
+    # range or a / kbar underflows: an OutOfDomainError naming the target
+    # and the shape sum, exit 1
+    cfg = (SHIPPED / "gamma_iid_sweep.cfg").read_text()
+    path = tmp_path / "scale_zero.cfg"
+    path.write_text(cfg.replace("shapes = 3.0", f"shapes = {shapes}"))
+    assert main(["tv", "--config", str(path), "--n", n, "--k", "1", "--a", a]) == 1
+    assert capsys.readouterr().out == ""
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1
+    assert errors[0].endswith(f"failed: target mean a={a} over shapes summing to {total} gives gamma scale 0")
+    with pytest.raises(tiltedsums.OutOfDomainError):
+        tiltedsums.gamma_family([float(shapes)], 1.0).build(int(n)).tilt_to_mean(float(a))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -19,9 +19,10 @@ from tiltedsums import (
     gamma_family,
     normal_family,
     tilt_oracle,
+    tv_sum_mc,
 )
 from tiltedsums.families import Family
-from tiltedsums.numerics import guarded_eigh, lgamma, sym_sqrt
+from tiltedsums.numerics import guarded_eigh, lgamma, sym_inv, sym_inv_sqrt, sym_logdet, sym_sqrt
 
 
 def gamma_member(shape, scale):
@@ -472,6 +473,53 @@ def test_guarded_eigh_rejects_non_finite_spectrum(mat):
     # an overflowed Hessian must not pass as a usable spectrum
     with pytest.raises(DegenerateCovarianceError):
         guarded_eigh(np.array(mat))
+
+
+@pytest.mark.parametrize(
+    "mat", [np.diag([np.inf, 1.0]), np.diag([np.nan, 1.0]), [np.eye(2), np.full((2, 2), -np.inf)]]
+)
+def test_guarded_eigh_names_a_non_finite_matrix(mat, monkeypatch):
+    # an overflowed sum is not a singular matrix: a d >= 2 matrix with an
+    # entry that is not finite raises before LAPACK turns it into nan
+    calls = []
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a))
+    with pytest.raises(DegenerateCovarianceError) as exc:
+        guarded_eigh(np.array(mat))
+    assert str(exc.value) == "matrix not finite: a sum or product overflowed" and calls == []
+
+
+def _counting_eigh(monkeypatch):
+    calls, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+    return calls
+
+
+@pytest.mark.parametrize(
+    "covs",
+    [[[[1.0, 0.2], [0.2, 2.0]]], [[[1.0, 0.2], [0.2, 2.0]], [[0.5, 0.0], [0.0, 0.5]]], [[[2.0]], [[3.0]]]],
+    ids=["shared", "per_row", "one_by_one"],
+)
+def test_normal_law_decomposes_its_covariance_once(covs, monkeypatch):
+    # _inv, _inv_sqrt and _logdet come from one cached eigendecomposition,
+    # with the bits of the numerics formulas, each of which decomposes anew
+    covs = np.array(covs)
+    law = normal_family(np.ones((len(covs), covs.shape[-1])), covs)
+    calls = _counting_eigh(monkeypatch)
+    values = (law._inv, law._inv_sqrt, law._logdet)
+    assert len(calls) == (covs.shape[-1] > 1)
+    for value, formula in zip(values, (sym_inv, sym_inv_sqrt, sym_logdet)):
+        reference = formula(covs)
+        assert value.shape == reference.shape and value.tobytes() == reference.tobytes()
+
+
+def test_radial_row_runs_eigh_twice(monkeypatch):
+    # once on the average covariance in tilt_to_mean, once on the full sum's
+    # covariance in _log_sum_density, whose log density reads both its
+    # inverse square root and its log determinant
+    members = normal_family([[0.0, 0.0], [0.5, 0.5]], [[1.0, 0.2], [0.2, 2.0]]).build(200)
+    calls = _counting_eigh(monkeypatch)
+    tv_sum_mc(members, 15, [0.6, 0.6], samples=1000, rng=1)
+    assert calls == [(2, 2), (1, 2, 2)]
 
 
 # ---------------------------------------------------------------------------

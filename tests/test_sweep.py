@@ -195,31 +195,49 @@ def test_results_golden_bytes(tmp_path):
 
 
 # A 2-D shared-covariance sum_mc row, whose fill draws one Exp(1) radius per
-# sample; the bytes the row wrote when it drew them by standard_gamma(1.0).
+# sample by inversion, G = -log U.  Drawn by numpy's ziggurat exponential
+# (standard_exponential, or standard_gamma(1.0), the same bits) the row was
+# "...,sum_mc,0.057338331353680008,0.00027977282186101914,0": 0.85 combined
+# standard errors from this one, and both within 1.2 of g_2(0.075) = 0.0573464.
 RADIAL_ROW = (
     "200,15,0.59999999999999998;0.59999999999999998,0.32142857142857145;0.1428571428571429,"
-    "sum_mc,0.057338331353680008,0.00027977282186101914,0\n"
+    "sum_mc,0.057676587575315207,0.00028120994195112293,0\n"
+)
+# The same row at d = 3, whose fill draws standard_gamma(1.5) radii: the odd-d
+# path, whose bytes the inversion at d = 2 does not move.
+RADIAL_ROW_3D = (
+    "200,15,0.59999999999999998;0.59999999999999998;0.10000000000000001,"
+    "0.28125000000000022;0.12187500000000008;0.44374999999999992,"
+    "sum_mc,0.071605300651952197,0.00032683079834928996,0\n"
 )
 
 
-def test_radial_sum_mc_row_golden_bytes():
+def _radial_row(means, cov, a):
     config = parse_config(
-        """
+        f"""
 [family]
 kind = normal
-means = 0;0, 0.5;0.5
-cov = 1;0.2|0.2;2
+means = {means}
+cov = {cov}
 
 [sweep]
 n = 200
 k = 15
-a = 0.6;0.6
+a = {a}
 method = sum_mc
 samples = 30000
 seed = 11
 """
     )
-    assert render_results(run_sweep(config)).split("\n", 1)[1] == RADIAL_ROW
+    return render_results(run_sweep(config)).split("\n", 1)[1]
+
+
+def test_radial_sum_mc_row_golden_bytes():
+    assert _radial_row("0;0, 0.5;0.5", "1;0.2|0.2;2", "0.6;0.6") == RADIAL_ROW
+
+
+def test_odd_d_radial_sum_mc_row_golden_bytes():
+    assert _radial_row("0;0.1;0.2, 0.5;0.5;-0.5", "1;0.2;0.1|0.2;2;0|0.1;0;0.5", "0.6;0.6;0.1") == RADIAL_ROW_3D
 
 
 def test_empty_rows_give_header_only(tmp_path):

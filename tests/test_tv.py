@@ -458,6 +458,22 @@ def test_radial_sum_mc_within_five_se_of_g_d(d):
     assert abs(est.value - g_d(k / n, d)) <= 5.0 * est.std_error
 
 
+class _ZeroUniforms:
+    """A generator whose uniforms are all 0, the draw that gives G = inf."""
+
+    def random(self, out):
+        out.fill(0.0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_radial_fill_at_zero_uniform_gives_rho_zero():
+    # U = 0 is G = -log U = inf: log rho = -inf, |rho - 1| = 1, with no
+    # divide-by-zero warning on the way
+    members = normal_family([[0.0, 0.0], [0.5, 0.5]] * 100, RADIAL_COVS[2])
+    est = tv_sum_mc(members, 15, [0.25, 0.25], samples=1000, rng=_ZeroUniforms())
+    assert (est.value, est.std_error) == (1.0, 0.0)
+
+
 def test_radial_row_validates_nothing_and_convolves_each_sum_once(monkeypatch):
     # the family was validated when it was made; a row builds, tilts,
     # slices and convolves it without re-validating, and the fill reuses
@@ -479,7 +495,8 @@ def test_radial_row_validates_nothing_and_convolves_each_sum_once(monkeypatch):
 def test_sum_mc_chunks_continue_one_stream(kind, samples):
     # chunked evaluation must reproduce one draw of every sample in one call:
     # of the Gamma block sums, or of the shared-covariance Normal radii
-    # G ~ Gamma(d / 2) through log rho = (d / 2) log1p(c) - c G
+    # G ~ Gamma(d / 2) through log rho = (d / 2) log1p(c) - c G, which at
+    # d = 2 are G = -log U, U uniform
     if kind == "gamma":
         members, k, a = gamma_family([2.5, 4.0] * 50, 1.0), 10, 6.0
     else:
@@ -492,7 +509,8 @@ def test_sum_mc_chunks_continue_one_stream(kind, samples):
         log_ratio = ctx.log_ratio_exact(ctx.block.sample(ref_gen, samples))
     else:
         c, half_d = k / (len(members) - k), members.dim / 2
-        log_ratio = ref_gen.standard_gamma(half_d, samples) * -c + half_d * math.log1p(c)
+        assert half_d == 1.0
+        log_ratio = -np.log(ref_gen.random(samples)) * -c + half_d * math.log1p(c)
     assert gen.bit_generator.state == ref_gen.bit_generator.state
     vals = np.abs(np.expm1(log_ratio))
     value, std_error = np.mean(vals), np.std(vals, ddof=1) / math.sqrt(samples)
@@ -592,10 +610,12 @@ def _radial(family):
 
 def _radial_block_sums(ctx, gen, count, directions):
     """count block sums T = m + L sqrt(2 G) e from G ~ Gamma(d / 2) drawn
-    on gen, L the square root of ctx.block's covariance and m its mean, with
-    unit directions e drawn on the generator `directions`: a draw of the
-    block law that spends gen as the radial fill does."""
-    radius = np.sqrt(2.0 * gen.standard_gamma(ctx.d / 2, count))
+    on gen (at d = 2 G = -log U, U uniform), L the square root of
+    ctx.block's covariance and m its mean, with unit directions e drawn on
+    the generator `directions`: a draw of the block law that spends gen as
+    the radial fill does."""
+    g = -np.log(gen.random(count)) if ctx.d == 2 else gen.standard_gamma(ctx.d / 2, count)
+    radius = np.sqrt(2.0 * g)
     e = directions.standard_normal((count, ctx.d))
     e /= np.linalg.norm(e, axis=1, keepdims=True)
     return ctx.block.means[0] + (radius[:, None] * e) @ sym_sqrt(ctx.block.covs[0]).T
