@@ -24,10 +24,10 @@ exact where theta t rounds to 1):
 
 Slicing gives the family of a block (family[:k], family[k:]), a single member
 is a family of length 1, and so is the law of the sum, convolve().
-Densities, cdf and sample are those of a single law X; given Y = rest and
-the sum s, so are P(X <= x | X + Y = s), interval masses given the sum and
-not, log rho(t) = log f_Y(s - t) - log f_{X+Y}(s), its values at fresh draws
-of X and its two zeros.  block_ratio_sampler draws log rho for the first k
+Densities, cdf (Gamma) and sample are those of a single law X; given Y = rest and
+the sum s, so are log rho(t) = log f_Y(s - t) - log f_{X+Y}(s), its values
+at fresh draws of X, its two zeros and the integral of (rho - 1) f_X
+between two points.  block_ratio_sampler draws log rho for the first k
 members' sum at the family's own mean, from one Gamma(d / 2) radius per
 value for shared-covariance Normal members of d >= 2.  The hooks of the
 assumption checks return one entry per row (of covs for Normal); theta
@@ -41,10 +41,8 @@ DegenerateCovarianceError where it is used.
 Families are immutable; random number generators are always passed
 explicitly.
 
-Interval probabilities of a Gamma law, and of X / s ~ Beta given the sum,
-come from one self-normalized Gauss-Legendre rule (_interval_masses) in
-the coordinate where the law's log density is smooth on the whole line:
-log T for the Gamma, logit(T / s) for the Beta.  Normal laws use erfc.
+The Gamma cdf and both kinds' excess_mass are self-normalized
+Gauss-Legendre integrals (_window_integral).
 """
 
 import math
@@ -59,6 +57,7 @@ from .numerics import (
     check_symmetric,
     guarded_eigh,
     lgamma,
+    log1pmx,
     stirling_tail,
     sym_inv,
     sym_inv_sqrt,
@@ -82,8 +81,8 @@ class Family:
     r, at most count), the average cgf calculus (cgf, cgf_grad, cgf_hess),
     tilt, tilt_to_mean (where the kind has it in closed form), convolve,
     block_ratio_sampler (where the kind draws less than the block sum), the
-    single-law operations (log_density, cdf, sample, cdf_given_sum,
-    interval_masses, log_ratio_given_sum, log_ratio_sampler, ratio_roots)
+    single-law operations (log_density, sample, Gamma's cdf, excess_mass,
+    log_ratio_given_sum, log_ratio_sampler, ratio_roots)
     and the hooks of the assumption checks (member_hess,
     fourth_central_moment, char_fn_modulus_sup, density_partial_l1), plus
     third_central_moment_tensor averaged over the members for the Edgeworth
@@ -251,7 +250,7 @@ def _nonempty(count):
 
 
 # ---------------------------------------------------------------------------
-# Interval masses of Gamma and Beta laws
+# Self-normalized Gauss-Legendre integrals
 # ---------------------------------------------------------------------------
 
 # Positive nodes and weights of the 48-point Gauss-Legendre rule on [-1, 1].
@@ -283,9 +282,8 @@ _GL_HALF = np.array([
 ])
 _GL_NODES = np.concatenate([-_GL_HALF[::-1, 0], _GL_HALF[:, 0]])
 _GL_WEIGHTS = np.concatenate([_GL_HALF[::-1, 1], _GL_HALF[:, 1]])
-# Equal panels per integral.  The masses of the 50-digit reference cases
-# move by under 1e-15 when the count doubles from 4 or from 8; from 2 they
-# move by up to 4e-10.
+# Equal panels per integral: doubling them moves the Scheffe excess masses
+# by rounding alone, and from 2 by up to 4e-10.
 GL_PANELS = 8
 # A law's window ends where its log density lies this far below the mode,
 # so the mass outside it is below e^-46 ~ 1e-20.
@@ -301,50 +299,37 @@ def _panel_rule(panels):
     return nodes.ravel(), weights.ravel()
 
 
-def _log_mode_ratio(c, v, d):
-    """l(d) - l(0) = -c (h(1 - v, -d) + h(v, d)), h(v, t) = log1p(v expm1(t)) / v
-    (expm1(t) at v = 0): the log density, relative to its mode d = 0, of
-    Gamma(c) in d = log(T / (c u)) (v = 0) and of Beta(a, b) in
-    d = logit(X) - log(a / b) (c = a b / (a + b), v = a / (a + b)).  Each term
-    is of size c |d| at most, never of size a + b."""
-    e = np.expm1(d)
-    w = 1.0 - v
-    right = np.where(v > 0.0, np.log1p(v * e) / np.where(v > 0.0, v, 1.0), e)
-    return -c * (np.log1p(w * np.expm1(-d)) / w + right)
-
-
-def _window(c, v):
-    """Ends of an interval holding the window where _log_mode_ratio(c, v, .) >=
-    -WINDOW_DROP: the log density is concave, so its tangent at
-    +-sqrt(2 WINDOW_DROP / c) reaches -WINDOW_DROP outside the window.  Python
-    floats, as two points cost a few microseconds here and tens as arrays."""
+def _window(c):
+    """Ends of an interval holding the window where -c (expm1(d) - d), the
+    concave log density of Gamma(c) in d = log(T / (c u)) relative to its mode,
+    is >= -WINDOW_DROP: by its tangents at +-sqrt(2 WINDOW_DROP / c), in
+    Python floats, which cost a few microseconds here and tens as arrays."""
     ends = []
     for d in (-math.sqrt(2.0 * WINDOW_DROP / c), math.sqrt(2.0 * WINDOW_DROP / c)):
-        e, em, w = math.expm1(d), math.expm1(-d), 1.0 - v
-        level = -c * (math.log1p(w * em) / w + (math.log1p(v * e) / v if v > 0.0 else e))
-        slope = -c * ((1.0 + e) / (1.0 + v * e) - (1.0 + em) / (1.0 + w * em))
-        ends.append(d - (WINDOW_DROP + level) / slope)
+        e = math.expm1(d)
+        ends.append(d + (WINDOW_DROP - c * (e - d)) / (c * e))
     return ends
 
 
-def _interval_masses(c, v, lo, hi):
-    """P(lo < D < hi) for laws of log density _log_mode_ratio(c, v, D) plus a
-    constant: c and v hold one entry per law, lo and hi broadcast against
-    them.  The mass is the composite Gauss-Legendre integral over (lo, hi)
-    clipped to the law's _window (a lo of -inf starts at its end) divided by
-    the same rule over the window, so the normalizing constant cancels.  The
-    sums are numpy's pairwise ones, which round less than a dot product."""
-    first, last = np.array([_window(*law) for law in zip(c, v)]).T
+def _window_integral(log_weight, window, lo, hi, integrand=None):
+    """E[g(D); lo < D < hi], g = integrand or 1, for a law of log density
+    log_weight(D) plus a constant, negligible outside window = (first, last):
+    the rule of g exp(log_weight) over (lo, hi) clipped to the window over
+    the rule of exp(log_weight) on it, so the constant cancels; lo and hi
+    broadcast.  numpy's pairwise sums round less than a dot product."""
+    first, last = window
     lo = np.minimum(np.maximum(lo, first), last)
     hi = np.minimum(np.maximum(hi, lo), last)
-    # ends[..., law, integral, end]: integral 0 is (lo, hi), integral 1 the window
-    ends = np.empty(hi.shape + (2, 2))
+    # ends[..., integral, end]: integral 0 is (lo, hi), integral 1 the window
+    ends = np.empty(np.shape(hi) + (2, 2))
     ends[..., 0, 0], ends[..., 0, 1], ends[..., 1, 0], ends[..., 1, 1] = lo, hi, first, last
     width = ends[..., 1] - ends[..., 0]
-    c, v = np.array(c)[:, None, None], np.array(v)[:, None, None]
     nodes, weights = _panel_rule(GL_PANELS)
     points = ends[..., :1] + width[..., None] * nodes
-    integrals = np.sum(np.exp(_log_mode_ratio(c, v, points)) * weights, axis=-1) * width
+    values = np.exp(log_weight(points))
+    if integrand is not None:
+        values[..., 0, :] *= integrand(points[..., 0, :])
+    integrals = np.sum(values * weights, axis=-1) * width
     return integrals[..., 0] / integrals[..., 1]
 
 
@@ -441,16 +426,16 @@ class GammaFamily(Family):
         out = np.where(v > 0.0, out, -np.inf)
         return float(out[0]) if single else out
 
-    def _mass_args(self, t):
-        """(c, v, d) of _interval_masses for this law at points t: d = log(t / (K scale))."""
+    def _expect(self, t1, t2, integrand=None):
+        """_window_integral of this law in D = log(T / (K scale)), t1 < T < t2."""
         k = float(self.shapes[0])
         with np.errstate(divide="ignore"):
-            return k, 0.0, np.log(np.maximum(t, 0.0) / (k * self.scale))
+            lo, hi = (np.log(np.maximum(t, 0.0) / (k * self.scale)) for t in (t1, t2))
+        return _window_integral(lambda d: -k * (np.expm1(d) - d), _window(k), lo, hi, integrand)
 
     def cdf(self, x):
         self._single("cdf")
-        c, v, d = self._mass_args(x)
-        return _interval_masses([c], [v], -np.inf, d[..., None])[..., 0]
+        return self._expect(0.0, np.asarray(x, dtype=float))
 
     def sample(self, rng, count):
         """count draws of the law, shape (count, 1)."""
@@ -461,32 +446,38 @@ class GammaFamily(Family):
         """Shapes (K_x, K_y) of single laws X = self, Y = rest of one scale."""
         self._single("a law given its sum", rest)
         if rest.scale != self.scale:
-            raise ValueError(f"gamma laws with scales {self.scale} and {rest.scale} have no beta bridge")
+            raise ValueError(f"gamma laws with scales {self.scale} and {rest.scale}: a pair needs one scale")
         return self.shapes[0], rest.shapes[0]
 
-    def _mass_args_given_sum(self, rest, s, t):
-        """(c, v, d) of _interval_masses for X = self given X + Y = s, Y = rest, at
-        points t: X / s ~ Beta(K_x, K_y) given the sum, whatever the shared scale,
-        and d = logit(t / s) - log(K_x / K_y)."""
+    def excess_mass(self, rest, s, t1, t2):
+        """The integral of (rho - 1) f_X over (t1, t2) for X = self, Y = rest, by
+        cdf's rule, log rho in terms no larger than itself.  For K_y >= 10, in
+        x = t / s with m, lam, K and S of _log_ratio_terms and L = log1pmx,
+        m L(-x) + (lam - m) x + c with c = -(K_y - 1/2) L(-K_x / K) -
+        (K_x + 1/2) K_x / K + K_x log(K / lam) + S(K) - S(K_y): each term is
+        O(K_x^2 / K) at the tilt to the mean, lam = K.  Below, where x nears 1,
+        m log1p(-x) - lam (1 - x) + e, e = lam + c of _log_ratio_terms or, for
+        K >= 10, (K_y - 1/2) log K + log(2 pi) / 2 + S(K) - lgamma(K_y) +
+        K_x log(K / lam) + (lam - K).  log(K / lam) is log1p((K - lam) / lam)."""
+        s, m, lam, c = self._log_ratio_terms(rest, s)
         k_x, k_y = (float(k) for k in self._bridge(rest))
-        (s,) = as_vector(s, 1)
-        t = np.minimum(np.maximum(t, 0.0), s)
-        with np.errstate(divide="ignore"):
-            d = np.log(t * k_y / ((s - t) * k_x))
-        return k_x * k_y / (k_x + k_y), k_x / (k_x + k_y), d
+        total = k_x + k_y
+        log_share, tail = k_x * math.log1p((total - lam) / lam), stirling_tail(total)
+        if k_y >= 10.0:
+            c = -(k_y - 0.5) * log1pmx(-k_x / total) - (k_x + 0.5) * k_x / total + log_share
+            c += tail - stirling_tail(k_y)
+        elif total >= 10.0:
+            c = (k_y - 0.5) * math.log(total) + 0.5 * LOG_2PI + tail - lgamma(k_y) + log_share + (lam - total)
+        else:
+            c += lam
 
-    def cdf_given_sum(self, rest, s, x):
-        """P(X <= x | X + Y = s) for X = self, Y = rest."""
-        c, v, d = self._mass_args_given_sum(rest, s, x)
-        return _interval_masses([c], [v], -np.inf, d[..., None])[..., 0]
+        def excess(d):
+            x = k_x / lam * np.exp(d)
+            if k_y >= 10.0:
+                return np.expm1(m * log1pmx(-x) + (lam - m) * x + c)
+            return np.expm1(m * np.log1p(-x) - lam * (1.0 - x) + c)
 
-    def interval_masses(self, rest, s, t1, t2):
-        """(P(t1 < X < t2 | X + Y = s), P(t1 < X < t2)) for X = self, Y = rest,
-        both from one evaluation of _interval_masses."""
-        edges = np.array([t1, t2])
-        (c1, v1, d1), (c2, v2, d2) = self._mass_args_given_sum(rest, s, edges), self._mass_args(edges)
-        given_sum, block = _interval_masses([c1, c2], [v1, v2], [d1[0], d2[0]], [d1[1], d2[1]])
-        return float(given_sum), float(block)
+        return float(self._expect(t1, t2, excess))
 
     def _log_ratio_terms(self, rest, s):
         """(s, m, lam, c) of log rho(s x) = m log1p(-x) + lam x + c: m = K_y - 1, lam = s / scale,
@@ -614,17 +605,10 @@ class GammaFamily(Family):
 # The float-resolution limits of the Normal pair methods (Gamma pairs work
 # relative to the sum).  Largest float spacing at the sum, eps max_i |s_i|,
 # as a share of the smallest standard deviation of X: in absolute
-# coordinates that spacing quantizes the Scheffe roots, the conditional mean
-# and the whitened shift, and the Scheffe error, about its square, stays
+# coordinates that spacing quantizes the Scheffe roots and residual, and
+# the whitened shift, and the Scheffe error, about its square, stays
 # below 1e-10 relative.
 SPACING_LIMIT = 1e-5
-
-
-def _ndtr(x):
-    """Standard normal cdf 0.5 erfc(-x / sqrt(2)), elementwise over an array."""
-    x = np.asarray(x)
-    out = np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in x.flat])
-    return out.reshape(x.shape)[()]
 
 
 class NormalFamily(Family):
@@ -731,13 +715,10 @@ class NormalFamily(Family):
         return float(out[0]) if single else out
 
     def _sd(self):
-        self._single("cdf")
+        self._single("excess_mass")
         if self.dim != 1:
-            raise ValueError("cdf is defined for one-dimensional laws only")
+            raise ValueError("excess_mass and ratio_roots take one-dimensional laws only")
         return math.sqrt(self.covs[0, 0, 0])
-
-    def cdf(self, x):
-        return _ndtr((np.asarray(x, dtype=float) - self.means[0, 0]) / self._sd())
 
     def sample(self, rng, count):
         """count draws (S z^T + m)^T of the law, S = cov^(1/2), shape (count, d)."""
@@ -745,21 +726,22 @@ class NormalFamily(Family):
         z = rng.standard_normal((count, self.dim))
         return (sym_sqrt(self.covs[0]) @ z.T + self.means[0][:, None]).T
 
-    def cdf_given_sum(self, rest, s, x):
-        """P(X <= x | X + Y = s) for one-dimensional X = self, Y = rest:
-        N(m_x + w (s - m_x - m_y), w v_y) with w = v_x / (v_x + v_y)."""
-        sd_x, sd_y = self._sd(), rest._sd()
+    def excess_mass(self, rest, s, t1, t2):
+        """As for Gamma, for one-dimensional X = self, Y = rest, in z = (t - m_x) / sd_x,
+        |z| <= sqrt(2 WINDOW_DROP): log rho = -log1p(-v_x / v_f) / 2 - (r - sd_x z)^2 / (2 v_y)
+        + r^2 / (2 v_f) (r = s - m_x - m_y, v_f = v_x + v_y), terms of its own size at r = 0."""
+        sd_x, v_y = self._sd(), rest._sd() ** 2
+        (s,) = as_vector(s, 1)
         self._check_spacing(s)
-        w = sd_x**2 / (sd_x**2 + sd_y**2)
-        mean = self.means[0, 0] + w * (s - self.means[0, 0] - rest.means[0, 0])
-        return _ndtr((np.asarray(x, dtype=float) - mean) / (sd_y * math.sqrt(w)))
+        m_x, v_f, end = self.means[0, 0], sd_x**2 + v_y, math.sqrt(2.0 * WINDOW_DROP)
+        r = s - m_x - rest.means[0, 0]
+        const = -0.5 * math.log1p(-(sd_x**2) / v_f) + r * r / (2.0 * v_f)
 
-    def interval_masses(self, rest, s, t1, t2):
-        """(P(t1 < X < t2 | X + Y = s), P(t1 < X < t2)) for one-dimensional
-        X = self, Y = rest, as differences of the two cdfs."""
-        edges = np.array([t1, t2])
-        given_sum, block = self.cdf_given_sum(rest, s, edges), self.cdf(edges)
-        return float(given_sum[1] - given_sum[0]), float(block[1] - block[0])
+        def excess(z):
+            return np.expm1(const - (r - sd_x * z) ** 2 / (2.0 * v_y))
+
+        lo, hi = ((t - m_x) / sd_x for t in (t1, t2))
+        return float(_window_integral(lambda z: -0.5 * z * z, (-end, end), lo, hi, excess))
 
     def log_ratio_given_sum(self, rest, s, t):
         """log f_Y(s - t) - log f_{X+Y}(s) for single laws X = self, Y = rest."""

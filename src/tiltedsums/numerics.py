@@ -47,6 +47,26 @@ def as_vector(x, dim=None):
     return v
 
 
+_LOG1PMX = tuple((-1) ** (j + 1) / j for j in range(17, 1, -1))
+
+
+def log1pmx(x):
+    """log1p(x) - x for -1 < x < 1, a float or elementwise.  For |x| < 0.1,
+    x^2 sum_{j=2}^{17} (-1)^(j+1) x^(j-2) / j by Horner's rule (u = 2^-53):
+    the omitted tail, below |x|^18 / (18 (1 - |x|)), is 0.13 u of
+    |log1pmx(x)| >= 0.46 x^2; the sum's terms add up to at most 1.2 times
+    it and each later step damps an error by |x| <= 0.1, so it carries under
+    1.5 u, and x^2 and the product 2 u more: under 4 u, where log1p(x) - x
+    loses its digits as x -> 0.  Elsewhere log1p(x) - x: with log1p within
+    1 ulp, 2 |log1p(x)| / |log1pmx(x)| + 1 < 42 u."""
+    p = 0.0
+    for coef in _LOG1PMX:
+        p = p * x + coef
+    p *= x * x
+    small = np.abs(x) < 0.1
+    return p if np.all(small) else np.where(small, p, np.log1p(x) - x)
+
+
 def stirling_tail(x):
     """S(x) in floats, through its 1 / x^11 term; for x >= 10 the first
     omitted term is below 7e-16."""
@@ -108,17 +128,17 @@ def guarded_eigh(mat):
     Symmetry is not re-tested: covariances were checked when their family
     was built, Hessians are symmetric by construction, and eigh reads only
     the lower triangle.  Raises DegenerateCovarianceError when a spectrum is
-    not usable for square roots / inverses: not finite, or lambda_min <
-    REL_EIG_FLOOR * lambda_max, and before LAPACK where a d >= 2 matrix is
-    not finite (overflowed).  A 1 x 1 matrix is its own eigendecomposition,
-    eigenvalue the entry and eigenvector 1, the bits LAPACK returns for it,
-    with no LAPACK call.
+    not usable for square roots / inverses: lambda_min < REL_EIG_FLOOR *
+    lambda_max, and first, before LAPACK, where a matrix is not finite
+    (overflowed).  A 1 x 1 matrix is its own eigendecomposition, eigenvalue
+    the entry and eigenvector 1, the bits LAPACK returns for it, with no
+    LAPACK call.
     """
     a = _square(mat)
+    if not np.isfinite(a).all():
+        raise DegenerateCovarianceError("matrix not finite: a sum or product overflowed")
     if a.shape[-1] == 1:
         w, q = a[..., 0].copy(), np.ones_like(a)
-    elif not np.isfinite(a).all():
-        raise DegenerateCovarianceError("matrix not finite: a sum or product overflowed")
     else:
         w, q = np.linalg.eigh(a)
     lo, hi = w[..., 0], w[..., -1]

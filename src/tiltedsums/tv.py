@@ -12,12 +12,11 @@ estimators take f_block, f_rest and rho from one conditional.RatioContext
 (ctx.block, ctx.rest, ctx.fill_log_ratio) and tilt or convolve nothing
 themselves.  Estimators:
 
-  * scheffe   - exact evaluation for d = 1 by Scheffe's identity: rho
-                f_block is the density of the block sum T given {S_1n = n a},
-                and rho > 1 exactly between the zeros r1 < r2 of log rho
-                (ctx.block.ratio_roots), so the integral is
-                2 (P(r1 < T < r2 | S_1n = n a) - P(r1 < T < r2))
-                (ctx.block.interval_masses);
+  * scheffe   - exact evaluation for d = 1 by Scheffe's identity: rho f_block
+                integrates to 1, and rho > 1 exactly between the zeros
+                r1 < r2 of log rho (ctx.block.ratio_roots), so the integral
+                is 2 times that of (rho - 1) f_block over (r1, r2), a small
+                quantity under the block law alone (ctx.block.excess_mass);
   * sum_mc    - Monte Carlo mean of |rho - 1| over draws of the tilted
                 block sum from its closed-form law (the integrand's own
                 weight is the importance measure, so no reweighting is
@@ -148,8 +147,7 @@ def tv_scheffe(family, k, a, theta=None):
         raise UnsupportedFamilyError("Scheffe TV is implemented for d = 1 only")
     ctx = RatioContext(family, k, a, theta=theta)
     roots = ctx.block.ratio_roots(ctx.rest, ctx.na)
-    given_sum, block = ctx.block.interval_masses(ctx.rest, ctx.na, *roots)
-    return _estimate(ctx, "scheffe", 2.0 * (given_sum - block), 0.0, 0)
+    return _estimate(ctx, "scheffe", 2.0 * ctx.block.excess_mass(ctx.rest, ctx.na, *roots), 0.0, 0)
 
 
 def tv_sum_mc(family, k, a, samples=DEFAULT_SUM_SAMPLES, rng=None, theta=None):

@@ -33,7 +33,7 @@ from tiltedsums import (
     tv_sum_mc,
 )
 from tiltedsums import families
-from tiltedsums.numerics import sym_sqrt
+from tiltedsums.numerics import log1pmx, stirling_tail, sym_sqrt
 from tiltedsums.tv import SUM_MC_CHUNK, _joint_fill, _mean_and_se, chi2_sf, g_d
 
 
@@ -173,6 +173,80 @@ def test_scheffe_gamma_tv_does_not_depend_on_a():
     assert max(values) - min(values) <= 1e-10
 
 
+U = 2.0**-53
+
+
+def scheffe_rounding_bound(family, k, a, value):
+    """An absolute bound on the rounding error of value = tv_scheffe(family,
+    k, a).value, u = 2^-53, for one-dimensional laws: Normal, or Gamma with
+    a rest shape K_y >= 10 and x = t / (n a) < 0.1 between the roots, as in
+    every reference case.  Three sources add up:
+
+    * log rho at a node.  excess_mass forms it as a sum of terms; T is the
+      sum of their absolute values (Gamma: m L(-x), (lam - m) x and the four
+      parts of c, L = log1pmx; Normal: its three).  Each part carries at
+      most 8 roundings (log1pmx 4 u), the sums one per term, and a Gamma
+      node's x = K_x e^d / lam 4 u, which move log rho by at most
+      4 u x |d(log rho)/dx| <= 9 u T for x < 0.1: 32 u T in all.  T grows
+      away from the mode in both forms, so on (r1, r2) it is largest at a
+      root, and the TV, twice the integral of (rho - 1) f_block there, errs
+      by at most 64 u T_max times the integral of rho f_block over
+      (r1, r2), a conditional probability.
+    * The rule.  Its weights exp(log weight) err by 4 u W relative, W the
+      log weight's terms (Gamma: K_x (|expm1 d| + |d|); Normal: z^2 / 2),
+      which on (r1, r2) are largest at a root and there above their average
+      under the law, the roots lying about a standard deviation out.  The
+      two pairwise sums of positive terms round at most 27 times each (25
+      in a leaf of 128 values, once per halving above it), and the products,
+      the width and the quotient 4 more, with the reference's last digit:
+      (64 + 8 W_max) u TV.
+    * The roots.  ratio_roots evaluates its g (Gamma: m log1p(-x) + lam x +
+      c of _log_ratio_terms, whose parts are of size K_x; Normal: the
+      closed form) within eps_g = 8 u times the absolute values of g's
+      parts, so each lies within delta = eps_g / |g'| of its zero, plus 8 u
+      |x| for its conversions (Gamma), or the closed form's and z's
+      roundings of s, m and the root (Normal), in the rule's units.  There
+      (rho - 1) f grows like g' f (x - root), so a limit off by delta moves
+      the TV, twice the integral, by at most |g'| f delta^2."""
+    ctx = RatioContext(family, k, a)
+    block, rest, s = ctx.block, ctx.rest, float(ctx.na[0])
+    roots = block.ratio_roots(rest, s)
+    if family.kind == "gamma":
+        _, m, lam, c = block._log_ratio_terms(rest, s)
+        k_x, k_y = float(block.shapes[0]), float(rest.shapes[0])
+        total = k_x + k_y
+        assert k_y >= 10.0 and roots[1] < 0.1 * s
+        x = roots / s
+        c_parts = (
+            (k_y - 0.5) * abs(log1pmx(-k_x / total))
+            + (k_x + 0.5) * k_x / total
+            + k_x * abs(math.log1p((total - lam) / lam))
+            + stirling_tail(total)
+            + stirling_tail(k_y)
+        )
+        t_max = abs(m * log1pmx(-x[1])) + abs((lam - m) * x[1]) + c_parts
+        d = np.log(roots / (k_x * block.scale))
+        w_max = k_x * np.max(np.abs(np.expm1(d)) + np.abs(d))
+        slope = np.abs(lam - m / (1.0 - x))
+        g_parts = np.abs(m * np.log1p(-x)) + lam * x + (k_y - 0.5) * abs(math.log1p(-k_x / total))
+        g_parts += k_x * abs(math.log(total / lam)) + k_x + stirling_tail(total) + stirling_tail(k_y)
+        delta = 8.0 * U * g_parts / slope + 8.0 * U * x
+        density = s * np.exp(block.log_density(roots))
+    else:
+        (m_x,), (m_y,) = block.means[0], rest.means[0]
+        v_x, v_y = block.covs[0, 0, 0], rest.covs[0, 0, 0]
+        sd_x, v_f, r = math.sqrt(v_x), v_x + v_y, s - m_x - m_y
+        z = (roots - m_x) / sd_x
+        t_max = 0.5 * abs(math.log1p(-v_x / v_f)) + np.max((r - sd_x * z) ** 2) / (2.0 * v_y) + r * r / (2.0 * v_f)
+        w_max = np.max(z * z) / 2.0
+        slope = sd_x * np.abs(r - sd_x * z) / v_y
+        half = (roots[1] - roots[0]) / 2.0
+        delta = 4.0 * U * (abs(s) + abs(m_y) + half) + 2.0 * U * (np.abs(roots) + abs(m_x))
+        delta = delta / sd_x + 2.0 * U * np.abs(z)
+        density = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+    return 64.0 * U * t_max + (64.0 + 8.0 * w_max) * U * value + float(np.sum(slope * density * delta**2))
+
+
 @pytest.mark.parametrize(
     "n,reference",
     [
@@ -186,9 +260,38 @@ def test_scheffe_large_n_high_precision_reference(n, reference):
     # (K_r - 1) log(1 - x) + lam x + lgamma(K) - lgamma(K_r) - K_b log lam;
     # its two roots by findroot, then the cdf increments as in
     # test_scheffe_high_precision_reference.  Here log rho is about 1e-6 near
-    # its roots, far below the ~4e7-sized log densities of the sums.
-    est = tv_scheffe(gamma_family([2.5, 4.0] * (n // 2), 1.0), 1, 6.0)
-    assert est.value == pytest.approx(reference, rel=1e-7)
+    # its roots, far below the ~4e7-sized log densities of the sums, which a
+    # difference of two conditional masses missed by 9e-12 and 3.6e-10
+    # relative.
+    family = gamma_family([2.5, 4.0] * (n // 2), 1.0)
+    value = tv_scheffe(family, 1, 6.0).value
+    assert abs(value - reference) <= scheffe_rounding_bound(family, 1, 6.0, value)
+
+
+SHIPPED = Path(__file__).resolve().parents[1] / "scripts" / "configs"
+NORMAL_DF = parse_config_file(SHIPPED / "normal_df.cfg").family
+# (family, n, k, a, reference): TVs from 60-digit mpmath, quad of (rho - 1)
+# f_block between the findroot roots of log rho (Gamma), or g_1(1 / n) for
+# normal_df.cfg; a difference of two conditional masses missed the i.i.d.
+# Gamma(3, 1) rows by -1.33e-8, -4.35e-10 and -6.65e-7 relative, and
+# normal_df.cfg at n = 1e5 by -8.6e-12.
+SCHEFFE_REFERENCES = [
+    (gamma_family([2.5, 4.0], 1.0), 12_800, 114, 6.0, 0.0043339787939693427),
+    (gamma_family([3.0], 1.0), 10**7, 1, 6.0, 5.3936427822423424e-8),
+    (gamma_family([3.0], 1.0), 10**7, 40, 6.0, 1.942021928559036e-6),
+    (gamma_family([3.0], 1.0), 10**9, 1, 6.0, 5.3936424567967785e-10),
+    (NORMAL_DF, 500, 1, 0.5, 9.6885199252461300708e-4),
+    (NORMAL_DF, 1000, 1, 0.5, 4.8418357110045033952e-4),
+    (NORMAL_DF, 2000, 1, 0.5, 2.4203123611085485847e-4),
+    (NORMAL_DF, 100_000, 1, 0.5, 4.8394386876065516717e-6),
+]
+
+
+@pytest.mark.parametrize("family,n,k,a,reference", SCHEFFE_REFERENCES)
+def test_scheffe_within_its_rounding_bound(family, n, k, a, reference):
+    members = family.build(n)
+    value = tv_scheffe(members, k, a).value
+    assert abs(value - reference) <= scheffe_rounding_bound(members, k, a, value)
 
 
 def test_scheffe_finds_the_root_next_to_the_support_end():
@@ -260,15 +363,18 @@ GAMMA_SCHEFFE_CASES = [
 ]
 
 
-@pytest.mark.parametrize("members,k,theta", GAMMA_SCHEFFE_CASES)
-def test_interval_masses_fixed_node_convergence(monkeypatch, members, k, theta):
-    # both Scheffe masses move by less than 1e-15 when the panels double
-    ctx = RatioContext(members, k, 6.0, theta=theta)
+@pytest.mark.parametrize("members,k,theta", GAMMA_SCHEFFE_CASES + [(NORMAL_DF.build(100_000), 1, None)])
+def test_excess_mass_fixed_node_convergence(monkeypatch, members, k, theta):
+    # the Scheffe excess mass moves by no more than the rounding of its two
+    # pairwise sums of positive terms (at most 31 u each, see
+    # scheffe_rounding_bound) in each of the two rules when the panels
+    # double; from 2 panels it moves by up to 4e-10
+    ctx = RatioContext(members, k, 6.0 if members.kind == "gamma" else 0.5, theta=theta)
     roots = ctx.block.ratio_roots(ctx.rest, ctx.na)
-    masses = ctx.block.interval_masses(ctx.rest, ctx.na, *roots)
+    value = ctx.block.excess_mass(ctx.rest, ctx.na, *roots)
     monkeypatch.setattr(families, "GL_PANELS", 2 * families.GL_PANELS)
-    doubled = ctx.block.interval_masses(ctx.rest, ctx.na, *roots)
-    assert np.max(np.abs(np.subtract(masses, doubled))) <= 1e-15
+    doubled = ctx.block.excess_mass(ctx.rest, ctx.na, *roots)
+    assert abs(doubled / value - 1.0) <= 4 * 31 * U
 
 
 def test_scheffe_normal_roots_far_from_the_origin():
@@ -1052,32 +1158,35 @@ def test_estimate_reports_the_solved_tilt_as_floats(method):
         ),
     ],
 )
-def test_cdf_given_sum_against_trapezoid(members, k, a):
-    # independent route: integrate the conditional density rho * f_block
+def test_excess_mass_against_trapezoid(members, k, a):
+    # independent route: the trapezoid rule of (rho - 1) f_block, between the
+    # roots and over intervals where rho - 1 changes sign
     ctx = RatioContext(members, k, a)
-    tilted = members.tilt(ctx.theta)
-    block, rest = tilted[:k].convolve(), tilted[k:].convolve()
+    block, rest, na = ctx.block, ctx.rest, float(ctx.na[0])
     center = float(block.cgf_grad(0.0)[0])
     sd = math.sqrt(block.cgf_hess(0.0)[0, 0])
     lower = 0.0 if members.kind == "gamma" else -math.inf
     grid = np.linspace(max(center - 12.0 * sd, lower), center + 12.0 * sd, 200_001)
-    dens = np.exp(ctx.log_ratio_exact(grid.reshape(-1, 1)) + block.log_density(grid))
-    cum = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(grid))])
-    na = float(ctx.na[0])
-    for q in (2000, 50_000, 100_000, 150_000, 198_000):
-        assert float(block.cdf_given_sum(rest, na, grid[q])) == pytest.approx(cum[q], abs=1e-9)
+    excess = np.expm1(ctx.log_ratio_exact(grid.reshape(-1, 1))) * np.exp(block.log_density(grid))
+    cum = np.concatenate([[0.0], np.cumsum(0.5 * (excess[1:] + excess[:-1]) * np.diff(grid))])
+    roots = block.ratio_roots(rest, na)
+    r1, r2 = (int(np.searchsorted(grid, r)) for r in roots)
+    for q1, q2 in ((r1, r2), (2000, 100_000), (50_000, 150_000), (100_000, 198_000)):
+        assert block.excess_mass(rest, na, grid[q1], grid[q2]) == pytest.approx(cum[q2] - cum[q1], abs=1e-9)
 
 
-def test_cdf_given_sum_gamma_needs_one_scale():
-    with pytest.raises(ValueError):
-        gamma_family([3.0], 1.0).cdf_given_sum(gamma_family([4.0], 2.0), 10.0, 5.0)
+def test_gamma_pair_methods_need_one_scale():
+    block, rest = gamma_family([3.0], 1.0), gamma_family([4.0], 2.0)
+    with pytest.raises(ValueError, match="a pair needs one scale"):
+        block.log_ratio_given_sum(rest, 10.0, 5.0)
+    with pytest.raises(ValueError, match="a pair needs one scale"):
+        block.excess_mass(rest, 10.0, 4.0, 6.0)
 
 
 # ---------------------------------------------------------------------------
 # Far targets: the TV of these families does not depend on a
 # ---------------------------------------------------------------------------
 
-SHIPPED = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 FAR_FAMILIES = {
     "normal_df": (parse_config_file(SHIPPED / "normal_df.cfg").family.build(200), 0.5),
     "normal2d": (normal_family([[0.0, 0.0], [0.5, 0.5]] * 100, [[1.0, 0.2], [0.2, 2.0]]), (0.6, 0.6)),
@@ -1177,8 +1286,11 @@ def test_only_the_tilted_ratio_builds_the_rest_law(estimator, monkeypatch):
     est = estimator(family, k, 6.0, **kwargs)
     tilted_rest = (n - k, float(family.tilt(est.theta).scale))
     assert (tilted_rest in convolved) == (estimator is not tv_joint_mc)
+    # Scheffe against the 60-digit reference 0.024975876228437138149: +2.5e-14
+    # relative (the difference of two conditional masses gave
+    # 0.02497587622843711, -1.1e-15)
     expected = {
-        "scheffe": (0.02497587622843711, 0.0),
+        "scheffe": (0.024975876228437756, 0.0),
         "sum_mc": (0.02492284121616719, 0.00017910881682360513),
         "joint_mc": (0.02492284121616734, 0.0001791088168236068),
     }
