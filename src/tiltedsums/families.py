@@ -46,6 +46,7 @@ Gauss-Legendre integrals (_window_integral).
 """
 
 import math
+import sys
 from functools import cache, cached_property
 
 import numpy as np
@@ -177,14 +178,6 @@ class Family:
         less than the block sum itself."""
         return block.log_ratio_sampler(rest, s)
 
-    def _gibbs_terms(self, gibbs):
-        """(law, theta, log_mgf) of log_ratio_sampler; called after the pair's
-        guards, so that a far target raises before log_mgf can overflow."""
-        if not gibbs:
-            return self, None, None
-        law, theta, members = gibbs
-        return law, theta, len(members) * members.cgf(theta)
-
     def _points(self, x):
         """Normalize x to an (N, d) array; report whether input was a single point."""
         a = np.asarray(x, dtype=float)
@@ -224,14 +217,9 @@ class _Scratch:
 
 # Largest eps * size that a log ratio takes when it subtracts two terms of
 # that size, so that each value carries a rounding error of about eps * size.
-# Untilted sums conditioned far from their means (tv_joint_mc's) reach it.
-# Normal: log f_{X+Y}(s); on normal_df.cfg at n = 200, k = 15 the joint_mc TV
-# moved by 1 to 9 times eps * size relative, so by at most about 1e-5 under
-# this limit.  Gamma, with the Gibbs factor: lam x and <theta, T>, both about
-# the tilted block mean over the untilted scale, K_x u / t; on Gamma rows at
-# n = 20 to 12800, k = 1 to 114 and a = 10 to 1e12 (two seeds, 2e4 samples)
-# the joint_mc TV moved by at most 0.24 eps * size absolute, so by at most
-# 2.4e-7 under this limit.
+# Only the Normal sums' log density log f_{X+Y}(s) is held to it: at the tilt
+# to a, s is the sum's mean and that log density is a few log variances, but
+# an explicit theta (RatioContext(theta=...)) can put s far from the mean.
 LOG_DENSITY_LIMIT = 1e-6
 
 
@@ -392,12 +380,18 @@ class GammaFamily(Family):
     def tilt_to_mean(self, a):
         """(the family tilted to average mean a, theta): the shapes at scale
         a / kbar, exact however far a lies, and theta = (1 - kbar t / a) / t,
-        -inf past the float range; OutOfDomainError where a / kbar is 0."""
+        -inf past the float range; OutOfDomainError where a / kbar is 0, and
+        ConditioningError where it is subnormal, so that the sum n a and the
+        roots of log rho would lose relative precision."""
         (a,) = self._target(a)
         kbar, t = self._kbar, self.scale
         if not a / kbar > 0.0:
             total = self._member_sum(self.shapes)
             raise OutOfDomainError(f"target mean a={a} over shapes summing to {total:g} gives gamma scale 0")
+        if a / kbar < sys.float_info.min:
+            raise ConditioningError(
+                f"target mean a={a} gives gamma scale {a / kbar:.3e}, below the normal float range"
+            )
         with np.errstate(over="ignore"):
             theta = (1.0 - kbar * t / a) / t
         return self._cycled(self._n, self.shapes, a / kbar), np.array([theta])
@@ -509,30 +503,20 @@ class GammaFamily(Family):
             out = np.where(x < 1.0, m * np.log1p(-x) + lam * x + c, -np.inf)
         return float(out[0]) if single else out
 
-    def log_ratio_sampler(self, rest, s, gibbs=None):
+    def log_ratio_sampler(self, rest, s):
         """fill(rng, out): draws len(out) values T of X = self on rng, as sample
         does, and writes log rho(T) (Y = rest, sum s) into out, a C-contiguous
-        float vector; with gibbs = (law, theta, members), T of law, X tilted by
-        theta, and log rho(T) - <theta, T> + sum_j kappa_j(theta) over the
-        members whose sum X is.  T is scale * standard_gamma, as numpy's gamma
-        draws it, and log_ratio_given_sum(rest, s, T) - T @ theta +
-        len(members) * members.cgf(theta) runs in place, in reused buffers, in
-        the same order, to the same bits.  With gibbs, ConditioningError where
-        the terms it subtracts, of the size of law's mean over scale, pass
-        LOG_DENSITY_LIMIT."""
+        float vector.  T is scale * standard_gamma, as numpy's gamma draws
+        it, and log_ratio_given_sum(rest, s, T) runs in place, in reused
+        buffers, in the same order, to the same bits."""
         s, m, lam, c = self._log_ratio_terms(rest, s)
-        if gibbs:
-            _check_cancellation(s, gibbs[0].shapes[0] * gibbs[0].scale / self.scale, "Gibbs terms")
-        law, theta, log_mgf = self._gibbs_terms(gibbs)
-        shape, scale = law.shapes[0], law.scale
+        shape, scale = self.shapes[0], self.scale
         scratch = _Scratch()
 
         def fill(rng, out):
             log_term, beyond = scratch.take(0, out.shape), scratch.take(1, out.shape, bool)
             rng.standard_gamma(shape, out=out)
             out *= scale
-            if gibbs:
-                gibbs_term = np.multiply(out, theta, out=scratch.take(2, out.shape))
             out /= s
             np.greater_equal(out, 1.0, out=beyond)
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -542,9 +526,6 @@ class GammaFamily(Family):
             out += log_term
             out += c
             np.copyto(out, -np.inf, where=beyond)
-            if gibbs:
-                out -= gibbs_term
-                out += log_mgf
 
         return fill
 
@@ -772,25 +753,20 @@ class NormalFamily(Family):
         _check_cancellation(s, abs(log_sum), "log densities")
         return log_sum
 
-    def log_ratio_sampler(self, rest, s, gibbs=None):
+    def log_ratio_sampler(self, rest, s):
         """fill(rng, out) as for Gamma, T = m + L z drawn as sample draws it
-        (L = cov^(1/2) of X, or of law with gibbs; z standard normal): the
-        whitened rest residual W (s - T - m_y) (W = cov_y^(-1/2)) is c - A z
-        with A = W L and c = W (s - m - m_y), and <theta, T> is
-        <theta, m> + <L^T theta, z>, so the maps are composed once here and
-        a fill costs one (d, d) by (d, len(out)) product, plus one
-        (len(out), d) by (d,) product with gibbs, in reused buffers; T is
+        (L = cov^(1/2) of X, z standard normal): the whitened rest residual
+        W (s - T - m_y) (W = cov_y^(-1/2)) is c - A z with A = W L and
+        c = W (s - m - m_y), so the maps are composed once here and a fill
+        costs one (d, d) by (d, len(out)) product, in reused buffers; T is
         never formed."""
         self._single("log_ratio_sampler", rest)
         s = as_vector(s, self.dim)
         self._check_spacing(s)
         const = -0.5 * (self.dim * LOG_2PI + rest._logdet[0]) - self._log_sum_density(rest, s)
-        law, theta, log_mgf = self._gibbs_terms(gibbs)
-        root, w = sym_sqrt(law.covs[0]), rest._inv_sqrt[0]
+        root, w = sym_sqrt(self.covs[0]), rest._inv_sqrt[0]
         a_map = w @ root
-        shift = (w @ (s - law.means[0] - rest.means[0]))[:, None]
-        if gibbs:
-            slope, offset = root.T @ theta, log_mgf - law.means[0] @ theta
+        shift = (w @ (s - self.means[0] - rest.means[0]))[:, None]
         scratch = _Scratch()
 
         def fill(rng, out):
@@ -801,9 +777,6 @@ class NormalFamily(Family):
             np.einsum("in,in->n", white, white, out=out)
             out *= -0.5
             out += const
-            if gibbs:
-                out -= np.matmul(z, slope, out=scratch.take(2, out.shape))
-                out += offset
 
         return fill
 

@@ -89,13 +89,16 @@ def run_sweep(config, threads=1, timing=False):
 
 def fit_scaling(rows):
     """Ordinary least squares of log tv against log(k/n) over the SweepRows
-    without an error and with a finite positive tv."""
+    without an error and with a finite positive tv; ValueError unless there
+    are 3 such rows at 2 distinct log(k/n) at least, which a slope needs."""
     points = [
         (row.n, row.k, row.tv) for row in rows if row.error is None and row.tv > 0.0 and math.isfinite(row.tv)
     ]
     if len(points) < 3:
         raise ValueError(f"need at least 3 rows with positive tv, got {len(points)}")
     x = np.array([math.log(k / n) for n, k, _ in points])
+    if x.min() == x.max():  # np.unique would import numpy.ma, 20 ms on first use
+        raise ValueError(f"need at least 2 distinct log(k/n), got {len(points)} rows at log(k/n) = {x[0]:.6g}")
     y = np.array([math.log(tv) for _, _, tv in points])
     slope, intercept = np.polyfit(x, y, 1)
     fitted = slope * x + intercept

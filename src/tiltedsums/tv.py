@@ -30,12 +30,12 @@ themselves.  Estimators:
   * joint_mc  - Monte Carlo in the k*d-dimensional joint space,
                 E_{x ~ tilted product} |q_cond(x)/p_tilted(x) - 1|.  q/p
                 depends on x only through its block sum T (the member
-                densities cancel), so it draws T from ctx.block, as sum_mc
-                does, and evaluates the untilted sums' ratio and the Gibbs
-                factor at it (_joint_fill), the other side of the
-                change-of-measure identity: at one seed the two differ
-                only by rounding, except on the radial Normal laws, where
-                sum_mc reads the generator differently.
+                densities cancel), and tilting leaves the law given the sum
+                unchanged, so q/p(x) = rho(T(x)): it draws T from ctx.block
+                (ctx.block.sample's stream) and writes the tilted log rho at
+                it by ctx.block.log_ratio_sampler.  Off the radial Normal
+                laws that is sum_mc's fill, so at one seed the two give the
+                same numbers, bit for bit.
 
 Both Monte Carlo estimators run one chunk loop (_mc_estimate): a fill
 draws SUM_MC_CHUNK values from one generator, continuing a single stream,
@@ -55,11 +55,12 @@ Gamma(3, 1) at k = 1 the limit is E|1 - Z^2 + 2 Z / sqrt(3)| / 2 ~= 0.5394,
 Z the standardized Gamma(3).
 
 The tilted members come from family.tilt_to_mean in closed form, so a far
-Gamma target gives the TV of the target 6 to rounding.  A Normal target so
-far out that float cannot resolve the sums raises ConditioningError from
-the Normal pair methods (families.SPACING_LIMIT), and joint_mc's untilted
-sums raise it for either kind where their log ratio would subtract terms
-too large for float (families.LOG_DENSITY_LIMIT), before any draw.
+Gamma target gives the TV of the target 6 to rounding, in every estimator,
+down to the targets whose tilted scale a / kbar leaves the normal float
+range, which raise ConditioningError (GammaFamily.tilt_to_mean).  A Normal
+target so far out that float cannot resolve the sums raises
+ConditioningError from the Normal pair methods (families.SPACING_LIMIT),
+before any draw.
 """
 
 import math
@@ -164,12 +165,13 @@ def tv_joint_mc(family, k, a, samples=DEFAULT_JOINT_SAMPLES, rng=None, theta=Non
     """Monte Carlo TV in the joint block space: averages |q(x)/p(x) - 1| over
     x ~ product of tilted members, with q the conditional density of the
     block given {S_1n = n a} and p the tilted product density.  The member
-    densities cancel pointwise in q/p, so q/p depends on x only through its
-    block sum T, whose law is the tilted block-sum law ctx.block: one draw
-    of it per sample (ctx.block.sample's stream), by _joint_fill."""
+    densities cancel pointwise in q/p, so q/p = rho(T) depends on x only
+    through its block sum T, whose law is the tilted block-sum law
+    ctx.block: one draw of it per sample (ctx.block.sample's stream), and
+    the tilted ratio at it (ctx.block.log_ratio_sampler)."""
     _check_samples(samples)
     ctx = RatioContext(family, k, a, theta=theta)
-    return _mc_estimate(ctx, "joint_mc", samples, rng, _joint_fill(family, ctx))
+    return _mc_estimate(ctx, "joint_mc", samples, rng, ctx.block.log_ratio_sampler(ctx.rest, ctx.na))
 
 
 def _estimate(ctx, method, value, std_error, samples):
@@ -220,15 +222,3 @@ def _mean_and_se(chunks):
     m2 = np.add.reduce(m2s) + np.add.reduce(counts * np.square(sums / counts - mean))
     return float(mean), float(np.sqrt(m2 / (count - 1)) / math.sqrt(count))
 
-
-def _joint_fill(family, ctx):
-    """fill(rng, out): draws len(out) block sums T from ctx.block on rng and
-    writes log q/p at them into out,
-
-        log f0_rest(n a - T) - log f0_full(n a) - <theta, T> + sum_{j<=k} kappa_j(theta),
-
-    the untilted block and rest sums' ratio and the Gibbs factor;
-    prod_j p_j(x_j) cancels."""
-    members = family[: ctx.k]
-    rest = family[ctx.k :].convolve()
-    return members.convolve().log_ratio_sampler(rest, ctx.na, gibbs=(ctx.block, ctx.theta, members))

@@ -1,6 +1,7 @@
 """Command-line interface: subcommand behaviour and exit codes."""
 
 import argparse
+import csv
 import json
 import math
 import os
@@ -109,6 +110,24 @@ def test_sweep_subcommand_writes_reports(cfg_path, tmp_path, capsys):
     assert len(results.strip().split("\n")) == 4
     assert (out_dir / "scaling.csv").exists()
     assert "scaling exponent=" in capsys.readouterr().out
+
+
+@pytest.mark.filterwarnings("error")
+def test_sweep_at_one_k_over_n_writes_no_scaling_fit(tmp_path, capsys, caplog):
+    # three targets at one n share one k/n: no exponent, no scaling.csv, and
+    # a stale one from an earlier run is removed; the rows themselves succeed
+    cfg = (SHIPPED / "gamma_iid_sweep.cfg").read_text()
+    path = tmp_path / "one_n.cfg"
+    path.write_text(cfg.replace("n = 200, 400, 800, 1600", "n = 400").replace("a = 6.0", "a = 5.0, 6.0, 7.0"))
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    (out_dir / "scaling.csv").write_text("stale\n")
+    assert main(["sweep", "--config", str(path), "--threads", "1", "--out", str(out_dir)]) == 0
+    assert "scaling exponent" not in capsys.readouterr().out
+    assert sorted(os.listdir(out_dir)) == ["results.csv"]
+    assert len((out_dir / "results.csv").read_text().strip().split("\n")) == 4
+    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert len(warnings) == 1 and warnings[0].startswith("no scaling fit: need at least 2 distinct log(k/n)")
 
 
 def test_sweep_deterministic_across_thread_counts(cfg_path, tmp_path):
@@ -435,9 +454,10 @@ def _csv_rows(capsys, argv):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("a", ["1e7", "1e16", "1e300"])
+@pytest.mark.parametrize("a", ["1e-300", "1e7", "1e16", "1e300"])
 def test_far_gamma_tv_prints_the_shipped_target_value(a, capsys):
-    # the members tilted to a are Gamma(3, a / 3) however far a lies, and
+    # the members tilted to a are Gamma(3, a / 3) however far a lies, down
+    # to the smallest normal scale (below it, test_tiny_gamma_target_...), and
     # Scheffe reads them in scale-free coordinates: only the four ends of the
     # two interval masses move, each by a few ulps in its log coordinate
     # (n a, u, their ratio and the log), and a mass moves by that times its
@@ -488,18 +508,24 @@ def test_gamma_target_near_the_float_range_exits_1_without_overflow_warning(argv
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_tiny_gamma_target_sweep_writes_theta_minus_inf_without_overflow_warning(tmp_path, caplog):
-    # at a = 1e-320 the tilted scale a / 3 is subnormal but positive, and
-    # theta = (1 - 3 / a) / 1 lies past the float range: -inf, silently
+def test_tiny_gamma_target_sweep_fails_its_rows_without_overflow_warning(tmp_path, caplog):
+    # at a = 1e-320 the tilted scale a / 3 is subnormal but positive, so n a
+    # and the roots of log rho would lose relative precision (the rows were
+    # 0.6% off): a ConditioningError naming the target and the scale in
+    # every row's failures.csv line, exit 1
     cfg = (SHIPPED / "gamma_iid_sweep.cfg").read_text()
     path = tmp_path / "tiny_target.cfg"
     path.write_text(cfg.replace("a = 6.0", "a = 1e-320"))
-    assert main(["sweep", "--config", str(path), "--threads", "1", "--out", str(tmp_path / "out")]) == 0
-    rows = (tmp_path / "out" / "results.csv").read_text().strip().split("\n")[1:]
-    assert len(rows) == 4 and not any(r.levelname == "ERROR" for r in caplog.records)
-    for row in rows:
-        fields = row.split(",")
-        assert fields[3] == "-inf" and 0.0 < float(fields[5]) < 1.0
+    out_dir = tmp_path / "out"
+    assert main(["sweep", "--config", str(path), "--threads", "1", "--out", str(out_dir)]) == 1
+    assert (out_dir / "results.csv").read_text() == "n,k,a,theta,method,tv,std_error,seconds\n"
+    with open(out_dir / "failures.csv", newline="") as fh:
+        failures = list(csv.DictReader(fh))
+    assert [row["n"] for row in failures] == ["200", "400", "800", "1600"]
+    for row in failures:
+        assert row["error"].endswith(
+            "target mean a=1e-320 gives gamma scale 3.335e-321, below the normal float range"
+        ), row["error"]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

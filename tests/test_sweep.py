@@ -153,6 +153,21 @@ def test_fit_requires_three_usable_rows():
         fit_scaling(scheffe_rows([(100, 10, 0.1), (200, 10, 0.0), (400, 10, 0.0)]))
 
 
+@pytest.mark.parametrize(
+    "points",
+    [
+        [(400, 20, 0.039), (400, 20, 0.038), (400, 20, 0.037)],
+        [(100, 10, 0.1), (200, 20, 0.09), (400, 40, 0.08), (800, 80, 0.07)],
+    ],
+    ids=["one_n", "one_k_over_n"],
+)
+def test_fit_requires_two_distinct_k_over_n(points):
+    # rows that share one k/n fix no slope: numpy's polyfit would warn and
+    # return a made-up exponent through one abscissa
+    with pytest.raises(ValueError, match="need at least 2 distinct log"):
+        fit_scaling(scheffe_rows(points))
+
+
 def test_fit_skips_failed_sweep_rows():
     rows = [
         SweepRow(0, 100, 10, (6.0,), (0.5,), "scheffe", 0.05, 0.0, 0.0),

@@ -2,6 +2,7 @@
 and the closed-form tilted law."""
 
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tiltedsums import (
+    ConditioningError,
     GammaFamily,
     OutOfDomainError,
     UnsupportedFamilyError,
@@ -445,3 +447,17 @@ def test_tilt_to_mean_rejects_a_gamma_target_outside_the_support_as_the_solver_d
     with pytest.raises(OutOfDomainError) as closed:
         family.tilt_to_mean(a)
     assert str(closed.value) == str(solver.value) == f"target mean a={float(a)} outside (0, inf) for gamma members"
+
+
+@pytest.mark.parametrize("a", [4.0 * math.nextafter(sys.float_info.min, 0.0), 1e-310, 1e-320])
+def test_tilt_to_mean_raises_where_the_gamma_scale_is_subnormal(a):
+    # a / kbar below the normal range: the sum n a and the roots of log rho
+    # would lose relative precision, so the tilt raises before any law uses it
+    family = gamma_family([4.0], 1.0).build(10)
+    with pytest.raises(ConditioningError, match=f"^target mean a={a} gives gamma scale .*, below the normal float range$"):
+        family.tilt_to_mean(a)
+
+
+def test_tilt_to_mean_keeps_the_smallest_normal_gamma_scale():
+    tilted, _ = gamma_family([4.0], 1.0).build(10).tilt_to_mean(4.0 * sys.float_info.min)
+    assert tilted.scale == sys.float_info.min

@@ -34,7 +34,7 @@ from tiltedsums import (
 )
 from tiltedsums import families
 from tiltedsums.numerics import log1pmx, stirling_tail, sym_sqrt
-from tiltedsums.tv import SUM_MC_CHUNK, _joint_fill, _mean_and_se, chi2_sf, g_d
+from tiltedsums.tv import SUM_MC_CHUNK, _mean_and_se, chi2_sf, g_d
 
 
 def iid_normals(n, mean=0.0, var=1.0, dim=1):
@@ -654,9 +654,9 @@ def test_sum_mc_traced_memory_is_one_buffer_plus_a_chunk(kind, estimator):
     # a row holds one chunk-sized buffer and the buffers of its fill, at
     # most six d-wide float64 arrays of SUM_MC_CHUNK rows, whatever samples
     # is; measured at both sizes 1.07 MiB (gamma) and 0.51 MiB (normal, whose
-    # radial fill keeps no buffer) for sum_mc, 1.57 and 3.01 MiB for
-    # joint_mc (one chunk-sized Gibbs term more), and 2^22 samples hold at
-    # most 4.8 KiB more than 2^20 (three floats per chunk)
+    # radial fill keeps no buffer) for sum_mc, 1.07 and 2.51 MiB for
+    # joint_mc (the same gamma fill, and the normal z fill), and 2^22 samples
+    # hold at most 4.8 KiB more than 2^20 (three floats per chunk)
     if kind == "gamma":
         members, k, a, d = gamma_family([2.5, 4.0] * 50, 1.0), 10, 6.0, 1
     else:
@@ -756,7 +756,7 @@ def test_fill_log_ratio_matches_ratio_at_block_draws(kind, members, k, a, untilt
 
 FILLS = {
     "sum_mc": lambda members, ctx: ctx.fill_log_ratio,
-    "joint_mc": _joint_fill,
+    "joint_mc": lambda members, ctx: ctx.block.log_ratio_sampler(ctx.rest, ctx.na),
 }
 
 
@@ -833,8 +833,8 @@ def joint_case(kind):
 
 
 def _joint_log_ratio(family, k, na, theta):
-    """The reference of tv._joint_fill: log q(x)/p(x) as a function of the
-    block sums T = total, shape (N, d),
+    """The Gibbs form of log q(x)/p(x) as a function of the block sums
+    T = total, shape (N, d),
 
         log f0_rest(n a - T) - log f0_full(n a) - <theta, T> + sum_{j<=k} kappa_j(theta),
 
@@ -860,72 +860,6 @@ def test_joint_log_ratio_is_conditional_over_tilted_product(kind):
         full = math.log(conditional_density(family, k, x, n * a)) - np.sum(tilted.log_density(x))
         assert reduced.shape == (1,)
         assert abs(reduced[0] - full) <= 1e-12
-
-
-def joint_fill_rounding_bound(family, ctx, z):
-    """Largest |fill - reference| that rounding explains for a Normal row,
-    per standard-normal draw z of T = m + L z (rows of z; L the square root
-    of ctx.block's covariance, m its mean).  Both _joint_fill and
-    _joint_log_ratio evaluate, up to the log of Gaussian normalizers
-    (log det cov_y, log f0_full(n a) and sum_j kappa_j(theta), the same
-    floats in both), one polynomial in the same floats z, L, m, W (the
-    untilted rest covariance's inverse square root), m_y, s = n a and theta:
-
-        -(|W (s - (L z + m) - m_y)|^2 + d log(2 pi) + log det cov_y) / 2
-            - log f0_full(s) - <theta, L z + m> + sum_j kappa_j(theta),
-
-    the fill regrouped as c - A z with A = W L, c = W (s - m - m_y), and
-    <theta, m> + <L^T theta, z>.  Each operation rounds once (u = 2^-53,
-    fused or not; the products by -1/2 are exact), and a monomial passes at
-    most d roundings in each of the three nested matrix-vector products (the
-    reference's L z, W . and squared norm; the fill's W L, A z and squared
-    norm) and at most 7 in the additions around them, so each formula lies
-    within gamma_{3d+7} M of the exact value (Higham, Accuracy and Stability
-    of Numerical Algorithms, lemma 3.1), gamma_j = j u / (1 - j u) and M the
-    polynomial with every input and term in absolute value.  Regrouping
-    keeps M: |W| |L| |z| = |W| (|L| |z|).  M is a sum of nonnegative terms,
-    itself computed within a relative gamma_{3d+7}, so
-
-        |fill - reference| <= 2 gamma_{3d+7} (1 + gamma_{3d+7}) M."""
-    members, d = family[: ctx.k], family.dim
-    block, rest = members.convolve(), family[ctx.k :].convolve()
-    log_sum = block._log_sum_density(rest, ctx.na)
-    root, w = np.abs(sym_sqrt(ctx.block.covs[0])), np.abs(rest._inv_sqrt[0])
-    drawn = np.abs(z) @ root.T + np.abs(ctx.block.means[0])
-    white = (np.abs(ctx.na) + np.abs(rest.means[0]) + drawn) @ w.T
-    size = (
-        0.5 * (d * families.LOG_2PI + abs(rest._logdet[0]) + np.sum(white * white, axis=1))
-        + abs(log_sum)
-        + drawn @ np.abs(ctx.theta)
-        + abs(ctx.k * members.cgf(ctx.theta))
-    )
-    u = 2.0**-53
-    gamma = (3 * d + 7) * u / (1.0 - (3 * d + 7) * u)
-    return 2.0 * gamma * (1.0 + gamma) * size
-
-
-JOINT_FILL_LAWS = [(kind, *joint_case(kind)) for kind in ("gamma", "normal")] + _sum_mc_laws()
-
-
-@pytest.mark.parametrize("kind,family,k,a", JOINT_FILL_LAWS)
-def test_joint_fill_matches_reference_at_block_draws(kind, family, k, a):
-    # joint_mc's fill draws what ctx.block.sample draws, consumes the stream
-    # alike, and writes _joint_log_ratio at those draws: byte for byte for
-    # Gamma, within the rounding bound for Normal; the second, shorter fill
-    # reuses the first one's buffers, as a last chunk does
-    ctx = RatioContext(family, k, a)
-    fill, reference = _joint_fill(family, ctx), _joint_log_ratio(family, ctx.k, ctx.na, ctx.theta)
-    gen, ref_gen, z_gen = (np.random.default_rng(29) for _ in range(3))
-    for count in (5001, 3000):
-        out = np.empty(count)
-        fill(gen, out)
-        expected = reference(ctx.block.sample(ref_gen, count))
-        assert gen.bit_generator.state == ref_gen.bit_generator.state
-        if kind == "gamma":
-            assert out.tobytes() == expected.tobytes()
-            continue
-        bound = joint_fill_rounding_bound(family, ctx, z_gen.standard_normal((count, family.dim)))
-        assert np.all(np.abs(out - expected) <= bound), np.max(np.abs(out - expected) / bound)
 
 
 def _member_draws(family, gen, count):
@@ -1012,48 +946,39 @@ def test_joint_mc_builds_as_many_families_at_any_block_size(kind, monkeypatch):
     assert counts[0] == counts[1] > 0
 
 
-def _log_rho_term_sizes(family, k, a, total):
-    """For each block sum T (rows of total), the summed sizes of the terms
-    that joint_mc's and sum_mc's formulas add up to log rho(T).  joint_mc:
-    <theta, T>, k kappa(theta) and the untilted block and rest sums' terms;
-    sum_mc: the tilted sums' terms.  Gamma terms are m log1p(-x), lam x and c
-    of log rho(s x) = m log1p(-x) + lam x + c; Normal terms are the rest
-    and full sums' quadratic forms and log normalizers."""
-    ctx = RatioContext(family, k, a)
-    sizes = np.abs(total @ ctx.theta) + abs(k * family[:k].cgf(ctx.theta))
-    for block, rest in ((family[:k].convolve(), family[k:].convolve()), (ctx.block, ctx.rest)):
-        if family.kind == "gamma":
-            s, m, lam, c = block._log_ratio_terms(rest, ctx.na)
-            x = total[:, 0] / s
-            sizes = sizes + np.abs(m * np.log1p(-x)) + np.abs(lam * x) + abs(c)
-            continue
-        full = families.NormalFamily(block.means + rest.means, block.covs + rest.covs)
-        for law, y in ((rest, ctx.na - total), (full, ctx.na[None, :])):
-            kernel = law.log_density(y, normalized=False)
-            sizes = sizes + np.abs(kernel) + np.abs(kernel - law.log_density(y))
+def _log_rho_term_sizes(ctx, total):
+    """For each block sum T (rows of total) of a Normal row, the summed sizes
+    of the terms that the tilted ratio adds up to log rho(T): the rest and
+    full sums' quadratic forms and log normalizers."""
+    block, rest = ctx.block, ctx.rest
+    full = families.NormalFamily(block.means + rest.means, block.covs + rest.covs)
+    sizes = 0.0
+    for law, y in ((rest, ctx.na - total), (full, ctx.na[None, :])):
+        kernel = law.log_density(y, normalized=False)
+        sizes = sizes + np.abs(kernel) + np.abs(kernel - law.log_density(y))
     return sizes
 
 
 def joint_sum_parity_bound(family, k, a, samples, seed, value):
-    """Largest relative difference of joint_mc and sum_mc values at one seed
-    that rounding explains.  Both draw the same block sums T_i, take
-    |rho - 1| at them and average the same chunks.  Each formula adds a few
-    terms for log rho(T_i), each within 8 roundings (u = 2^-53) of its own
-    size; sum_mc forms T = m + L z of a Normal block only through W L, which
-    rounds like the quadratic form.  So the two log rho differ by
-    |delta_i| <= 8 u S_i, S_i the summed term sizes of both formulas
+    """Largest relative difference that rounding explains between joint_mc's
+    value on a Normal row and the mean of |rho - 1| that log_ratio_exact
+    gives at the same block sums T_i, ctx.block.sample's.  Both add the
+    tilted ratio's few terms for log rho(T_i), each within 8 roundings
+    (u = 2^-53) of its own size; the fill forms T = m + L z only through
+    W L, which rounds like the quadratic form.  So the two log rho differ by
+    |delta_i| <= 8 u S_i, S_i twice the summed term sizes
     (_log_rho_term_sizes), and |rho_i - 1| by at most
     rho_i |delta_i| (1 + |delta_i|) + 2 u |rho_i - 1| (expm1, abs): with
     |delta_i| < 1 that is under 16 u rho_i S_i + 2 u |rho_i - 1|.  Each mean
     of nonnegative values lies within (log2 N + 42) u of its exact value
     (assert_exact_within_rounding), so relative to the value
 
-        |joint / sum - 1| <= 16 u mean(rho S) / value + 2 (log2 N + 43) u."""
+        |joint / reference - 1| <= 16 u mean(rho S) / value + 2 (log2 N + 43) u."""
     ctx = RatioContext(family, k, a)
     total = ctx.block.sample(np.random.default_rng(seed), samples)
     rho = np.exp(ctx.log_ratio_exact(total))
     u = 2.0**-53
-    spread = np.mean(rho * _log_rho_term_sizes(family, k, a, total))
+    spread = np.mean(rho * 2.0 * _log_rho_term_sizes(ctx, total))
     return 16.0 * u * spread / value + 2.0 * (math.ceil(math.log2(samples)) + 43) * u
 
 
@@ -1073,13 +998,12 @@ PARITY_CASES = [
 
 @pytest.mark.parametrize("family, k, a, samples, seed", PARITY_CASES)
 def test_joint_mc_matches_sum_mc_at_one_seed(family, k, a, samples, seed):
-    # the change-of-measure identity at the same draws: the joint formula
-    # (untilted sums and the Gibbs factor) against the tilted ratio, on one
-    # stream that sum_mc reads in SUM_MC_CHUNK fills and joint_mc in one draw
+    # q/p is the tilted ratio at the block sum, so joint_mc runs sum_mc's
+    # fill on the same stream: the same (value, std_error), bit for bit
     joint = tv_joint_mc(family, k, a, samples=samples, rng=np.random.default_rng(seed))
     if _radial(family):
         # sum_mc draws radii here, not block sums: the tilted ratio at the
-        # block sums that joint_mc draws, ctx.block.sample's
+        # block sums that joint_mc draws, ctx.block.sample's, within rounding
         ctx = RatioContext(family, k, a)
         total = ctx.block.sample(np.random.default_rng(seed), samples)
         value = float(np.mean(np.abs(np.expm1(ctx.log_ratio_exact(total)))))
@@ -1089,9 +1013,7 @@ def test_joint_mc_matches_sum_mc_at_one_seed(family, k, a, samples, seed):
         assert joint.samples == samples
         return
     summed = tv_sum_mc(family, k, a, samples=samples, rng=np.random.default_rng(seed))
-    bound = joint_sum_parity_bound(family, k, a, samples, seed, summed.value)
-    assert bound < 1e-9
-    assert abs(joint.value / summed.value - 1.0) <= bound, (joint.value, summed.value, bound)
+    assert (joint.value, joint.std_error) == (summed.value, summed.std_error)
     assert joint.samples == summed.samples == samples
 
 
@@ -1216,7 +1138,7 @@ def test_far_target_gives_the_shipped_target_value_or_a_typed_error(name, method
     # n = 200, k = 15, a = 10^j in every coordinate: the same value as at the shipped target (1e-9
     # relative for Scheffe, 0.01 of the standard error for the same draws), or a TiltedSumsError
     # where float cannot resolve the sums.  Gamma members tilt to Gamma(3, a / 3) in closed form, so
-    # only joint_mc's untilted sums meet that limit
+    # only the Normal sums meet that limit
     members, _ = FAR_FAMILIES[name]
     reference = far_reference(name, method)
     try:
@@ -1242,15 +1164,17 @@ def test_far_normal_target_raises_the_spacing_error_first(name, method):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("a", [1e9, 1e16, 1e100, 1e300])
-def test_far_gamma_joint_mc_raises_the_cancellation_error_first(a, monkeypatch):
-    # joint_mc's Gibbs terms are of size k a / t = 15 a: past 1e-6 / eps
-    # (a ~ 3e8 here) the guard raises before any draw, and before theta,
-    # which rounds to 1 / t from a ~ 6e16 on, reaches the untilted cgf
+@pytest.mark.parametrize("a", [1e-300, 1e6, 1e9, 1e16, 1e100, 1e300])
+def test_far_gamma_joint_mc_gives_the_shipped_target_value(a):
+    # joint_mc evaluates the tilted ratio, which subtracts nothing of the
+    # size k a / t: the a = 6 value within 0.01 of the standard error, and
+    # no typed error, down to a tilted scale near the smallest normal float
+    # and where theta rounds to 1 / t (a ~ 6e16 on)
     members, _ = FAR_FAMILIES["gamma_iid"]
-    monkeypatch.setattr(families.GammaFamily, "cgf", None)
-    with pytest.raises(ConditioningError, match=r"subtracts Gibbs terms of size 1\.500e\+"):
-        tv_joint_mc(members, 15, a, samples=20_000, rng=object())  # a draw would fail on it
+    reference = far_reference("gamma_iid", "joint_mc")
+    est = tv_joint_mc(members, 15, a, samples=20_000, rng=1)
+    assert math.isfinite(est.std_error)
+    assert abs(est.value - reference.value) <= 0.01 * est.std_error
 
 
 def test_scheffe_at_a_billion_members_costs_what_a_few_rows_cost():
@@ -1270,8 +1194,8 @@ def test_scheffe_at_a_billion_members_costs_what_a_few_rows_cost():
 
 @pytest.mark.parametrize("estimator", [tv_scheffe, tv_sum_mc, tv_joint_mc])
 def test_only_the_tilted_ratio_builds_the_rest_law(estimator, monkeypatch):
-    # ctx.rest is built on first use: scheffe and sum_mc read it, joint_mc
-    # evaluates the untilted sums and never does; the values are those the
+    # ctx.rest is built on first use, and every estimator reads it (joint_mc
+    # through the tilted ratio, as sum_mc does); the values are those the
     # rest law built up front gave
     n, k = 400, 20
     family = gamma_family([2.5, 4.0], 1.0).build(n)
@@ -1285,13 +1209,13 @@ def test_only_the_tilted_ratio_builds_the_rest_law(estimator, monkeypatch):
     kwargs = {} if estimator is tv_scheffe else {"samples": 20_000, "rng": 3}
     est = estimator(family, k, 6.0, **kwargs)
     tilted_rest = (n - k, float(family.tilt(est.theta).scale))
-    assert (tilted_rest in convolved) == (estimator is not tv_joint_mc)
+    assert tilted_rest in convolved
     # Scheffe against the 60-digit reference 0.024975876228437138149: +2.5e-14
     # relative (the difference of two conditional masses gave
     # 0.02497587622843711, -1.1e-15)
     expected = {
         "scheffe": (0.024975876228437756, 0.0),
         "sum_mc": (0.02492284121616719, 0.00017910881682360513),
-        "joint_mc": (0.02492284121616734, 0.0001791088168236068),
+        "joint_mc": (0.02492284121616719, 0.00017910881682360513),
     }
     assert (est.value, est.std_error) == expected[est.method]
