@@ -34,7 +34,7 @@ _SOURCES = {
     "families": ("Family", "GammaFamily", "NormalFamily", "gamma_family", "normal_family"),
     "sweep": ("ScalingFit", "SweepRow", "emit_report", "fit_scaling", "run_sweep"),
     "tilting": ("TiltingSolution", "solve_tilt", "tilt_oracle"),
-    "tv": ("TVEstimate", "chi2_sf", "df_gamma_constant", "g_d", "tv_joint_mc", "tv_scheffe", "tv_sum_mc"),
+    "tv": ("TVEstimate", "chi2_sf", "df_gamma_constant", "g_d", "tv_scheffe", "tv_sum_mc"),
 }
 _MODULE_OF = {name: module for module, names in _SOURCES.items() for name in names}
 

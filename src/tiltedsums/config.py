@@ -13,7 +13,7 @@ two-dimensional target means.  Example:
     n = 200, 400, 800, 1600
     k = sqrt                     # sqrt | pow:<alpha> | a fixed integer
     a = 6.0
-    method = scheffe             # scheffe | sum_mc | joint_mc
+    method = scheffe             # scheffe | sum_mc | joint_mc (= sum_mc)
     samples = 1000000
     seed = 7
     out = results

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tv import tv_joint_mc, tv_scheffe, tv_sum_mc
+from .tv import tv_scheffe, tv_sum_mc
 
 logger = logging.getLogger(__name__)
 
@@ -58,9 +58,8 @@ def run_row(config, index, n, k, a, timing=False):
         family = config.family.build(n)
         if config.method == "scheffe":
             est = tv_scheffe(family, k, a)
-        else:
-            mc = tv_sum_mc if config.method == "sum_mc" else tv_joint_mc
-            est = mc(family, k, a, samples=config.samples, rng=_row_rng(config.seed, index))
+        else:  # joint_mc is sum_mc: q/p is rho at the block sum (tv module docstring)
+            est = tv_sum_mc(family, k, a, samples=config.samples, rng=_row_rng(config.seed, index))
         elapsed = time.perf_counter() - start
         logger.info("row %d: n=%d k=%d tv=%.6g (%.2fs)", index, n, k, est.value, elapsed)
         return SweepRow(

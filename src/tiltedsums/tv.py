@@ -1,5 +1,5 @@
 """Total-variation distance between the conditional block law and the
-product of tilted members, three ways.
+product of tilted members, two ways.
 
 Writing rho(t) = f_rest(n a - t)/f_full(n a) for the tilted sum densities,
 the distance reduces (sufficiency of the block sum, then the density form
@@ -7,10 +7,9 @@ of the L1 distance) to a single integral over the block-sum value:
 
     TV = integral |rho(t) - 1| f_block(t) dt,
 
-with f_block the tilted block-sum density.  The two sum-statistic
-estimators take f_block, f_rest and rho from one conditional.RatioContext
-(ctx.block, ctx.rest, ctx.fill_log_ratio) and tilt or convolve nothing
-themselves.  Estimators:
+with f_block the tilted block-sum density.  Both estimators take f_block,
+f_rest and rho from one conditional.RatioContext (ctx.block, ctx.rest,
+ctx.fill_log_ratio) and tilt or convolve nothing themselves:
 
   * scheffe   - exact evaluation for d = 1 by Scheffe's identity: rho f_block
                 integrates to 1, and rho > 1 exactly between the zeros
@@ -26,27 +25,23 @@ themselves.  Estimators:
                 block's Mahalanobis radius alone, so their fill draws one
                 Gamma(d / 2) variate per sample (-log U at d = 2,
                 NormalFamily.block_ratio_sampler), and g_d(k / n, d) is
-                their closed-form TV;
-  * joint_mc  - Monte Carlo in the k*d-dimensional joint space,
-                E_{x ~ tilted product} |q_cond(x)/p_tilted(x) - 1|.  q/p
-                depends on x only through its block sum T (the member
-                densities cancel), and tilting leaves the law given the sum
-                unchanged, so q/p(x) = rho(T(x)): it draws T from ctx.block
-                (ctx.block.sample's stream) and writes the tilted log rho at
-                it by ctx.block.log_ratio_sampler.  Off the radial Normal
-                laws that is sum_mc's fill, so at one seed the two give the
-                same numbers, bit for bit.
+                their closed-form TV.
 
-Both Monte Carlo estimators run one chunk loop (_mc_estimate): a fill
-draws SUM_MC_CHUNK values from one generator, continuing a single stream,
-and writes log rho at them into one chunk-sized buffer, with its
-temporaries in buffers that every chunk reuses; expm1, abs and the chunk's
-sum and centred sum of squares run in place, and the chunks' moments are
-merged at the end (_mean_and_se), so a row holds one chunk whatever
-samples is.
+The joint-space estimator E_{x ~ tilted product} |q_cond(x)/p_tilted(x) - 1|,
+q the block's law given S_1n = n a, is this same sum_mc: q/p depends on x
+only through its block sum T (the member densities cancel), and tilting
+leaves the law given the sum unchanged, so q/p(x) = rho(T(x)).  The sweep's
+method = joint_mc therefore runs tv_sum_mc, under its own name.
+
+tv_sum_mc runs one chunk loop: the fill draws SUM_MC_CHUNK values from one
+generator, continuing a single stream, and writes log rho at them into one
+chunk-sized buffer, with its temporaries in buffers that every chunk
+reuses; expm1, abs and the chunk's sum and centred sum of squares run in
+place, and the chunks' moments are merged at the end (_mean_and_se), so a
+row holds one chunk whatever samples is.
 
 Each estimate reports the a and theta of its RatioContext as floats.
-All three report the plain L1 integral (twice the sup-over-sets distance);
+Both report the plain L1 integral (twice the sup-over-sets distance);
 in the k = o(n) regimes exercised here its value is far below 1.  For
 i.i.d. one-dimensional Normal members with k = 1, and for any members as
 k grows, n TV / k tends to gamma_df = E|1 - Z^2| / 2 = 2 phi(1) ~= 0.4839.
@@ -55,7 +50,7 @@ Gamma(3, 1) at k = 1 the limit is E|1 - Z^2 + 2 Z / sqrt(3)| / 2 ~= 0.5394,
 Z the standardized Gamma(3).
 
 The tilted members come from family.tilt_to_mean in closed form, so a far
-Gamma target gives the TV of the target 6 to rounding, in every estimator,
+Gamma target gives the TV of the target 6 to rounding, in both estimators,
 down to the targets whose tilted scale a / kbar leaves the normal float
 range, which raise ConditioningError (GammaFamily.tilt_to_mean).  A Normal
 target so far out that float cannot resolve the sums raises
@@ -72,9 +67,8 @@ from .conditional import RatioContext
 from .errors import UnsupportedFamilyError
 
 DEFAULT_SUM_SAMPLES = 10**6
-DEFAULT_JOINT_SAMPLES = 10**5
-# Values per chunk in both Monte Carlo estimators; the draws do not depend
-# on it, the mean and standard error only through rounding.
+# Values per chunk of tv_sum_mc; the draws do not depend on it, the mean and
+# standard error only through rounding.
 SUM_MC_CHUNK = 1 << 16
 
 
@@ -88,19 +82,6 @@ class TVEstimate:
     a: tuple
     theta: tuple
     samples: int = 0
-
-
-def _as_rng(rng):
-    if rng is None:
-        raise ValueError("pass an explicit integer seed or numpy Generator")
-    if isinstance(rng, (int, np.integer)):
-        return np.random.default_rng(int(rng))
-    return rng
-
-
-def _check_samples(samples):
-    if samples < 2:
-        raise ValueError(f"samples must be at least 2 for a standard error, got {samples}")
 
 
 def df_gamma_constant():
@@ -154,45 +135,35 @@ def tv_scheffe(family, k, a, theta=None):
 def tv_sum_mc(family, k, a, samples=DEFAULT_SUM_SAMPLES, rng=None, theta=None):
     """Monte Carlo TV over the block-sum statistic: mean of |rho(T) - 1|
     with T drawn from the tilted block-sum law ctx.block by
-    ctx.fill_log_ratio; the values are those of one draw of all samples
-    from rng, whatever SUM_MC_CHUNK is."""
-    _check_samples(samples)
+    ctx.fill_log_ratio, in the chunk loop of the module docstring; the
+    values are those of one draw of all samples from rng, an integer seed
+    or a numpy Generator, whatever SUM_MC_CHUNK is."""
+    if not isinstance(samples, (int, np.integer)):
+        raise TypeError(f"samples must be an integer, got {samples!r}")
+    if samples < 2:
+        raise ValueError(f"samples must be at least 2 for a standard error, got {samples}")
+    if rng is None:
+        raise ValueError("pass an explicit integer seed or numpy Generator")
+    if isinstance(rng, (int, np.integer)):
+        rng = np.random.default_rng(int(rng))
+    elif not isinstance(rng, np.random.Generator):
+        raise TypeError(f"rng must be an integer seed or a numpy Generator, got {type(rng).__name__}")
     ctx = RatioContext(family, k, a, theta=theta)
-    return _mc_estimate(ctx, "sum_mc", samples, rng, ctx.fill_log_ratio)
-
-
-def tv_joint_mc(family, k, a, samples=DEFAULT_JOINT_SAMPLES, rng=None, theta=None):
-    """Monte Carlo TV in the joint block space: averages |q(x)/p(x) - 1| over
-    x ~ product of tilted members, with q the conditional density of the
-    block given {S_1n = n a} and p the tilted product density.  The member
-    densities cancel pointwise in q/p, so q/p = rho(T) depends on x only
-    through its block sum T, whose law is the tilted block-sum law
-    ctx.block: one draw of it per sample (ctx.block.sample's stream), and
-    the tilted ratio at it (ctx.block.log_ratio_sampler)."""
-    _check_samples(samples)
-    ctx = RatioContext(family, k, a, theta=theta)
-    return _mc_estimate(ctx, "joint_mc", samples, rng, ctx.block.log_ratio_sampler(ctx.rest, ctx.na))
-
-
-def _estimate(ctx, method, value, std_error, samples):
-    a, theta = tuple(ctx.a.tolist()), tuple(ctx.theta.tolist())
-    return TVEstimate(value, std_error, method, ctx.n, ctx.k, a, theta, samples)
-
-
-def _mc_estimate(ctx, method, samples, rng, fill):
-    """The mean of |rho - 1| over samples draws, by the chunk loop of the
-    module docstring: fill(gen, chunk) writes log rho at draws on gen."""
-    gen = _as_rng(rng)
     buffer = np.empty(min(samples, SUM_MC_CHUNK))
 
     def chunks():
         for start in range(0, samples, SUM_MC_CHUNK):
             chunk = buffer[: samples - start]
-            fill(gen, chunk)
+            ctx.fill_log_ratio(rng, chunk)
             yield np.abs(np.expm1(chunk, out=chunk), out=chunk)
 
     value, std_error = _mean_and_se(chunks())
-    return _estimate(ctx, method, value, std_error, samples)
+    return _estimate(ctx, "sum_mc", value, std_error, samples)
+
+
+def _estimate(ctx, method, value, std_error, samples):
+    a, theta = tuple(ctx.a.tolist()), tuple(ctx.theta.tolist())
+    return TVEstimate(value, std_error, method, ctx.n, ctx.k, a, theta, samples)
 
 
 def _mean_and_se(chunks):

@@ -33,8 +33,8 @@ from tiltedsums import (
     solve_tilt,
     tilt_oracle,
     tilting_invariance_check,
-    tv_joint_mc,
     tv_scheffe,
+    tv_sum_mc,
     weighted_sup_error,
 )
 from tiltedsums.sweep import render_results
@@ -143,8 +143,9 @@ def test_criterion_3_gaussian_exactness():
 
 
 def test_criterion_4_sufficiency_identity():
-    """Joint-space MC agrees with the sum-statistic quadrature within 3
-    standard errors at 1e5 joint samples, for Gaussian and Gamma cases."""
+    """The sum-statistic MC, which method = joint_mc runs (q/p is rho at the
+    block sum), agrees with the Scheffe quadrature within 3 standard errors
+    at 1e5 samples, for Gaussian and Gamma cases."""
     start = time.perf_counter()
     agreements = []
     cases = [
@@ -153,8 +154,8 @@ def test_criterion_4_sufficiency_identity():
     ]
     for label, members, a in cases:
         sch = tv_scheffe(members, 2, a)
-        joint = tv_joint_mc(members, 2, a, samples=10**5, rng=426)
-        z = abs(joint.value - sch.value) / joint.std_error
+        mc = tv_sum_mc(members, 2, a, samples=10**5, rng=426)
+        z = abs(mc.value - sch.value) / mc.std_error
         agreements.append((label, z))
     elapsed = time.perf_counter() - start
     _verdict(

@@ -18,7 +18,6 @@ from tiltedsums import (
     solve_tilt,
     tilt_oracle,
     tilting_invariance_check,
-    tv_joint_mc,
     tv_scheffe,
     tv_sum_mc,
 )
@@ -198,7 +197,6 @@ def test_edgeworth_models_built_only_on_first_use(monkeypatch):
     family = gamma_family([2.5, 4.0] * 50, 1.0)
     tv_scheffe(family, 10, 6.0)
     tv_sum_mc(family, 10, 6.0, samples=100, rng=np.random.default_rng(0))
-    tv_joint_mc(family, 10, 6.0, samples=100, rng=np.random.default_rng(0))
     assert calls == [] and normalizations == []
     ctx = RatioContext(gamma_family([2.5, 4.0] * 20, 1.0), 3, 5.5)
     assert calls == [] and normalizations == []

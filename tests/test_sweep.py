@@ -87,6 +87,29 @@ def test_sweep_thread_count_does_not_change_results(method):
     assert render_results(serial) == render_results(threaded)
 
 
+# the families of the sum_mc_normal2d and validate_gamma benchmark sweeps: (family section, a)
+SWEEP_FAMILIES = {
+    "normal2d": ("kind = normal\nmeans = 0;0, 0.5;0.5\ncov = 1;0.2|0.2;2", "0.6;0.6"),
+    "gamma_iid": ("kind = gamma\nscale = 1.0\nshapes = 3.0", "6.0"),
+}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("name", sorted(SWEEP_FAMILIES))
+def test_joint_mc_sweep_writes_the_sum_mc_results(name, threads, tmp_path):
+    # q/p is rho at the block sum, so method = joint_mc runs sum_mc: the
+    # same results.csv but for the method column, the radial 2-D rows too
+    family, a = SWEEP_FAMILIES[name]
+    texts = {}
+    for method in ("sum_mc", "joint_mc"):
+        cfg = parse_config(f"[family]\n{family}\n\n[sweep]\nn = 100, 200, 400\nk = sqrt\na = {a}\n"
+                           f"method = {method}\nsamples = 20000\nseed = 426\n")
+        results, _, _ = emit_report(run_sweep(cfg, threads=threads), None, tmp_path / method)
+        texts[method] = open(results, encoding="utf-8").read()
+    assert texts["sum_mc"].count(",sum_mc,") == 3
+    assert texts["joint_mc"] == texts["sum_mc"].replace(",sum_mc,", ",joint_mc,")
+
+
 def test_run_row_seed_isolation():
     cfg = make_config(method="sum_mc", samples=4000)
     row_a = run_row(cfg, 0, 50, 8, (6.0,))

@@ -18,6 +18,7 @@ from scipy.stats import chi2, kstest
 
 from tiltedsums import (
     ConditioningError,
+    ExperimentConfig,
     RatioContext,
     TiltedSumsError,
     UnsupportedFamilyError,
@@ -28,12 +29,12 @@ from tiltedsums import (
     parse_config_file,
     solve_tilt,
     tilt_oracle,
-    tv_joint_mc,
     tv_scheffe,
     tv_sum_mc,
 )
 from tiltedsums import families
 from tiltedsums.numerics import log1pmx, stirling_tail, sym_sqrt
+from tiltedsums.sweep import _row_rng, run_row
 from tiltedsums.tv import SUM_MC_CHUNK, _mean_and_se, chi2_sf, g_d
 
 
@@ -434,6 +435,27 @@ def test_scheffe_heterogeneous_gamma_runs():
 # Monte Carlo estimators
 # ---------------------------------------------------------------------------
 
+def joint_mc_row(family, k, a, samples=20_000, seed=1):
+    """tv_sum_mc on the generator of row 0 of a sweep over family with this
+    seed, once row 0 of that sweep under method = joint_mc is checked to
+    carry its tv, std_error and theta, or its error message: the estimate
+    that `tv --method joint_mc` prints. A sweep's k rule gives an integer,
+    so a non-finite k has no row and goes to tv_sum_mc alone."""
+    a = tuple(np.atleast_1d(np.asarray(a, dtype=float)).tolist())
+    row = None
+    if math.isfinite(k):
+        config = ExperimentConfig(family, (len(family),), "1", (a,), method="joint_mc", samples=samples, seed=seed)
+        row = run_row(config, 0, len(family), k, a)
+        assert row.method == "joint_mc"
+    try:
+        est = tv_sum_mc(family, k, a, samples=samples, rng=_row_rng(seed, 0))
+    except Exception as exc:
+        assert row is None or row.error == str(exc)
+        raise
+    assert row is None or (row.error is None and (row.tv, row.std_error, row.theta) == (est.value, est.std_error, est.theta))
+    return est
+
+
 def test_sum_mc_agrees_with_scheffe_gamma():
     members = gamma_family([3.0] * 50, 1.0)
     sch = tv_scheffe(members, 5, 6.0)
@@ -564,8 +586,11 @@ def test_radial_sum_mc_within_five_se_of_g_d(d):
     assert abs(est.value - g_d(k / n, d)) <= 5.0 * est.std_error
 
 
-class _ZeroUniforms:
+class _ZeroUniforms(np.random.Generator):
     """A generator whose uniforms are all 0, the draw that gives G = inf."""
+
+    def __init__(self):
+        super().__init__(np.random.PCG64(0))
 
     def random(self, out):
         out.fill(0.0)
@@ -635,9 +660,23 @@ def test_sum_mc_requires_explicit_rng():
 
 def test_mc_estimators_need_two_samples():
     members = gamma_family([3.0] * 10, 1.0)
-    for estimator in (tv_sum_mc, tv_joint_mc):
-        with pytest.raises(ValueError):
-            estimator(members, 2, 6.0, samples=1, rng=0)
+    with pytest.raises(ValueError, match="samples must be at least 2"):
+        tv_sum_mc(members, 2, 6.0, samples=1, rng=0)
+
+
+@pytest.mark.parametrize("samples", [1e5, 2.5, "1000"])
+def test_sum_mc_rejects_non_integer_samples_before_conditioning(samples, monkeypatch):
+    monkeypatch.setattr(RatioContext, "__init__", None)
+    with pytest.raises(TypeError, match="samples must be an integer"):
+        tv_sum_mc(gamma_family([3.0] * 10, 1.0), 2, 6.0, samples=samples, rng=0)
+
+
+@pytest.mark.parametrize("rng", [np.random.RandomState(1), 1.0, np.random.SeedSequence(1)],
+                         ids=["RandomState", "float", "SeedSequence"])
+def test_sum_mc_rejects_other_generators_before_conditioning(rng, monkeypatch):
+    monkeypatch.setattr(RatioContext, "__init__", None)
+    with pytest.raises(TypeError, match="rng must be an integer seed or a numpy Generator"):
+        tv_sum_mc(gamma_family([3.0] * 10, 1.0), 2, 6.0, samples=100, rng=rng)
 
 
 def test_sum_mc_zero_when_ratio_forced_to_one(monkeypatch):
@@ -648,25 +687,27 @@ def test_sum_mc_zero_when_ratio_forced_to_one(monkeypatch):
     assert est.value == 0.0 and est.std_error == 0.0
 
 
-@pytest.mark.parametrize("estimator", [tv_sum_mc, tv_joint_mc], ids=["sum_mc", "joint_mc"])
-@pytest.mark.parametrize("kind", ["gamma", "normal"])
-def test_sum_mc_traced_memory_is_one_buffer_plus_a_chunk(kind, estimator):
+@pytest.mark.parametrize("kind", ["gamma", "normal", "normal_theta"])
+def test_sum_mc_traced_memory_is_one_buffer_plus_a_chunk(kind):
     # a row holds one chunk-sized buffer and the buffers of its fill, at
     # most six d-wide float64 arrays of SUM_MC_CHUNK rows, whatever samples
-    # is; measured at both sizes 1.07 MiB (gamma) and 0.51 MiB (normal, whose
-    # radial fill keeps no buffer) for sum_mc, 1.07 and 2.51 MiB for
-    # joint_mc (the same gamma fill, and the normal z fill), and 2^22 samples
+    # is; measured at both sizes 1.07 MiB (gamma), 0.51 MiB (normal, whose
+    # radial fill keeps no buffer) and 2.51 MiB (normal_theta: the same law
+    # at an explicit theta, which runs the block's z fill), and 2^22 samples
     # hold at most 4.8 KiB more than 2^20 (three floats per chunk)
+    theta = None
     if kind == "gamma":
         members, k, a, d = gamma_family([2.5, 4.0] * 50, 1.0), 10, 6.0, 1
     else:
         members = normal_family([[0.0, 0.0], [0.5, 0.5]] * 50, [[1.0, 0.2], [0.2, 2.0]])
         k, a, d = 10, [0.6, 0.6], 2
+        if kind == "normal_theta":
+            theta = RatioContext(members, k, a).theta
     peaks = []
     for samples in (1 << 20, 1 << 22):
         tracemalloc.start()
         try:
-            estimator(members, k, a, samples=samples, rng=3)
+            tv_sum_mc(members, k, a, samples=samples, rng=3, theta=theta)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -754,20 +795,21 @@ def test_fill_log_ratio_matches_ratio_at_block_draws(kind, members, k, a, untilt
             np.testing.assert_allclose(out, expected, rtol=0.0, atol=1e-12)
 
 
+# the fill at the tilt's own mean, and the one an explicit theta runs
 FILLS = {
     "sum_mc": lambda members, ctx: ctx.fill_log_ratio,
-    "joint_mc": lambda members, ctx: ctx.block.log_ratio_sampler(ctx.rest, ctx.na),
+    "explicit_theta": lambda members, ctx: ctx.block.log_ratio_sampler(ctx.rest, ctx.na),
 }
 
 
-@pytest.mark.parametrize("estimator", sorted(FILLS))
+@pytest.mark.parametrize("fill", sorted(FILLS))
 @pytest.mark.parametrize("kind,members,k,a", _sum_mc_laws())
-def test_fill_log_ratio_reuses_its_buffers(kind, members, k, a, estimator):
+def test_fill_log_ratio_reuses_its_buffers(kind, members, k, a, fill):
     # after a warm-up fill, a chunk-sized fill allocates no array: measured
     # 120 B kept and a peak of 0.8-0.9 KiB (gamma) or 1.6 KiB (normal) from numpy's
     # call overhead, against 512 KiB per float64 column of a chunk
     ctx = RatioContext(members, k, a)
-    fill = FILLS[estimator](members, ctx)
+    fill = FILLS[fill](members, ctx)
     gen, out = np.random.default_rng(5), np.empty(SUM_MC_CHUNK)
     fill(gen, out)
     tracemalloc.start()
@@ -787,7 +829,6 @@ def _z_path_cases():
         "d1": (normal_family([[0.0], [1.0]] * 30, [[1.0]]), 7, 0.8, None, "sum_mc"),
         "per_row": (per_row, 9, [0.6, 0.6], None, "sum_mc"),
         "theta": (shared, 10, [0.6, 0.6], theta, "sum_mc"),
-        "joint_mc": (shared, 10, [0.6, 0.6], None, "joint_mc"),
     }
 
 
@@ -797,15 +838,15 @@ Z_PATH_CASES = _z_path_cases()
 @pytest.mark.parametrize("case", sorted(Z_PATH_CASES))
 def test_fills_off_the_radial_path_draw_the_block_sums(case):
     # the radial fill is chosen by structure, never by a small whitened
-    # shift: d = 1, per-row covariances, an explicit theta (the very theta
-    # of the closed-form tilt) and joint_mc's fill draw the block sums, and
-    # spend the generator as ctx.block.sample does
-    family, k, a, theta, estimator = Z_PATH_CASES[case]
+    # shift: d = 1, per-row covariances and an explicit theta (the very
+    # theta of the closed-form tilt) draw the block sums, and spend the
+    # generator as ctx.block.sample does
+    family, k, a, theta, fill = Z_PATH_CASES[case]
     ctx = RatioContext(family, k, a, theta=theta)
     if theta is not None:
         assert ctx.theta.tobytes() == RatioContext(family, k, a).theta.tobytes()
     gen, ref_gen = np.random.default_rng(5), np.random.default_rng(5)
-    FILLS[estimator](family, ctx)(gen, np.empty(1000))
+    FILLS[fill](family, ctx)(gen, np.empty(1000))
     ctx.block.sample(ref_gen, 1000)
     assert gen.bit_generator.state == ref_gen.bit_generator.state
 
@@ -813,14 +854,14 @@ def test_fills_off_the_radial_path_draw_the_block_sums(case):
 def test_joint_mc_agrees_with_scheffe_gaussian():
     members = iid_normals(100)
     sch = tv_scheffe(members, 2, 0.5)
-    joint = tv_joint_mc(members, 2, 0.5, samples=100_000, rng=19)
+    joint = joint_mc_row(members, 2, 0.5, samples=100_000, seed=19)
     assert abs(joint.value - sch.value) <= 3.0 * joint.std_error
 
 
 def test_joint_mc_agrees_with_scheffe_gamma():
     members = gamma_family([3.0] * 50, 1.0)
     sch = tv_scheffe(members, 2, 6.0)
-    joint = tv_joint_mc(members, 2, 6.0, samples=100_000, rng=23)
+    joint = joint_mc_row(members, 2, 6.0, samples=100_000, seed=23)
     assert abs(joint.value - sch.value) <= 3.0 * joint.std_error
 
 
@@ -905,8 +946,8 @@ def test_sample_of_several_members_raises(name):
 @pytest.mark.parametrize("kind", ["gamma", "normal"])
 def test_member_by_member_sum_follows_the_convolved_law(kind):
     # the tilted members drawn one by one from raw generator calls and added
-    # up follow the closed-form law of their sum, which joint_mc and sum_mc
-    # draw the block sum from
+    # up follow the closed-form law of their sum, which sum_mc draws the
+    # block sum from
     family, k, a = joint_case(kind)
     k, count = 2 * k + 1, 40_000
     tilted = family[:k].tilt(solve_tilt(family, a).theta)
@@ -925,7 +966,7 @@ def test_member_by_member_sum_follows_the_convolved_law(kind):
 
 
 @pytest.mark.parametrize("kind", ["gamma", "normal"])
-def test_joint_mc_builds_as_many_families_at_any_block_size(kind, monkeypatch):
+def test_sum_mc_builds_as_many_families_at_any_block_size(kind, monkeypatch):
     # the block sum is drawn from its law, not member by member
     family, _, a = joint_case(kind)
     family = family.build(80)
@@ -941,54 +982,17 @@ def test_joint_mc_builds_as_many_families_at_any_block_size(kind, monkeypatch):
     counts = []
     for k in (5, 40):
         built.clear()
-        tv_joint_mc(family, k, a, samples=100, rng=3)
+        tv_sum_mc(family, k, a, samples=100, rng=3)
         counts.append(len(built))
     assert counts[0] == counts[1] > 0
 
 
-def _log_rho_term_sizes(ctx, total):
-    """For each block sum T (rows of total) of a Normal row, the summed sizes
-    of the terms that the tilted ratio adds up to log rho(T): the rest and
-    full sums' quadratic forms and log normalizers."""
-    block, rest = ctx.block, ctx.rest
-    full = families.NormalFamily(block.means + rest.means, block.covs + rest.covs)
-    sizes = 0.0
-    for law, y in ((rest, ctx.na - total), (full, ctx.na[None, :])):
-        kernel = law.log_density(y, normalized=False)
-        sizes = sizes + np.abs(kernel) + np.abs(kernel - law.log_density(y))
-    return sizes
-
-
-def joint_sum_parity_bound(family, k, a, samples, seed, value):
-    """Largest relative difference that rounding explains between joint_mc's
-    value on a Normal row and the mean of |rho - 1| that log_ratio_exact
-    gives at the same block sums T_i, ctx.block.sample's.  Both add the
-    tilted ratio's few terms for log rho(T_i), each within 8 roundings
-    (u = 2^-53) of its own size; the fill forms T = m + L z only through
-    W L, which rounds like the quadratic form.  So the two log rho differ by
-    |delta_i| <= 8 u S_i, S_i twice the summed term sizes
-    (_log_rho_term_sizes), and |rho_i - 1| by at most
-    rho_i |delta_i| (1 + |delta_i|) + 2 u |rho_i - 1| (expm1, abs): with
-    |delta_i| < 1 that is under 16 u rho_i S_i + 2 u |rho_i - 1|.  Each mean
-    of nonnegative values lies within (log2 N + 42) u of its exact value
-    (assert_exact_within_rounding), so relative to the value
-
-        |joint / reference - 1| <= 16 u mean(rho S) / value + 2 (log2 N + 43) u."""
-    ctx = RatioContext(family, k, a)
-    total = ctx.block.sample(np.random.default_rng(seed), samples)
-    rho = np.exp(ctx.log_ratio_exact(total))
-    u = 2.0**-53
-    spread = np.mean(rho * 2.0 * _log_rho_term_sizes(ctx, total))
-    return 16.0 * u * spread / value + 2.0 * (math.ceil(math.log2(samples)) + 43) * u
-
-
-# i.i.d. Gamma(3, 1) at n = 200, k = 15 is the CI row: `tv --config
-# scripts/configs/gamma_iid_sweep.cfg` draws from the one-row sweep's
-# generator, entropy 7 and spawn key 0
+# i.i.d. Gamma(3, 1) at n = 200, k = 15, seed 7 is the CI row `tv --config
+# scripts/configs/gamma_iid_sweep.cfg`
 PARITY_CASES = [
     (*joint_case("gamma"), 20_000, 5),
     (*joint_case("normal"), 20_000, 9),
-    (gamma_family([3.0], 1.0).build(200), 15, 6.0, 20_000, np.random.SeedSequence(7, spawn_key=(0,))),
+    (gamma_family([3.0], 1.0).build(200), 15, 6.0, 20_000, 7),
     (gamma_family([3.0], 1.0).build(1600), 40, 6.0, 20_000, 1),
     (gamma_family([3.0], 1.0).build(40), 1, 6.0, 100_000, 13),
     (gamma_family([2.5, 4.0] * 50, 1.0), 10, 6.0, 3 * SUM_MC_CHUNK + 7, 17),
@@ -998,29 +1002,16 @@ PARITY_CASES = [
 
 @pytest.mark.parametrize("family, k, a, samples, seed", PARITY_CASES)
 def test_joint_mc_matches_sum_mc_at_one_seed(family, k, a, samples, seed):
-    # q/p is the tilted ratio at the block sum, so joint_mc runs sum_mc's
-    # fill on the same stream: the same (value, std_error), bit for bit
-    joint = tv_joint_mc(family, k, a, samples=samples, rng=np.random.default_rng(seed))
-    if _radial(family):
-        # sum_mc draws radii here, not block sums: the tilted ratio at the
-        # block sums that joint_mc draws, ctx.block.sample's, within rounding
-        ctx = RatioContext(family, k, a)
-        total = ctx.block.sample(np.random.default_rng(seed), samples)
-        value = float(np.mean(np.abs(np.expm1(ctx.log_ratio_exact(total)))))
-        bound = joint_sum_parity_bound(family, k, a, samples, seed, value)
-        assert bound < 1e-9
-        assert abs(joint.value / value - 1.0) <= bound, (joint.value, value, bound)
-        assert joint.samples == samples
-        return
-    summed = tv_sum_mc(family, k, a, samples=samples, rng=np.random.default_rng(seed))
-    assert (joint.value, joint.std_error) == (summed.value, summed.std_error)
-    assert joint.samples == summed.samples == samples
+    # q/p is rho at the block sum, so a joint_mc row runs tv_sum_mc on the
+    # row's generator: the same (value, std_error), bit for bit, the radial
+    # Normal rows included
+    assert joint_mc_row(family, k, a, samples=samples, seed=seed).samples == samples
 
 
 ESTIMATORS = {
     "scheffe": lambda members, k: tv_scheffe(members, k, 6.0),
     "sum_mc": lambda members, k: tv_sum_mc(members, k, 6.0, samples=1000, rng=1),
-    "joint_mc": lambda members, k: tv_joint_mc(members, k, 6.0, samples=1000, rng=1),
+    "joint_mc": lambda members, k: joint_mc_row(members, k, 6.0, samples=1000, seed=1),
 }
 
 
@@ -1044,7 +1035,6 @@ def test_estimates_within_unit_interval_band():
     for est in (
         tv_scheffe(members, 3, 6.0),
         tv_sum_mc(members, 3, 6.0, samples=20_000, rng=3),
-        tv_joint_mc(members, 3, 6.0, samples=20_000, rng=3),
     ):
         assert 0.0 <= est.value <= 1.0 + 3.0 * est.std_error
 
@@ -1117,7 +1107,7 @@ FAR_FAMILIES = {
 FAR_METHODS = {
     "scheffe": tv_scheffe,
     "sum_mc": lambda members, k, a: tv_sum_mc(members, k, a, samples=20_000, rng=1),
-    "joint_mc": lambda members, k, a: tv_joint_mc(members, k, a, samples=20_000, rng=1),
+    "joint_mc": lambda members, k, a: joint_mc_row(members, k, a, samples=20_000, seed=1),
 }
 FAR_CASES = (
     [("normal_df", method, 10.0**j) for method in FAR_METHODS for j in range(0, 301, 2)]
@@ -1165,14 +1155,14 @@ def test_far_normal_target_raises_the_spacing_error_first(name, method):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("a", [1e-300, 1e6, 1e9, 1e16, 1e100, 1e300])
-def test_far_gamma_joint_mc_gives_the_shipped_target_value(a):
-    # joint_mc evaluates the tilted ratio, which subtracts nothing of the
-    # size k a / t: the a = 6 value within 0.01 of the standard error, and
-    # no typed error, down to a tilted scale near the smallest normal float
-    # and where theta rounds to 1 / t (a ~ 6e16 on)
+def test_far_gamma_sum_mc_gives_the_shipped_target_value(a):
+    # the tilted ratio subtracts nothing of the size k a / t: the a = 6
+    # value within 0.01 of the standard error, and no typed error, down to
+    # a tilted scale near the smallest normal float and where theta rounds
+    # to 1 / t (a ~ 6e16 on)
     members, _ = FAR_FAMILIES["gamma_iid"]
-    reference = far_reference("gamma_iid", "joint_mc")
-    est = tv_joint_mc(members, 15, a, samples=20_000, rng=1)
+    reference = far_reference("gamma_iid", "sum_mc")
+    est = tv_sum_mc(members, 15, a, samples=20_000, rng=1)
     assert math.isfinite(est.std_error)
     assert abs(est.value - reference.value) <= 0.01 * est.std_error
 
@@ -1192,11 +1182,10 @@ def test_scheffe_at_a_billion_members_costs_what_a_few_rows_cost():
     assert abs(n * est.value / k - df_gamma_constant()) <= 1e-3
 
 
-@pytest.mark.parametrize("estimator", [tv_scheffe, tv_sum_mc, tv_joint_mc])
+@pytest.mark.parametrize("estimator", [tv_scheffe, tv_sum_mc])
 def test_only_the_tilted_ratio_builds_the_rest_law(estimator, monkeypatch):
-    # ctx.rest is built on first use, and every estimator reads it (joint_mc
-    # through the tilted ratio, as sum_mc does); the values are those the
-    # rest law built up front gave
+    # ctx.rest is built on first use, and both estimators read it; the
+    # values are those the rest law built up front gave
     n, k = 400, 20
     family = gamma_family([2.5, 4.0], 1.0).build(n)
     convolved, convolve = [], families.GammaFamily.convolve
@@ -1216,6 +1205,5 @@ def test_only_the_tilted_ratio_builds_the_rest_law(estimator, monkeypatch):
     expected = {
         "scheffe": (0.024975876228437756, 0.0),
         "sum_mc": (0.02492284121616719, 0.00017910881682360513),
-        "joint_mc": (0.02492284121616719, 0.00017910881682360513),
     }
     assert (est.value, est.std_error) == expected[est.method]
