@@ -155,8 +155,8 @@ def cmd_ratio(args):
     ctx = RatioContext(family, args.k, args.a)
     lo, hi, pts = args.t_grid
     t_tilde_targets = np.linspace(lo, hi, pts)
-    block_sd = 1.0 / float(ctx.block_B[0, 0])
-    ts = float(ctx.block_mean[0]) + np.sqrt(ctx.k) * block_sd * t_tilde_targets
+    block_sd = 1.0 / float(ctx.block_model.B[0, 0])
+    ts = float(ctx.block_model.mean_sum[0]) + np.sqrt(ctx.k) * block_sd * t_tilde_targets
     t_tilde, t_sharp = ctx.coords(ts.reshape(-1, 1))
     exact = ctx.exact(ts.reshape(-1, 1))
     edge = ctx.edgeworth(ts.reshape(-1, 1))

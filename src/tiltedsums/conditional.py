@@ -14,8 +14,8 @@ RatioContext is the one object that conditions a family on {S_1n = n a}.
 It tilts the family once, to average mean a in closed form
 (family.tilt_to_mean, which also gives the theta of that law; no Newton
 solve runs), and reads only the tilted laws: the block-sum law ctx.block and
-rest-sum law ctx.rest (closed-form convolutions), the normalizations and the
-Edgeworth models, and the ratio
+rest-sum law ctx.rest (closed-form convolutions), the Edgeworth models of
+the block and the rest (whose mean_sum and B normalize), and the ratio
 
     rho(t) = f_rest(n a - t) / f_full(n a)
 
@@ -38,7 +38,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import UndefinedConditionalError
-from .numerics import LOG_2PI, as_vector, sym_inv, sym_inv_sqrt, sym_logdet
+from .numerics import LOG_2PI, as_vector, sym_inv, sym_logdet
 
 
 # ---------------------------------------------------------------------------
@@ -92,14 +92,14 @@ class RatioContext:
     """The family conditioned on {S_1n = n a}, tilted to mean a in closed
     form, or by theta when given: the block-sum law `block` (of
     X_1+..+X_k) and the rest-sum law `rest` (of X_{k+1}+..+X_n), both
-    closed-form convolutions, and the normalization of the block
-    (block_mean, block_B).  Given the sum, the block sum has density
-    rho(t) block(t).  All are read from the
-    tilted family, and the rest-sum law, the normalization and the
-    Edgeworth model of the rest sum are built on first use, so each
-    estimator pays only for what it reads.  The full sum needs no model:
-    rho is evaluated where the full sum's normalized coordinate is 0, and
-    P1(0) = 0 leaves its order-1 density there at (2 pi)^(-d/2)."""
+    closed-form convolutions, the Edgeworth models block_model and
+    comp_model of the block and the rest (block_model.mean_sum and
+    block_model.B normalize the block sum), and fill_log_ratio.  Given the
+    sum, the block sum has density rho(t) block(t).  All are read from the
+    tilted family, and all but the block-sum law are built on first use, so
+    each estimator pays only for what it reads.  The full sum needs no
+    model: rho is evaluated where the full sum's normalized coordinate is 0,
+    and P1(0) = 0 leaves its order-1 density there at (2 pi)^(-d/2)."""
 
     def __init__(self, family, k, a, theta=None):
         self.n = len(family)
@@ -123,14 +123,11 @@ class RatioContext:
         return self._tilted[self.k :].convolve()
 
     @cached_property
-    def block_mean(self):
-        """Mean of the tilted block sum."""
-        return self.k * self._tilted[: self.k].cgf_grad(np.zeros(self.d))
+    def block_model(self):
+        """build_model of the tilted block; its mean_sum and B normalize the block sum."""
+        from .edgeworth import build_model
 
-    @cached_property
-    def block_B(self):
-        """Inverse square root of the block's averaged tilted covariance."""
-        return sym_inv_sqrt(self._tilted[: self.k].cgf_hess(np.zeros(self.d)))
+        return build_model(self._tilted[: self.k], order=1)
 
     @cached_property
     def comp_model(self):
@@ -150,8 +147,9 @@ class RatioContext:
     def coords(self, t):
         """(t_tilde, t_sharp) for an array of block-sum values, shape (N, d)."""
         t = np.asarray(t, dtype=float).reshape(-1, self.d)
-        t_tilde = (t - self.block_mean) @ self.block_B.T / math.sqrt(self.k)
-        t_sharp = (self.block_mean - t) @ self.comp_model.B.T / math.sqrt(self.n - self.k)
+        mean, B = self.block_model.mean_sum, self.block_model.B
+        t_tilde = (t - mean) @ B.T / math.sqrt(self.k)
+        t_sharp = (mean - t) @ self.comp_model.B.T / math.sqrt(self.n - self.k)
         return t_tilde, t_sharp
 
     def log_ratio_exact(self, t):
@@ -159,19 +157,15 @@ class RatioContext:
         return self.block.log_ratio_given_sum(self.rest, self.na, t)
 
     @cached_property
-    def _log_ratio_fill(self):
-        if self._at_mean:
-            return self._tilted.block_ratio_sampler(self.k, self.na, self.block, self.rest)
-        return self.block.log_ratio_sampler(self.rest, self.na)
-
-    def fill_log_ratio(self, rng, out):
-        """Draw len(out) block sums from ctx.block on rng and write log rho
-        at them into out.  The stream is consumed as ctx.block.sample does,
-        except where the tilted family draws rho from less than the block
-        sum (family.block_ratio_sampler: shared-covariance Normal members of
-        d >= 2 conditioned at their own mean draw one Gamma(d / 2) radius
-        per value)."""
-        self._log_ratio_fill(rng, out)
+    def fill_log_ratio(self):
+        """fill(rng, out): draws len(out) block sums from ctx.block on rng
+        and writes log rho at them into out.  The stream is consumed as
+        ctx.block.sample does, except where the tilted family draws rho from
+        less than the block sum (family.block_ratio_sampler: shared-covariance
+        Normal members of d >= 2 conditioned at their own mean draw one
+        Gamma(d / 2) radius per value)."""
+        fill = self._tilted.block_ratio_sampler(self.k) if self._at_mean else None
+        return fill or self.block.log_ratio_sampler(self.rest, self.na)
 
     def exact(self, t):
         return np.exp(self.log_ratio_exact(t))

@@ -27,11 +27,11 @@ is a family of length 1, and so is the law of the sum, convolve().
 Densities, cdf (Gamma) and sample are those of a single law X; given Y = rest and
 the sum s, so are log rho(t) = log f_Y(s - t) - log f_{X+Y}(s), its values
 at fresh draws of X, its two zeros and the integral of (rho - 1) f_X
-between two points.  block_ratio_sampler draws log rho for the first k
-members' sum at the family's own mean, from one Gamma(d / 2) radius per
-value for shared-covariance Normal members of d >= 2.  The hooks of the
-assumption checks return one entry per row (of covs for Normal); theta
-reaches the members through tilt alone.
+between two points.  block_ratio_sampler(k) draws log rho for the first k
+members' sum at the family's own mean from less than that sum, where a kind
+can: one Gamma(d / 2) radius per value for shared-covariance Normal members
+of d >= 2.  The hooks of the assumption checks return one entry per row (of
+covs for Normal); theta reaches the members through tilt alone.
 
 Gamma members require shape > 2 so densities are C^1 and fourth moments stay
 uniformly controlled under tilting; a gamma family shares a single scale t.
@@ -81,10 +81,10 @@ class Family:
     _rotated(shift, count) (the arguments of rows shift, shift + 1, ... mod
     r, at most count), the average cgf calculus (cgf, cgf_grad, cgf_hess),
     tilt, tilt_to_mean (where the kind has it in closed form), convolve,
-    block_ratio_sampler (where the kind draws less than the block sum), the
-    single-law operations (log_density, sample, Gamma's cdf, excess_mass,
-    log_ratio_given_sum, log_ratio_sampler, ratio_roots)
-    and the hooks of the assumption checks (member_hess,
+    block_ratio_sampler(k) (a fill that reads k alone, where the kind draws
+    less than the block sum), the single-law operations (log_density,
+    sample, Gamma's cdf, excess_mass, log_ratio_given_sum, log_ratio_sampler,
+    ratio_roots) and the hooks of the assumption checks (member_hess,
     fourth_central_moment, char_fn_modulus_sup, density_partial_l1), plus
     third_central_moment_tensor averaged over the members for the Edgeworth
     expansion; none of these takes theta.
@@ -171,12 +171,12 @@ class Family:
         if any(len(law) != 1 for law in (self, *others)):
             raise ValueError(f"{what} needs single laws; index or convolve the family first")
 
-    def block_ratio_sampler(self, k, s, block, rest):
-        """block.log_ratio_sampler(rest, s) for block = self[:k].convolve(),
-        rest = self[k:].convolve() and a family whose members' means add up
-        to s (one from tilt_to_mean(s / n)): a kind may use that to draw
-        less than the block sum itself."""
-        return block.log_ratio_sampler(rest, s)
+    def block_ratio_sampler(self, k):
+        """A fill(rng, out) as log_ratio_sampler gives, of log rho for the
+        first k members' sum given the sum of all n at its mean (the family
+        from tilt_to_mean), that draws less than the block sum; None where
+        the kind has none, and the caller draws the block sum."""
+        return None
 
     def _points(self, x):
         """Normalize x to an (N, d) array; report whether input was a single point."""
@@ -198,7 +198,7 @@ class Family:
 
 class _Scratch:
     """Arrays that a log_ratio_sampler fill reuses from call to call:
-    take(slot, shape, dtype) is a C-contiguous array of that shape over the
+    take(slot, shape) is a C-contiguous float array of that shape over the
     first items of one flat array per slot, reallocated only when a call
     needs more.  Fresh temporaries per chunk go back to the system and are
     page-faulted in again on the next; a reused buffer is not.  A fill
@@ -207,11 +207,11 @@ class _Scratch:
     def __init__(self):
         self._flat = {}
 
-    def take(self, slot, shape, dtype=float):
+    def take(self, slot, shape):
         size = math.prod(shape)
         flat = self._flat.get(slot)
         if flat is None or flat.size < size:
-            flat = self._flat[slot] = np.empty(size, dtype=dtype)
+            flat = self._flat[slot] = np.empty(size)
         return flat[:size].reshape(shape)
 
 
@@ -409,12 +409,12 @@ class GammaFamily(Family):
     def _log_norm(self):
         return self._lgamma_shapes + self.shapes * math.log(self.scale)
 
-    def log_density(self, x, normalized=True):
-        """log p(x); without the log normalizer lgamma(k) + k log(scale) unless normalized."""
+    def log_density(self, x):
+        """log p(x)."""
         pts, single = self._points(x)
         v = pts[:, 0]
         shapes = self._at_points(len(v), self.shapes)
-        norm = self._at_points(len(v), self._log_norm) if normalized else 0.0
+        norm = self._at_points(len(v), self._log_norm)
         with np.errstate(divide="ignore", invalid="ignore"):
             out = (shapes - 1.0) * np.log(v) - v / self.scale - norm
         out = np.where(v > 0.0, out, -np.inf)
@@ -495,12 +495,14 @@ class GammaFamily(Family):
         return s, k_y - 1.0, lam, float(c)
 
     def log_ratio_given_sum(self, rest, s, t):
-        """log f_Y(s - t) - log f_{X+Y}(s) for X = self, Y = rest; -inf for t >= s."""
+        """log f_Y(s - t) - log f_{X+Y}(s) for X = self, Y = rest; -inf for
+        t >= s, where fmax maps the nan (t > s) and -inf (t = s) of log1p
+        there to -inf and leaves every finite value as it is."""
         s, m, lam, c = self._log_ratio_terms(rest, s)
         pts, single = self._points(t)
         x = pts[:, 0] / s
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where(x < 1.0, m * np.log1p(-x) + lam * x + c, -np.inf)
+            out = np.fmax(m * np.log1p(-x) + lam * x + c, -np.inf)
         return float(out[0]) if single else out
 
     def log_ratio_sampler(self, rest, s):
@@ -508,24 +510,23 @@ class GammaFamily(Family):
         does, and writes log rho(T) (Y = rest, sum s) into out, a C-contiguous
         float vector.  T is scale * standard_gamma, as numpy's gamma draws
         it, and log_ratio_given_sum(rest, s, T) runs in place, in reused
-        buffers, in the same order, to the same bits."""
+        buffer, in the same order, to the same bits."""
         s, m, lam, c = self._log_ratio_terms(rest, s)
         shape, scale = self.shapes[0], self.scale
         scratch = _Scratch()
 
         def fill(rng, out):
-            log_term, beyond = scratch.take(0, out.shape), scratch.take(1, out.shape, bool)
+            log_term = scratch.take(0, out.shape)
             rng.standard_gamma(shape, out=out)
             out *= scale
             out /= s
-            np.greater_equal(out, 1.0, out=beyond)
             with np.errstate(divide="ignore", invalid="ignore"):
                 np.log1p(np.negative(out, out=log_term), out=log_term)
             log_term *= m
             out *= lam
             out += log_term
             out += c
-            np.copyto(out, -np.inf, where=beyond)
+            np.fmax(out, -np.inf, out=out)
 
         return fill
 
@@ -618,7 +619,8 @@ class NormalFamily(Family):
 
     @cached_property
     def _lam_min(self):
-        """Smallest eigenvalue of covs; only _check_spacing reads it."""
+        """Smallest eigenvalue of covs; the constructor's positive
+        definiteness check and _check_spacing read it."""
         return float(np.min(np.linalg.eigvalsh(self.covs)[:, 0]))
 
     def _rotated(self, shift, count):
@@ -680,9 +682,8 @@ class NormalFamily(Family):
 
     # -- single law (or one point per member for log_density) ---------------
 
-    def log_density(self, x, normalized=True):
-        """log p(x); without the log normalizer (d log(2 pi) + log det cov) / 2
-        unless normalized."""
+    def log_density(self, x):
+        """log p(x)."""
         # The quadratic form is the squared norm of the whitened residual,
         # formed as (d, N) rows so that every pass runs along the points.
         pts, single = self._points(x)
@@ -692,7 +693,7 @@ class NormalFamily(Family):
         else:
             white = np.einsum("nij,jn->in", self._at_points(len(pts), self._inv_sqrt), diff)
         quad = np.einsum("in,in->n", white, white)
-        out = -0.5 * ((self.dim * LOG_2PI + self._at_points(len(pts), self._logdet) if normalized else 0.0) + quad)
+        out = -0.5 * (self.dim * LOG_2PI + self._at_points(len(pts), self._logdet) + quad)
         return float(out[0]) if single else out
 
     def _sd(self):
@@ -780,24 +781,21 @@ class NormalFamily(Family):
 
         return fill
 
-    def block_ratio_sampler(self, k, s, block, rest):
-        """As for Family, unless the members share one covariance S and
-        d >= 2.  The block sum is then T = m + (k S)^(1/2) z and the rest sum
-        has mean s - m, so log rho depends on T only through G = |z|^2 / 2,
-        a Gamma(d / 2, 1) variate:
+    def block_ratio_sampler(self, k):
+        """The radial fill where the members share one covariance S and
+        d >= 2, None otherwise.  Given the sum at its mean, the block sum is
+        T = m + (k S)^(1/2) z and the rest sum has mean s - m, so log rho
+        depends on T only through G = |z|^2 / 2, a Gamma(d / 2, 1) variate:
 
             log rho(T) = (d / 2) log1p(c) - c G,    c = k / (n - k).
 
         The fill draws G alone, by standard_gamma(d / 2) or at d = 2 as
         -log U (U = 0 gives rho = 0, the G = inf limit), and evaluates that
-        line in place.  At d = 1 one normal per value costs less than one
-        Gamma(1/2) draw.  The pair guards of log_ratio_sampler run first, so
-        a far target raises as it does there."""
+        line in place.  It reads neither the sum nor S, so no spacing or
+        cancellation guard applies and every finite target gives its value.
+        At d = 1 one normal per value costs less than one Gamma(1/2) draw."""
         if self.covs.shape[0] != 1 or self.dim == 1:
-            return super().block_ratio_sampler(k, s, block, rest)
-        s = as_vector(s, self.dim)
-        block._check_spacing(s)
-        block._log_sum_density(rest, s)
+            return None
         shape, c = 0.5 * self.dim, k / (len(self) - k)
         const = shape * math.log1p(c)
 

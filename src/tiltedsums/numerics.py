@@ -130,17 +130,12 @@ def guarded_eigh(mat):
     the lower triangle.  Raises DegenerateCovarianceError when a spectrum is
     not usable for square roots / inverses: lambda_min < REL_EIG_FLOOR *
     lambda_max, and first, before LAPACK, where a matrix is not finite
-    (overflowed).  A 1 x 1 matrix is its own eigendecomposition, eigenvalue
-    the entry and eigenvector 1, the bits LAPACK returns for it, with no
-    LAPACK call.
+    (overflowed), which LAPACK would turn into nan.
     """
     a = _square(mat)
     if not np.isfinite(a).all():
         raise DegenerateCovarianceError("matrix not finite: a sum or product overflowed")
-    if a.shape[-1] == 1:
-        w, q = a[..., 0].copy(), np.ones_like(a)
-    else:
-        w, q = np.linalg.eigh(a)
+    w, q = np.linalg.eigh(a)
     lo, hi = w[..., 0], w[..., -1]
     if (~np.isfinite(w).all(axis=-1) | (hi <= 0.0) | (lo < REL_EIG_FLOOR * hi)).any():
         raise DegenerateCovarianceError(

@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import hashlib
 import json
 import math
 import os
@@ -13,7 +14,7 @@ import pytest
 
 import tiltedsums
 from tiltedsums.cli import main
-from tiltedsums.tv import df_gamma_constant
+from tiltedsums.tv import df_gamma_constant, g_d
 
 GAMMA_CFG = """
 [family]
@@ -137,6 +138,22 @@ def test_sweep_deterministic_across_thread_counts(cfg_path, tmp_path):
     assert main(["sweep", "--config", path, "--threads", "1", "--out", str(out1)]) == 0
     assert main(["sweep", "--config", path, "--threads", "4", "--out", str(out2)]) == 0
     assert (out1 / "results.csv").read_bytes() == (out2 / "results.csv").read_bytes()
+
+
+# sha256 of the results.csv that each shipped config writes: a change that
+# keeps the outputs byte for byte keeps these
+SHIPPED_RESULTS_SHA256 = {
+    "gamma_alternating_sweep": "e16084e3577ffb3e6d6f99307d0f065210ec4c686c2611575b5e5883297c5e84",
+    "gamma_iid_sweep": "fe078b0484d0aac0337ee31b66cd48a7d61bb3f4e6e21fd8302579e68d3a1b00",
+    "normal_df": "ee9b0785733be729765d6a93f207c32c57ec51c8084bafbf334980522581a973",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_RESULTS_SHA256))
+def test_shipped_config_writes_its_pinned_results(name, tmp_path):
+    out_dir = tmp_path / name
+    assert main(["sweep", "--config", str(SHIPPED / f"{name}.cfg"), "--threads", "1", "--out", str(out_dir)]) == 0
+    assert hashlib.sha256((out_dir / "results.csv").read_bytes()).hexdigest() == SHIPPED_RESULTS_SHA256[name]
 
 
 def test_sweep_timing_flag_breaks_zero_seconds(cfg_path, tmp_path):
@@ -428,21 +445,36 @@ def test_far_target_exits_1_without_overflow_warning(capsys, caplog):
     assert any(r.levelname == "ERROR" for r in caplog.records)
 
 
+def _huge_cov_argv(tmp_path, cov, method):
+    path = tmp_path / "huge_cov.cfg"
+    path.write_text(
+        f"[family]\nkind = normal\nmeans = 0;0, 0.5;0.5\ncov = {cov}\n\n"
+        "[sweep]\nn = 100\nk = sqrt\na = 0.6;0.6\nmethod = sum_mc\nsamples = 1000\nseed = 11\n"
+    )
+    return ["tv", "--config", str(path), "--n", "10000000000", "--k", "10", "--a", "0.6;0.6", "--method", method]
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("method", ["sum_mc", "joint_mc"])
 def test_overflowing_normal_sum_exits_1_without_overflow_warning(method, tmp_path, caplog):
-    # the rest sum's covariance, about 1e10 times 1e300, is inf: the
+    # per-row covariances: the sums' covariances, about 1e10 times 1e300,
+    # are inf, and the block-sum fill reads the rest sum's, so the
     # conditioning raises DegenerateCovarianceError where it is used, and
     # says that the matrix is not finite, not that it is singular
-    path = tmp_path / "huge_cov.cfg"
-    path.write_text(
-        "[family]\nkind = normal\nmeans = 0;0, 0.5;0.5\ncov = 1e300;0|0;1e300\n\n"
-        "[sweep]\nn = 100\nk = sqrt\na = 0.6;0.6\nmethod = sum_mc\nsamples = 1000\nseed = 11\n"
-    )
-    argv = ["tv", "--config", str(path), "--n", "10000000000", "--k", "10", "--a", "0.6;0.6", "--method", method]
+    argv = _huge_cov_argv(tmp_path, "1e300;0|0;1e300, 2e300;0|0;1e300", method)
     assert main(argv) == 1
     errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
     assert len(errors) == 1 and errors[0].endswith("failed: matrix not finite: a sum or product overflowed")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("method", ["sum_mc", "joint_mc"])
+def test_overflowing_shared_covariance_gives_the_radial_value(method, tmp_path, capsys):
+    # one shared 1e300 covariance: the radial fill reads k / n alone, no
+    # covariance, so the row gives its value, near g_2(k / n)
+    assert main(_huge_cov_argv(tmp_path, "1e300;0|0;1e300", method)) == 0
+    value, std_error = (float(v) for v in capsys.readouterr().out.splitlines()[-1].split(",")[4:6])
+    assert abs(value - g_d(1e-9, 2)) <= 4.0 * std_error
 
 
 EPS = sys.float_info.epsilon

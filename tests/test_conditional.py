@@ -21,7 +21,7 @@ from tiltedsums import (
     tv_scheffe,
     tv_sum_mc,
 )
-from tiltedsums import conditional, edgeworth
+from tiltedsums import edgeworth
 
 
 def iid_normals(n, mean=0.0, var=1.0):
@@ -141,7 +141,7 @@ def test_tilting_invariance_normal():
 def test_coords_vanish_at_block_mean():
     members = gamma_family([3.0] * 50, 1.0)
     ctx = RatioContext(members, 5, 6.0)
-    t_tilde, t_sharp = ctx.coords(ctx.block_mean)
+    t_tilde, t_sharp = ctx.coords(ctx.block_model.mean_sum)
     assert abs(t_tilde[0, 0]) < 1e-12 and abs(t_sharp[0, 0]) < 1e-12
 
 
@@ -154,8 +154,8 @@ def test_coords_iid_ratio():
 def test_coords_linear_relation_example():
     members = gamma_family([3.0] * 100, 1.0)
     ctx = RatioContext(members, 4, 6.0)
-    sd = 1.0 / float(ctx.block_B[0, 0])
-    t = float(ctx.block_mean[0]) + math.sqrt(4.0) * sd * 1.0  # t_tilde = 1
+    sd = 1.0 / float(ctx.block_model.B[0, 0])
+    t = float(ctx.block_model.mean_sum[0]) + math.sqrt(4.0) * sd * 1.0  # t_tilde = 1
     t_tilde, t_sharp = ctx.coords(np.array([[t]]))
     assert t_tilde[0, 0] == pytest.approx(1.0, rel=1e-12)
     assert t_sharp[0, 0] == pytest.approx(-math.sqrt(4.0 / 96.0), rel=1e-12)
@@ -169,7 +169,7 @@ def test_coords_linear_relation_heterogeneous():
         predicted = (
             -math.sqrt(ctx.k / (ctx.n - ctx.k))
             * ctx.comp_model.B
-            @ np.linalg.inv(ctx.block_B)
+            @ np.linalg.inv(ctx.block_model.B)
             @ t_tilde[0]
         )
         assert t_sharp[0, 0] == pytest.approx(predicted[0], abs=1e-12)
@@ -183,30 +183,21 @@ def test_edgeworth_models_built_only_on_first_use(monkeypatch):
         calls.append(args)
         return real_build(*args, **kwargs)
 
-    # and so is the block normalization (block_mean, block_B), which only the
-    # coordinates read
-    normalizations = []
-    real_inv_sqrt = conditional.sym_inv_sqrt
-
-    def counting_inv_sqrt(mat):
-        normalizations.append(mat)
-        return real_inv_sqrt(mat)
-
     monkeypatch.setattr(edgeworth, "build_model", counting_build)
-    monkeypatch.setattr(conditional, "sym_inv_sqrt", counting_inv_sqrt)
     family = gamma_family([2.5, 4.0] * 50, 1.0)
     tv_scheffe(family, 10, 6.0)
     tv_sum_mc(family, 10, 6.0, samples=100, rng=np.random.default_rng(0))
-    assert calls == [] and normalizations == []
+    assert calls == []
     ctx = RatioContext(gamma_family([2.5, 4.0] * 20, 1.0), 3, 5.5)
-    assert calls == [] and normalizations == []
+    assert calls == []
     values = ctx.edgeworth(np.array([[10.0], [16.5], [25.0]]))
-    # the rest sum's model only: P1(0) = 0 leaves the full sum's density at 0 Gaussian
-    assert len(calls) == 1 and len(normalizations) == 1
+    # the block's model, which normalizes the coordinates, and the rest sum's:
+    # P1(0) = 0 leaves the full sum's density at 0 Gaussian
+    assert len(calls) == 2
     # values of the eager construction
     np.testing.assert_allclose(values, [0.9716174055884229, 1.0405165191339747, 0.942314871190284], rtol=1e-14)
     ctx.edgeworth(np.array([[12.0]]))
-    assert len(calls) == 1 and len(normalizations) == 1
+    assert len(calls) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -220,16 +211,16 @@ def test_ratio_near_one_at_block_mean():
     ]:
         ctx = RatioContext(members, 4, a)
         for ratio in (ctx.exact, ctx.edgeworth):
-            val = float(ratio(ctx.block_mean)[0])
+            val = float(ratio(ctx.block_model.mean_sum)[0])
             assert abs(val - 1.0) <= 2.0 * 4.0 / 200.0
 
 
 def test_ratio_exact_vs_edgeworth_gamma():
     members = gamma_family([3.0] * 200, 1.0)
     ctx = RatioContext(members, 2, 6.0)
-    sd = 1.0 / float(ctx.block_B[0, 0])
+    sd = 1.0 / float(ctx.block_model.B[0, 0])
     for tt in np.linspace(-2.0, 2.0, 21):
-        t = float(ctx.block_mean[0]) + math.sqrt(2.0) * sd * tt
+        t = float(ctx.block_model.mean_sum[0]) + math.sqrt(2.0) * sd * tt
         exact = float(ctx.exact(np.array([[t]]))[0])
         edge = float(ctx.edgeworth(np.array([[t]]))[0])
         assert abs(exact - edge) <= 0.01
@@ -254,9 +245,9 @@ def test_ratio_bounded_tsharp_regime_constant_stable():
         k = math.ceil(math.sqrt(n))
         members = gamma_family([3.0] * n, 1.0)
         ctx = RatioContext(members, k, 6.0)
-        sd = 1.0 / float(ctx.block_B[0, 0])
+        sd = 1.0 / float(ctx.block_model.B[0, 0])
         tts = np.linspace(-4.0, 4.0, 81)
-        t = float(ctx.block_mean[0]) + math.sqrt(k) * sd * tts
+        t = float(ctx.block_model.mean_sum[0]) + math.sqrt(k) * sd * tts
         _, t_sharp = ctx.coords(t.reshape(-1, 1))
         mask = np.abs(t_sharp[:, 0]) <= 2.0
         dev = np.abs(ctx.exact(t.reshape(-1, 1)) - 1.0)[mask]

@@ -439,7 +439,7 @@ ONE_BY_ONE = [[[4.0]], [[5e-324]], [[1.7e308]], [[[2.5]], [[1e-300]], [[3e300]]]
 
 @pytest.mark.parametrize("mat", ONE_BY_ONE)
 def test_guarded_eigh_one_by_one_is_lapack_bitwise(mat):
-    # closed form for 1 x 1: the entry and 1, the bits LAPACK returns
+    # a 1 x 1 matrix is the entry and 1, the bits LAPACK returns for it
     mat = np.array(mat)
     w, q = guarded_eigh(mat)
     ref_w, ref_q = np.linalg.eigh(mat)
@@ -501,20 +501,19 @@ def test_normal_law_decomposes_its_covariance_once(covs, monkeypatch):
     law = normal_family(np.ones((len(covs), covs.shape[-1])), covs)
     calls = _counting_eigh(monkeypatch)
     values = (law._inv, law._inv_sqrt, law._logdet)
-    assert len(calls) == (covs.shape[-1] > 1)
+    assert len(calls) == 1
     for value, formula in zip(values, (sym_inv, sym_inv_sqrt, sym_logdet)):
         reference = formula(covs)
         assert value.shape == reference.shape and value.tobytes() == reference.tobytes()
 
 
-def test_radial_row_runs_eigh_twice(monkeypatch):
-    # once on the average covariance in tilt_to_mean, once on the full sum's
-    # covariance in _log_sum_density, whose log density reads both its
-    # inverse square root and its log determinant
+def test_radial_row_runs_eigh_once(monkeypatch):
+    # on the average covariance in tilt_to_mean; the radial fill reads no
+    # covariance, so no sum's covariance is decomposed
     members = normal_family([[0.0, 0.0], [0.5, 0.5]], [[1.0, 0.2], [0.2, 2.0]]).build(200)
     calls = _counting_eigh(monkeypatch)
     tv_sum_mc(members, 15, [0.6, 0.6], samples=1000, rng=1)
-    assert calls == [(2, 2), (1, 2, 2)]
+    assert calls == [(2, 2)]
 
 
 # ---------------------------------------------------------------------------
@@ -664,7 +663,7 @@ def test_derived_families_store_what_the_validating_constructor_stores(kind, mon
     family = rows.build(40)
     family[3:20], family[7], family.tilt(np.full(family.dim, 0.1))
     ctx = RatioContext(family, 6, a)
-    ctx.log_ratio_exact(ctx.block_mean)
+    ctx.log_ratio_exact(ctx.block_model.mean_sum)
     ctx.fill_log_ratio(np.random.default_rng(0), np.empty(4))
     assert len(derived) >= 8
     for law in derived:

@@ -607,8 +607,8 @@ def test_radial_fill_at_zero_uniform_gives_rho_zero():
 
 def test_radial_row_validates_nothing_and_convolves_each_sum_once(monkeypatch):
     # the family was validated when it was made; a row builds, tilts,
-    # slices and convolves it without re-validating, and the fill reuses
-    # ctx.block and ctx.rest instead of convolving the block again
+    # slices and convolves it without re-validating, and the radial fill
+    # reads k alone, so only ctx.block is convolved and the rest sum never is
     n, k = 200, 15
     members = normal_family([[0.0, 0.0], [0.5, 0.5]], RADIAL_COVS[2]).build(n)
     checked, convolved = [], []
@@ -616,7 +616,7 @@ def test_radial_row_validates_nothing_and_convolves_each_sum_once(monkeypatch):
     monkeypatch.setattr(families, "check_symmetric", lambda m: checked.append(m) or check(m))
     monkeypatch.setattr(families.NormalFamily, "convolve", lambda self: convolved.append(len(self)) or convolve(self))
     tv_sum_mc(members, k, [0.6, 0.6], samples=1000, rng=1)
-    assert checked == [] and convolved == [k, n - k]
+    assert checked == [] and convolved == [k]
 
 
 @pytest.mark.parametrize(
@@ -1144,13 +1144,24 @@ def test_far_target_gives_the_shipped_target_value_or_a_typed_error(name, method
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("name,method", [("normal_df", "scheffe"), ("normal_df", "sum_mc"),
-                                         ("normal_df", "joint_mc"), ("normal2d", "sum_mc")])
+                                         ("normal_df", "joint_mc")])
 def test_far_normal_target_raises_the_spacing_error_first(name, method):
     # at a = 1e300 the Normal pair methods' spacing guard fires before any
     # arithmetic on the sum can overflow into another verdict
     members, _ = FAR_FAMILIES[name]
     with pytest.raises(ConditioningError, match="float cannot resolve the block sum"):
         FAR_METHODS[method](members, 15, np.full(members.dim, 1e300))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("a", [1e9, 1e100, 1e300])
+def test_far_radial_target_gives_the_shipped_target_value_bitwise(a):
+    # the radial fill reads c = k / (n - k) alone, not the sum or a covariance,
+    # so a target no float can resolve gives the a = (0.6, 0.6) draws, bit for bit
+    members, _ = FAR_FAMILIES["normal2d"]
+    reference = far_reference("normal2d", "sum_mc")
+    est = FAR_METHODS["sum_mc"](members, 15, np.full(members.dim, a))
+    assert (est.value, est.std_error) == (reference.value, reference.std_error)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
